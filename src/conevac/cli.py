@@ -170,6 +170,7 @@ def _compute_rows(spec: _FileSpec, workers: int):
         _PointJob(x, spec.sweep, spec.series, spec.components, spec.cutoff_t)
         for x in _grid(spec.lo, spec.hi, spec.points, spec.log)
     ]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compute_row, jobs, chunksize=8))
@@ -268,7 +269,6 @@ def _emit_spec(spec: _FileSpec, outdir: Path, figure_id: str | None, workers: in
 # Figure registry.  Ranges are chosen for the interesting structure;
 # every parameter lands in the sidecar, so the files are self describing.
 
-_CONFORMAL_BETA = Coupling.conformal().beta
 _FIG2_ANGLES = [
     ("tp25", 0.25 * math.pi),
     ("tp5", 0.5 * math.pi),
@@ -337,7 +337,7 @@ _FIGURES: dict[str, tuple[_FileSpec, ...]] = {
     "fig3b": (_multi_angle_file("fig3b.csv", correction=True),),
     "fig4": tuple(
         _cone_file(f"fig4_{tag}.csv", 0.8 * math.pi, beta=beta)
-        for tag, beta in (("xi16", _CONFORMAL_BETA), ("xi14", 0.0))
+        for tag, beta in (("xi16", Coupling.conformal().beta), ("xi14", 0.0))
     ),
     "coneang1": (
         _FileSpec("coneang1.csv", "theta1", math.pi / 8, 2.0 * math.pi, False,
@@ -349,13 +349,13 @@ _FIGURES: dict[str, tuple[_FileSpec, ...]] = {
     ),
     "fig5": (
         _wedge_theta_file("fig5_xi14.csv", 0.5 * math.pi, 0.0, (2, 4, 8)),
-        _wedge_theta_file("fig5_xi16.csv", 0.5 * math.pi, _CONFORMAL_BETA,
+        _wedge_theta_file("fig5_xi16.csv", 0.5 * math.pi, Coupling.conformal().beta,
                           (4, 8, 16)),
     ),
     "fig5b": (
         _wedge_theta_file("fig5b_xi14.csv", 0.5 * math.pi, 0.0, (2, 4, 8),
                           near=True),
-        _wedge_theta_file("fig5b_xi16.csv", 0.5 * math.pi, _CONFORMAL_BETA,
+        _wedge_theta_file("fig5b_xi16.csv", 0.5 * math.pi, Coupling.conformal().beta,
                           (4, 8, 16), near=True),
     ),
     "fig6": tuple(
@@ -430,6 +430,16 @@ def _expand_config(argv: list[str]) -> list[str]:
     if not rest:
         raise ValueError("--config needs a subcommand")
     return [rest[0], *tokens, *rest[1:]]
+
+
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
 
 
 def _add_geometry_args(sub):
@@ -647,7 +657,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit the per-unit-beta correction instead")
     p_scan.add_argument("--out", default=None,
                         help="CSV path (stdout when omitted)")
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=_worker_count, default=1)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_fig = sub.add_parser("figure", help="write canned figure datasets")
@@ -657,7 +667,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--outdir", default="figures")
     p_fig.add_argument("--points", type=int, default=None,
                        help="override the per-file grid size")
-    p_fig.add_argument("--workers", type=int, default=1)
+    p_fig.add_argument("--workers", type=_worker_count, default=1)
     p_fig.set_defaults(func=_cmd_figure)
 
     p_verify = sub.add_parser("verify", help="run the oracle suite")

@@ -9,11 +9,27 @@ which pass plain floats through to `math`, so the same code path
 produces values and derivatives.
 
 Hessians are stored as full symmetric (m, m) arrays.  Every operation
-builds symmetric updates as ``cross + cross.T``, so symmetry is exact
-in floating point, not merely approximate.
+builds symmetric updates as ``cross + cross.swapaxes(0, 1)``, so
+symmetry is exact in floating point, not merely approximate.
+
+A jet may carry a trailing batch axis: value (n,), gradient (m, n),
+Hessian (m, m, n), one element per point pair (the cutoff ladder of
+`stress.stress_t0` is one batch).  Every operation broadcasts over
+that axis with the same code as for a scalar jet, and its arithmetic
+is elementwise IEEE, so each element of a batched result is bit for
+bit the scalar jet of its own pair.  Elementary functions are the
+exception that keeps this true: their values and derivative factors
+are computed with `math`, one element at a time, because numpy's
+exp, sinh, arcsinh, log and array powers can round differently from
+the C library in the last bit.  The arrays those factors multiply
+stay vectorised.
 
 Branching on the magnitude of a jet must go through `value_of`; jets
-deliberately do not define ordering.
+deliberately do not define ordering.  A batch takes a branch whole
+when `agree` finds its elements on one side; a batch that straddles
+the threshold goes through `split`, which reruns the branching
+function on each part, so each element is evaluated by its own branch
+only.
 """
 
 from __future__ import annotations
@@ -33,32 +49,54 @@ IT, IR, IRP, ITHETA, ITHETAP, IZ, IZP = range(len(COORDS))
 
 @dataclass(frozen=True, eq=False)
 class Jet2:
-    """Value, gradient, and Hessian of one scalar quantity."""
+    """Value, gradient, and Hessian of one scalar quantity.
 
-    value: float
+    Batched jets hold n such quantities along a trailing axis; a float
+    ``value`` marks a scalar jet.
+    """
+
+    value: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
     @classmethod
-    def constant(cls, value: float, m: int) -> "Jet2":
+    def constant(cls, value, m: int) -> "Jet2":
+        if isinstance(value, (list, tuple, np.ndarray)):
+            value = np.array(value, dtype=float)
+            return cls(value, np.zeros((m, *value.shape)), np.zeros((m, m, *value.shape)))
         return cls(float(value), np.zeros(m), np.zeros((m, m)))
 
     @classmethod
-    def variable(cls, value: float, index: int, m: int) -> "Jet2":
-        grad = np.zeros(m)
-        grad[index] = 1.0
-        return cls(float(value), grad, np.zeros((m, m)))
+    def variable(cls, value, index: int, m: int) -> "Jet2":
+        jet = cls.constant(value, m)
+        jet.grad[index] = 1.0
+        return jet
 
-    def _compose(self, f0: float, f1: float, f2: float) -> "Jet2":
+    def _compose(self, f0, f1, f2) -> "Jet2":
         """Chain rule for an outer function with derivatives f1, f2 at self."""
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(f0, f1 * self.grad, f1 * self.hess + f2 * outer)
+        g = self.grad
+        outer = g[:, None] * g[None]
+        return Jet2(f0, f1 * g, f1 * self.hess + f2 * outer)
+
+    def _chain(self, rule) -> "Jet2":
+        """Compose with the outer function ``rule(v) -> (f, f', f'')``.
+
+        ``rule`` works on plain floats with `math`; a batch is fed to it
+        one element at a time.
+        """
+        v = self.value
+        if isinstance(v, float):
+            return self._compose(*rule(v))
+        f0, f1, f2 = np.array([rule(e) for e in v.tolist()]).T
+        return self._compose(f0, f1, f2)
 
     def _promote(self, other) -> "Jet2 | None":
         if isinstance(other, Jet2):
             return other
         if isinstance(other, (int, float)):
-            return Jet2.constant(other, self.grad.shape[0])
+            return Jet2(
+                float(other), np.zeros(self.grad.shape), np.zeros(self.hess.shape)
+            )
         return None
 
     def __add__(self, other) -> "Jet2":
@@ -88,11 +126,11 @@ class Jet2:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        cross = np.outer(self.grad, o.grad)
+        cross = self.grad[:, None] * o.grad[None]
         return Jet2(
             self.value * o.value,
             self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + cross + cross.T,
+            self.value * o.hess + o.value * self.hess + cross + cross.swapaxes(0, 1),
         )
 
     __rmul__ = __mul__
@@ -103,8 +141,8 @@ class Jet2:
             return NotImplemented
         val = self.value / o.value
         grad = (self.grad - val * o.grad) / o.value
-        cross = np.outer(grad, o.grad)
-        hess = (self.hess - val * o.hess - cross - cross.T) / o.value
+        cross = grad[:, None] * o.grad[None]
+        hess = (self.hess - val * o.hess - cross - cross.swapaxes(0, 1)) / o.value
         return Jet2(val, grad, hess)
 
     def __rtruediv__(self, other) -> "Jet2":
@@ -114,93 +152,157 @@ class Jet2:
         return o / self
 
     def __pow__(self, n) -> "Jet2":
-        v = self.value
         if isinstance(n, int):
             # Valid at v = 0 for n >= 2 (0.0 ** 0 == 1.0 covers f2 there).
-            return self._compose(
-                v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
-            )
-        if v <= 0.0:
-            raise DomainError(f"jet ** {n!r} requires a positive base, got {v!r}")
-        return self._compose(
-            v**n, n * v ** (n - 1.0), n * (n - 1.0) * v ** (n - 2.0)
-        )
+            def rule(v):
+                return v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
+        else:
+            def rule(v):
+                if v <= 0.0:
+                    raise DomainError(
+                        f"jet ** {n!r} requires a positive base, got {v!r}"
+                    )
+                return v**n, n * v ** (n - 1.0), n * (n - 1.0) * v ** (n - 2.0)
+        return self._chain(rule)
 
 
-def value_of(x) -> float:
-    """Plain float value of a jet or number; use this for branching."""
+def value_of(x):
+    """Plain value of a jet or number; use this for branching.
+
+    A float for numbers and scalar jets, an (n,) array for a batch.
+    """
     return x.value if isinstance(x, Jet2) else float(x)
+
+
+def _take(x, mask):
+    if not isinstance(x, Jet2):
+        return x
+    return Jet2(x.value[mask], x.grad[:, mask], x.hess[:, :, mask])
+
+
+def _put(mask, hit, miss):
+    out = np.empty(hit.shape[:-1] + mask.shape)
+    out[..., mask] = hit
+    out[..., ~mask] = miss
+    return out
+
+
+def agree(cond):
+    """The branch a whole batch takes, or None when its elements disagree.
+
+    ``cond`` is a bool, returned as is, or for batched jets one bool per
+    element (a comparison of `value_of` results).  A kernel branches on
+    the returned bool and hands a batch that disagrees to `split`.
+    """
+    if not isinstance(cond, np.ndarray):
+        return cond
+    hits = np.count_nonzero(cond)
+    if hits == cond.size:
+        return True
+    if hits == 0:
+        return False
+    return None
+
+
+def split(cond, fn, *args):
+    """``fn(*args)`` for a batch whose elements disagree on ``cond``.
+
+    ``fn`` runs once on the elements where ``cond`` holds and once on
+    the rest, and the parts are merged back in order.  Each part then
+    agrees, so no element is ever evaluated by the other branch (which
+    may overflow or lose accuracy there), and each element keeps the
+    bits it has alone.  Arguments that are not jets pass through whole.
+    """
+    hit = fn(*(_take(a, cond) for a in args))
+    miss = fn(*(_take(a, ~cond) for a in args))
+    return Jet2(
+        _put(cond, hit.value, miss.value),
+        _put(cond, hit.grad, miss.grad),
+        _put(cond, hit.hess, miss.hess),
+    )
 
 
 def exp(x):
     if isinstance(x, Jet2):
-        e = math.exp(x.value)
-        return x._compose(e, e, e)
+        def rule(v):
+            e = math.exp(v)
+            return e, e, e
+        return x._chain(rule)
     return math.exp(x)
 
 
 def log(x):
     if isinstance(x, Jet2):
-        v = x.value
-        if v <= 0.0:
-            raise DomainError(f"log of a jet requires a positive value, got {v!r}")
-        return x._compose(math.log(v), 1.0 / v, -1.0 / (v * v))
+        def rule(v):
+            if v <= 0.0:
+                raise DomainError(f"log of a jet requires a positive value, got {v!r}")
+            return math.log(v), 1.0 / v, -1.0 / (v * v)
+        return x._chain(rule)
     return math.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Jet2):
-        v = x.value
-        if v <= 0.0:
-            raise DomainError(
-                f"sqrt of a jet requires a positive value, got {v!r}"
-            )
-        s = math.sqrt(v)
-        return x._compose(s, 0.5 / s, -0.25 / (s * v))
+        def rule(v):
+            if v <= 0.0:
+                raise DomainError(f"sqrt of a jet requires a positive value, got {v!r}")
+            s = math.sqrt(v)
+            return s, 0.5 / s, -0.25 / (s * v)
+        return x._chain(rule)
     return math.sqrt(x)
 
 
 def sinh(x):
     if isinstance(x, Jet2):
-        s, c = math.sinh(x.value), math.cosh(x.value)
-        return x._compose(s, c, s)
+        def rule(v):
+            s, c = math.sinh(v), math.cosh(v)
+            return s, c, s
+        return x._chain(rule)
     return math.sinh(x)
 
 
 def cosh(x):
     if isinstance(x, Jet2):
-        s, c = math.sinh(x.value), math.cosh(x.value)
-        return x._compose(c, s, c)
+        def rule(v):
+            s, c = math.sinh(v), math.cosh(v)
+            return c, s, c
+        return x._chain(rule)
     return math.cosh(x)
 
 
 def asinh(x):
     if isinstance(x, Jet2):
-        v = x.value
-        w = math.sqrt(1.0 + v * v)
-        return x._compose(math.asinh(v), 1.0 / w, -v / w**3)
+        def rule(v):
+            w = math.sqrt(1.0 + v * v)
+            return math.asinh(v), 1.0 / w, -v / w**3
+        return x._chain(rule)
     return math.asinh(x)
 
 
 def sin(x):
     if isinstance(x, Jet2):
-        s, c = math.sin(x.value), math.cos(x.value)
-        return x._compose(s, c, -s)
+        def rule(v):
+            s, c = math.sin(v), math.cos(v)
+            return s, c, -s
+        return x._chain(rule)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Jet2):
-        s, c = math.sin(x.value), math.cos(x.value)
-        return x._compose(c, -s, -c)
+        def rule(v):
+            s, c = math.sin(v), math.cos(v)
+            return c, -s, -c
+        return x._chain(rule)
     return math.cos(x)
 
 
 def atan(x):
     if isinstance(x, Jet2):
-        v = x.value
-        d = 1.0 + v * v
-        return x._compose(math.atan(v), 1.0 / d, -2.0 * v / (d * d))
+        def rule(v):
+            d = 1.0 + v * v
+            return math.atan(v), 1.0 / d, -2.0 * v / (d * d)
+        return x._chain(rule)
     return math.atan(x)
 
 
@@ -210,12 +312,16 @@ def lift(pair, active: tuple[str, ...] = COORDS) -> dict:
     Coordinates in ``active`` become independent variables in the slot
     order of ``active``; the rest become constants.  The pair is read
     by attribute name, so anything with t, r, rp, theta, thetap, z, zp
-    attributes works.
+    attributes works.  A list of n pairs gives batched jets whose
+    element k belongs to pair k.
     """
     m = len(active)
     out = {}
     for name in COORDS:
-        val = float(getattr(pair, name))
+        if isinstance(pair, list):
+            val = [getattr(p, name) for p in pair]
+        else:
+            val = getattr(pair, name)
         if name in active:
             out[name] = Jet2.variable(val, active.index(name), m)
         else:

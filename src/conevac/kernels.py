@@ -12,7 +12,12 @@ separation u of `geometry.u_of_pair` and on the angular offset.  The
 kernel expressions are written against the dispatch functions in
 `jets`, so the same code evaluates plain floats and second-order jets.
 Branches are chosen by magnitude (through `jets.value_of`) to keep
-every regime cancellation free:
+every regime cancellation free.  A batch of point pairs takes one
+branch whole when `jets.agree` says its elements agree; one that
+straddles a threshold is split by `jets.split`, which reruns the same
+function on each part, so every pair is evaluated by its own branch
+only.  Plain bools (floats and scalar jets) skip the `jets.agree`
+call, because the float path runs inside quadratures:
 
   * u below _SMALL_U with a*u small: power series for the ratios
     sinh(a*u)/sinh(u) and u/sinh(u), whose direct evaluation loses
@@ -29,8 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import integrate, special
 
 from . import jets
 from .errors import ConvergenceError, DomainError, SingularPointError
@@ -65,7 +68,11 @@ def _separation(t, r, rp, z, zp):
 
 def _inv_sinh_u(q, u):
     # sinh(u) = 2 sqrt(q (1 + q)) exactly; exponential form avoids overflow.
-    if value_of(u) > _LARGE_U:
+    large = value_of(u) > _LARGE_U
+    side = large if isinstance(large, bool) else jets.agree(large)
+    if side is None:
+        return jets.split(large, _inv_sinh_u, q, u)
+    if side:
         em = jets.exp(-u)
         return 2.0 * em / (1.0 - em * em)
     return 1.0 / (2.0 * jets.sqrt(q * (1.0 + q)))
@@ -73,7 +80,11 @@ def _inv_sinh_u(q, u):
 
 def _angular_factor(x, y):
     """sinh(x) / (cosh(x) - cos(y)), stable at small and large x."""
-    if value_of(x) > _EXP_FORM_MIN_X:
+    large = value_of(x) > _EXP_FORM_MIN_X
+    side = large if isinstance(large, bool) else jets.agree(large)
+    if side is None:
+        return jets.split(large, _angular_factor, x, y)
+    if side:
         em = jets.exp(-x)
         return (1.0 - em * em) / (1.0 - 2.0 * em * jets.cos(y) + em * em)
     return jets.sinh(x) / (2.0 * jets.sinh(0.5 * x) ** 2 + 2.0 * jets.sin(0.5 * y) ** 2)
@@ -90,7 +101,11 @@ def _sinh_ratio_series(u, a):
 
 
 def _u_over_sinh(q, u):
-    if value_of(u) < _SMALL_U:
+    small = value_of(u) < _SMALL_U
+    side = small if isinstance(small, bool) else jets.agree(small)
+    if side is None:
+        return jets.split(small, _u_over_sinh, q, u)
+    if side:
         u2 = u * u
         return 1.0 - u2 / 6.0 + 7.0 / 360.0 * (u2 * u2)
     return u * _inv_sinh_u(q, u)
@@ -106,8 +121,12 @@ def _cone_term(t, r, rp, dth, z, zp, theta1):
     a = 2.0 * math.pi / theta1
     q, u = _separation(t, r, rp, z, zp)
     uval = value_of(u)
+    series = (uval < _SMALL_U) & (a * uval < _SMALL_AU)
+    side = series if isinstance(series, bool) else jets.agree(series)
+    if side is None:
+        return jets.split(series, _cone_term, t, r, rp, dth, z, zp, theta1)
     pref = -1.0 / (2.0 * math.pi * theta1 * r * rp)
-    if uval < _SMALL_U and a * uval < _SMALL_AU:
+    if side:
         num = _sinh_ratio_series(u, a)
         den = 2.0 * jets.sinh(0.5 * a * u) ** 2 + 2.0 * jets.sin(0.5 * a * dth) ** 2
         return pref * num / den
@@ -405,6 +424,8 @@ class QuadratureControls:
 
 
 def _quad(f, lo, hi, *, epsabs=1e-13, epsrel=1e-11, limit=300):
+    from scipy import integrate
+
     out = integrate.quad(f, lo, hi, full_output=1, epsabs=epsabs, epsrel=epsrel,
                          limit=limit)
     return out[0]
@@ -428,6 +449,8 @@ def mode_integral(
         raise DomainError("mode_integral needs nu >= 0 and positive radii")
     if zeta <= 0:
         raise DomainError("mode_integral needs zeta > 0 for convergence")
+    from scipy import special
+
     c = controls or QuadratureControls()
     width = 4.0 * math.pi / (r + rp + zeta)
 
@@ -561,19 +584,3 @@ def tbar_3d_theta_average(t: float, r: float, rp: float, theta1: float) -> float
     upper = math.sqrt(80.0)
     q = _quad(f, 0.0, 1.0) + _quad(f, 1.0, upper)
     return -q / (math.pi * theta1 * math.sqrt(r * rp))
-
-
-# Direct textbook variants of the flat kernel, kept for cross checks.
-
-def _tbar_minkowski_cartesian(pair: PointPair) -> float:
-    dx = pair.r * math.cos(pair.theta) - pair.rp * math.cos(pair.thetap)
-    dy = pair.r * math.sin(pair.theta) - pair.rp * math.sin(pair.thetap)
-    dz = pair.z - pair.zp
-    return -1.0 / (_TWO_PI_SQ * (pair.t**2 + dx * dx + dy * dy + dz * dz))
-
-
-def _tbar_minkowski_hyperbolic(pair: PointPair) -> float:
-    uv = u_of_pair(pair)
-    return -1.0 / (
-        2.0 * _TWO_PI_SQ * pair.r * pair.rp * (uv.cosh_u - math.cos(pair.dtheta))
-    )

@@ -19,12 +19,12 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from . import jets, kernels
 from .geometry import (
     BoundaryCondition,
     Cone,
+    Coupling,
     Dowker,
     Minkowski,
     PointPair,
@@ -57,8 +57,6 @@ from .stress import (
 )
 
 SUITE_VERSION = 1
-
-_CONFORMAL_BETA = 1.0 / 6.0 - 0.25
 
 
 @dataclass(frozen=True)
@@ -361,6 +359,8 @@ def _oracle_periodic_line(rng) -> OracleReport:
 
 
 def _oracle_threedim_reduction(rng) -> OracleReport:
+    from scipy import integrate
+
     tol = 1e-6
     worst = 0.0
     angles = [0.7 * math.pi, 1.25 * math.pi, 1.6 * math.pi, 2.0 * math.pi,
@@ -517,7 +517,7 @@ def _oracle_conservation(rng) -> OracleReport:
         (Cone(math.pi), 0.0),
         (Cone(4.0 * math.pi), 0.0),
         (Dowker(), 0.0),
-        (Cone(math.pi), _CONFORMAL_BETA),
+        (Cone(math.pi), Coupling.conformal().beta),
     ]
     for geometry, beta in cases:
         worst = max(worst, conservation_residual(geometry, 1.3, beta=beta))
@@ -529,7 +529,7 @@ def _oracle_conformal_trace(rng) -> OracleReport:
     worst = 0.0
     cases = [Cone(math.pi), Cone(4.0 * math.pi), Dowker()]
     for geometry in cases:
-        ext = stress_t0(geometry, 1.0, beta=_CONFORMAL_BETA)
+        ext = stress_t0(geometry, 1.0, beta=Coupling.conformal().beta)
         scale = max(abs(v) for v in ext.stress.components().values())
         worst = max(worst, abs(trace(ext.stress)) / scale)
     return OracleReport("conformal_trace", len(cases), worst, tol, worst <= tol)
@@ -540,7 +540,7 @@ def _oracle_conformal_wedge(rng) -> OracleReport:
     geometry = Wedge(0.5 * math.pi, BoundaryCondition.DIRICHLET)
     angles = [math.pi / 16, math.pi / 8, math.pi / 4]
     values = [
-        stress_t0(geometry, 8.0, th, beta=_CONFORMAL_BETA).stress.t00
+        stress_t0(geometry, 8.0, th, beta=Coupling.conformal().beta).stress.t00
         for th in angles
     ]
     mean = math.fsum(values) / len(values)

@@ -22,6 +22,14 @@ Renormalization is a choice of what to subtract:
 The renormalized components have finite t -> 0 limits, reached by
 `stress_t0` through even-power Richardson extrapolation over a
 halving ladder of cutoffs.
+
+There is one engine: the kernel expression is evaluated once on
+batched jets (see `jets`) whose elements differ only in the cutoff,
+and assembled elementwise.  `stress_t0` runs it on the whole ladder;
+`stress_at` and `stress_from_kernel` run it on a batch of one cutoff.
+Batching changes no bits: each rung equals `stress_at` at its cutoff.
+A ladder whose rungs fall on different sides of a kernel branch is
+split there and each part rerun (`jets.split`).
 """
 
 from __future__ import annotations
@@ -32,11 +40,9 @@ from dataclasses import dataclass
 
 from . import jets
 from .errors import ConvergenceError, DomainError
-from .geometry import Cone, Dowker, Geometry, Minkowski, PointPair, Wedge
+from .geometry import Cone, Coupling, Dowker, Geometry, Minkowski, PointPair, Wedge
 from .jets import IR, IRP, IT, ITHETA, ITHETAP, IZ, IZP
 from .kernels import kernel_expr, minkowski_expr
-
-_CONFORMAL_BETA = 1.0 / 6.0 - 0.25
 
 # Double-precision epsilon times 3/(2 pi^2), the coefficient of the
 # zero-point 1/t^4 piece that the renormalized assembly cancels.
@@ -100,39 +106,72 @@ def zero_point_stress(t: float) -> StressTensor:
 
 
 def _assemble(k, r: float, beta: float, general_tangential: bool):
-    """Stress components from the jet of a kernel expression."""
-    g, h = k.grad, k.hess
-    d_r = g[IR]
-    d_t2 = h[IT, IT]
-    d_r2 = h[IR, IR]
-    d_r_rp = h[IR, IRP]
-    d_z2 = h[IZ, IZ]
-    d_z_zp = h[IZ, IZP]
-    radial = d_r_rp + d_r2 + d_r / r
-    # Angular part of the Laplacian acting on the coincidence value of
-    # the pair function.  Exactly zero (bitwise) for kernels that
-    # depend only on theta - thetap; nonzero between wedge walls.
-    angular = (h[ITHETA, ITHETA] + h[ITHETA, ITHETAP]) / (r * r)
+    """Stress components from the jet of a kernel expression.
 
-    t00 = -0.5 * d_t2 + beta * (radial + angular)
-    t_rr = -0.25 * (d_r_rp - d_r2) - beta * (d_r / r + angular)
-    if general_tangential:
-        # Needed when the kernel depends on theta and thetap separately.
-        t_perp = (
-            d_r / (4.0 * r)
-            + (h[ITHETA, ITHETA] - h[ITHETA, ITHETAP]) / (4.0 * r * r)
-            - beta * (d_r_rp + d_r2)
-        )
-    else:
-        t_perp = (
-            d_r / (4.0 * r)
-            + h[ITHETA, ITHETA] / (2.0 * r * r)
-            - beta * (d_r_rp + d_r2)
-        )
-    t_zz = -0.25 * (d_z_zp - d_z2) - beta * (radial + angular)
-    # Plain floats: jet entries are numpy scalars, which would leak
-    # into JSON serialization downstream.
-    return float(t00), float(t_rr), float(t_perp), float(t_zz)
+    Returns one (t00, t_rr, t_perp, t_zz) tuple per batch element.  The
+    arithmetic runs on plain floats, element by element: it is the same
+    IEEE arithmetic as on numpy values, cheaper than array operations
+    for ladder-sized batches, and keeps numpy scalars out of the JSON
+    serialization downstream.
+    """
+    g, h = k.grad, k.hess
+    columns = (g[IR], h[IT, IT], h[IR, IR], h[IR, IRP], h[IZ, IZ], h[IZ, IZP],
+               h[ITHETA, ITHETA], h[ITHETA, ITHETAP])
+    out = []
+    for d_r, d_t2, d_r2, d_r_rp, d_z2, d_z_zp, d_th2, d_th_thp in zip(
+        *(c.tolist() for c in columns)
+    ):
+        radial = d_r_rp + d_r2 + d_r / r
+        # Angular part of the Laplacian acting on the coincidence value
+        # of the pair function.  Exactly zero (bitwise) for kernels that
+        # depend only on theta - thetap; nonzero between wedge walls.
+        angular = (d_th2 + d_th_thp) / (r * r)
+
+        t00 = -0.5 * d_t2 + beta * (radial + angular)
+        t_rr = -0.25 * (d_r_rp - d_r2) - beta * (d_r / r + angular)
+        if general_tangential:
+            # Needed when the kernel depends on theta and thetap separately.
+            t_perp = (
+                d_r / (4.0 * r)
+                + (d_th2 - d_th_thp) / (4.0 * r * r)
+                - beta * (d_r_rp + d_r2)
+            )
+        else:
+            t_perp = (
+                d_r / (4.0 * r)
+                + d_th2 / (2.0 * r * r)
+                - beta * (d_r_rp + d_r2)
+            )
+        t_zz = -0.25 * (d_z_zp - d_z2) - beta * (radial + angular)
+        out.append((t00, t_rr, t_perp, t_zz))
+    return out
+
+
+def _ladder_from_kernel(
+    kernel_fn, r, theta, z, beta, ts, general_tangential, renorm_mode
+) -> list[tuple[float, float, float, float]]:
+    """Stress components at every cutoff in ``ts`` from one batched jet pass.
+
+    The kernel expression is evaluated once, on a batch of point pairs
+    that differ only in t.  Every element is bit for bit what a batch
+    of one would give (see `jets`), so a ladder rung equals the
+    `stress_at` value at its cutoff.
+    """
+    for t in ts:
+        if not (math.isfinite(t) and t > 0):
+            raise DomainError(f"stress needs a cutoff t > 0, got {t!r}")
+    pairs = [PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z) for t in ts]
+    coords = jets.lift(pairs)
+    k = kernel_fn(**coords)
+    if renorm_mode is RenormMode.KERNEL_SUBTRACTION:
+        k = k - minkowski_expr(**coords)
+    rungs = _assemble(k, r, beta, general_tangential)
+    if renorm_mode is RenormMode.COMPONENT_SUBTRACTION:
+        for i, t in enumerate(ts):
+            zp = zero_point_stress(t)
+            t00, t_rr, t_perp, t_zz = rungs[i]
+            rungs[i] = (t00 - zp.t00, t_rr - zp.t_rr, t_perp - zp.t_perp, t_zz - zp.t_zz)
+    return rungs
 
 
 def stress_from_kernel(
@@ -149,29 +188,46 @@ def stress_from_kernel(
     """Differentiate an arbitrary kernel expression and assemble the stress.
 
     ``kernel_fn`` takes the seven pair coordinates by keyword and must
-    be built from the `jets` dispatch functions.  This is the engine
-    under `stress_at`; it is exposed so independently constructed
-    kernels (image sums, cross checks) can be pushed through the same
-    assembly.
+    be built from the `jets` dispatch functions, branching through
+    `jets.agree` and `jets.split`.  This is the engine under
+    `stress_at`, run on a batch of one cutoff; it is exposed so
+    independently constructed kernels (image sums, cross checks) can be
+    pushed through the same assembly.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise DomainError(f"stress needs a cutoff t > 0, got {t!r}")
-    pair = PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z)
-    coords = jets.lift(pair)
-    k = kernel_fn(**coords)
-    if renorm_mode is RenormMode.KERNEL_SUBTRACTION:
-        k = k - minkowski_expr(**coords)
-    t00, t_rr, t_perp, t_zz = _assemble(k, r, beta, general_tangential)
-    if renorm_mode is RenormMode.COMPONENT_SUBTRACTION:
-        zp_stress = zero_point_stress(t)
-        t00 -= zp_stress.t00
-        t_rr -= zp_stress.t_rr
-        t_perp -= zp_stress.t_perp
-        t_zz -= zp_stress.t_zz
-    return StressTensor(
-        t00=t00, t_rr=t_rr, t_perp=t_perp, t_zz=t_zz,
-        renorm_mode=renorm_mode, cutoff_t=t,
+    (comps,) = _ladder_from_kernel(
+        kernel_fn, r, theta, z, beta, [t], general_tangential, renorm_mode
     )
+    return StressTensor(*comps, renorm_mode=renorm_mode, cutoff_t=t)
+
+
+def _ladder(
+    geometry: Geometry, r, theta, z, beta, ts, renorm: RenormMode
+) -> list[StressTensor]:
+    """Stress tensors of a geometry at every cutoff in ``ts``, in one pass."""
+    expr = kernel_expr(geometry)
+    general_tangential, mode = False, renorm
+    if isinstance(geometry, Wedge):
+        if not 0.0 < theta < geometry.theta0:
+            raise DomainError(
+                f"stress point theta={theta!r} must lie strictly inside "
+                f"the wedge (0, {geometry.theta0!r})"
+            )
+        if renorm is RenormMode.COMPONENT_SUBTRACTION:
+            raise DomainError(
+                "component subtraction is not defined for the wedge; "
+                "its kernel is stored with the flat part already removed"
+            )
+        if renorm is RenormMode.RAW:
+            wedge_expr = expr
+            def full(**coords):
+                return wedge_expr(**coords) + minkowski_expr(**coords)
+            expr = full
+        general_tangential, mode = True, RenormMode.RAW
+    rungs = _ladder_from_kernel(expr, r, theta, z, beta, ts, general_tangential, mode)
+    return [
+        StressTensor(*comps, renorm_mode=renorm, cutoff_t=t)
+        for t, comps in zip(ts, rungs)
+    ]
 
 
 def stress_at(
@@ -192,35 +248,8 @@ def stress_at(
     the stored wedge kernel is flat-part-free, so kernel subtraction
     is the identity and RAW adds the flat kernel back.
     """
-    expr = kernel_expr(geometry)
-    if isinstance(geometry, Wedge):
-        if not 0.0 < theta < geometry.theta0:
-            raise DomainError(
-                f"stress point theta={theta!r} must lie strictly inside "
-                f"the wedge (0, {geometry.theta0!r})"
-            )
-        if renorm is RenormMode.COMPONENT_SUBTRACTION:
-            raise DomainError(
-                "component subtraction is not defined for the wedge; "
-                "its kernel is stored with the flat part already removed"
-            )
-        if renorm is RenormMode.RAW:
-            wedge_expr = expr
-            def full(**coords):
-                return wedge_expr(**coords) + minkowski_expr(**coords)
-            expr = full
-        stress = stress_from_kernel(
-            expr, r, theta, z, beta=beta, t=t,
-            general_tangential=True, renorm_mode=RenormMode.RAW,
-        )
-        return StressTensor(
-            t00=stress.t00, t_rr=stress.t_rr, t_perp=stress.t_perp,
-            t_zz=stress.t_zz, renorm_mode=renorm, cutoff_t=t,
-        )
-    return stress_from_kernel(
-        expr, r, theta, z, beta=beta, t=t,
-        general_tangential=False, renorm_mode=renorm,
-    )
+    (stress,) = _ladder(geometry, r, theta, z, beta, [t], renorm)
+    return stress
 
 
 @dataclass(frozen=True)
@@ -281,8 +310,8 @@ def stress_t0(
     """Renormalized stress in the limit t -> 0.
 
     Evaluates the kernel-subtracted stress on the cutoff ladder
-    t0, t0/2, ..., t0/2**(rungs-1) and Richardson-extrapolates each
-    component.  The default t0 is a quarter of the distance to the
+    t0, t0/2, ..., t0/2**(rungs-1), all rungs in one batched jet pass,
+    and Richardson-extrapolates each component.  The default t0 is a quarter of the distance to the
     nearest geometric feature (the axis, or a wedge wall when that is
     closer), which keeps the ladder inside the region where the
     even-power expansion dominates while leaving the deepest rung
@@ -303,7 +332,7 @@ def stress_t0(
                 f"stress point theta={theta!r} must lie strictly inside "
                 f"the wedge (0, {geometry.theta0!r})"
             )
-        if abs(beta - _CONFORMAL_BETA) > 1e-12 and gap < 1e-3:
+        if abs(beta - Coupling.conformal().beta) > 1e-12 and gap < 1e-3:
             raise DomainError(
                 "nonconformal wedge stress diverges at the walls; "
                 f"theta={theta!r} is too close (gap {gap!r} < 1e-3)"
@@ -321,13 +350,7 @@ def stress_t0(
     if not (math.isfinite(t0) and t0 > 0):
         raise DomainError(f"t0 must be positive, got {t0!r}")
     ts = [t0 / 2.0**k for k in range(rungs)]
-    ladder = [
-        stress_at(
-            geometry, r, theta, z, beta=beta, t=tk,
-            renorm=RenormMode.KERNEL_SUBTRACTION,
-        )
-        for tk in ts
-    ]
+    ladder = _ladder(geometry, r, theta, z, beta, ts, RenormMode.KERNEL_SUBTRACTION)
     # Roundoff in a rung: the assembly cancels pieces on the scale of
     # the universal 1/t^4 zero-point part down to the renormalized
     # value, so each component carries about eps * 0.15 / t^4 of

@@ -7,9 +7,15 @@ Exit convention: 0 on success, 1 when a computation or verification fails,
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conevac
+from conevac import cli
 from conevac.cli import main
 from conevac.oracles import SUITE_VERSION
 
@@ -249,6 +255,49 @@ class TestFigure:
         assert code == 0
         assert (tmp_path / "fig1.csv").exists()
         assert (tmp_path / "fig1b.csv").exists()
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    @pytest.mark.parametrize("command", [TestScan.CONE, ("figure", "fig1")],
+                             ids=["scan", "figure"])
+    def test_rejects_counts_below_one(self, capsys, tmp_path, command, workers):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_pool_never_outnumbers_the_jobs(self, capsys, monkeypatch):
+        # a stand-in pool that records its size and starts no process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        code, _, _ = run(capsys, *TestScan.CONE, "--workers", "64")
+        assert code == 0
+        assert sizes == [3]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = str(Path(conevac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = "import sys, conevac.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestConfig:

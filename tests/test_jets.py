@@ -13,6 +13,7 @@ from conevac.jets import (
     IRP,
     IT,
     Jet2,
+    agree,
     asinh,
     atan,
     cos,
@@ -22,6 +23,7 @@ from conevac.jets import (
     log,
     sin,
     sinh,
+    split,
     sqrt,
     value_of,
 )
@@ -157,3 +159,110 @@ class TestDomains:
     def test_reciprocal_of_zero(self):
         with pytest.raises(ZeroDivisionError):
             1.0 / var(0.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _element(jet, k):
+    # the scalar jet that element k of a batch stands for
+    return Jet2(float(jet.value[k]), jet.grad[..., k].copy(), jet.hess[..., k].copy())
+
+
+def _assert_batch_is_scalars(batched, scalars):
+    assert batched.value.shape == (len(scalars),)
+    for k, want in enumerate(scalars):
+        assert float(batched.value[k]).hex() == want.value.hex()
+        assert _bits(batched.grad[..., k]) == _bits(want.grad)
+        assert _bits(batched.hess[..., k]) == _bits(want.hess)
+
+
+class TestBatch:
+    """A batched jet is bit for bit the scalar jets of its elements."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        # positive values with nontrivial gradients and Hessians
+        rng = np.random.default_rng(5)
+        pairs = [PointPair(t=float(t), r=float(r), rp=float(rp), theta=float(th))
+                 for t, r, rp, th in rng.uniform(0.2, 1.7, size=(256, 4))]
+        j = lift(pairs)
+        return j["t"] * j["r"] + j["rp"] / j["r"] + 0.4 * j["theta"] ** 2
+
+    def _check(self, batch, fn):
+        scalars = [fn(_element(batch, k)) for k in range(batch.value.shape[0])]
+        _assert_batch_is_scalars(fn(batch), scalars)
+
+    @pytest.mark.parametrize("fn", [exp, log, sqrt, sinh, cosh, asinh, sin, cos, atan],
+                             ids=lambda f: f.__name__)
+    def test_dispatch_functions(self, batch, fn):
+        self._check(batch, fn)
+        # values come from math, as for plain floats: numpy's exp, sinh
+        # and asinh can round differently on a few percent of arguments,
+        # which 256 elements would show
+        got = fn(batch).value.tolist()
+        assert [v.hex() for v in got] == [fn(v).hex() for v in batch.value.tolist()]
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 0.7, lambda x: 0.7 + x, lambda x: x - 0.7, lambda x: 0.7 - x,
+        lambda x: -x, lambda x: 2.5 * x, lambda x: x * x, lambda x: x / 1.3,
+        lambda x: 1.3 / x, lambda x: x / sin(x), lambda x: x ** 2, lambda x: x ** 3,
+        lambda x: x ** 2.3,
+    ], ids=["add", "radd", "sub", "rsub", "neg", "rmul", "mul", "div", "rdiv",
+            "div_jet", "pow2", "pow3", "pow_frac"])
+    def test_arithmetic(self, batch, op):
+        self._check(batch, op)
+
+    def test_lift_batches_every_coordinate(self):
+        pairs = [PointPair(t=t, r=2.0, rp=1.0, theta=0.3) for t in (0.5, 0.25)]
+        jets = lift(pairs)
+        assert jets["t"].value.tolist() == [0.5, 0.25]
+        assert jets["r"].value.tolist() == [2.0, 2.0]
+        assert jets["r"].grad.shape == (M, 2)
+        assert jets["r"].hess.shape == (M, M, 2)
+        assert jets["t"].grad[IT].tolist() == [1.0, 1.0]
+
+    def test_domain_checks_see_every_element(self):
+        bad = Jet2.constant([1.0, -1.0], M)
+        with pytest.raises(DomainError):
+            sqrt(bad)
+        with pytest.raises(DomainError):
+            log(bad)
+        with pytest.raises(DomainError):
+            bad ** 0.5
+
+
+class TestBranch:
+    @staticmethod
+    def _pick(x):
+        # a function branching on a batch the way the kernels do
+        big = value_of(x) > 1.0
+        side = agree(big)
+        if side is None:
+            return split(big, TestBranch._pick, x)
+        if side:
+            return exp(-x) * 2.0
+        return sinh(x) / x
+
+    def test_split_batch_runs_each_element_through_its_own_branch(self):
+        x = lift([PointPair(t=t, r=1.0, rp=1.0) for t in (0.3, 3.0, 0.7, 5.0)])["t"]
+        got = self._pick(x)
+        _assert_batch_is_scalars(got, [self._pick(_element(x, k)) for k in range(4)])
+
+    def test_split_reruns_once_per_side(self):
+        x = lift([PointPair(t=t, r=1.0, rp=1.0) for t in (0.3, 3.0, 0.7, 5.0)])["t"]
+        parts = []
+
+        def record(v, scale):
+            parts.append(v.value.tolist())
+            return v * scale
+
+        split(value_of(x) > 1.0, record, x, 2.0)
+        assert parts == [[3.0, 5.0], [0.3, 0.7]]
+
+    def test_agree(self):
+        assert agree(True) is True and agree(False) is False
+        assert agree(np.array([True, True])) is True
+        assert agree(np.array([False, False])) is False
+        assert agree(np.array([True, False])) is None

@@ -9,10 +9,12 @@ ratio 0.97, and the worst relative deviation was 7.4e-6 (near the wedge wall).
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conevac import (
+    BoundaryCondition,
     Cone,
     ConvergenceError,
     Coupling,
@@ -30,7 +32,9 @@ from conevac import (
     trace,
     zero_point_stress,
 )
-from conevac.stress import COMPONENT_NAMES
+from conevac import jets, kernels
+from conevac.kernels import minkowski_expr
+from conevac.stress import COMPONENT_NAMES, _assemble, _ladder
 
 CONFORMAL_BETA = Coupling.conformal().beta
 
@@ -264,3 +268,84 @@ class TestValidation:
     def test_stress_needs_positive_cutoff(self):
         with pytest.raises(DomainError):
             stress_at(Cone(2.2), 1.0, t=0.0)
+
+
+def _scalar_rung(geometry, r, theta, beta, t):
+    """Kernel-subtracted stress at one cutoff through scalar jets.
+
+    The per-rung path that the batched ladder replaces, kept as its
+    reference: the wedge kernel is stored flat-part-free and takes the
+    general tangential form.
+    """
+    coords = jets.lift(PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta))
+    k = kernel_expr(geometry)(**coords)
+    wedge = isinstance(geometry, Wedge)
+    if not wedge:
+        k = k - minkowski_expr(**coords)
+    one = jets.Jet2(np.array([k.value]), k.grad[:, None], k.hess[:, :, None])
+    (rung,) = _assemble(one, r, beta, wedge)
+    return rung
+
+
+LADDERS = {
+    "cone": (Cone(2.2), 1.3, 0.0, 0.325),
+    "cone_sharp": (Cone(0.3), 0.7, 0.0, 0.175),
+    "cone_surplus": (Cone(40.0), 2.0, 0.0, 0.5),
+    "sheet": (Dowker(), 1.1, 0.0, 0.275),
+    "flat": (Minkowski(), 0.9, 0.0, 0.225),
+    "wedge_dirichlet": (Wedge(math.pi / 2), 8.0, math.pi / 8, 2.0),
+    "wedge_neumann": (Wedge(2.0 * math.pi / 3, BoundaryCondition.NEUMANN), 3.0, 0.4, 0.6),
+    "wedge_near_wall": (Wedge(math.pi / 3), 8.0, 0.02, 0.32),
+    # a*u is ~44 on rung 0 and ~25 below it: the angular factor's
+    # exponential form (a*u > 30) and half-angle form share one ladder
+    "straddles_exp_form": (Cone(0.3), 1.0, 0.0, 2.5),
+    # u is ~1.6e-4 on rung 0 and below the 1e-4 series window after it
+    "straddles_series_cone": (Cone(2.0 * math.pi), 1.0, 0.0, 1.6e-4),
+    "straddles_series_sheet": (Dowker(), 1.0, 0.0, 1.6e-4),
+}
+
+
+class TestBatchedLadder:
+    """Each rung of the one-pass ladder is bit for bit its scalar-jet stress."""
+
+    @pytest.mark.parametrize("beta", [CONFORMAL_BETA, -0.25, 0.7],
+                             ids=["conformal", "minimal", "beta07"])
+    @pytest.mark.parametrize("name", list(LADDERS))
+    def test_rungs_equal_scalar_jet_stress(self, name, beta):
+        geometry, r, theta, t0 = LADDERS[name]
+        ts = [t0 / 2.0 ** k for k in range(6)]
+        ladder = _ladder(geometry, r, theta, 0.0, beta, ts,
+                         RenormMode.KERNEL_SUBTRACTION)
+        for t, rung in zip(ts, ladder):
+            want = _scalar_rung(geometry, r, theta, beta, t)
+            got = (rung.t00, rung.t_rr, rung.t_perp, rung.t_zz)
+            assert [v.hex() for v in got] == [float(v).hex() for v in want]
+            single = stress_at(geometry, r, theta, beta=beta, t=t)
+            assert single == rung
+
+    @pytest.mark.parametrize("name, threshold", [
+        ("straddles_exp_form", kernels._EXP_FORM_MIN_X),
+        ("straddles_series_cone", kernels._SMALL_U),
+        ("straddles_series_sheet", kernels._SMALL_U),
+    ])
+    def test_straddling_ladders_straddle(self, name, threshold):
+        geometry, r, _, t0 = LADDERS[name]
+        a = geometry.order if isinstance(geometry, Cone) else 1.0
+        au = [a * 2.0 * math.asinh(t0 / 2.0 ** k / (2.0 * r)) for k in range(6)]
+        assert au[0] > threshold > au[1]
+
+    def test_extrapolation_reads_one_batched_pass(self, monkeypatch):
+        calls = []
+        real = kernel_expr
+
+        def counting(geometry):
+            expr = real(geometry)
+
+            def counted(**coords):
+                calls.append(coords["t"].value.tolist())
+                return expr(**coords)
+            return counted
+
+        monkeypatch.setattr("conevac.stress.kernel_expr", counting)
+        stress_t0(Cone(2.2), 1.3, t0=0.4, rungs=4)
+        assert calls == [[0.4, 0.2, 0.1, 0.05]]
