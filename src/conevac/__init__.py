@@ -22,10 +22,8 @@ from .geometry import (
     Minkowski,
     PeriodicLine,
     PointPair,
-    UConsistencyReport,
     UVariable,
     Wedge,
-    u_consistency,
     u_of_pair,
 )
 from .kernels import (
@@ -80,7 +78,6 @@ __all__ = [
     "RenormMode",
     "SingularPointError",
     "StressTensor",
-    "UConsistencyReport",
     "UVariable",
     "Wedge",
     "__version__",
@@ -102,7 +99,6 @@ __all__ = [
     "tbar_periodic_line_closed",
     "tbar_wedge_renormalized",
     "trace",
-    "u_consistency",
     "u_of_pair",
     "zero_point_stress",
 ]

@@ -181,12 +181,11 @@ def _compute_rows(spec: _FileSpec, workers: int):
     return rows, notes
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else repr(float(v)) for v in row])
+def _write_csv(fh, header: list[str], rows) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else repr(float(v)) for v in row])
 
 
 def _geometry_dict(geometry) -> dict:
@@ -257,7 +256,8 @@ def _emit_spec(spec: _FileSpec, outdir: Path, figure_id: str | None, workers: in
     for note in notes:
         print(f"warning: {spec.filename}: {note}", file=sys.stderr)
     csv_path = outdir / spec.filename
-    _write_csv(csv_path, _columns(spec), rows)
+    with open(csv_path, "w", newline="") as fh:
+        _write_csv(fh, _columns(spec), rows)
     sidecar_path = csv_path.with_suffix(".json")
     with open(sidecar_path, "w") as fh:
         json.dump(_sidecar(spec, figure_id), fh, indent=2, sort_keys=True)
@@ -277,6 +277,9 @@ _FIG2_ANGLES = [
     ("t8", 8.0 * math.pi),
     ("t1e4", 1e4 * math.pi),
 ]
+_FIG6_OPENINGS = (("pi3", math.pi / 3), ("2pi5", 2 * math.pi / 5),
+                  ("2pi3", 2 * math.pi / 3))
+_FIG7_ANGLES = (("pi16", math.pi / 16), ("pi8", math.pi / 8), ("pi4", math.pi / 4))
 
 
 def _cone_file(filename, theta1, *, beta=0.0, correction=False, lo=0.25, hi=8.0,
@@ -361,33 +364,25 @@ _FIGURES: dict[str, tuple[_FileSpec, ...]] = {
     "fig6": tuple(
         _wedge_theta_file(f"fig6_{t0tag}_{xitag}.csv", theta0,
                           Coupling.from_xi(xi).beta, (8,))
-        for t0tag, theta0 in (("pi3", math.pi / 3),
-                              ("2pi5", 2 * math.pi / 5),
-                              ("2pi3", 2 * math.pi / 3))
+        for t0tag, theta0 in _FIG6_OPENINGS
         for xitag, xi in _XI_TAGS.items()
     ),
     "fig6b": tuple(
         _wedge_theta_file(f"fig6b_{t0tag}_{xitag}.csv", theta0,
                           Coupling.from_xi(xi).beta, (8,), near=True)
-        for t0tag, theta0 in (("pi3", math.pi / 3),
-                              ("2pi5", 2 * math.pi / 5),
-                              ("2pi3", 2 * math.pi / 3))
+        for t0tag, theta0 in _FIG6_OPENINGS
         for xitag, xi in _XI_TAGS.items()
     ),
     "fig7": tuple(
         _wedge_r_file(f"fig7_{thtag}_{xitag}.csv", 0.5 * math.pi,
                       Coupling.from_xi(xi).beta, theta)
-        for thtag, theta in (("pi16", math.pi / 16),
-                             ("pi8", math.pi / 8),
-                             ("pi4", math.pi / 4))
+        for thtag, theta in _FIG7_ANGLES
         for xitag, xi in _XI_TAGS.items()
     ),
     "fig7b": tuple(
         _wedge_r_file(f"fig7b_{thtag}_{xitag}.csv", 0.5 * math.pi,
                       Coupling.from_xi(xi).beta, theta, lo=0.05, hi=1.0)
-        for thtag, theta in (("pi16", math.pi / 16),
-                             ("pi8", math.pi / 8),
-                             ("pi4", math.pi / 4))
+        for thtag, theta in _FIG7_ANGLES
         for xitag, xi in _XI_TAGS.items()
     ),
 }
@@ -442,6 +437,16 @@ def _worker_count(text: str) -> int:
     return n
 
 
+def _positive_cutoff(text: str) -> float:
+    try:
+        t = float(text)
+    except ValueError:
+        t = math.nan
+    if not (math.isfinite(t) and t > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return t
+
+
 def _add_geometry_args(sub):
     sub.add_argument("--geometry", required=True,
                      choices=["minkowski", "cone", "dowker", "wedge"])
@@ -480,7 +485,7 @@ def _beta_from_args(args) -> float:
     if len(given) > 1:
         raise ValueError("give at most one of --beta, --xi, --coupling")
     if args.beta is not None:
-        return args.beta
+        return Coupling(args.beta).beta
     if args.xi is not None:
         return Coupling.from_xi(args.xi).beta
     if args.coupling is not None:
@@ -567,10 +572,7 @@ def _cmd_scan(args) -> int:
         rows, notes = _compute_rows(spec, args.workers)
         for note in notes:
             print(f"warning: {note}", file=sys.stderr)
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_columns(spec))
-        for row in rows:
-            writer.writerow(["" if v is None else repr(float(v)) for v in row])
+        _write_csv(sys.stdout, _columns(spec), rows)
         return 0
     out.parent.mkdir(parents=True, exist_ok=True)
     _emit_spec(spec, out.parent, None, args.workers)
@@ -650,7 +652,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="fixed radius for theta/theta1 sweeps")
     p_scan.add_argument("--theta", type=float, default=0.0)
     p_scan.add_argument("--z", type=float, default=0.0)
-    p_scan.add_argument("--t", type=float, default=1.0,
+    p_scan.add_argument("--t", type=_positive_cutoff, default=1.0,
                         help="finite cutoff for the first column group")
     p_scan.add_argument("--components", default=",".join(COMPONENT_NAMES))
     p_scan.add_argument("--correction", action="store_true",

@@ -245,44 +245,3 @@ def u_of_pair(pair: PointPair) -> UVariable:
         sinh_u=2.0 * math.sqrt(q * (1.0 + q)),
     )
 
-
-@dataclass(frozen=True)
-class UConsistencyReport:
-    """Cross-check of four textbook expressions for u on one pair."""
-
-    values: dict[str, float]
-    max_abs_diff: float
-    max_rel_diff: float
-
-
-def u_consistency(pair: PointPair) -> UConsistencyReport:
-    """Evaluate four algebraically equal forms of u and compare them.
-
-    The forms are evaluated exactly as written, without rearrangement,
-    so the spread measures how much the naive expressions lose to
-    cancellation relative to one another.  The pair must be separated:
-    two of the forms are singular expressions at u = 0.
-    """
-    if pair.is_coincident():
-        raise ValueError("u_consistency requires a separated pair")
-    r, rp = pair.r, pair.rp
-    zeta_sq = pair.t**2 + (pair.z - pair.zp) ** 2
-
-    r1 = math.sqrt((r - rp) ** 2 + zeta_sq)
-    r2 = math.sqrt((r + rp) ** 2 + zeta_sq)
-    s = r * r + rp * rp + zeta_sq
-
-    values = {
-        "half_angle": u_of_pair(pair).u,
-        "log_ratio": -math.log((r2 - r1) / (r2 + r1)),
-        "acosh": math.acosh(s / (2.0 * r * rp)),
-        "asinh": math.asinh(math.sqrt(s * s - 4.0 * r * r * rp * rp) / (2.0 * r * rp)),
-    }
-    vals = list(values.values())
-    max_abs = max(abs(a - b) for a in vals for b in vals)
-    scale = max(abs(v) for v in vals)
-    return UConsistencyReport(
-        values=values,
-        max_abs_diff=max_abs,
-        max_rel_diff=max_abs / scale if scale > 0 else 0.0,
-    )

@@ -206,30 +206,24 @@ def kernel_expr(geometry):
             raise TypeError(f"not a geometry: {geometry!r}")
 
 
-def _coords(pair: PointPair) -> dict:
-    return {
-        "t": pair.t, "r": pair.r, "rp": pair.rp,
-        "theta": pair.theta, "thetap": pair.thetap,
-        "z": pair.z, "zp": pair.zp,
-    }
+def _evaluate(expr, pair: PointPair, message: str) -> float:
+    """Float kernel value at ``pair``; a zero division marks a singular point."""
+    try:
+        return expr(t=pair.t, r=pair.r, rp=pair.rp, theta=pair.theta,
+                    thetap=pair.thetap, z=pair.z, zp=pair.zp)
+    except ZeroDivisionError:
+        raise SingularPointError(message) from None
 
 
 def tbar_minkowski(pair: PointPair) -> float:
     """Flat-space cylinder kernel, -1/(2 pi^2 d^2) at squared distance d^2."""
-    try:
-        return minkowski_expr(**_coords(pair))
-    except ZeroDivisionError:
-        raise SingularPointError("coincident points with t = 0") from None
+    return _evaluate(minkowski_expr, pair, "coincident points with t = 0")
 
 
 def tbar_cone(pair: PointPair, theta1: float) -> float:
     """Cylinder kernel on the cone of total angle ``theta1``."""
-    try:
-        return cone_expr(theta1)(**_coords(pair))
-    except ZeroDivisionError:
-        raise SingularPointError(
-            "pair sits on a singularity of the cone kernel"
-        ) from None
+    return _evaluate(cone_expr(theta1), pair,
+                     "pair sits on a singularity of the cone kernel")
 
 
 def tbar_dowker(pair: PointPair) -> float:
@@ -238,10 +232,7 @@ def tbar_dowker(pair: PointPair) -> float:
     The angular offset is not reduced modulo anything; sheets are
     distinguished by the full difference theta - thetap.
     """
-    try:
-        return dowker_expr(**_coords(pair))
-    except ZeroDivisionError:
-        raise SingularPointError("coincident points with t = 0") from None
+    return _evaluate(dowker_expr, pair, "coincident points with t = 0")
 
 
 def tbar_wedge_renormalized(
@@ -261,12 +252,8 @@ def tbar_wedge_renormalized(
             raise DomainError(
                 f"{name}={ang!r} outside the wedge [0, {theta0!r}]"
             )
-    try:
-        return wedge_renormalized_expr(theta0, bc.image_sign)(**_coords(pair))
-    except ZeroDivisionError:
-        raise SingularPointError(
-            "pair sits on a singularity of the wedge kernel"
-        ) from None
+    return _evaluate(wedge_renormalized_expr(theta0, bc.image_sign), pair,
+                     "pair sits on a singularity of the wedge kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +273,40 @@ class ImageSum:
     tail_correction: float
 
 
-def _lorentzian_lattice_tail(
-    amplitude: float, width: float, offset: float, spacing: float, m_start: int
-) -> float:
-    """Euler-Maclaurin tail of sum_n -amplitude / (width^2 + (offset + n spacing)^2).
+def _lattice_sum(
+    amplitude: float, width: float, offset: float, spacing: float,
+    n_images: int, include_tail: bool,
+) -> ImageSum:
+    """sum_n -amplitude / (width^2 + (offset + n spacing)^2) over |n| <= n_images.
 
-    Covers both lattice directions, n >= m_start and n <= -m_start.
-    Keeps the integral, half the boundary term, and the first
-    derivative correction; the next correction is smaller by roughly
-    (spacing / (spacing * m_start))^2 / 60 and is dropped.
+    Both image sums here, the cone's sheets and the periodic line's
+    copies, are this Lorentzian lattice.  With ``include_tail`` the
+    Euler-Maclaurin estimate of the discarded images, n >= m and
+    n <= -m for m = n_images + 1, is added.  It keeps the integral,
+    half the boundary term, and the first derivative correction; the
+    next correction is smaller by roughly (1 / m)^2 / 60 and is dropped.
     """
+    if n_images < 1:
+        raise ValueError(f"n_images must be >= 1, got {n_images!r}")
     a, b, d, lam = amplitude, width, offset, spacing
-    w = d + m_start * lam
-    v = d - m_start * lam
-    fw = -a / (b * b + w * w)
-    fv = -a / (b * b + v * v)
-    dfw = 2.0 * a * lam * w / (b * b + w * w) ** 2
-    dfv = -2.0 * a * lam * v / (b * b + v * v) ** 2
-    int_plus = -(a / (b * lam)) * (0.5 * math.pi - math.atan(w / b))
-    int_minus = -(a / (b * lam)) * (0.5 * math.pi + math.atan(v / b))
-    return (int_plus + 0.5 * fw - dfw / 12.0) + (int_minus + 0.5 * fv - dfv / 12.0)
+    b_sq = b * b
+    total = 0.0
+    for n in range(-n_images, n_images + 1):
+        x = d + n * lam
+        total += -a / (b_sq + x * x)
+    tail = 0.0
+    if include_tail:
+        m_start = n_images + 1
+        w = d + m_start * lam
+        v = d - m_start * lam
+        fw = -a / (b_sq + w * w)
+        fv = -a / (b_sq + v * v)
+        dfw = 2.0 * a * lam * w / (b_sq + w * w) ** 2
+        dfv = -2.0 * a * lam * v / (b_sq + v * v) ** 2
+        int_plus = -(a / (b * lam)) * (0.5 * math.pi - math.atan(w / b))
+        int_minus = -(a / (b * lam)) * (0.5 * math.pi + math.atan(v / b))
+        tail = (int_plus + 0.5 * fw - dfw / 12.0) + (int_minus + 0.5 * fv - dfv / 12.0)
+    return ImageSum(value=total + tail, tail_correction=tail)
 
 
 def _u_over_sinh_float(uv: UVariable) -> float:
@@ -329,22 +330,11 @@ def tbar_cone_via_images(
     `tbar_cone` to the tail accuracy; used as an independent check.
     """
     Cone(theta1)  # validate
-    if n_images < 1:
-        raise ValueError(f"n_images must be >= 1, got {n_images!r}")
     uv = u_of_pair(pair)
     if uv.u == 0.0:
         raise SingularPointError("coincident points with t = 0")
     amp = _u_over_sinh_float(uv) / (_TWO_PI_SQ * pair.r * pair.rp)
-    dth = pair.dtheta
-    u_sq = uv.u * uv.u
-    total = 0.0
-    for n in range(-n_images, n_images + 1):
-        ang = dth + n * theta1
-        total += -amp / (u_sq + ang * ang)
-    tail = 0.0
-    if include_tail:
-        tail = _lorentzian_lattice_tail(amp, uv.u, dth, theta1, n_images + 1)
-    return ImageSum(value=total + tail, tail_correction=tail)
+    return _lattice_sum(amp, uv.u, pair.dtheta, theta1, n_images, include_tail)
 
 
 @dataclass(frozen=True)
@@ -382,19 +372,8 @@ def tbar_periodic_line(
 ) -> ImageSum:
     """Kernel with x identified modulo ``period``, as a flat image sum."""
     PeriodicLine(period)  # validate
-    if n_images < 1:
-        raise ValueError(f"n_images must be >= 1, got {n_images!r}")
     a = _transverse_distance(sep)
-    a_sq = a * a
-    amp = 1.0 / _TWO_PI_SQ
-    total = 0.0
-    for n in range(-n_images, n_images + 1):
-        dx = sep.dx + n * period
-        total += -amp / (a_sq + dx * dx)
-    tail = 0.0
-    if include_tail:
-        tail = _lorentzian_lattice_tail(amp, a, sep.dx, period, n_images + 1)
-    return ImageSum(value=total + tail, tail_correction=tail)
+    return _lattice_sum(1.0 / _TWO_PI_SQ, a, sep.dx, period, n_images, include_tail)
 
 
 def tbar_periodic_line_closed(sep: CartesianSeparation, period: float) -> float:
@@ -521,11 +500,22 @@ def tbar_modesum_4d(
 # Three-dimensional reduction (no z direction).
 
 
-def _3d_singular_part(t: float, r: float, rp: float):
+def _3d_u0(t: float, r: float, rp: float, theta1: float) -> float:
+    """Smallest hyperbolic separation u0 over z', after validating the arguments."""
+    Cone(theta1)  # validate
+    if r <= 0 or rp <= 0:
+        raise DomainError("radii must be positive")
+    if t < 0:
+        raise DomainError("t must be >= 0")
     q0 = ((r - rp) ** 2 + t * t) / (4.0 * r * rp)
     if q0 == 0.0:
         raise SingularPointError("coincident points with t = 0")
-    return q0, 2.0 * math.asinh(math.sqrt(q0))
+    return 2.0 * math.asinh(math.sqrt(q0))
+
+
+def _v_integral(f) -> float:
+    """Integral of f(v) over u = u0 + v^2 from u0 out to u0 + 80."""
+    return _quad(f, 0.0, 1.0) + _quad(f, 1.0, math.sqrt(80.0))
 
 
 def _sinhc_half_sq(v: float) -> float:
@@ -544,12 +534,7 @@ def tbar_3d(t: float, r: float, rp: float, dtheta: float, theta1: float) -> floa
     root at the lower endpoint.  At theta1 = 2 pi this reduces to
     -1/(2 pi d) with d the chordal distance in the plane.
     """
-    Cone(theta1)  # validate
-    if r <= 0 or rp <= 0:
-        raise DomainError("radii must be positive")
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    q0, u0 = _3d_singular_part(t, r, rp)
+    u0 = _3d_u0(t, r, rp, theta1)
     a = 2.0 * math.pi / theta1
 
     def f(v):
@@ -558,9 +543,7 @@ def tbar_3d(t: float, r: float, rp: float, dtheta: float, theta1: float) -> floa
         g = _angular_factor(a * (u0 + v * v), a * dtheta)
         return 2.0 * g / math.sqrt(2.0 * math.sinh(u0 + w) * sc)
 
-    upper = math.sqrt(80.0)
-    val = _quad(f, 0.0, 1.0) + _quad(f, 1.0, upper)
-    return -val / (math.pi * theta1 * math.sqrt(2.0 * r * rp))
+    return -_v_integral(f) / (math.pi * theta1 * math.sqrt(2.0 * r * rp))
 
 
 def tbar_3d_theta_average(t: float, r: float, rp: float, theta1: float) -> float:
@@ -570,17 +553,10 @@ def tbar_3d_theta_average(t: float, r: float, rp: float, theta1: float) -> float
     the second kind of degree -1/2, evaluated here through the same
     endpoint-regularized integral used by `tbar_3d`.
     """
-    Cone(theta1)  # validate
-    if r <= 0 or rp <= 0:
-        raise DomainError("radii must be positive")
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    q0, u0 = _3d_singular_part(t, r, rp)
+    u0 = _3d_u0(t, r, rp, theta1)
 
     def f(v):
         w = 0.5 * v * v
         return 1.0 / math.sqrt(math.sinh(u0 + w) * _sinhc_half_sq(v))
 
-    upper = math.sqrt(80.0)
-    q = _quad(f, 0.0, 1.0) + _quad(f, 1.0, upper)
-    return -q / (math.pi * theta1 * math.sqrt(r * rp))
+    return -_v_integral(f) / (math.pi * theta1 * math.sqrt(r * rp))

@@ -29,7 +29,6 @@ from .geometry import (
     Minkowski,
     PointPair,
     Wedge,
-    u_consistency,
     u_of_pair,
 )
 from .kernels import (
@@ -122,6 +121,48 @@ def _fd3(d) -> float:
     ab = (4.0 * b - a) / 3.0
     bc = (4.0 * c - b) / 3.0
     return (16.0 * bc - ab) / 15.0
+
+
+@dataclass(frozen=True)
+class UConsistencyReport:
+    """Cross-check of four textbook expressions for u on one pair."""
+
+    values: dict[str, float]
+    max_abs_diff: float
+    max_rel_diff: float
+
+
+def u_consistency(pair: PointPair) -> UConsistencyReport:
+    """Evaluate four algebraically equal forms of u and compare them.
+
+    The forms are evaluated exactly as written, without rearrangement,
+    so the spread measures how much the naive expressions lose to
+    cancellation relative to one another.  The pair must be separated:
+    two of the forms are singular expressions at u = 0.
+    """
+    if pair.is_coincident():
+        raise ValueError("u_consistency requires a separated pair")
+    r, rp = pair.r, pair.rp
+    zeta_sq = pair.t**2 + (pair.z - pair.zp) ** 2
+
+    r1 = math.sqrt((r - rp) ** 2 + zeta_sq)
+    r2 = math.sqrt((r + rp) ** 2 + zeta_sq)
+    s = r * r + rp * rp + zeta_sq
+
+    values = {
+        "half_angle": u_of_pair(pair).u,
+        "log_ratio": -math.log((r2 - r1) / (r2 + r1)),
+        "acosh": math.acosh(s / (2.0 * r * rp)),
+        "asinh": math.asinh(math.sqrt(s * s - 4.0 * r * r * rp * rp) / (2.0 * r * rp)),
+    }
+    vals = list(values.values())
+    max_abs = max(abs(a - b) for a in vals for b in vals)
+    scale = max(abs(v) for v in vals)
+    return UConsistencyReport(
+        values=values,
+        max_abs_diff=max_abs,
+        max_rel_diff=max_abs / scale if scale > 0 else 0.0,
+    )
 
 
 def _oracle_u_consistency(rng) -> OracleReport:
@@ -250,8 +291,10 @@ def _oracle_cone_mode_sum(rng) -> OracleReport:
     return OracleReport("cone_mode_sum", n, worst, tol, worst <= tol)
 
 
-def _quarter_plane_images(pair: PointPair, sign: int) -> float:
-    # Reflections of the primed point across both walls of a right wedge.
+def _plane_images(pair: PointPair, sign: int, quarter: bool) -> float:
+    # Flat kernels at the primed point and its reflection across the
+    # wall y = 0 (half plane); a right wedge (quarter plane) adds the
+    # reflections across x = 0.
     x = pair.r * math.cos(pair.theta)
     y = pair.r * math.sin(pair.theta)
     xp = pair.rp * math.cos(pair.thetap)
@@ -262,26 +305,11 @@ def _quarter_plane_images(pair: PointPair, sign: int) -> float:
         d2 = pair.t**2 + (x - xi) ** 2 + (y - yi) ** 2 + dz2
         return -1.0 / (2.0 * math.pi**2 * d2)
 
-    return (
-        term(xp, yp)
-        + sign * term(xp, -yp)
-        + sign * term(-xp, yp)
-        + term(-xp, -yp)
-    )
-
-
-def _half_plane_images(pair: PointPair, sign: int) -> float:
-    x = pair.r * math.cos(pair.theta)
-    y = pair.r * math.sin(pair.theta)
-    xp = pair.rp * math.cos(pair.thetap)
-    yp = pair.rp * math.sin(pair.thetap)
-    dz2 = (pair.z - pair.zp) ** 2
-
-    def term(xi, yi):
-        d2 = pair.t**2 + (x - xi) ** 2 + (y - yi) ** 2 + dz2
-        return -1.0 / (2.0 * math.pi**2 * d2)
-
-    return term(xp, yp) + sign * term(xp, -yp)
+    total = term(xp, yp) + sign * term(xp, -yp)
+    if quarter:
+        # left to right, not total += (...): the sum order fixes the bits
+        total = total + sign * term(-xp, yp) + term(-xp, -yp)
+    return total
 
 
 def _right_wedge_image_expr(sign: int):
@@ -311,7 +339,7 @@ def _oracle_wedge_images(rng) -> OracleReport:
                 thetap=float(rng.uniform(0.08, theta0 - 0.08)),
             )
             full = tbar_wedge_renormalized(pair, theta0, bc) + tbar_minkowski(pair)
-            worst = max(worst, _rel(full, _quarter_plane_images(pair, sign)))
+            worst = max(worst, _rel(full, _plane_images(pair, sign, quarter=True)))
             count += 1
         # Kernel against a single reflection, half plane.
         for _ in range(4):
@@ -321,7 +349,7 @@ def _oracle_wedge_images(rng) -> OracleReport:
                 thetap=float(rng.uniform(0.1, math.pi - 0.1)),
             )
             full = tbar_wedge_renormalized(pair, math.pi, bc) + tbar_minkowski(pair)
-            worst = max(worst, _rel(full, _half_plane_images(pair, sign)))
+            worst = max(worst, _rel(full, _plane_images(pair, sign, quarter=False)))
             count += 1
         # Stress against the image-built kernel expression.
         imaged = _right_wedge_image_expr(sign)
@@ -331,8 +359,7 @@ def _oracle_wedge_images(rng) -> OracleReport:
             beta = float(rng.uniform(-0.3, 0.3))
             t = 0.4 * r
             via_images = stress_from_kernel(
-                imaged, r, th, beta=beta, t=t,
-                general_tangential=True, renorm_mode=RenormMode.RAW,
+                imaged, r, th, beta=beta, t=t, renorm_mode=RenormMode.RAW
             )
             direct = stress_at(Wedge(theta0, bc), r, th, beta=beta, t=t)
             worst = max(worst, _stress_rel(via_images, direct))

@@ -105,7 +105,7 @@ def zero_point_stress(t: float) -> StressTensor:
     )
 
 
-def _assemble(k, r: float, beta: float, general_tangential: bool):
+def _assemble(k, r: float, beta: float):
     """Stress components from the jet of a kernel expression.
 
     Returns one (t00, t_rr, t_perp, t_zz) tuple per batch element.  The
@@ -129,26 +129,20 @@ def _assemble(k, r: float, beta: float, general_tangential: bool):
 
         t00 = -0.5 * d_t2 + beta * (radial + angular)
         t_rr = -0.25 * (d_r_rp - d_r2) - beta * (d_r / r + angular)
-        if general_tangential:
-            # Needed when the kernel depends on theta and thetap separately.
-            t_perp = (
-                d_r / (4.0 * r)
-                + (d_th2 - d_th_thp) / (4.0 * r * r)
-                - beta * (d_r_rp + d_r2)
-            )
-        else:
-            t_perp = (
-                d_r / (4.0 * r)
-                + d_th2 / (2.0 * r * r)
-                - beta * (d_r_rp + d_r2)
-            )
+        # General angular form (Deutsch and Candelas 1979); for a kernel of
+        # theta - thetap alone d_th_thp = -d_th2, so it is d_th2 / (2 r^2) exactly.
+        t_perp = (
+            d_r / (4.0 * r)
+            + (d_th2 - d_th_thp) / (4.0 * r * r)
+            - beta * (d_r_rp + d_r2)
+        )
         t_zz = -0.25 * (d_z_zp - d_z2) - beta * (radial + angular)
         out.append((t00, t_rr, t_perp, t_zz))
     return out
 
 
 def _ladder_from_kernel(
-    kernel_fn, r, theta, z, beta, ts, general_tangential, renorm_mode
+    kernel_fn, r, theta, z, beta, ts, renorm_mode
 ) -> list[tuple[float, float, float, float]]:
     """Stress components at every cutoff in ``ts`` from one batched jet pass.
 
@@ -165,7 +159,7 @@ def _ladder_from_kernel(
     k = kernel_fn(**coords)
     if renorm_mode is RenormMode.KERNEL_SUBTRACTION:
         k = k - minkowski_expr(**coords)
-    rungs = _assemble(k, r, beta, general_tangential)
+    rungs = _assemble(k, r, beta)
     if renorm_mode is RenormMode.COMPONENT_SUBTRACTION:
         for i, t in enumerate(ts):
             zp = zero_point_stress(t)
@@ -182,7 +176,6 @@ def stress_from_kernel(
     *,
     beta: float = 0.0,
     t: float,
-    general_tangential: bool = False,
     renorm_mode: RenormMode = RenormMode.KERNEL_SUBTRACTION,
 ) -> StressTensor:
     """Differentiate an arbitrary kernel expression and assemble the stress.
@@ -194,9 +187,7 @@ def stress_from_kernel(
     independently constructed kernels (image sums, cross checks) can be
     pushed through the same assembly.
     """
-    (comps,) = _ladder_from_kernel(
-        kernel_fn, r, theta, z, beta, [t], general_tangential, renorm_mode
-    )
+    (comps,) = _ladder_from_kernel(kernel_fn, r, theta, z, beta, [t], renorm_mode)
     return StressTensor(*comps, renorm_mode=renorm_mode, cutoff_t=t)
 
 
@@ -205,7 +196,7 @@ def _ladder(
 ) -> list[StressTensor]:
     """Stress tensors of a geometry at every cutoff in ``ts``, in one pass."""
     expr = kernel_expr(geometry)
-    general_tangential, mode = False, renorm
+    mode = renorm
     if isinstance(geometry, Wedge):
         if not 0.0 < theta < geometry.theta0:
             raise DomainError(
@@ -222,8 +213,8 @@ def _ladder(
             def full(**coords):
                 return wedge_expr(**coords) + minkowski_expr(**coords)
             expr = full
-        general_tangential, mode = True, RenormMode.RAW
-    rungs = _ladder_from_kernel(expr, r, theta, z, beta, ts, general_tangential, mode)
+        mode = RenormMode.RAW
+    rungs = _ladder_from_kernel(expr, r, theta, z, beta, ts, mode)
     return [
         StressTensor(*comps, renorm_mode=renorm, cutoff_t=t)
         for t, comps in zip(ts, rungs)
@@ -242,9 +233,8 @@ def stress_at(
 ) -> StressTensor:
     """Stress tensor at one point for a geometry, at finite cutoff t.
 
-    For the wedge the point must lie strictly between the walls, the
-    tangential component uses the general (non-translation-invariant)
-    angular form, and only KERNEL_SUBTRACTION and RAW are defined:
+    For the wedge the point must lie strictly between the walls, and
+    only KERNEL_SUBTRACTION and RAW are defined:
     the stored wedge kernel is flat-part-free, so kernel subtraction
     is the identity and RAW adds the flat kernel back.
     """

@@ -5,6 +5,7 @@ Exit convention: 0 on success, 1 when a computation or verification fails,
 """
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from conevac.cli import main
 from conevac.oracles import SUITE_VERSION
 
 PI = math.pi
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -91,6 +93,14 @@ class TestEval:
                          "--r", "8", "--theta", str(0.005 * PI),
                          "--what", "stress-t0")
         assert code == 1
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_rejects_nonfinite_beta(self, capsys, beta):
+        code, out, err = run(capsys, "eval", "--geometry", "cone",
+                             "--theta1", "3", "--r", "1", "--beta", beta)
+        assert code == 2
+        assert out == ""
+        assert "beta must be finite" in err
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -196,6 +206,22 @@ class TestScan:
         assert sidecar["build"]["oracle_suite_version"] == SUITE_VERSION
         assert "created_utc" in sidecar
 
+    def test_rejects_nonfinite_beta(self, capsys):
+        code, out, err = run(capsys, *self.CONE, "--beta", "inf")
+        assert code == 2
+        assert out == ""
+        assert "beta must be finite" in err
+
+    @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf", "half"])
+    def test_rejects_cutoffs_that_are_not_positive(self, capsys, t):
+        # a zero cutoff would empty the finite-cutoff group and name its
+        # columns like the extrapolated t0 group
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--geometry", "cone", "--theta1", "3",
+                  "--sweep", "r", "--lo", "1", "--hi", "2", "--t", t])
+        assert exc.value.code == 2
+        assert "--t" in capsys.readouterr().err
+
     def test_scan_bytes_do_not_depend_on_workers(self, capsys, tmp_path):
         blobs = []
         for tag, workers in (("a", "1"), ("b", "3")):
@@ -255,6 +281,19 @@ class TestFigure:
         assert code == 0
         assert (tmp_path / "fig1.csv").exists()
         assert (tmp_path / "fig1b.csv").exists()
+
+    def test_all_figures_match_the_frozen_digest(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "make_figure_digest", DATA_DIR / "make_figure_digest.py")
+        maker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(maker)
+        frozen = json.loads((DATA_DIR / "figure_digest.json").read_text())
+        assert frozen["figure_ids"] == list(cli._FIGURES)
+        assert maker.build(tmp_path) == 0
+        assert maker.figure_digest(tmp_path) == frozen["sha256"], (
+            "figure CSV bytes changed at --points 4; regenerate "
+            "tests/data/figure_digest.json only in a change that means to "
+            "change the numbers, and say so in that change")
 
 
 class TestWorkers:

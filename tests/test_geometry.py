@@ -14,9 +14,9 @@ from conevac import (
     PeriodicLine,
     PointPair,
     Wedge,
-    u_consistency,
     u_of_pair,
 )
+from conevac.oracles import u_consistency
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 radii = st.floats(min_value=1e-3, max_value=1e3)

@@ -283,7 +283,7 @@ def _scalar_rung(geometry, r, theta, beta, t):
     if not wedge:
         k = k - minkowski_expr(**coords)
     one = jets.Jet2(np.array([k.value]), k.grad[:, None], k.hess[:, :, None])
-    (rung,) = _assemble(one, r, beta, wedge)
+    (rung,) = _assemble(one, r, beta)
     return rung
 
 
