@@ -14,8 +14,11 @@ and the extrapolated t -> 0 limit (tag t0).  Points where a value is
 not defined or does not converge become empty cells, with a note on
 stderr; cell text uses shortest round-trip float formatting, so a
 given grid always produces byte-identical CSV no matter how many
-worker processes computed it.  Sidecars record the geometry, coupling,
-grid, and build metadata; timestamps appear only there.
+worker processes computed it (`--workers N` gives each one contiguous
+slice).  Each curve, with both couplings of a correction curve, is
+one `stress.stress_grid` pass; a theta1 sweep is one pass per point.
+Sidecars record the geometry, coupling, grid, and build metadata
+(`git describe` once per process); timestamps appear only there.
 """
 
 from __future__ import annotations
@@ -23,18 +26,18 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConeVacError, ConvergenceError, DomainError
+from .errors import ConeVacError
 from .geometry import (
     BoundaryCondition,
     Cone,
@@ -51,7 +54,7 @@ from .kernels import (
     tbar_wedge_renormalized,
 )
 from .oracles import SUITE_VERSION, format_reports, reports_to_json, run_oracle_suite
-from .stress import COMPONENT_NAMES, RenormMode, stress_at, stress_t0
+from .stress import COMPONENT_NAMES, RenormMode, stress_at, stress_grid, stress_t0
 
 _XI_TAGS = {"xi14": 0.25, "xi16": 1.0 / 6.0}
 
@@ -88,62 +91,61 @@ class _FileSpec:
     cutoff_t: float = 1.0
 
 
-@dataclass(frozen=True)
-class _PointJob:
-    x: float
-    sweep: str
-    series: tuple
-    components: tuple
-    cutoff_t: float
+def _cell(values):
+    """Component dict of one CSV cell group from its per-coupling tensors.
 
-
-def _series_components(series: _Series, sweep: str, x: float, cutoff_t: float | None):
-    """Component dict for one curve at one grid point.
-
-    ``cutoff_t`` None means the extrapolated t -> 0 limit.  Correction
-    curves return the per-unit-coupling difference, exploiting that
-    every component is affine in beta.
+    A correction curve has two couplings and gives their per-unit
+    difference, exploiting that every component is affine in beta.
+    The first error among the values empties the cells instead.
     """
-    geometry = series.geometry
-    r = series.fixed_r
-    theta = series.fixed_theta
-    if sweep == "r":
-        r = x
-    elif sweep == "theta":
-        theta = x
-    elif sweep == "theta1":
-        geometry = Cone(x)
-    else:
+    for value in values:
+        if isinstance(value, ConeVacError):
+            return value
+    comps = [value.components() for value in values]
+    if len(comps) == 1:
+        return comps[0]
+    base, bumped = comps
+    return {k: bumped[k] - base[k] for k in base}
+
+
+def _curve(series: _Series, sweep: str, xs: list[float], cutoff_t: float):
+    """`stress_grid` cells of one curve at every grid point.
+
+    One pass covers the whole grid and both couplings of a correction
+    curve; a theta1 sweep changes the geometry at every point, so it
+    takes one pass per point.
+    """
+    if sweep not in ("r", "theta", "theta1"):
         raise ValueError(f"unknown sweep coordinate {sweep!r}")
-    if r is None:
+    if sweep != "r" and series.fixed_r is None:
         raise ValueError("no radius: series needs fixed_r or an r sweep")
-
-    def compute(beta):
-        if cutoff_t is None:
-            return stress_t0(geometry, r, theta, series.fixed_z, beta=beta).stress
-        return stress_at(geometry, r, theta, series.fixed_z, beta=beta, t=cutoff_t)
-
-    if series.correction:
-        base = compute(series.beta).components()
-        bumped = compute(series.beta + 1.0).components()
-        return {k: bumped[k] - base[k] for k in base}
-    return compute(series.beta).components()
+    betas = (series.beta, series.beta + 1.0) if series.correction else (series.beta,)
+    if sweep == "theta1":
+        point = [(series.fixed_r, series.fixed_theta)]
+        return [cells for x in xs
+                for cells in stress_grid(Cone(x), point, series.fixed_z, betas, cutoff_t)]
+    points = [(x, series.fixed_theta) if sweep == "r" else (series.fixed_r, x) for x in xs]
+    return stress_grid(series.geometry, points, series.fixed_z, betas, cutoff_t)
 
 
-def _compute_row(job: _PointJob):
-    cells: list = [job.x]
+def _compute_slice(spec: _FileSpec, xs: list[float]):
+    """CSV rows and notes for the grid points ``xs``, one curve at a time."""
+    curves = [_curve(series, spec.sweep, xs, spec.cutoff_t) for series in spec.series]
+    rows: list = []
     notes: list[str] = []
-    for cutoff in (job.cutoff_t, None):
-        for series in job.series:
-            try:
-                comps = _series_components(series, job.sweep, job.x, cutoff)
-                cells.extend(comps[name] for name in job.components)
-            except (DomainError, ConvergenceError) as exc:
-                cells.extend([None] * len(job.components))
-                tag = "t0" if cutoff is None else f"t={cutoff:g}"
-                label = f" [{series.label}]" if series.label else ""
-                notes.append(f"{job.sweep}={job.x:g}{label} ({tag}): {exc}")
-    return cells, notes
+    for i, x in enumerate(xs):
+        cells: list = [x]
+        for group, tag in enumerate((f"t={spec.cutoff_t:g}", "t0")):
+            for series, curve in zip(spec.series, curves):
+                comps = _cell(curve[i][group])
+                if isinstance(comps, ConeVacError):
+                    cells.extend([None] * len(spec.components))
+                    label = f" [{series.label}]" if series.label else ""
+                    notes.append(f"{spec.sweep}={x:g}{label} ({tag}): {comps}")
+                else:
+                    cells.extend(comps[name] for name in spec.components)
+        rows.append(cells)
+    return rows, notes
 
 
 def _grid(lo: float, hi: float, points: int, log: bool) -> list[float]:
@@ -166,18 +168,19 @@ def _columns(spec: _FileSpec) -> list[str]:
 
 
 def _compute_rows(spec: _FileSpec, workers: int):
-    jobs = [
-        _PointJob(x, spec.sweep, spec.series, spec.components, spec.cutoff_t)
-        for x in _grid(spec.lo, spec.hi, spec.points, spec.log)
-    ]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_compute_row, jobs, chunksize=8))
-    else:
-        results = [_compute_row(job) for job in jobs]
-    rows = [cells for cells, _ in results]
-    notes = [note for _, point_notes in results for note in point_notes]
+    xs = _grid(spec.lo, spec.hi, spec.points, spec.log)
+    workers = min(workers, len(xs))
+    if workers == 1:
+        return _compute_slice(spec, xs)
+    # Imported here: multiprocessing costs ~1 MB that one worker does not need.
+    from concurrent.futures import ProcessPoolExecutor
+    # One contiguous slice of the grid per worker.
+    bounds = [len(xs) * k // workers for k in range(workers + 1)]
+    slices = [xs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(functools.partial(_compute_slice, spec), slices))
+    rows = [row for slice_rows, _ in results for row in slice_rows]
+    notes = [note for _, slice_notes in results for note in slice_notes]
     return rows, notes
 
 
@@ -204,6 +207,7 @@ def _geometry_dict(geometry) -> dict:
             return {"kind": repr(geometry)}
 
 
+@functools.cache
 def _git_describe() -> str | None:
     try:
         out = subprocess.run(

@@ -24,11 +24,14 @@ The renormalized components have finite t -> 0 limits, reached by
 halving ladder of cutoffs.
 
 There is one engine: the kernel expression is evaluated once on
-batched jets (see `jets`) whose elements differ only in the cutoff,
-and assembled elementwise.  `stress_t0` runs it on the whole ladder;
-`stress_at` and `stress_from_kernel` run it on a batch of one cutoff.
-Batching changes no bits: each rung equals `stress_at` at its cutoff.
-A ladder whose rungs fall on different sides of a kernel branch is
+batched jets (see `jets`), one element per point pair, and assembled
+elementwise, once per coupling.  `stress_t0` runs it on the whole
+ladder; `stress_at` and `stress_from_kernel` run it on a batch of one
+cutoff; `stress_grid` runs it once for a whole grid of points, each
+contributing its finite cutoff and its ladder, and assembles every
+coupling it is asked for from that one pass.  Batching changes no
+bits: each element equals `stress_at` at its point and cutoff.  A
+batch whose elements fall on different sides of a kernel branch is
 split there and each part rerun (`jets.split`).
 """
 
@@ -47,6 +50,9 @@ from .kernels import kernel_expr, minkowski_expr
 # Double-precision epsilon times 3/(2 pi^2), the coefficient of the
 # zero-point 1/t^4 piece that the renormalized assembly cancels.
 _RUNG_NOISE = 3.4e-17
+
+# Cutoffs in the default t -> 0 ladder.
+_RUNGS = 6
 
 
 class RenormMode(enum.Enum):
@@ -105,10 +111,11 @@ def zero_point_stress(t: float) -> StressTensor:
     )
 
 
-def _assemble(k, r: float, beta: float):
+def _assemble(k, rs, beta: float):
     """Stress components from the jet of a kernel expression.
 
-    Returns one (t00, t_rr, t_perp, t_zz) tuple per batch element.  The
+    ``rs`` holds the radius of each batch element.  Returns one
+    (t00, t_rr, t_perp, t_zz) tuple per batch element.  The
     arithmetic runs on plain floats, element by element: it is the same
     IEEE arithmetic as on numpy values, cheaper than array operations
     for ladder-sized batches, and keeps numpy scalars out of the JSON
@@ -118,8 +125,8 @@ def _assemble(k, r: float, beta: float):
     columns = (g[IR], h[IT, IT], h[IR, IR], h[IR, IRP], h[IZ, IZ], h[IZ, IZP],
                h[ITHETA, ITHETA], h[ITHETA, ITHETAP])
     out = []
-    for d_r, d_t2, d_r2, d_r_rp, d_z2, d_z_zp, d_th2, d_th_thp in zip(
-        *(c.tolist() for c in columns)
+    for r, d_r, d_t2, d_r2, d_r_rp, d_z2, d_z_zp, d_th2, d_th_thp in zip(
+        rs, *(c.tolist() for c in columns)
     ):
         radial = d_r_rp + d_r2 + d_r / r
         # Angular part of the Laplacian acting on the coincidence value
@@ -141,30 +148,50 @@ def _assemble(k, r: float, beta: float):
     return out
 
 
+def _rungs(kernel_fn, pairs, betas, renorm_mode):
+    """Stress components at every point pair, for every beta, from one jet pass.
+
+    The kernel expression is evaluated once, on the batch of all
+    ``pairs``, and assembled once per beta; the result holds one list
+    per beta with one component tuple per pair.  Every element is bit
+    for bit what a batch of one would give (see `jets`).
+    """
+    coords = jets.lift(pairs)
+    k = kernel_fn(**coords)
+    if renorm_mode is RenormMode.KERNEL_SUBTRACTION:
+        k = k - minkowski_expr(**coords)
+    rs = [p.r for p in pairs]
+    out = [_assemble(k, rs, beta) for beta in betas]
+    if renorm_mode is RenormMode.COMPONENT_SUBTRACTION:
+        for rungs in out:
+            for i, p in enumerate(pairs):
+                zp = zero_point_stress(p.t)
+                t00, t_rr, t_perp, t_zz = rungs[i]
+                rungs[i] = (t00 - zp.t00, t_rr - zp.t_rr, t_perp - zp.t_perp,
+                            t_zz - zp.t_zz)
+    return out
+
+
+def _check_cutoffs(ts) -> None:
+    for t in ts:
+        if not (math.isfinite(t) and t > 0):
+            raise DomainError(f"stress needs a cutoff t > 0, got {t!r}")
+
+
+def _pair(r, theta, z, t) -> PointPair:
+    return PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z)
+
+
 def _ladder_from_kernel(
     kernel_fn, r, theta, z, beta, ts, renorm_mode
 ) -> list[tuple[float, float, float, float]]:
     """Stress components at every cutoff in ``ts`` from one batched jet pass.
 
-    The kernel expression is evaluated once, on a batch of point pairs
-    that differ only in t.  Every element is bit for bit what a batch
-    of one would give (see `jets`), so a ladder rung equals the
-    `stress_at` value at its cutoff.
+    A ladder rung equals the `stress_at` value at its cutoff.
     """
-    for t in ts:
-        if not (math.isfinite(t) and t > 0):
-            raise DomainError(f"stress needs a cutoff t > 0, got {t!r}")
-    pairs = [PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z) for t in ts]
-    coords = jets.lift(pairs)
-    k = kernel_fn(**coords)
-    if renorm_mode is RenormMode.KERNEL_SUBTRACTION:
-        k = k - minkowski_expr(**coords)
-    rungs = _assemble(k, r, beta)
-    if renorm_mode is RenormMode.COMPONENT_SUBTRACTION:
-        for i, t in enumerate(ts):
-            zp = zero_point_stress(t)
-            t00, t_rr, t_perp, t_zz = rungs[i]
-            rungs[i] = (t00 - zp.t00, t_rr - zp.t_rr, t_perp - zp.t_perp, t_zz - zp.t_zz)
+    _check_cutoffs(ts)
+    (rungs,) = _rungs(kernel_fn, [_pair(r, theta, z, t) for t in ts], (beta,),
+                      renorm_mode)
     return rungs
 
 
@@ -191,29 +218,43 @@ def stress_from_kernel(
     return StressTensor(*comps, renorm_mode=renorm_mode, cutoff_t=t)
 
 
+def _check_interior(geometry: Geometry, theta: float) -> None:
+    if isinstance(geometry, Wedge) and not 0.0 < theta < geometry.theta0:
+        raise DomainError(
+            f"stress point theta={theta!r} must lie strictly inside "
+            f"the wedge (0, {geometry.theta0!r})"
+        )
+
+
+def _kernel_for(geometry: Geometry, renorm: RenormMode):
+    """The kernel expression and subtraction mode that give ``renorm`` stress.
+
+    The stored wedge kernel is flat-part-free: kernel subtraction is
+    the identity there, RAW adds the flat kernel back, and component
+    subtraction is not defined.
+    """
+    expr = kernel_expr(geometry)
+    if not isinstance(geometry, Wedge):
+        return expr, renorm
+    if renorm is RenormMode.COMPONENT_SUBTRACTION:
+        raise DomainError(
+            "component subtraction is not defined for the wedge; "
+            "its kernel is stored with the flat part already removed"
+        )
+    if renorm is RenormMode.RAW:
+        wedge_expr = expr
+        def full(**coords):
+            return wedge_expr(**coords) + minkowski_expr(**coords)
+        expr = full
+    return expr, RenormMode.RAW
+
+
 def _ladder(
     geometry: Geometry, r, theta, z, beta, ts, renorm: RenormMode
 ) -> list[StressTensor]:
     """Stress tensors of a geometry at every cutoff in ``ts``, in one pass."""
-    expr = kernel_expr(geometry)
-    mode = renorm
-    if isinstance(geometry, Wedge):
-        if not 0.0 < theta < geometry.theta0:
-            raise DomainError(
-                f"stress point theta={theta!r} must lie strictly inside "
-                f"the wedge (0, {geometry.theta0!r})"
-            )
-        if renorm is RenormMode.COMPONENT_SUBTRACTION:
-            raise DomainError(
-                "component subtraction is not defined for the wedge; "
-                "its kernel is stored with the flat part already removed"
-            )
-        if renorm is RenormMode.RAW:
-            wedge_expr = expr
-            def full(**coords):
-                return wedge_expr(**coords) + minkowski_expr(**coords)
-            expr = full
-        mode = RenormMode.RAW
+    _check_interior(geometry, theta)
+    expr, mode = _kernel_for(geometry, renorm)
     rungs = _ladder_from_kernel(expr, r, theta, z, beta, ts, mode)
     return [
         StressTensor(*comps, renorm_mode=renorm, cutoff_t=t)
@@ -287,31 +328,9 @@ def _richardson_even(
     return best, best_err, best_spread
 
 
-def stress_t0(
-    geometry: Geometry,
-    r: float,
-    theta: float = 0.0,
-    z: float = 0.0,
-    *,
-    beta: float = 0.0,
-    t0: float | None = None,
-    rungs: int = 6,
-) -> ExtrapolatedStress:
-    """Renormalized stress in the limit t -> 0.
 
-    Evaluates the kernel-subtracted stress on the cutoff ladder
-    t0, t0/2, ..., t0/2**(rungs-1), all rungs in one batched jet pass,
-    and Richardson-extrapolates each component.  The default t0 is a quarter of the distance to the
-    nearest geometric feature (the axis, or a wedge wall when that is
-    closer), which keeps the ladder inside the region where the
-    even-power expansion dominates while leaving the deepest rung
-    above the cancellation noise, which grows like 1/t^4 and is
-    accounted for in the tableau entry selection.
-
-    Raises ConvergenceError when the tableau does not contract, and
-    DomainError for wedge points so close to a wall that the
-    nonconformal stress has no finite limit to extrapolate to.
-    """
+def _t0_cutoffs(geometry: Geometry, r, theta, beta, t0, rungs) -> list[float]:
+    """The halving cutoff ladder of `stress_t0`, after its domain checks."""
     if rungs < 2:
         raise ValueError(f"need at least 2 rungs, got {rungs!r}")
     scale_len = r
@@ -339,8 +358,11 @@ def stress_t0(
         t0 = scale_len / 4.0
     if not (math.isfinite(t0) and t0 > 0):
         raise DomainError(f"t0 must be positive, got {t0!r}")
-    ts = [t0 / 2.0**k for k in range(rungs)]
-    ladder = _ladder(geometry, r, theta, z, beta, ts, RenormMode.KERNEL_SUBTRACTION)
+    return [t0 / 2.0**k for k in range(rungs)]
+
+
+def _extrapolate(rungs, ts) -> ExtrapolatedStress:
+    """Richardson-extrapolate the component tuples of a cutoff ladder to t -> 0."""
     # Roundoff in a rung: the assembly cancels pieces on the scale of
     # the universal 1/t^4 zero-point part down to the renormalized
     # value, so each component carries about eps * 0.15 / t^4 of
@@ -349,8 +371,8 @@ def stress_t0(
     best: dict[str, float] = {}
     err: dict[str, float] = {}
     spread: dict[str, float] = {}
-    for name in COMPONENT_NAMES:
-        b, e, sp = _richardson_even([getattr(s, name) for s in ladder], noise)
+    for i, name in enumerate(COMPONENT_NAMES):
+        b, e, sp = _richardson_even([rung[i] for rung in rungs], noise)
         best[name], err[name], spread[name] = float(b), float(e), float(sp)
     scale = max(abs(v) for v in best.values())
     for name in COMPONENT_NAMES:
@@ -375,6 +397,128 @@ def stress_t0(
         ),
         error=err,
     )
+
+
+def stress_t0(
+    geometry: Geometry,
+    r: float,
+    theta: float = 0.0,
+    z: float = 0.0,
+    *,
+    beta: float = 0.0,
+    t0: float | None = None,
+    rungs: int = _RUNGS,
+) -> ExtrapolatedStress:
+    """Renormalized stress in the limit t -> 0.
+
+    Evaluates the kernel-subtracted stress on the cutoff ladder
+    t0, t0/2, ..., t0/2**(rungs-1), all rungs in one batched jet pass,
+    and Richardson-extrapolates each component.  The default t0 is a quarter of the distance to the
+    nearest geometric feature (the axis, or a wedge wall when that is
+    closer), which keeps the ladder inside the region where the
+    even-power expansion dominates while leaving the deepest rung
+    above the cancellation noise, which grows like 1/t^4 and is
+    accounted for in the tableau entry selection.
+
+    Raises ConvergenceError when the tableau does not contract, and
+    DomainError for wedge points so close to a wall that the
+    nonconformal stress has no finite limit to extrapolate to.
+    """
+    ts = _t0_cutoffs(geometry, r, theta, beta, t0, rungs)
+    _check_interior(geometry, theta)
+    expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
+    return _extrapolate(_ladder_from_kernel(expr, r, theta, z, beta, ts, mode), ts)
+
+
+def stress_grid(geometry: Geometry, points, z: float, betas, t: float):
+    """`stress_at` at cutoff ``t`` and `stress_t0` at every point, in one jet pass.
+
+    ``points`` lists (r, theta) pairs.  Every point contributes its
+    cutoff ``t`` and its `stress_t0` ladder to one batch, so the kernel
+    expression is evaluated once for the whole grid and assembled once
+    per beta in ``betas``.  Returns one ``(finite, limit)`` pair per
+    point, each a list with one entry per beta: the tensor that
+    ``stress_at(geometry, r, theta, z, beta=beta, t=t)`` or
+    ``stress_t0(geometry, r, theta, z, beta=beta).stress`` returns, bit
+    for bit, or the DomainError or ConvergenceError it raises.  Points
+    are checked one by one before batching; if the batched pass itself
+    raises DomainError or an arithmetic error, the points are evaluated
+    one by one instead, so each meets its own outcome in grid order.
+    Errors are returned without their tracebacks, which would keep the
+    batch alive.
+    """
+    pairs: list[PointPair] = []
+    plan = []
+    for r, theta in points:
+        try:
+            _check_interior(geometry, theta)
+            _check_cutoffs([t])
+            finite = len(pairs)
+            pairs.append(_pair(r, theta, z, t))
+        except DomainError as exc:
+            finite = exc.with_traceback(None)
+        # The ladder does not depend on beta, only whether it is allowed.
+        ts = start = None
+        starts = []
+        for beta in betas:
+            try:
+                ts = _t0_cutoffs(geometry, r, theta, beta, None, _RUNGS)
+                _check_interior(geometry, theta)
+                _check_cutoffs(ts)
+            except DomainError as exc:
+                starts.append(exc.with_traceback(None))
+                continue
+            if start is None:
+                start = len(pairs)
+                pairs.extend(_pair(r, theta, z, tk) for tk in ts)
+            starts.append(start)
+        plan.append((finite, starts, ts))
+    rungs = None
+    if pairs:
+        try:
+            expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
+            rungs = _rungs(expr, pairs, betas, mode)
+        except (DomainError, ArithmeticError):
+            pass
+        if rungs is None:
+            return [_point_cells(geometry, r, theta, z, betas, t) for r, theta in points]
+    out = []
+    for finite, starts, ts in plan:
+        if isinstance(finite, DomainError):
+            finite_cells = [finite] * len(betas)
+        else:
+            finite_cells = [
+                StressTensor(*per_beta[finite], renorm_mode=RenormMode.KERNEL_SUBTRACTION,
+                             cutoff_t=t)
+                for per_beta in rungs
+            ]
+        limit_cells = []
+        for b, start in enumerate(starts):
+            if isinstance(start, DomainError):
+                limit_cells.append(start)
+                continue
+            try:
+                limit_cells.append(
+                    _extrapolate(rungs[b][start:start + len(ts)], ts).stress)
+            except ConvergenceError as exc:
+                limit_cells.append(exc.with_traceback(None))
+        out.append((finite_cells, limit_cells))
+    return out
+
+
+def _point_cells(geometry: Geometry, r, theta, z, betas, t):
+    """One `stress_grid` entry from the per-point functions."""
+    finite, limit = [], []
+    for beta in betas:
+        try:
+            finite.append(stress_at(geometry, r, theta, z, beta=beta, t=t))
+        except DomainError as exc:
+            finite.append(exc.with_traceback(None))
+        try:
+            limit.append(stress_t0(geometry, r, theta, z, beta=beta).stress)
+        except (DomainError, ConvergenceError) as exc:
+            limit.append(exc.with_traceback(None))
+    return finite, limit
 
 
 def conservation_residual(geometry: Geometry, r: float, beta: float = 0.0) -> float:

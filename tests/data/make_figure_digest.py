@@ -1,9 +1,12 @@
-"""Regenerate figure_digest.json: the SHA-256 of every figure CSV at 4 points.
+"""Regenerate figure_digest.json: SHA-256 digests of every figure CSV and warning.
 
-The digest pins the bytes of all figure datasets, so a change that is
-meant to keep the numbers (a refactor, a speed-up) proves it by leaving
-this file alone.  Regenerate it only in a change that means to alter
-the numbers, and say so in that change.  Run from the repository root:
+The digests pin the bytes of all figure datasets and of the warning
+lines that name their empty cells, at 4 grid points (the top-level
+``sha256``) and at each grid size in GRIDS (20 points is the grid the
+benchmark writes).  A change that is meant to keep the numbers (a
+refactor, a speed-up) proves it by leaving this file alone.  Regenerate
+it only in a change that means to alter the numbers, and say so in
+that change.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/data/make_figure_digest.py
 """
@@ -19,6 +22,7 @@ from conevac import cli
 
 OUT = Path(__file__).with_name("figure_digest.json")
 POINTS = 4
+GRIDS = (4, 20)
 
 
 def figure_digest(outdir: Path) -> str:
@@ -29,18 +33,38 @@ def figure_digest(outdir: Path) -> str:
     return h.hexdigest()
 
 
-def build(outdir: Path) -> int:
-    """Write every figure id at POINTS grid points into ``outdir``."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(["figure", *cli._FIGURES, "--points", str(POINTS),
+def warning_digest(lines: list[str]) -> str:
+    """SHA-256 over the warning lines, in the order they were printed."""
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def run(outdir: Path, points: int) -> tuple[int, list[str]]:
+    """Write every figure id at ``points`` grid points into ``outdir``.
+
+    Returns the exit code and the warning lines printed on stderr.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["figure", *cli._FIGURES, "--points", str(points),
                          "--workers", "1", "--outdir", str(outdir)])
+    return code, [line for line in err.getvalue().splitlines()
+                  if line.startswith("warning:")]
+
+
+def grid_digests(points: int) -> dict:
+    """CSV digest, warning digest and warning count at one grid size."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, warnings = run(Path(tmp), points)
+        if code != 0:
+            raise SystemExit(f"conevac figure --points {points} failed")
+        return {"sha256": figure_digest(Path(tmp)),
+                "warnings_sha256": warning_digest(warnings),
+                "warning_lines": len(warnings)}
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        if build(Path(tmp)) != 0:
-            raise SystemExit("conevac figure failed")
-        digest = figure_digest(Path(tmp))
+    grids = {str(points): grid_digests(points) for points in GRIDS}
     OUT.write_text(json.dumps({"points": POINTS, "figure_ids": list(cli._FIGURES),
-                               "sha256": digest}, indent=2) + "\n")
-    print(f"wrote {OUT}: {digest}")
+                               "sha256": grids[str(POINTS)]["sha256"],
+                               "grids": grids}, indent=2) + "\n")
+    print(f"wrote {OUT}")

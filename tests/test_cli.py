@@ -4,19 +4,23 @@ Exit convention: 0 on success, 1 when a computation or verification fails,
 2 for bad usage (including out-of-domain evaluation points).
 """
 
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import conevac
-from conevac import cli
+from conevac import Cone, ConvergenceError, DomainError, cli, stress_at, stress_t0
+from conevac import stress as stress_module
 from conevac.cli import main
 from conevac.oracles import SUITE_VERSION
 
@@ -283,17 +287,195 @@ class TestFigure:
         assert (tmp_path / "fig1b.csv").exists()
 
     def test_all_figures_match_the_frozen_digest(self, tmp_path):
-        spec = importlib.util.spec_from_file_location(
-            "make_figure_digest", DATA_DIR / "make_figure_digest.py")
-        maker = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(maker)
+        maker = _digest_maker()
         frozen = json.loads((DATA_DIR / "figure_digest.json").read_text())
         assert frozen["figure_ids"] == list(cli._FIGURES)
-        assert maker.build(tmp_path) == 0
+        code, warnings = maker.run(tmp_path, maker.POINTS)
+        assert code == 0
         assert maker.figure_digest(tmp_path) == frozen["sha256"], (
             "figure CSV bytes changed at --points 4; regenerate "
             "tests/data/figure_digest.json only in a change that means to "
             "change the numbers, and say so in that change")
+        grid = frozen["grids"][str(maker.POINTS)]
+        assert len(warnings) == grid["warning_lines"]
+        assert maker.warning_digest(warnings) == grid["warnings_sha256"]
+
+    def test_benchmark_grid_matches_the_frozen_digests(self, tmp_path):
+        # the 20-point grid is the one the benchmark writes
+        maker = _digest_maker()
+        grid = json.loads((DATA_DIR / "figure_digest.json").read_text())["grids"]["20"]
+        code, warnings = maker.run(tmp_path, 20)
+        assert code == 0
+        assert maker.figure_digest(tmp_path) == grid["sha256"]
+        assert len(warnings) == grid["warning_lines"]
+        assert maker.warning_digest(warnings) == grid["warnings_sha256"]
+
+    def test_sidecars_share_one_git_describe(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_run(argv, **kwargs):
+            calls.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n", stderr="")
+
+        cli._git_describe.cache_clear()
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        try:
+            assert main(["figure", "fig2mis", "fig1", "--points", "2",
+                         "--outdir", str(tmp_path)]) == 0
+        finally:
+            cli._git_describe.cache_clear()
+        assert len(calls) == 1
+        for name in ("fig1", "fig2mis_tp25", "fig2mis_tp5", "fig2mis_t1"):
+            sidecar = json.loads((tmp_path / f"{name}.json").read_text())
+            assert sidecar["build"]["git"] == "abc1234"
+
+
+def _digest_maker():
+    spec = importlib.util.spec_from_file_location(
+        "make_figure_digest", DATA_DIR / "make_figure_digest.py")
+    maker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maker)
+    return maker
+
+
+def _per_point_components(series, sweep, x, cutoff_t):
+    """One curve at one grid point through `stress_at` / `stress_t0` alone."""
+    geometry, r, theta = series.geometry, series.fixed_r, series.fixed_theta
+    if sweep == "r":
+        r = x
+    elif sweep == "theta":
+        theta = x
+    else:
+        geometry = Cone(x)
+
+    def compute(beta):
+        if cutoff_t is None:
+            return stress_t0(geometry, r, theta, series.fixed_z, beta=beta).stress
+        return stress_at(geometry, r, theta, series.fixed_z, beta=beta, t=cutoff_t)
+
+    if series.correction:
+        base = compute(series.beta).components()
+        bumped = compute(series.beta + 1.0).components()
+        return {k: bumped[k] - base[k] for k in base}
+    return compute(series.beta).components()
+
+
+def per_point_rows(spec):
+    """Rows and notes of a file spec computed one point and one cutoff at a time.
+
+    The reference for the batched grid: every cell is its own
+    `stress_at` or `stress_t0` call, and the notes come in row order.
+    """
+    rows, notes = [], []
+    for x in cli._grid(spec.lo, spec.hi, spec.points, spec.log):
+        cells = [x]
+        for cutoff in (spec.cutoff_t, None):
+            for series in spec.series:
+                try:
+                    comps = _per_point_components(series, spec.sweep, x, cutoff)
+                    cells.extend(comps[name] for name in spec.components)
+                except (DomainError, ConvergenceError) as exc:
+                    cells.extend([None] * len(spec.components))
+                    tag = "t0" if cutoff is None else f"t={cutoff:g}"
+                    label = f" [{series.label}]" if series.label else ""
+                    notes.append(f"{spec.sweep}={x:g}{label} ({tag}): {exc}")
+        rows.append(cells)
+    return rows, notes
+
+
+def _hex_rows(rows):
+    return [[None if v is None else float(v).hex() for v in row] for row in rows]
+
+
+class TestBatchedGrid:
+    """One jet pass per curve gives the bytes of the per-point path."""
+
+    def test_every_figure_file_equals_the_per_point_reference(self):
+        seen = set()
+        for figure_id, specs in cli._FIGURES.items():
+            for spec in specs:
+                spec = replace(spec, points=5)
+                rows, notes = cli._compute_rows(spec, 1)
+                want_rows, want_notes = per_point_rows(spec)
+                assert _hex_rows(rows) == _hex_rows(want_rows), spec.filename
+                assert notes == want_notes, spec.filename
+                seen.update({"notes"} if notes else set())
+                seen.update({"correction"} if any(s.correction for s in spec.series)
+                            else set())
+                seen.add(spec.sweep)
+        assert seen == {"notes", "correction", "r", "theta", "theta1"}
+
+    SCANS = {
+        "r": ("--geometry", "cone", "--theta1", "3.0", "--sweep", "r",
+              "--lo", "0.5", "--hi", "4", "--log"),
+        "r_correction": ("--geometry", "dowker", "--sweep", "r", "--lo", "0.5",
+                         "--hi", "4", "--correction"),
+        # the grid touches both walls, and its neighbours graze them
+        "theta_walls": ("--geometry", "wedge", "--theta0", str(PI / 2), "--sweep",
+                        "theta", "--lo", "0", "--hi", str(PI / 2), "--r", "8"),
+        "theta_walls_conformal_correction": (
+            "--geometry", "wedge", "--theta0", str(PI / 3), "--sweep", "theta",
+            "--lo", "0", "--hi", str(PI / 3), "--r", "8", "--coupling",
+            "conformal", "--correction"),
+        "theta1": ("--geometry", "cone", "--sweep", "theta1", "--lo", str(PI / 8),
+                   "--hi", str(4 * PI), "--r", "1", "--xi", "0.3"),
+        "theta1_correction": ("--geometry", "cone", "--sweep", "theta1",
+                              "--lo", "1", "--hi", "20", "--log", "--r", "2",
+                              "--correction"),
+        # t * t underflows: the batched pass fails and runs point by point
+        "underflowing_cutoff": ("--geometry", "cone", "--theta1", "2", "--sweep",
+                                "r", "--lo", "1", "--hi", "3", "--t", "1e-200"),
+    }
+
+    @staticmethod
+    def reference_output(argv):
+        args = cli._build_parser().parse_args(["scan", *argv])
+        geometry = None if args.sweep == "theta1" else cli._geometry_from_args(args)
+        spec = cli._FileSpec(
+            "scan.csv", args.sweep, args.lo, args.hi, args.log,
+            series=(cli._Series("", geometry, cli._beta_from_args(args),
+                                correction=args.correction, fixed_r=args.r,
+                                fixed_theta=args.theta, fixed_z=args.z),),
+            components=tuple(args.components.split(",")), points=args.points,
+            cutoff_t=args.t,
+        )
+        rows, notes = per_point_rows(spec)
+        out = io.StringIO()
+        cli._write_csv(out, cli._columns(spec), rows)
+        return out.getvalue(), "".join(f"warning: {note}\n" for note in notes)
+
+    @pytest.mark.parametrize("name", list(SCANS))
+    def test_scan_equals_the_per_point_reference(self, capsys, name):
+        argv = (*self.SCANS[name], "--points", "7")
+        want_out, want_err = self.reference_output(argv)
+        for workers in ("1", "3"):
+            code, out, err = run(capsys, "scan", *argv, "--workers", workers)
+            assert code == 0
+            assert out == want_out
+            assert err == want_err
+        if name.startswith("theta_walls") or name == "underflowing_cutoff":
+            assert want_err
+
+    def test_one_kernel_pass_per_curve(self, tmp_path, monkeypatch):
+        calls = []
+        real = stress_module.kernel_expr
+
+        def counting(geometry):
+            expr = real(geometry)
+
+            def counted(**coords):
+                calls.append(geometry)
+                return expr(**coords)
+            return counted
+
+        monkeypatch.setattr(stress_module, "kernel_expr", counting)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["figure", *cli._FIGURES, "--points", "20",
+                         "--outdir", str(tmp_path)]) == 0
+        want = sum(20 if spec.sweep == "theta1" else len(spec.series)
+                   for specs in cli._FIGURES.values() for spec in specs)
+        assert len(calls) == want == 104
 
 
 class TestWorkers:
@@ -323,7 +505,7 @@ class TestWorkers:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         code, _, _ = run(capsys, *TestScan.CONE, "--workers", "64")
         assert code == 0
         assert sizes == [3]
@@ -334,6 +516,18 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     probe = "import sys, conevac.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only --workers N > 1 needs it, and it loads multiprocessing
+    src = str(Path(conevac.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = ("import sys, conevac.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"

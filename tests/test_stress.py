@@ -34,7 +34,7 @@ from conevac import (
 )
 from conevac import jets, kernels
 from conevac.kernels import minkowski_expr
-from conevac.stress import COMPONENT_NAMES, _assemble, _ladder
+from conevac.stress import COMPONENT_NAMES, _assemble, _ladder, _rungs, stress_grid
 
 CONFORMAL_BETA = Coupling.conformal().beta
 
@@ -283,7 +283,7 @@ def _scalar_rung(geometry, r, theta, beta, t):
     if not wedge:
         k = k - minkowski_expr(**coords)
     one = jets.Jet2(np.array([k.value]), k.grad[:, None], k.hess[:, :, None])
-    (rung,) = _assemble(one, r, beta)
+    (rung,) = _assemble(one, [r], beta)
     return rung
 
 
@@ -349,3 +349,127 @@ class TestBatchedLadder:
         monkeypatch.setattr("conevac.stress.kernel_expr", counting)
         stress_t0(Cone(2.2), 1.3, t0=0.4, rungs=4)
         assert calls == [[0.4, 0.2, 0.1, 0.05]]
+
+    # One batch of points at different r, theta and t: the cone batch
+    # holds a*u ~44 and ~25 (both sides of the exponential form), the
+    # wedge batch points at two angles, one near a wall.
+    MIXED = {
+        "cone_sharp": (Cone(0.3), [(1.0, 0.0, 2.5), (0.7, 0.0, 0.175), (1.0, 0.0, 1.25),
+                                   (2.0, 0.0, 0.3)]),
+        "sheet": (Dowker(), [(1.0, 0.0, 1.6e-4), (1.1, 0.0, 0.275), (3.0, 0.0, 5e-5)]),
+        "wedge": (Wedge(math.pi / 3), [(8.0, 0.02, 0.32), (2.0, 0.5, 0.2),
+                                       (5.0, 1.0, 0.01)]),
+    }
+
+    @pytest.mark.parametrize("name", list(MIXED))
+    def test_mixed_batch_equals_scalar_jet_stress(self, name):
+        geometry, points = self.MIXED[name]
+        pairs = [PointPair(t=t, r=r, rp=r, theta=th, thetap=th) for r, th, t in points]
+        mode = (RenormMode.RAW if isinstance(geometry, Wedge)
+                else RenormMode.KERNEL_SUBTRACTION)
+        betas = (CONFORMAL_BETA, -0.25, 0.7)
+        batch = _rungs(kernel_expr(geometry), pairs, betas, mode)
+        for beta, rungs in zip(betas, batch):
+            for (r, theta, t), got in zip(points, rungs):
+                want = _scalar_rung(geometry, r, theta, beta, t)
+                assert [v.hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_mixed_cone_batch_straddles_the_exponential_form(self):
+        _, points = self.MIXED["cone_sharp"]
+        au = [Cone(0.3).order * 2.0 * math.asinh(t / (2.0 * r)) for r, _, t in points]
+        assert max(au) > kernels._EXP_FORM_MIN_X > min(au)
+
+
+def _hexes(stress):
+    return [v.hex() for v in stress.components().values()]
+
+
+def _same(got, want):
+    """Equal tensors by float.hex, or errors of one type and message."""
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return not isinstance(got, Exception) and _hexes(got) == _hexes(want)
+
+
+class TestStressGrid:
+    """Each grid entry is bit for bit the per-point `stress_at` / `stress_t0`."""
+
+    @staticmethod
+    def per_point(geometry, r, theta, beta, t):
+        try:
+            finite = stress_at(geometry, r, theta, beta=beta, t=t)
+        except DomainError as exc:
+            finite = exc
+        try:
+            limit = stress_t0(geometry, r, theta, beta=beta).stress
+        except (DomainError, ConvergenceError) as exc:
+            limit = exc
+        return finite, limit
+
+    @pytest.mark.parametrize("geometry, points", [
+        (Cone(2.2), [(r, 0.0) for r in (0.25, 1.0, 3.0, 8.0)]),
+        (Dowker(), [(r, 0.0) for r in (0.5, 2.0)]),
+        # both walls, a nonconformal near-wall point, conformal points
+        # that do not converge, and interior points
+        (Wedge(math.pi / 2), [(8.0, th) for th in
+                              (0.0, 0.0005, 0.001 * math.pi, 0.3, 1.2, math.pi / 2)]),
+        (Wedge(2.0 * math.pi / 3, BoundaryCondition.NEUMANN), [(3.0, 0.4), (6.0, 1.9)]),
+    ], ids=["cone", "sheet", "wedge_dirichlet", "wedge_neumann"])
+    @pytest.mark.parametrize("betas", [(0.0,), (CONFORMAL_BETA, CONFORMAL_BETA + 1.0)],
+                             ids=["one", "correction"])
+    def test_grid_equals_per_point_functions(self, geometry, points, betas):
+        grid = stress_grid(geometry, points, 0.0, betas, 0.5)
+        assert len(grid) == len(points)
+        for (r, theta), (finite, limit) in zip(points, grid):
+            for b, beta in enumerate(betas):
+                want_finite, want_limit = self.per_point(geometry, r, theta, beta, 0.5)
+                assert _same(finite[b], want_finite)
+                assert _same(limit[b], want_limit)
+
+    def test_grid_cells_cover_every_outcome(self):
+        points = [(8.0, th) for th in (0.0, 0.0005, 0.001 * math.pi, 0.3)]
+        grid = stress_grid(Wedge(math.pi / 2), points, 0.0,
+                           (CONFORMAL_BETA, CONFORMAL_BETA + 1.0), 0.5)
+        kinds = {type(cell).__name__ for finite, limit in grid for cell in finite + limit}
+        assert kinds == {"DomainError", "ConvergenceError", "StressTensor"}
+
+    def test_grid_reads_one_kernel_pass(self, monkeypatch):
+        calls = []
+        real = kernel_expr
+
+        def counting(geometry):
+            expr = real(geometry)
+
+            def counted(**coords):
+                calls.append(len(coords["t"].value))
+                return expr(**coords)
+            return counted
+
+        monkeypatch.setattr("conevac.stress.kernel_expr", counting)
+        stress_grid(Cone(2.2), [(1.0, 0.0), (2.0, 0.0), (4.0, 0.0)], 0.0, (0.0, 1.0), 0.5)
+        assert calls == [3 * 7]
+
+    # numpy warns about the infinities on the way to the exception
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_batch_failing_in_arithmetic_fails_like_its_first_point(self):
+        # r * r underflows at the first point (a ZeroDivisionError in the
+        # assembly) and a float power overflows at the second, which the
+        # batched kernel pass meets first
+        points = [(1e-200, 0.5), (1e-150, 0.5)]
+        with pytest.raises(ZeroDivisionError):
+            stress_at(Wedge(1.0), 1e-200, 0.5, t=1.0)
+        with pytest.raises(OverflowError):
+            stress_at(Wedge(1.0), 1e-150, 0.5, t=1.0)
+        with pytest.raises(ZeroDivisionError):
+            stress_grid(Wedge(1.0), points, 0.0, (0.0,), 1.0)
+
+    def test_failing_batch_falls_back_to_points(self):
+        # t * t underflows to 0, so the finite cutoff's jet sqrt fails for
+        # the whole batch; each point then runs on its own
+        points = [(1.0, 0.0), (2.0, 0.0)]
+        grid = stress_grid(Cone(2.2), points, 0.0, (0.0,), 1e-200)
+        for (r, theta), (finite, limit) in zip(points, grid):
+            want_finite, want_limit = self.per_point(Cone(2.2), r, theta, 0.0, 1e-200)
+            assert isinstance(want_finite, DomainError)
+            assert _same(finite[0], want_finite)
+            assert _same(limit[0], want_limit)
