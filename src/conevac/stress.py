@@ -41,6 +41,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jets
 from .errors import ConvergenceError, DomainError
 from .geometry import Cone, Coupling, Dowker, Geometry, Minkowski, PointPair, Wedge
@@ -121,9 +123,9 @@ def _assemble(k, rs, beta: float):
     for ladder-sized batches, and keeps numpy scalars out of the JSON
     serialization downstream.
     """
-    g, h = k.grad, k.hess
-    columns = (g[IR], h[IT, IT], h[IR, IR], h[IR, IRP], h[IZ, IZ], h[IZ, IZP],
-               h[ITHETA, ITHETA], h[ITHETA, ITHETAP])
+    h = k.hess_entry
+    columns = (k.grad[IR], h(IT, IT), h(IR, IR), h(IR, IRP), h(IZ, IZ), h(IZ, IZP),
+               h(ITHETA, ITHETA), h(ITHETA, ITHETAP))
     out = []
     for r, d_r, d_t2, d_r2, d_r_rp, d_z2, d_z_zp, d_th2, d_th_thp in zip(
         rs, *(c.tolist() for c in columns)
@@ -151,21 +153,25 @@ def _assemble(k, rs, beta: float):
 def _rungs(kernel_fn, pairs, betas, renorm_mode):
     """Stress components at every point pair, for every beta, from one jet pass.
 
-    The kernel expression is evaluated once, on the batch of all
-    ``pairs``, and assembled once per beta; the result holds one list
-    per beta with one component tuple per pair.  Every element is bit
-    for bit what a batch of one would give (see `jets`).
+    ``pairs`` is a batch as `jets.lift` takes it: a list of point pairs,
+    or a dict of coordinate columns.  The kernel expression is
+    evaluated once, on the whole batch, and assembled once per beta;
+    the result holds one list per beta with one component tuple per
+    pair.  Every element is bit for bit what a batch of one would give
+    (see `jets`).  Near the axis the arrays meet infinities on the way to
+    the error the per-point callers report; numpy is kept quiet about them.
     """
     coords = jets.lift(pairs)
-    k = kernel_fn(**coords)
-    if renorm_mode is RenormMode.KERNEL_SUBTRACTION:
-        k = k - minkowski_expr(**coords)
-    rs = [p.r for p in pairs]
+    with np.errstate(all="ignore"):
+        k = kernel_fn(**coords)
+        if renorm_mode is RenormMode.KERNEL_SUBTRACTION:
+            k = k - minkowski_expr(**coords)
+    rs = coords["r"].value.tolist()
     out = [_assemble(k, rs, beta) for beta in betas]
     if renorm_mode is RenormMode.COMPONENT_SUBTRACTION:
         for rungs in out:
-            for i, p in enumerate(pairs):
-                zp = zero_point_stress(p.t)
+            for i, t in enumerate(coords["t"].value.tolist()):
+                zp = zero_point_stress(t)
                 t00, t_rr, t_perp, t_zz = rungs[i]
                 rungs[i] = (t00 - zp.t00, t_rr - zp.t_rr, t_perp - zp.t_perp,
                             t_zz - zp.t_zz)
@@ -178,8 +184,15 @@ def _check_cutoffs(ts) -> None:
             raise DomainError(f"stress needs a cutoff t > 0, got {t!r}")
 
 
-def _pair(r, theta, z, t) -> PointPair:
-    return PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z)
+def _check_point(r, theta, z, t) -> None:
+    """Validate a stress point as a `PointPair` at cutoff t would."""
+    PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z)
+
+
+def _columns(ts, rs, thetas, zs) -> dict:
+    """`jets.lift` input for spatially coincident pairs, one list per coordinate."""
+    return {"t": ts, "r": rs, "rp": rs, "theta": thetas, "thetap": thetas,
+            "z": zs, "zp": zs}
 
 
 def _ladder_from_kernel(
@@ -187,11 +200,22 @@ def _ladder_from_kernel(
 ) -> list[tuple[float, float, float, float]]:
     """Stress components at every cutoff in ``ts`` from one batched jet pass.
 
-    A ladder rung equals the `stress_at` value at its cutoff.
+    A ladder rung equals the `stress_at` value at its cutoff.  A point
+    so close to the axis that the stress leaves the range of doubles
+    (``r * r`` underflows, a derivative factor overflows) is a
+    DomainError.
     """
     _check_cutoffs(ts)
-    (rungs,) = _rungs(kernel_fn, [_pair(r, theta, z, t) for t in ts], (beta,),
-                      renorm_mode)
+    _check_point(r, theta, z, ts[0])
+    n = len(ts)
+    try:
+        (rungs,) = _rungs(kernel_fn, _columns(ts, [r] * n, [theta] * n, [z] * n),
+                          (beta,), renorm_mode)
+    except ArithmeticError as exc:
+        raise DomainError(
+            f"the stress at r={r!r} leaves the range of double precision "
+            f"({type(exc).__name__})"
+        ) from None
     return rungs
 
 
@@ -291,42 +315,75 @@ class ExtrapolatedStress:
     error: dict[str, float]
 
 
-def _richardson_even(
-    values: list[float], noise: list[float] | None = None
-) -> tuple[float, float, float]:
-    """Extrapolate a sequence f(t0), f(t0/2), ... assuming even powers of t.
+def _richardson(values, noise):
+    """Extrapolate each row f(t0), f(t0/2), ... of ``values`` assuming even powers of t.
 
-    Builds the standard tableau with ratio 4 per column and returns the
-    entry with the smallest error score.  The score is the entry's
-    disagreement with its two parents, floored by the roundoff ``noise``
-    of the deepest rung feeding it: deep rungs suffer a deterministic
-    cancellation bias that entire tableau columns inherit coherently,
-    so parent agreement alone would make noise-dominated entries look
-    spuriously converged.
+    ``values`` and ``noise`` are (R, n) arrays, one ladder per row.
+    Builds the standard tableau with ratio 4 per column and returns, per
+    row, the entry with the smallest error score, that score and the
+    entry's spread, as three (R,) arrays.  The spread is the entry's
+    disagreement with its two parents; the score floors it by the
+    roundoff ``noise`` of the deepest rung feeding the entry: deep rungs
+    suffer a deterministic cancellation bias that entire tableau columns
+    inherit coherently, so parent agreement alone would make
+    noise-dominated entries look spuriously converged.
+
+    It is the scalar loop (columns j, then entries i) vectorised over
+    rows, and gives the loop's bits: both maxima keep their first argument
+    unless the second is larger (as Python's ``max`` does with NaN), the
+    first of equal scores wins, and an entry scoring NaN or inf is never
+    chosen.  A row with no entry left returns its deepest rung, with
+    score and spread 0 when the row is constant and inf otherwise.
     """
-    n = len(values)
-    if noise is None:
-        noise = [0.0] * n
-    tab = [list(values)]
-    for j in range(1, n):
-        fac = 4.0**j
-        prev = tab[-1]
-        tab.append(
-            [(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)]
-        )
-    best = tab[0][-1]
-    best_err = math.inf
-    best_spread = math.inf
-    for j in range(1, n):
-        for i, v in enumerate(tab[j]):
-            spread = max(abs(v - tab[j - 1][i + 1]), abs(v - tab[j - 1][i]))
-            err = max(spread, noise[i + j])
-            if err < best_err:
-                best, best_err, best_spread = v, err, spread
-    if not math.isfinite(best_err):
-        best_err = best_spread = 0.0 if all(v == values[0] for v in values) else math.inf
-    return best, best_err, best_spread
+    values = np.asarray(values, dtype=float)
+    noise = np.asarray(noise, dtype=float)
+    entries, spreads, scores = [], [], []
+    prev = values
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(1, values.shape[1]):
+            fac = 4.0**j
+            col = (fac * prev[:, 1:] - prev[:, :-1]) / (fac - 1.0)
+            a, b = np.abs(col - prev[:, 1:]), np.abs(col - prev[:, :-1])
+            spread = np.where(b > a, b, a)
+            floor = noise[:, j:]
+            entries.append(col)
+            spreads.append(spread)
+            scores.append(np.where(floor > spread, floor, spread))
+            prev = col
+    entries, spreads = np.hstack(entries), np.hstack(spreads)
+    scores = np.hstack(scores)
+    scores[np.isnan(scores)] = math.inf
+    rows = np.arange(values.shape[0])
+    k = np.argmin(scores, axis=1)
+    best, err, spread = entries[rows, k], scores[rows, k], spreads[rows, k]
+    none = err == math.inf
+    if none.any():
+        empty = np.where((values == values[:, :1]).all(axis=1), 0.0, math.inf)
+        best = np.where(none, values[:, -1], best)
+        err = np.where(none, empty, err)
+        spread = np.where(none, empty, spread)
+    return best, err, spread
 
+
+def _noise(ts) -> list[float]:
+    # Roundoff in a rung: the assembly cancels pieces on the scale of
+    # the universal 1/t^4 zero-point part down to the renormalized
+    # value, so each component carries about eps * 0.15 / t^4 of
+    # deterministic cancellation bias.
+    return [_RUNG_NOISE / tk**4 for tk in ts]
+
+
+def _tableau(ladders, cutoffs):
+    """`_richardson` on every component of a stack of cutoff ladders, at once.
+
+    ``ladders`` is an (L, n, components) array of rung component
+    tuples, ``cutoffs`` the L ladders of cutoffs.  Returns the (best,
+    err, spread) arrays with one row per ladder and component,
+    ladder-major.
+    """
+    n_ladders, n, m = ladders.shape
+    noise = np.repeat([_noise(ts) for ts in cutoffs], m, axis=0)
+    return _richardson(ladders.transpose(0, 2, 1).reshape(n_ladders * m, n), noise)
 
 
 def _t0_cutoffs(geometry: Geometry, r, theta, beta, t0, rungs) -> list[float]:
@@ -358,22 +415,20 @@ def _t0_cutoffs(geometry: Geometry, r, theta, beta, t0, rungs) -> list[float]:
         t0 = scale_len / 4.0
     if not (math.isfinite(t0) and t0 > 0):
         raise DomainError(f"t0 must be positive, got {t0!r}")
-    return [t0 / 2.0**k for k in range(rungs)]
+    ts = [t0 / 2.0**k for k in range(rungs)]
+    if ts[-1] ** 4 == 0.0:
+        raise DomainError(
+            f"the t -> 0 ladder down to t={ts[-1]!r} leaves the range of double "
+            "precision (t**4 underflows)"
+        )
+    return ts
 
 
-def _extrapolate(rungs, ts) -> ExtrapolatedStress:
-    """Richardson-extrapolate the component tuples of a cutoff ladder to t -> 0."""
-    # Roundoff in a rung: the assembly cancels pieces on the scale of
-    # the universal 1/t^4 zero-point part down to the renormalized
-    # value, so each component carries about eps * 0.15 / t^4 of
-    # deterministic cancellation bias.
-    noise = [_RUNG_NOISE / tk**4 for tk in ts]
-    best: dict[str, float] = {}
-    err: dict[str, float] = {}
-    spread: dict[str, float] = {}
-    for i, name in enumerate(COMPONENT_NAMES):
-        b, e, sp = _richardson_even([rung[i] for rung in rungs], noise)
-        best[name], err[name], spread[name] = float(b), float(e), float(sp)
+def _extrapolate(best, err, spread) -> ExtrapolatedStress:
+    """The t -> 0 stress from the `_tableau` rows of one ladder's components."""
+    best = dict(zip(COMPONENT_NAMES, best.tolist()))
+    err = dict(zip(COMPONENT_NAMES, err.tolist()))
+    spread = dict(zip(COMPONENT_NAMES, spread.tolist()))
     scale = max(abs(v) for v in best.values())
     for name in COMPONENT_NAMES:
         # err exceeding the spread means the chosen entry is accurate
@@ -427,7 +482,8 @@ def stress_t0(
     ts = _t0_cutoffs(geometry, r, theta, beta, t0, rungs)
     _check_interior(geometry, theta)
     expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
-    return _extrapolate(_ladder_from_kernel(expr, r, theta, z, beta, ts, mode), ts)
+    rungs = _ladder_from_kernel(expr, r, theta, z, beta, ts, mode)
+    return _extrapolate(*_tableau(np.array([rungs]), [ts]))
 
 
 def stress_grid(geometry: Geometry, points, z: float, betas, t: float):
@@ -447,14 +503,24 @@ def stress_grid(geometry: Geometry, points, z: float, betas, t: float):
     Errors are returned without their tracebacks, which would keep the
     batch alive.
     """
-    pairs: list[PointPair] = []
+    ts_col, r_col, theta_col = [], [], []
+
+    def add(ts, r, theta):
+        start = len(ts_col)
+        ts_col.extend(ts)
+        r_col.extend([r] * len(ts))
+        theta_col.extend([theta] * len(ts))
+        return start
+
     plan = []
     for r, theta in points:
+        checked = False
         try:
             _check_interior(geometry, theta)
             _check_cutoffs([t])
-            finite = len(pairs)
-            pairs.append(_pair(r, theta, z, t))
+            _check_point(r, theta, z, t)
+            checked = True
+            finite = add([t], r, theta)
         except DomainError as exc:
             finite = exc.with_traceback(None)
         # The ladder does not depend on beta, only whether it is allowed.
@@ -469,21 +535,40 @@ def stress_grid(geometry: Geometry, points, z: float, betas, t: float):
                 starts.append(exc.with_traceback(None))
                 continue
             if start is None:
-                start = len(pairs)
-                pairs.extend(_pair(r, theta, z, tk) for tk in ts)
+                if not checked:
+                    _check_point(r, theta, z, ts[0])
+                start = add(ts, r, theta)
             starts.append(start)
         plan.append((finite, starts, ts))
     rungs = None
-    if pairs:
+    if ts_col:
         try:
             expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
-            rungs = _rungs(expr, pairs, betas, mode)
+            columns = _columns(ts_col, r_col, theta_col, [z] * len(ts_col))
+            rungs = _rungs(expr, columns, betas, mode)
         except (DomainError, ArithmeticError):
             pass
         if rungs is None:
             return [_point_cells(geometry, r, theta, z, betas, t) for r, theta in points]
+    # One tableau per beta over every ladder of the grid.
+    limits = []
+    m = len(COMPONENT_NAMES)
+    for b in range(len(betas)):
+        live = [(starts[b], ts) for _, starts, ts in plan
+                if not isinstance(starts[b], DomainError)]
+        cells = []
+        if live:
+            index = np.array([range(start, start + len(ts)) for start, ts in live])
+            best, err, spread = _tableau(np.array(rungs[b])[index], [ts for _, ts in live])
+            for k in range(0, len(best), m):
+                try:
+                    cells.append(_extrapolate(best[k:k + m], err[k:k + m],
+                                              spread[k:k + m]).stress)
+                except ConvergenceError as exc:
+                    cells.append(exc.with_traceback(None))
+        limits.append(iter(cells))
     out = []
-    for finite, starts, ts in plan:
+    for finite, starts, _ in plan:
         if isinstance(finite, DomainError):
             finite_cells = [finite] * len(betas)
         else:
@@ -492,16 +577,8 @@ def stress_grid(geometry: Geometry, points, z: float, betas, t: float):
                              cutoff_t=t)
                 for per_beta in rungs
             ]
-        limit_cells = []
-        for b, start in enumerate(starts):
-            if isinstance(start, DomainError):
-                limit_cells.append(start)
-                continue
-            try:
-                limit_cells.append(
-                    _extrapolate(rungs[b][start:start + len(ts)], ts).stress)
-            except ConvergenceError as exc:
-                limit_cells.append(exc.with_traceback(None))
+        limit_cells = [start if isinstance(start, DomainError) else next(limits[b])
+                       for b, start in enumerate(starts)]
         out.append((finite_cells, limit_cells))
     return out
 

@@ -3,14 +3,18 @@
 The digests pin the bytes of all figure datasets and of the warning
 lines that name their empty cells, at 4 grid points (the top-level
 ``sha256``) and at each grid size in GRIDS (20 points is the grid the
-benchmark writes).  A change that is meant to keep the numbers (a
-refactor, a speed-up) proves it by leaving this file alone.  Regenerate
-it only in a change that means to alter the numbers, and say so in
-that change.  Run from the repository root:
+benchmark writes; the tests check 4 and 20, and 200 is the full
+figure set of the README).  A change that is meant to keep the numbers
+(a refactor, a speed-up) proves it by leaving this file alone and by
+passing ``--check``, which recomputes every frozen grid, writes
+nothing, and exits nonzero on any mismatch.  Regenerate the file only
+in a change that means to alter the numbers, and say so in that
+change.  Run from the repository root:
 
-    PYTHONPATH=src python3 tests/data/make_figure_digest.py
+    PYTHONPATH=src python3 tests/data/make_figure_digest.py [--check]
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -22,7 +26,7 @@ from conevac import cli
 
 OUT = Path(__file__).with_name("figure_digest.json")
 POINTS = 4
-GRIDS = (4, 20)
+GRIDS = (4, 20, 200)
 
 
 def figure_digest(outdir: Path) -> str:
@@ -62,7 +66,29 @@ def grid_digests(points: int) -> dict:
                 "warning_lines": len(warnings)}
 
 
+def check() -> int:
+    """Recompute every grid in the frozen file; 0 if all match, else 1."""
+    frozen = json.loads(OUT.read_text())
+    if frozen["figure_ids"] != list(cli._FIGURES):
+        print("mismatch: the figure ids differ from cli._FIGURES")
+        return 1
+    status = 0
+    for points, want in frozen["grids"].items():
+        got = grid_digests(int(points))
+        verdict = "ok" if got == want else "MISMATCH"
+        print(f"{points} points: {verdict}")
+        if got != want:
+            print(f"  frozen   {want}\n  computed {got}")
+            status = 1
+    return status
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="recompute every frozen grid and compare; write nothing")
+    if parser.parse_args().check:
+        raise SystemExit(check())
     grids = {str(points): grid_digests(points) for points in GRIDS}
     OUT.write_text(json.dumps({"points": POINTS, "figure_ids": list(cli._FIGURES),
                                "sha256": grids[str(POINTS)]["sha256"],

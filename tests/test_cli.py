@@ -236,6 +236,32 @@ class TestScan:
             blobs.append(out_csv.read_bytes())
         assert blobs[0] == blobs[1]
 
+    TINY_RADII = {
+        # r * r underflows in the assembly
+        "dowker": ("--geometry", "dowker", "--sweep", "r", "--lo", "1e-300"),
+        # and, at the second point, a derivative factor overflows
+        "wedge": ("--geometry", "wedge", "--theta0", "1", "--theta", "0.5",
+                  "--sweep", "r", "--lo", "1e-200"),
+        "cone": ("--geometry", "cone", "--theta1", "2", "--sweep", "r",
+                 "--lo", "1e-170"),
+    }
+
+    @pytest.mark.parametrize("name", list(TINY_RADII))
+    def test_tiny_radii_leave_empty_cells(self, capsys, name):
+        argv = (*self.TINY_RADII[name], "--hi", "1", "--log", "--points", "4")
+        outputs = set()
+        for workers in ("1", "2"):
+            code, out, err = run(capsys, "scan", *argv, "--workers", workers)
+            assert code == 0
+            outputs.add((out, err))
+        assert len(outputs) == 1
+        rows = rows_of(out)
+        assert [row[key] for row in rows[:2] for key in row if key != "r"] == [""] * 16
+        assert all(rows[-1].values())
+        lines = err.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert sum("leaves the range of double precision" in line for line in lines) >= 4
+
 
 class TestFigure:
     def test_list_names_every_figure(self, capsys):
@@ -309,6 +335,20 @@ class TestFigure:
         assert maker.figure_digest(tmp_path) == grid["sha256"]
         assert len(warnings) == grid["warning_lines"]
         assert maker.warning_digest(warnings) == grid["warnings_sha256"]
+
+    def test_digest_check_compares_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        maker = _digest_maker()
+        frozen = json.loads((DATA_DIR / "figure_digest.json").read_text())
+        frozen["grids"] = {"4": frozen["grids"]["4"]}
+        path = tmp_path / "figure_digest.json"
+        monkeypatch.setattr(maker, "OUT", path)
+        path.write_text(json.dumps(frozen))
+        assert maker.check() == 0
+        frozen["grids"]["4"]["warning_lines"] += 1
+        path.write_text(json.dumps(frozen))
+        assert maker.check() == 1
+        assert json.loads(path.read_text()) == frozen
+        assert "4 points: MISMATCH" in capsys.readouterr().out
 
     def test_sidecars_share_one_git_describe(self, tmp_path, monkeypatch):
         calls = []

@@ -8,11 +8,14 @@ import pytest
 
 from conevac import DomainError, PointPair
 from conevac.jets import (
+    ALL_PAIRS,
+    ASSEMBLY_PAIRS,
     COORDS,
     IR,
     IRP,
     IT,
     Jet2,
+    Pairs,
     agree,
     asinh,
     atan,
@@ -31,8 +34,8 @@ from conevac.jets import (
 M = len(COORDS)
 
 
-def var(value, index=IR):
-    return Jet2.variable(value, index, M)
+def var(value, index=IR, pairs=ALL_PAIRS):
+    return Jet2.variable(value, index, M, pairs)
 
 
 class TestStructure:
@@ -60,11 +63,16 @@ class TestStructure:
         assert jets["r"].value == 2.0
         assert jets["r"].grad[IR] == 1.0
 
-    def test_lift_inactive_coordinates_are_constants(self):
+    def test_lift_carries_the_requested_hessian_entries(self):
         pair = PointPair(t=0.5, r=2.0, rp=1.0)
-        jets = lift(pair, active=("r", "t"))
-        assert not jets["rp"].grad.any()
-        assert jets["rp"].value == 1.0
+        assert lift(pair)["rp"].hess.shape == (len(ASSEMBLY_PAIRS.pairs),)
+        jets = lift(pair, ALL_PAIRS)
+        assert jets["rp"].hess.shape == (M * (M + 1) // 2,)
+        assert jets["rp"].hess_entry(IRP, IR) == jets["rp"].hess_entry(IR, IRP)
+
+    def test_jets_with_different_entries_do_not_mix(self):
+        with pytest.raises(ValueError):
+            var(1.0, IR, ALL_PAIRS) * var(2.0, IR, ASSEMBLY_PAIRS)
 
 
 def _composite_jet(r, t):
@@ -110,28 +118,31 @@ class TestDerivatives:
 
     def test_hessian(self, jet_and_truth):
         f, truth = jet_and_truth
-        assert f.hess[IR, IR] == pytest.approx(truth["drr"], rel=1e-11)
-        assert f.hess[IT, IT] == pytest.approx(truth["dtt"], rel=1e-11)
-        assert f.hess[IR, IT] == pytest.approx(truth["drt"], rel=1e-11)
+        assert f.hess_entry(IR, IR) == pytest.approx(truth["drr"], rel=1e-11)
+        assert f.hess_entry(IT, IT) == pytest.approx(truth["dtt"], rel=1e-11)
+        assert f.hess_entry(IR, IT) == pytest.approx(truth["drt"], rel=1e-11)
 
-    def test_hessian_exactly_symmetric(self, jet_and_truth):
-        f, _ = jet_and_truth
-        assert np.array_equal(f.hess, f.hess.T)
+    def test_hessian_exactly_symmetric(self):
+        # carry both orders of every entry, as a full (m, m) Hessian would
+        full = Pairs((i, j) for i in range(M) for j in range(M))
+        f = _composite_jet(var(2.0, IR, full), var(0.5, IT, full))
+        assert all(f.hess_entry(i, j) == f.hess_entry(j, i)
+                   for i in range(M) for j in range(M))
 
     def test_quotient_rule_cross_terms(self):
         x, y = var(3.0, IR), var(2.0, IRP)
         q = x / y
-        assert q.hess[IR, IRP] == pytest.approx(-0.25)
-        assert q.hess[IRP, IRP] == pytest.approx(2 * 3.0 / 2.0 ** 3)
+        assert q.hess_entry(IR, IRP) == pytest.approx(-0.25)
+        assert q.hess_entry(IRP, IRP) == pytest.approx(2 * 3.0 / 2.0 ** 3)
 
 
 class TestPowers:
     def test_integer_power_at_zero(self):
         z = var(0.0)
         assert (z ** 2).value == 0.0
-        assert (z ** 2).hess[IR, IR] == 2.0
+        assert (z ** 2).hess_entry(IR, IR) == 2.0
         assert (z ** 3).grad[IR] == 0.0
-        assert (z ** 3).hess[IR, IR] == 0.0
+        assert (z ** 3).hess_entry(IR, IR) == 0.0
 
     def test_fractional_power_matches_exp_log(self):
         x = var(1.7)
@@ -139,7 +150,7 @@ class TestPowers:
         b = exp(2.3 * log(x))
         assert a.value == pytest.approx(b.value, rel=1e-14)
         assert a.grad[IR] == pytest.approx(b.grad[IR], rel=1e-14)
-        assert a.hess[IR, IR] == pytest.approx(b.hess[IR, IR], rel=1e-13)
+        assert a.hess_entry(IR, IR) == pytest.approx(b.hess_entry(IR, IR), rel=1e-13)
 
     def test_fractional_power_rejects_nonpositive_base(self):
         with pytest.raises(DomainError):
@@ -167,7 +178,8 @@ def _bits(x):
 
 def _element(jet, k):
     # the scalar jet that element k of a batch stands for
-    return Jet2(float(jet.value[k]), jet.grad[..., k].copy(), jet.hess[..., k].copy())
+    return Jet2(float(jet.value[k]), jet.grad[..., k].copy(), jet.hess[..., k].copy(),
+                jet.pairs)
 
 
 def _assert_batch_is_scalars(batched, scalars):
@@ -238,7 +250,7 @@ class TestBatch:
         assert jets["t"].value.tolist() == [0.5, 0.25]
         assert jets["r"].value.tolist() == [2.0, 2.0]
         assert jets["r"].grad.shape == (M, 2)
-        assert jets["r"].hess.shape == (M, M, 2)
+        assert jets["r"].hess.shape == (len(ASSEMBLY_PAIRS.pairs), 2)
         assert jets["t"].grad[IT].tolist() == [1.0, 1.0]
 
     def test_domain_checks_see_every_element(self):
@@ -249,6 +261,101 @@ class TestBatch:
             log(bad)
         with pytest.raises(DomainError):
             bad ** 0.5
+
+
+class _DenseJet:
+    """The full (m, m) Hessian jet that `Jet2` replaces, kept as its reference."""
+
+    def __init__(self, value, grad, hess):
+        self.value, self.grad, self.hess = value, grad, hess
+
+    def _promote(self, other):
+        if isinstance(other, _DenseJet):
+            return other
+        return _DenseJet(float(other), np.zeros(self.grad.shape), np.zeros(self.hess.shape))
+
+    def __add__(self, other):
+        o = self._promote(other)
+        return _DenseJet(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._promote(other)
+        return _DenseJet(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+
+    def __rsub__(self, other):
+        return self._promote(other) - self
+
+    def __mul__(self, other):
+        o = self._promote(other)
+        cross = self.grad[:, None] * o.grad[None]
+        return _DenseJet(
+            self.value * o.value,
+            self.value * o.grad + o.value * self.grad,
+            self.value * o.hess + o.value * self.hess + cross + cross.swapaxes(0, 1),
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._promote(other)
+        val = self.value / o.value
+        grad = (self.grad - val * o.grad) / o.value
+        cross = grad[:, None] * o.grad[None]
+        hess = (self.hess - val * o.hess - cross - cross.swapaxes(0, 1)) / o.value
+        return _DenseJet(val, grad, hess)
+
+    def __rtruediv__(self, other):
+        return self._promote(other) / self
+
+    def __pow__(self, n):
+        return self.chain(lambda v: (v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)))
+
+    def chain(self, rule):
+        f0, f1, f2 = np.array([rule(e) for e in self.value.tolist()]).T
+        g = self.grad
+        return _DenseJet(f0, f1 * g, f1 * self.hess + f2 * (g[:, None] * g[None]))
+
+
+_DENSE_FUNCTIONS = {
+    "exp": lambda x: x.chain(lambda v: (math.exp(v),) * 3),
+    "sqrt": lambda x: x.chain(lambda v: (math.sqrt(v), 0.5 / math.sqrt(v),
+                                         -0.25 / (math.sqrt(v) * v))),
+    "sin": lambda x: x.chain(lambda v: (math.sin(v), math.cos(v), -math.sin(v))),
+}
+
+
+def _mixed_expression(c, f):
+    # products, quotients, both orders of each, squares and cubes of
+    # sums, and functions of all of them, on every coordinate
+    x = c["r"] * c["rp"] + c["t"] * c["t"] + (c["z"] - c["zp"]) ** 2
+    y = f["sin"](c["theta"] - c["thetap"]) * c["r"] / c["rp"]
+    w = 2.0 / (c["t"] + y ** 2) - (0.5 - c["z"]) ** 3
+    return f["exp"](f["sqrt"](x) / (1.5 + w * y)) - x * y / (3.0 - c["thetap"] * w)
+
+
+class TestDenseReference:
+    """Every carried entry is bit for bit the full symmetric Hessian's."""
+
+    # both orders of every entry (so the lower triangle is checked too),
+    # and the seven the stress reads carried on their own
+    @pytest.mark.parametrize("pairs", [
+        Pairs((i, j) for i in range(M) for j in range(M)), ASSEMBLY_PAIRS,
+    ], ids=["every", "assembly"])
+    def test_entries_equal_the_dense_hessian(self, pairs):
+        rng = np.random.default_rng(11)
+        columns = {name: rng.uniform(0.2, 1.7, size=256).tolist() for name in COORDS}
+        sparse = _mixed_expression(lift(columns, pairs),
+                                   {"exp": exp, "sqrt": sqrt, "sin": sin})
+        dense = _mixed_expression(
+            {name: _DenseJet(np.array(columns[name]), np.eye(M)[:, k][:, None]
+                             * np.ones(256), np.zeros((M, M, 256)))
+             for k, name in enumerate(COORDS)}, _DENSE_FUNCTIONS)
+        assert _bits(sparse.value) == _bits(dense.value)
+        assert _bits(sparse.grad) == _bits(dense.grad)
+        for i, j in pairs.pairs:
+            assert _bits(sparse.hess_entry(i, j)) == _bits(dense.hess[i, j]), (i, j)
 
 
 class TestBranch:

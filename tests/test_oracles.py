@@ -41,6 +41,13 @@ def test_other_seeds_still_pass():
         assert report.passed
 
 
+def test_jet_fd_passes_across_seeds():
+    # seed 5013 and several seeds below 200 failed with twice the steps
+    for seed in [5013, *range(100)]:
+        (report,) = run_oracle_suite(["jet_fd"], seed=seed)
+        assert report.passed, (seed, report.max_rel_err)
+
+
 def test_unknown_oracle_name_rejected():
     with pytest.raises(ValueError):
         run_oracle_suite(["no_such_oracle"])

@@ -34,7 +34,15 @@ from conevac import (
 )
 from conevac import jets, kernels
 from conevac.kernels import minkowski_expr
-from conevac.stress import COMPONENT_NAMES, _assemble, _ladder, _rungs, stress_grid
+from conevac.stress import (
+    COMPONENT_NAMES,
+    _assemble,
+    _ladder,
+    _noise,
+    _richardson,
+    _rungs,
+    stress_grid,
+)
 
 CONFORMAL_BETA = Coupling.conformal().beta
 
@@ -282,7 +290,7 @@ def _scalar_rung(geometry, r, theta, beta, t):
     wedge = isinstance(geometry, Wedge)
     if not wedge:
         k = k - minkowski_expr(**coords)
-    one = jets.Jet2(np.array([k.value]), k.grad[:, None], k.hess[:, :, None])
+    one = jets.Jet2(np.array([k.value]), k.grad[:, None], k.hess[:, None], k.pairs)
     (rung,) = _assemble(one, [r], beta)
     return rung
 
@@ -451,17 +459,19 @@ class TestStressGrid:
 
     # numpy warns about the infinities on the way to the exception
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_batch_failing_in_arithmetic_fails_like_its_first_point(self):
+    def test_batch_failing_in_arithmetic_gives_each_point_its_domain_error(self):
         # r * r underflows at the first point (a ZeroDivisionError in the
         # assembly) and a float power overflows at the second, which the
-        # batched kernel pass meets first
+        # batched kernel pass meets first; neither stress is representable
         points = [(1e-200, 0.5), (1e-150, 0.5)]
-        with pytest.raises(ZeroDivisionError):
-            stress_at(Wedge(1.0), 1e-200, 0.5, t=1.0)
-        with pytest.raises(OverflowError):
-            stress_at(Wedge(1.0), 1e-150, 0.5, t=1.0)
-        with pytest.raises(ZeroDivisionError):
-            stress_grid(Wedge(1.0), points, 0.0, (0.0,), 1.0)
+        causes = ["ZeroDivisionError", "OverflowError"]
+        grid = stress_grid(Wedge(1.0), points, 0.0, (0.0,), 1.0)
+        for (r, theta), cause, (finite, limit) in zip(points, causes, grid):
+            want_finite, want_limit = self.per_point(Wedge(1.0), r, theta, 0.0, 1.0)
+            assert isinstance(want_finite, DomainError) and cause in str(want_finite)
+            assert isinstance(want_limit, DomainError)
+            assert _same(finite[0], want_finite)
+            assert _same(limit[0], want_limit)
 
     def test_failing_batch_falls_back_to_points(self):
         # t * t underflows to 0, so the finite cutoff's jet sqrt fails for
@@ -473,3 +483,110 @@ class TestStressGrid:
             assert isinstance(want_finite, DomainError)
             assert _same(finite[0], want_finite)
             assert _same(limit[0], want_limit)
+
+    def test_invalid_points_raise_as_per_point(self):
+        # the bad cutoff makes the finite cell a DomainError; the ladder
+        # still validates the point, as stress_t0 does
+        with pytest.raises(ValueError, match="theta must be finite"):
+            stress_t0(Cone(2.2), 1.0, math.nan)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            stress_grid(Cone(2.2), [(1.0, math.nan)], 0.0, (0.0,), 0.0)
+
+
+def _richardson_even(values, noise):
+    """The scalar tableau that `_richardson` replaces, kept as its reference."""
+    n = len(values)
+    tab = [list(values)]
+    for j in range(1, n):
+        fac = 4.0**j
+        prev = tab[-1]
+        tab.append(
+            [(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)]
+        )
+    best = tab[0][-1]
+    best_err = math.inf
+    best_spread = math.inf
+    for j in range(1, n):
+        for i, v in enumerate(tab[j]):
+            spread = max(abs(v - tab[j - 1][i + 1]), abs(v - tab[j - 1][i]))
+            err = max(spread, noise[i + j])
+            if err < best_err:
+                best, best_err, best_spread = v, err, spread
+    if not math.isfinite(best_err):
+        best_err = best_spread = 0.0 if all(v == values[0] for v in values) else math.inf
+    return best, best_err, best_spread
+
+
+def _adversarial_rows():
+    """(values, noise) ladders of six rungs that stress every rule of the tableau."""
+    nan, inf = math.nan, math.inf
+    quiet = [1e-30] * 6
+    rows = [
+        # NaN and infinite rungs, alone and together, at every depth
+        *(([1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125][:k] + [bad]
+           + [0.1, 0.2, 0.3, 0.4, 0.5][k:], quiet)
+          for bad in (nan, inf, -inf) for k in range(6)),
+        ([inf, -inf, inf, -inf, inf, -inf], quiet),
+        ([nan, 1.0, inf, 2.0, -inf, 3.0], quiet),
+        ([1.0, 2.0, 3.0, 4.0, 5.0, nan], quiet),
+        ([nan] * 6, quiet),
+        # constant rows, where every spread is 0 or the noise decides
+        ([1.5] * 6, quiet), ([0.0] * 6, quiet), ([-0.0] * 6, [0.0] * 6),
+        ([inf] * 6, quiet), ([-inf] * 6, [0.0] * 6), ([2.0] * 6, [inf] * 6),
+        # tied scores: the noise floor or exact entries equal everywhere
+        ([3.0, 1.0, 4.0, 1.0, 5.0, 9.0], [1e9] * 6),
+        ([t * t for t in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)], [0.0] * 6),
+        ([1.0, -1.0, 1.0, -1.0, 1.0, -1.0], [0.0] * 6),
+        # every score infinite or NaN: no entry can be chosen
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [inf] * 6),
+        ([1.0, 1.0, 1.0, 1.0, 1.0, 2.0], [inf] * 6),
+        ([1e308, -1e308, 1e308, -1e308, 1e308, -1e308], quiet),
+        # NaN noise never wins against a finite spread, and vice versa
+        ([1.0, 0.9, 0.8, 0.7, 0.6, 0.5], [nan] * 6),
+        ([1.0, 0.9, 0.8, 0.7, 0.6, 0.5], [0.0, nan, 0.0, inf, 0.0, nan]),
+    ]
+    rng = np.random.default_rng(2026)
+    specials = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, 5e-324])
+    for _ in range(400):
+        values = rng.normal(size=6) * 10.0 ** rng.integers(-5, 5)
+        noise = np.abs(rng.normal(size=6)) * 10.0 ** rng.integers(-12, 2)
+        for arr in (values, noise):
+            hit = rng.random(6) < 0.15
+            arr[hit] = rng.choice(specials, size=int(hit.sum()))
+        noise = np.abs(noise)
+        rows.append((values.tolist(), noise.tolist()))
+    return rows
+
+
+def _ladder_rows():
+    """Component ladders of real cones and wedges at their `stress_t0` cutoffs."""
+    rows = []
+    for geometry, r, theta, t0 in LADDERS.values():
+        ts = [t0 / 2.0 ** k for k in range(6)]
+        for beta in (CONFORMAL_BETA, 0.0, 0.7):
+            ladder = _ladder(geometry, r, theta, 0.0, beta, ts,
+                             RenormMode.KERNEL_SUBTRACTION)
+            for name in COMPONENT_NAMES:
+                rows.append(([getattr(rung, name) for rung in ladder], _noise(ts)))
+    return rows
+
+
+class TestTableau:
+    """The array tableau is bit for bit the scalar one, row by row."""
+
+    @pytest.mark.parametrize("rows", [_adversarial_rows, _ladder_rows],
+                             ids=["adversarial", "ladders"])
+    def test_rows_equal_the_scalar_tableau(self, rows):
+        rows = rows()
+        got = _richardson([v for v, _ in rows], [n for _, n in rows])
+        for k, (values, noise) in enumerate(rows):
+            want = _richardson_even(values, noise)
+            assert [float(a[k]).hex() for a in got] == [float(w).hex() for w in want], (
+                values, noise)
+
+    def test_single_rows_equal_a_stack(self):
+        rows = _adversarial_rows()
+        stacked = _richardson([v for v, _ in rows], [n for _, n in rows])
+        for k, (values, noise) in enumerate(rows[:40]):
+            alone = _richardson([values], [noise])
+            assert [float(a[0]).hex() for a in alone] == [float(a[k]).hex() for a in stacked]
