@@ -26,12 +26,13 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import enum
 import functools
 import json
 import math
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -192,19 +193,14 @@ def _write_csv(fh, header: list[str], rows) -> None:
 
 
 def _geometry_dict(geometry) -> dict:
-    match geometry:
-        case Minkowski():
-            return {"kind": "minkowski"}
-        case Cone(theta1=theta1):
-            return {"kind": "cone", "theta1": theta1}
-        case Dowker():
-            return {"kind": "dowker"}
-        case Wedge(theta0=theta0, bc=bc):
-            return {"kind": "wedge", "theta0": theta0, "bc": bc.value}
-        case None:
-            return {"kind": "cone", "theta1": "swept"}
-        case _:
-            return {"kind": repr(geometry)}
+    """The lower-cased class name as ``kind``, then every field, enums by value."""
+    if geometry is None:
+        return {"kind": "cone", "theta1": "swept"}
+    out = {"kind": type(geometry).__name__.lower()}
+    for field in fields(geometry):
+        value = getattr(geometry, field.name)
+        out[field.name] = value.value if isinstance(value, enum.Enum) else value
+    return out
 
 
 @functools.cache

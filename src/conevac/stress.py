@@ -20,26 +20,28 @@ Renormalization is a choice of what to subtract:
   * RAW subtracts nothing.
 
 The renormalized components have finite t -> 0 limits, reached by
-`stress_t0` through even-power Richardson extrapolation over a
-halving ladder of cutoffs.
+`stress_t0` through even-power Richardson extrapolation over a fixed
+halving ladder of six cutoffs (`_t0_cutoffs`).
 
-There is one engine: the kernel expression is evaluated once on
-batched jets (see `jets`), one element per point pair, and assembled
-elementwise, once per coupling.  `stress_t0` runs it on the whole
-ladder; `stress_at` and `stress_from_kernel` run it on a batch of one
-cutoff; `stress_grid` runs it once for a whole grid of points, each
-contributing its finite cutoff and its ladder, and assembles every
-coupling it is asked for from that one pass.  Batching changes no
-bits: each element equals `stress_at` at its point and cutoff.  A
-batch whose elements fall on different sides of a kernel branch is
-split there and each part rerun (`jets.split`).
+There is one engine, `_ladders`: it takes any list of (r, theta,
+cutoffs) ladders, evaluates the kernel expression once on batched jets
+(see `jets`), one element per cutoff, and assembles elementwise, once
+per coupling.  `stress_at` and `stress_from_kernel` run it on a ladder
+of one cutoff, `stress_t0` on its six-cutoff ladder, and `stress_grid`
+on a whole grid of points, each contributing its finite cutoff and its
+ladder.  Batching changes no bits: each element equals `stress_at` at
+its point and cutoff.  A batch whose elements fall on different sides
+of a kernel branch is split there and each part rerun (`jets.split`);
+a pass over several ladders that fails is rerun one ladder at a time,
+so each ladder meets its own outcome.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -53,8 +55,10 @@ from .kernels import kernel_expr, minkowski_expr
 # zero-point 1/t^4 piece that the renormalized assembly cancels.
 _RUNG_NOISE = 3.4e-17
 
-# Cutoffs in the default t -> 0 ladder.
+# Cutoffs in the t -> 0 ladder.
 _RUNGS = 6
+
+_OUT_OF_RANGE = "the stress at r={!r} leaves the range of double precision ({})"
 
 
 class RenormMode(enum.Enum):
@@ -159,7 +163,7 @@ def _rungs(kernel_fn, pairs, betas, renorm_mode):
     the result holds one list per beta with one component tuple per
     pair.  Every element is bit for bit what a batch of one would give
     (see `jets`).  Near the axis the arrays meet infinities on the way to
-    the error the per-point callers report; numpy is kept quiet about them.
+    the error `_ladders` reports; numpy is kept quiet about them.
     """
     coords = jets.lift(pairs)
     with np.errstate(all="ignore"):
@@ -178,45 +182,60 @@ def _rungs(kernel_fn, pairs, betas, renorm_mode):
     return out
 
 
-def _check_cutoffs(ts) -> None:
-    for t in ts:
-        if not (math.isfinite(t) and t > 0):
-            raise DomainError(f"stress needs a cutoff t > 0, got {t!r}")
-
-
 def _check_point(r, theta, z, t) -> None:
     """Validate a stress point as a `PointPair` at cutoff t would."""
-    PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z)
+    # The test `PointPair` makes; the pair is built only to raise its error.
+    if not (0.0 < r < math.inf and 0.0 <= t < math.inf
+            and math.isfinite(theta) and math.isfinite(z)):
+        PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z)
 
 
-def _columns(ts, rs, thetas, zs) -> dict:
-    """`jets.lift` input for spatially coincident pairs, one list per coordinate."""
-    return {"t": ts, "r": rs, "rp": rs, "theta": thetas, "thetap": thetas,
-            "z": zs, "zp": zs}
+def _ladders(kernel_fn, mode, z, betas, ladders):
+    """Stress components on every (r, theta, cutoffs) ladder, from one jet pass.
 
-
-def _ladder_from_kernel(
-    kernel_fn, r, theta, z, beta, ts, renorm_mode
-) -> list[tuple[float, float, float, float]]:
-    """Stress components at every cutoff in ``ts`` from one batched jet pass.
-
-    A ladder rung equals the `stress_at` value at its cutoff.  A point
-    so close to the axis that the stress leaves the range of doubles
-    (``r * r`` underflows, a derivative factor overflows) is a
-    DomainError.
+    Returns, per ladder, one entry per beta: the component tuple of each
+    of its cutoffs, or the ladder's own DomainError (a cutoff that is not
+    positive, or a stress that leaves the range of doubles: ``r * r``
+    underflows, a derivative factor overflows, a component comes out
+    NaN).  A point that is not valid raises ValueError, as a `PointPair`
+    does.  When the pass over several ladders fails, each ladder is run
+    alone, so each meets its own outcome.  Errors are returned without
+    their tracebacks, which would keep the batch alive.
     """
-    _check_cutoffs(ts)
-    _check_point(r, theta, z, ts[0])
-    n = len(ts)
+    out = []
+    ts_col, r_col, theta_col = [], [], []
+    for r, theta, ts in ladders:
+        bad = [t for t in ts if not (math.isfinite(t) and t > 0)]
+        if bad:
+            exc = DomainError(f"stress needs a cutoff t > 0, got {bad[0]!r}")
+            out.append([exc] * len(betas))
+            continue
+        _check_point(r, theta, z, ts[0])
+        out.append(None)
+        ts_col += ts
+        r_col += [r] * len(ts)
+        theta_col += [theta] * len(ts)
+    if not ts_col:
+        return out
+    columns = {"t": ts_col, "r": r_col, "rp": r_col, "theta": theta_col,
+               "thetap": theta_col, "z": [z] * len(ts_col), "zp": [z] * len(ts_col)}
     try:
-        (rungs,) = _rungs(kernel_fn, _columns(ts, [r] * n, [theta] * n, [z] * n),
-                          (beta,), renorm_mode)
-    except ArithmeticError as exc:
-        raise DomainError(
-            f"the stress at r={r!r} leaves the range of double precision "
-            f"({type(exc).__name__})"
-        ) from None
-    return rungs
+        per_beta = _rungs(kernel_fn, columns, betas, mode)
+    except (DomainError, ArithmeticError) as exc:
+        if len(ladders) > 1:
+            return [_ladders(kernel_fn, mode, z, betas, [ladder])[0] for ladder in ladders]
+        if isinstance(exc, ArithmeticError):
+            exc = DomainError(_OUT_OF_RANGE.format(ladders[0][0], type(exc).__name__))
+        return [[exc.with_traceback(None)] * len(betas)]
+    start = 0
+    for k, (r, _, ts) in enumerate(ladders):
+        if out[k] is None:
+            spans = [rungs[start:start + len(ts)] for rungs in per_beta]
+            out[k] = [DomainError(_OUT_OF_RANGE.format(r, "NaN"))
+                      if any(map(math.isnan, chain.from_iterable(span))) else span
+                      for span in spans]
+            start += len(ts)
+    return out
 
 
 def stress_from_kernel(
@@ -234,12 +253,14 @@ def stress_from_kernel(
     ``kernel_fn`` takes the seven pair coordinates by keyword and must
     be built from the `jets` dispatch functions, branching through
     `jets.agree` and `jets.split`.  This is the engine under
-    `stress_at`, run on a batch of one cutoff; it is exposed so
+    `stress_at`, run on a ladder of one cutoff; it is exposed so
     independently constructed kernels (image sums, cross checks) can be
     pushed through the same assembly.
     """
-    (comps,) = _ladder_from_kernel(kernel_fn, r, theta, z, beta, [t], renorm_mode)
-    return StressTensor(*comps, renorm_mode=renorm_mode, cutoff_t=t)
+    ((rungs,),) = _ladders(kernel_fn, renorm_mode, z, (beta,), [(r, theta, [t])])
+    if isinstance(rungs, DomainError):
+        raise rungs
+    return StressTensor(*rungs[0], renorm_mode=renorm_mode, cutoff_t=t)
 
 
 def _check_interior(geometry: Geometry, theta: float) -> None:
@@ -266,24 +287,8 @@ def _kernel_for(geometry: Geometry, renorm: RenormMode):
             "its kernel is stored with the flat part already removed"
         )
     if renorm is RenormMode.RAW:
-        wedge_expr = expr
-        def full(**coords):
-            return wedge_expr(**coords) + minkowski_expr(**coords)
-        expr = full
+        return (lambda **coords: expr(**coords) + minkowski_expr(**coords)), RenormMode.RAW
     return expr, RenormMode.RAW
-
-
-def _ladder(
-    geometry: Geometry, r, theta, z, beta, ts, renorm: RenormMode
-) -> list[StressTensor]:
-    """Stress tensors of a geometry at every cutoff in ``ts``, in one pass."""
-    _check_interior(geometry, theta)
-    expr, mode = _kernel_for(geometry, renorm)
-    rungs = _ladder_from_kernel(expr, r, theta, z, beta, ts, mode)
-    return [
-        StressTensor(*comps, renorm_mode=renorm, cutoff_t=t)
-        for t, comps in zip(ts, rungs)
-    ]
 
 
 def stress_at(
@@ -303,8 +308,10 @@ def stress_at(
     the stored wedge kernel is flat-part-free, so kernel subtraction
     is the identity and RAW adds the flat kernel back.
     """
-    (stress,) = _ladder(geometry, r, theta, z, beta, [t], renorm)
-    return stress
+    _check_interior(geometry, theta)
+    expr, mode = _kernel_for(geometry, renorm)
+    stress = stress_from_kernel(expr, r, theta, z, beta=beta, t=t, renorm_mode=mode)
+    return replace(stress, renorm_mode=renorm)
 
 
 @dataclass(frozen=True)
@@ -373,31 +380,13 @@ def _noise(ts) -> list[float]:
     return [_RUNG_NOISE / tk**4 for tk in ts]
 
 
-def _tableau(ladders, cutoffs):
-    """`_richardson` on every component of a stack of cutoff ladders, at once.
-
-    ``ladders`` is an (L, n, components) array of rung component
-    tuples, ``cutoffs`` the L ladders of cutoffs.  Returns the (best,
-    err, spread) arrays with one row per ladder and component,
-    ladder-major.
-    """
-    n_ladders, n, m = ladders.shape
-    noise = np.repeat([_noise(ts) for ts in cutoffs], m, axis=0)
-    return _richardson(ladders.transpose(0, 2, 1).reshape(n_ladders * m, n), noise)
-
-
-def _t0_cutoffs(geometry: Geometry, r, theta, beta, t0, rungs) -> list[float]:
+def _t0_cutoffs(geometry: Geometry, r, theta, beta) -> list[float]:
     """The halving cutoff ladder of `stress_t0`, after its domain checks."""
-    if rungs < 2:
-        raise ValueError(f"need at least 2 rungs, got {rungs!r}")
     scale_len = r
     if isinstance(geometry, Wedge):
         gap = min(theta, geometry.theta0 - theta)
         if gap <= 0.0:
-            raise DomainError(
-                f"stress point theta={theta!r} must lie strictly inside "
-                f"the wedge (0, {geometry.theta0!r})"
-            )
+            _check_interior(geometry, theta)  # raises: theta is on or past a wall
         if abs(beta - Coupling.conformal().beta) > 1e-12 and gap < 1e-3:
             raise DomainError(
                 "nonconformal wedge stress diverges at the walls; "
@@ -411,21 +400,23 @@ def _t0_cutoffs(geometry: Geometry, r, theta, beta, t0, rungs) -> list[float]:
         # cancellation noise; far from the walls the axis distance r
         # takes over as the scale.
         scale_len = r * min(1.0, 8.0 * math.sin(min(gap, 0.5 * math.pi)))
-    if t0 is None:
-        t0 = scale_len / 4.0
-    if not (math.isfinite(t0) and t0 > 0):
+    _check_point(r, 0.0, 0.0, 0.0)  # the radius, as `stress_at` checks it
+    t0 = scale_len / 4.0
+    if not t0 > 0.0:  # underflowed: r or the wall gap is near the least double
         raise DomainError(f"t0 must be positive, got {t0!r}")
-    ts = [t0 / 2.0**k for k in range(rungs)]
+    ts = [t0 / 2.0**k for k in range(_RUNGS)]
     if ts[-1] ** 4 == 0.0:
         raise DomainError(
             f"the t -> 0 ladder down to t={ts[-1]!r} leaves the range of double "
             "precision (t**4 underflows)"
         )
+    # Last, so that a NaN theta is reported after the ladder's own checks.
+    _check_interior(geometry, theta)
     return ts
 
 
 def _extrapolate(best, err, spread) -> ExtrapolatedStress:
-    """The t -> 0 stress from the `_tableau` rows of one ladder's components."""
+    """The t -> 0 stress from the `_richardson` rows of one ladder's components."""
     best = dict(zip(COMPONENT_NAMES, best.tolist()))
     err = dict(zip(COMPONENT_NAMES, err.tolist()))
     spread = dict(zip(COMPONENT_NAMES, spread.tolist()))
@@ -454,6 +445,31 @@ def _extrapolate(best, err, spread) -> ExtrapolatedStress:
     )
 
 
+def _limits(ladders):
+    """The t -> 0 limit of every (cutoffs, rungs) ladder, from one tableau.
+
+    Every component of every ladder is one row of a single `_richardson`
+    call.  Returns per ladder its `ExtrapolatedStress`, or its
+    ConvergenceError; a ladder whose rungs are a DomainError keeps it.
+    """
+    out = [rungs for _, rungs in ladders]
+    live = [k for k, rungs in enumerate(out) if not isinstance(rungs, DomainError)]
+    if not live:
+        return out
+    m = len(COMPONENT_NAMES)
+    values = np.array([out[k] for k in live])
+    noise = np.repeat([_noise(ladders[k][0]) for k in live], m, axis=0)
+    best, err, spread = _richardson(
+        values.transpose(0, 2, 1).reshape(len(live) * m, values.shape[1]), noise)
+    for j, k in enumerate(live):
+        rows = slice(j * m, (j + 1) * m)
+        try:
+            out[k] = _extrapolate(best[rows], err[rows], spread[rows])
+        except ConvergenceError as exc:
+            out[k] = exc.with_traceback(None)
+    return out
+
+
 def stress_t0(
     geometry: Geometry,
     r: float,
@@ -461,141 +477,85 @@ def stress_t0(
     z: float = 0.0,
     *,
     beta: float = 0.0,
-    t0: float | None = None,
-    rungs: int = _RUNGS,
 ) -> ExtrapolatedStress:
     """Renormalized stress in the limit t -> 0.
 
-    Evaluates the kernel-subtracted stress on the cutoff ladder
-    t0, t0/2, ..., t0/2**(rungs-1), all rungs in one batched jet pass,
-    and Richardson-extrapolates each component.  The default t0 is a quarter of the distance to the
-    nearest geometric feature (the axis, or a wedge wall when that is
-    closer), which keeps the ladder inside the region where the
-    even-power expansion dominates while leaving the deepest rung
-    above the cancellation noise, which grows like 1/t^4 and is
-    accounted for in the tableau entry selection.
+    Evaluates the kernel-subtracted stress on a fixed ladder of six
+    cutoffs, t0, t0/2, ..., t0/32, all in one batched jet pass, and
+    Richardson-extrapolates each component.  The top cutoff t0 is a
+    quarter of the distance to the nearest geometric feature (the
+    axis, or a wedge wall when that is closer), which keeps the ladder
+    inside the region where the even-power expansion dominates while
+    leaving the deepest rung above the cancellation noise, which grows
+    like 1/t^4 and is accounted for in the tableau entry selection.
 
-    Raises ConvergenceError when the tableau does not contract, and
+    Raises ValueError, as `stress_at` does, for a point that is not
+    valid, ConvergenceError when the tableau does not contract, and
     DomainError for wedge points so close to a wall that the
-    nonconformal stress has no finite limit to extrapolate to.
+    nonconformal stress has no finite limit to extrapolate to, or
+    where the ladder leaves the range of doubles.
     """
-    ts = _t0_cutoffs(geometry, r, theta, beta, t0, rungs)
-    _check_interior(geometry, theta)
+    ts = _t0_cutoffs(geometry, r, theta, beta)
     expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
-    rungs = _ladder_from_kernel(expr, r, theta, z, beta, ts, mode)
-    return _extrapolate(*_tableau(np.array([rungs]), [ts]))
+    ((rungs,),) = _ladders(expr, mode, z, (beta,), [(r, theta, ts)])
+    (limit,) = _limits([(ts, rungs)])
+    if isinstance(limit, Exception):
+        raise limit
+    return limit
 
 
 def stress_grid(geometry: Geometry, points, z: float, betas, t: float):
     """`stress_at` at cutoff ``t`` and `stress_t0` at every point, in one jet pass.
 
     ``points`` lists (r, theta) pairs.  Every point contributes its
-    cutoff ``t`` and its `stress_t0` ladder to one batch, so the kernel
-    expression is evaluated once for the whole grid and assembled once
-    per beta in ``betas``.  Returns one ``(finite, limit)`` pair per
-    point, each a list with one entry per beta: the tensor that
-    ``stress_at(geometry, r, theta, z, beta=beta, t=t)`` or
+    cutoff ``t`` and its `stress_t0` ladder to one `_ladders` pass, so
+    the kernel expression is evaluated once for the whole grid and
+    assembled once per beta in ``betas``.  Returns one ``(finite,
+    limit)`` pair per point, each a list with one entry per beta: the
+    tensor that ``stress_at(geometry, r, theta, z, beta=beta, t=t)`` or
     ``stress_t0(geometry, r, theta, z, beta=beta).stress`` returns, bit
-    for bit, or the DomainError or ConvergenceError it raises.  Points
-    are checked one by one before batching; if the batched pass itself
-    raises DomainError or an arithmetic error, the points are evaluated
-    one by one instead, so each meets its own outcome in grid order.
-    Errors are returned without their tracebacks, which would keep the
-    batch alive.
+    for bit, or the DomainError or ConvergenceError it raises, without
+    its traceback.
     """
-    ts_col, r_col, theta_col = [], [], []
-
-    def add(ts, r, theta):
-        start = len(ts_col)
-        ts_col.extend(ts)
-        r_col.extend([r] * len(ts))
-        theta_col.extend([theta] * len(ts))
-        return start
-
-    plan = []
+    expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
+    ladders, plan = [], []
     for r, theta in points:
-        checked = False
+        # Each cell is the index of its ladder, or the DomainError of its plan.
         try:
             _check_interior(geometry, theta)
-            _check_cutoffs([t])
-            _check_point(r, theta, z, t)
-            checked = True
-            finite = add([t], r, theta)
+            finite = len(ladders)
+            ladders.append((r, theta, [t]))
         except DomainError as exc:
             finite = exc.with_traceback(None)
-        # The ladder does not depend on beta, only whether it is allowed.
-        ts = start = None
-        starts = []
+        limit, ts = [], None
         for beta in betas:
+            # The ladder does not depend on beta, only whether it is allowed.
             try:
-                ts = _t0_cutoffs(geometry, r, theta, beta, None, _RUNGS)
-                _check_interior(geometry, theta)
-                _check_cutoffs(ts)
+                ts = _t0_cutoffs(geometry, r, theta, beta)
+                limit.append(len(ladders))
             except DomainError as exc:
-                starts.append(exc.with_traceback(None))
-                continue
-            if start is None:
-                if not checked:
-                    _check_point(r, theta, z, ts[0])
-                start = add(ts, r, theta)
-            starts.append(start)
-        plan.append((finite, starts, ts))
-    rungs = None
-    if ts_col:
-        try:
-            expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
-            columns = _columns(ts_col, r_col, theta_col, [z] * len(ts_col))
-            rungs = _rungs(expr, columns, betas, mode)
-        except (DomainError, ArithmeticError):
-            pass
-        if rungs is None:
-            return [_point_cells(geometry, r, theta, z, betas, t) for r, theta in points]
-    # One tableau per beta over every ladder of the grid.
-    limits = []
-    m = len(COMPONENT_NAMES)
+                limit.append(exc.with_traceback(None))
+        if ts is not None:
+            ladders.append((r, theta, ts))
+        plan.append((finite, limit))
+    results = _ladders(expr, mode, z, betas, ladders)
+
+    def pick(cell, b):
+        """(cutoffs, rungs at the b-th beta) of a cell, or (None, its error)."""
+        if isinstance(cell, DomainError):
+            return None, cell
+        return ladders[cell][2], results[cell][b]
+
+    out = [([], []) for _ in points]
     for b in range(len(betas)):
-        live = [(starts[b], ts) for _, starts, ts in plan
-                if not isinstance(starts[b], DomainError)]
-        cells = []
-        if live:
-            index = np.array([range(start, start + len(ts)) for start, ts in live])
-            best, err, spread = _tableau(np.array(rungs[b])[index], [ts for _, ts in live])
-            for k in range(0, len(best), m):
-                try:
-                    cells.append(_extrapolate(best[k:k + m], err[k:k + m],
-                                              spread[k:k + m]).stress)
-                except ConvergenceError as exc:
-                    cells.append(exc.with_traceback(None))
-        limits.append(iter(cells))
-    out = []
-    for finite, starts, _ in plan:
-        if isinstance(finite, DomainError):
-            finite_cells = [finite] * len(betas)
-        else:
-            finite_cells = [
-                StressTensor(*per_beta[finite], renorm_mode=RenormMode.KERNEL_SUBTRACTION,
-                             cutoff_t=t)
-                for per_beta in rungs
-            ]
-        limit_cells = [start if isinstance(start, DomainError) else next(limits[b])
-                       for b, start in enumerate(starts)]
-        out.append((finite_cells, limit_cells))
+        # One tableau per beta over every ladder of the grid.
+        limits = _limits([pick(limit[b], b) for _, limit in plan])
+        for (finite, _), (finite_cells, limit_cells), lim in zip(plan, out, limits):
+            _, rungs = pick(finite, b)
+            finite_cells.append(rungs if isinstance(rungs, DomainError) else StressTensor(
+                *rungs[0], renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=t))
+            limit_cells.append(lim if isinstance(lim, Exception) else lim.stress)
     return out
-
-
-def _point_cells(geometry: Geometry, r, theta, z, betas, t):
-    """One `stress_grid` entry from the per-point functions."""
-    finite, limit = [], []
-    for beta in betas:
-        try:
-            finite.append(stress_at(geometry, r, theta, z, beta=beta, t=t))
-        except DomainError as exc:
-            finite.append(exc.with_traceback(None))
-        try:
-            limit.append(stress_t0(geometry, r, theta, z, beta=beta).stress)
-        except (DomainError, ConvergenceError) as exc:
-            limit.append(exc.with_traceback(None))
-    return finite, limit
 
 
 def conservation_residual(geometry: Geometry, r: float, beta: float = 0.0) -> float:

@@ -91,6 +91,14 @@ class TestEval:
                          "--theta", "0", "--t", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("what", ["stress", "stress-t0"])
+    def test_bad_radius_is_a_usage_error(self, capsys, what):
+        code, out, err = run(capsys, "eval", "--geometry", "cone", "--theta1", "2",
+                             "--r", "-1", "--what", what)
+        assert code == 2
+        assert out == ""
+        assert err == "error: radii must be positive, got r=-1.0, rp=-1.0\n"
+
     def test_nonconvergent_extrapolation_is_a_runtime_failure(self, capsys):
         code, _, _ = run(capsys, "eval", "--geometry", "wedge",
                          "--theta0", str(PI / 2), "--coupling", "conformal",
@@ -257,6 +265,7 @@ class TestScan:
         assert len(outputs) == 1
         rows = rows_of(out)
         assert [row[key] for row in rows[:2] for key in row if key != "r"] == [""] * 16
+        assert "nan" not in [cell.lower() for row in rows for cell in row.values()]
         assert all(rows[-1].values())
         lines = err.splitlines()
         assert lines and all(line.startswith("warning: ") for line in lines)
@@ -279,7 +288,7 @@ class TestFigure:
         assert code == 2
 
     def test_emits_csv_and_sidecar(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "figure", "fig1", "--points", "5",
+        code, out, _ = run(capsys, "figure", "fig1", "fig5", "coneang1", "--points", "5",
                            "--outdir", str(tmp_path))
         assert code == 0
         assert "wrote" in out
@@ -288,6 +297,15 @@ class TestFigure:
         sidecar = json.loads((tmp_path / "fig1.json").read_text())
         assert sidecar["figure"] == "fig1"
         assert sidecar["sweep"]["points"] == 5
+        geometries = {
+            name: json.loads((tmp_path / name).read_text())["series"][0]["geometry"]
+            for name in ("fig1.json", "fig5_xi14.json", "coneang1.json")
+        }
+        assert geometries == {
+            "fig1.json": {"kind": "dowker"},
+            "fig5_xi14.json": {"kind": "wedge", "theta0": PI / 2, "bc": "dirichlet"},
+            "coneang1.json": {"kind": "cone", "theta1": "swept"},
+        }
 
     def test_reruns_are_byte_identical_except_timestamp(self, capsys,
                                                         tmp_path):

@@ -23,6 +23,7 @@ from conevac import (
     Minkowski,
     PointPair,
     RenormMode,
+    StressTensor,
     Wedge,
     conservation_residual,
     kernel_expr,
@@ -37,7 +38,8 @@ from conevac.kernels import minkowski_expr
 from conevac.stress import (
     COMPONENT_NAMES,
     _assemble,
-    _ladder,
+    _kernel_for,
+    _ladders,
     _noise,
     _richardson,
     _rungs,
@@ -254,14 +256,6 @@ class TestConservation:
 
 
 class TestValidation:
-    def test_extrapolation_needs_two_rungs(self):
-        with pytest.raises(ValueError):
-            stress_t0(Dowker(), 1.0, rungs=1)
-
-    def test_extrapolation_needs_positive_start(self):
-        with pytest.raises(DomainError):
-            stress_t0(Dowker(), 1.0, t0=0.0)
-
     def test_wedge_wall_is_out_of_domain(self):
         with pytest.raises(DomainError):
             stress_at(Wedge(math.pi / 2), 1.0, 0.0, t=0.4)
@@ -276,6 +270,40 @@ class TestValidation:
     def test_stress_needs_positive_cutoff(self):
         with pytest.raises(DomainError):
             stress_at(Cone(2.2), 1.0, t=0.0)
+
+    @pytest.mark.parametrize("r", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_radius_is_rejected_alike_everywhere(self, r):
+        calls = {
+            "stress_at": lambda: stress_at(Cone(2.2), r, t=0.5),
+            "stress_t0": lambda: stress_t0(Cone(2.2), r),
+            "stress_grid": lambda: stress_grid(Cone(2.2), [(r, 0.0)], 0.0, (0.0,), 0.5),
+        }
+        messages = set()
+        for call in calls.values():
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert ("must be positive" if r == r and abs(r) < math.inf
+                else "must be finite") in messages.pop()
+
+    # numpy warns about the infinities on the way to the exception
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("geometry", [Dowker(), Cone(2.0)], ids=["sheet", "cone"])
+    def test_tiny_radii_are_finite_or_out_of_range(self, geometry):
+        # t / r beyond ~1e32 once gave NaN components here
+        outcomes = set()
+        for k in range(30, 41):
+            try:
+                s = stress_at(geometry, 10.0 ** -k, t=1.0)
+            except DomainError as exc:
+                assert "leaves the range of double precision" in str(exc)
+                outcomes.add("error")
+            else:
+                assert all(math.isfinite(v) for v in s.components().values())
+                outcomes.add("finite")
+        assert outcomes == {"finite", "error"}
 
 
 def _scalar_rung(geometry, r, theta, beta, t):
@@ -313,6 +341,14 @@ LADDERS = {
 }
 
 
+def _ladder(geometry, r, theta, beta, ts):
+    """Kernel-subtracted stress tensors on one cutoff ladder, from one engine pass."""
+    expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
+    ((rungs,),) = _ladders(expr, mode, 0.0, (beta,), [(r, theta, ts)])
+    return [StressTensor(*comps, renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=t)
+            for t, comps in zip(ts, rungs)]
+
+
 class TestBatchedLadder:
     """Each rung of the one-pass ladder is bit for bit its scalar-jet stress."""
 
@@ -322,8 +358,7 @@ class TestBatchedLadder:
     def test_rungs_equal_scalar_jet_stress(self, name, beta):
         geometry, r, theta, t0 = LADDERS[name]
         ts = [t0 / 2.0 ** k for k in range(6)]
-        ladder = _ladder(geometry, r, theta, 0.0, beta, ts,
-                         RenormMode.KERNEL_SUBTRACTION)
+        ladder = _ladder(geometry, r, theta, beta, ts)
         for t, rung in zip(ts, ladder):
             want = _scalar_rung(geometry, r, theta, beta, t)
             got = (rung.t00, rung.t_rr, rung.t_perp, rung.t_zz)
@@ -355,8 +390,8 @@ class TestBatchedLadder:
             return counted
 
         monkeypatch.setattr("conevac.stress.kernel_expr", counting)
-        stress_t0(Cone(2.2), 1.3, t0=0.4, rungs=4)
-        assert calls == [[0.4, 0.2, 0.1, 0.05]]
+        stress_t0(Cone(2.2), 1.3)
+        assert calls == [[1.3 / 4.0 / 2.0 ** k for k in range(6)]]
 
     # One batch of points at different r, theta and t: the cone batch
     # holds a*u ~44 and ~25 (both sides of the exponential form), the
@@ -415,16 +450,21 @@ class TestStressGrid:
         return finite, limit
 
     @pytest.mark.parametrize("geometry, points", [
-        (Cone(2.2), [(r, 0.0) for r in (0.25, 1.0, 3.0, 8.0)]),
-        (Dowker(), [(r, 0.0) for r in (0.5, 2.0)]),
+        # r * r underflows at 1e-200, a float power overflows at 1e-150,
+        # and the finite cutoff's components are NaN at 1e-33
+        (Cone(2.2), [(r, 0.0) for r in (0.25, 1.0, 3.0, 8.0, 1e-200, 1e-150, 1e-33)]),
+        (Dowker(), [(r, 0.0) for r in (0.5, 2.0, 1e-33, 1e-150, 1e-200)]),
         # both walls, a nonconformal near-wall point, conformal points
         # that do not converge, and interior points
         (Wedge(math.pi / 2), [(8.0, th) for th in
                               (0.0, 0.0005, 0.001 * math.pi, 0.3, 1.2, math.pi / 2)]),
-        (Wedge(2.0 * math.pi / 3, BoundaryCondition.NEUMANN), [(3.0, 0.4), (6.0, 1.9)]),
+        (Wedge(2.0 * math.pi / 3, BoundaryCondition.NEUMANN),
+         [(3.0, 0.4), (6.0, 1.9), (1e-33, 0.4), (1e-150, 0.4), (1e-200, 0.4)]),
     ], ids=["cone", "sheet", "wedge_dirichlet", "wedge_neumann"])
     @pytest.mark.parametrize("betas", [(0.0,), (CONFORMAL_BETA, CONFORMAL_BETA + 1.0)],
                              ids=["one", "correction"])
+    # numpy warns about the infinities on the way to the out-of-range errors
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_grid_equals_per_point_functions(self, geometry, points, betas):
         grid = stress_grid(geometry, points, 0.0, betas, 0.5)
         assert len(grid) == len(points)
@@ -564,8 +604,7 @@ def _ladder_rows():
     for geometry, r, theta, t0 in LADDERS.values():
         ts = [t0 / 2.0 ** k for k in range(6)]
         for beta in (CONFORMAL_BETA, 0.0, 0.7):
-            ladder = _ladder(geometry, r, theta, 0.0, beta, ts,
-                             RenormMode.KERNEL_SUBTRACTION)
+            ladder = _ladder(geometry, r, theta, beta, ts)
             for name in COMPONENT_NAMES:
                 rows.append(([getattr(rung, name) for rung in ladder], _noise(ts)))
     return rows
