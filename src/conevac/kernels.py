@@ -32,8 +32,11 @@ Angular denominators are always the half-angle form
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import jets
 from .errors import ConvergenceError, DomainError, SingularPointError
@@ -402,12 +405,122 @@ class QuadratureControls:
     max_panels: int = 8000
 
 
-def _quad(f, lo, hi, *, epsabs=1e-13, epsrel=1e-11, limit=300):
+_QUAD_EPSREL = 1e-11
+
+
+def _quad(f, lo, hi, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300):
     from scipy import integrate
 
     out = integrate.quad(f, lo, hi, full_output=1, epsabs=epsabs, epsrel=epsrel,
                          limit=limit)
     return out[0]
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21, Piessens et al. 1983),
+# the first rule `_quad` applies to a finite interval: the Kronrod
+# abscissae in (0, 1) (positions 1, 3, ..., 9 are the 10-point Gauss
+# ones), the Kronrod weights of these and of the centre, and the Gauss
+# weights of abscissae 1, 3, ..., 9.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_EPMACH = 2.0**-52  # QUADPACK's d1mach(4), the double epsilon
+_UFLOW = 2.0**-1022  # d1mach(1), the least normal double
+
+
+@functools.lru_cache(maxsize=1)  # shared by the modes of one `tbar_modesum_4d` point
+def _panel_plan(r, rp, zeta, abs_tol, max_panels):
+    """The panels of `mode_integral` and what on them does not depend on nu.
+
+    Returns the panel edges and (panels, 21) arrays of the dqk21 nodes w
+    (columns 0-9 centr - hlgth * _XGK, 10 the centre, 11-20 centr +
+    hlgth * _XGK), w r, w rp and K_0(w zeta), and the half widths.
+    """
+    from scipy import special
+
+    width = 4.0 * math.pi / (r + rp + zeta)
+    edges = [0.0]
+    while True:
+        omega = edges[-1] + width
+        edges.append(omega)
+        if (omega / zeta) * special.kv(1, omega * zeta) < abs_tol:
+            break
+        if len(edges) - 1 >= max_panels:
+            raise ConvergenceError(
+                f"mode_integral did not meet abs_tol={abs_tol!r} "
+                f"within {max_panels} panels"
+            )
+    a = np.array(edges[:-1])
+    b = np.array(edges[1:])
+    centr = (0.5 * (a + b))[:, None]
+    hlgth = 0.5 * (b - a)
+    absc = hlgth[:, None] * _XGK
+    w = np.concatenate([centr - absc, centr, centr + absc], axis=1)
+    arrays = (w, w * r, w * rp, special.kv(0, w * zeta), hlgth)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return tuple(edges), *arrays
+
+
+def _first_pass(fv, hlgth, epsabs):
+    """dqagse's first pass on every panel at once: dqk21's result, and
+    whether dqagse returns it without subdividing.
+
+    A line-for-line copy of QUADPACK's operation order, so that each
+    accepted result is the one `_quad` returns.  dqagse names dqk21's
+    resabs ``defabs`` and its resasc ``resabs``, so the ``abserr !=
+    resabs`` of its test compares with resasc.
+    """
+    fc = fv[:, 10]
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = np.abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss abscissae first
+        fval1, fval2 = fv[:, j], fv[:, 11 + j]
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (np.abs(fval1) + np.abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (np.abs(fv[:, j] - reskh) + np.abs(fv[:, 11 + j] - reskh))
+    dhlgth = np.abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    # libm's pow, which QUADPACK calls, not numpy's vectorised one
+    ratio = (200.0 * abserr[scaled] / resasc[scaled]).tolist()
+    abserr[scaled] = resasc[scaled] * np.fmin(1.0, [math.pow(x, 1.5) for x in ratio])
+    floor = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr[floor] = np.fmax((_EPMACH * 50.0) * resabs[floor], abserr[floor])
+
+    errbnd = np.fmax(epsabs, _QUAD_EPSREL * np.abs(result))
+    ier2 = (abserr <= 100.0 * _EPMACH * resabs) & (abserr > errbnd)
+    accepted = ier2 | ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
+    # the copy does not follow QUADPACK through NaN and infinity
+    accepted &= np.isfinite(result) & np.isfinite(abserr)
+    return result, accepted
 
 
 def mode_integral(
@@ -423,6 +536,17 @@ def mode_integral(
     panel holds at most a couple of Bessel oscillations.  The loop
     stops once the analytic bound (W/zeta) K_1(W zeta) on the
     remaining tail (using |J_nu| <= 1) drops below ``abs_tol``.
+
+    Each panel's value is what `_quad` (scipy's QUADPACK dqagse) gives
+    on it, bit for bit.  dqagse first applies the 21-point Gauss-Kronrod
+    rule dqk21 and returns its value when the error estimate passes;
+    here that first pass runs on all panels of the mode at once, as one
+    numpy evaluation of the integrand on every node and a copy of
+    dqk21's operation order and of dqagse's acceptance test.  The few
+    panels that fail the test (about 3% in the `cone_mode_sum` oracle)
+    go through `_quad` itself.  The panels are summed in order.  The
+    nodes and K_0 on them do not depend on nu and are shared by the
+    modes of one point.
     """
     if nu < 0 or r <= 0 or rp <= 0:
         raise DomainError("mode_integral needs nu >= 0 and positive radii")
@@ -431,25 +555,20 @@ def mode_integral(
     from scipy import special
 
     c = controls or QuadratureControls()
-    width = 4.0 * math.pi / (r + rp + zeta)
+    edges, w, wr, wrp, k0, hlgth = _panel_plan(r, rp, zeta, c.abs_tol, c.max_panels)
+    epsabs = 0.01 * c.abs_tol
+    result, accepted = _first_pass(w * special.jv(nu, wr) * special.jv(nu, wrp) * k0,
+                                   hlgth, epsabs)
 
     def f(w):
         return w * special.jv(nu, w * r) * special.jv(nu, w * rp) * special.kv(0, w * zeta)
 
     total = 0.0
-    omega = 0.0
-    panels = 0
-    while True:
-        total += _quad(f, omega, omega + width, epsabs=0.01 * c.abs_tol)
-        omega += width
-        panels += 1
-        if (omega / zeta) * special.kv(1, omega * zeta) < c.abs_tol:
-            return total
-        if panels >= c.max_panels:
-            raise ConvergenceError(
-                f"mode_integral did not meet abs_tol={c.abs_tol!r} "
-                f"within {c.max_panels} panels"
-            )
+    for k, (value, ok) in enumerate(zip(result.tolist(), accepted.tolist())):
+        if not ok:
+            value = _quad(f, edges[k], edges[k + 1], epsabs=epsabs)
+        total += value
+    return total
 
 
 def tbar_modesum_4d(

@@ -405,6 +405,13 @@ def _t0_cutoffs(geometry: Geometry, r, theta, beta) -> list[float]:
     if not t0 > 0.0:  # underflowed: r or the wall gap is near the least double
         raise DomainError(f"t0 must be positive, got {t0!r}")
     ts = [t0 / 2.0**k for k in range(_RUNGS)]
+    try:
+        ts[0] ** 4  # the rung noise floor divides by it
+    except OverflowError:
+        raise DomainError(
+            f"the t -> 0 ladder from t={ts[0]!r} leaves the range of double "
+            "precision (t**4 overflows)"
+        ) from None
     if ts[-1] ** 4 == 0.0:
         raise DomainError(
             f"the t -> 0 ladder down to t={ts[-1]!r} leaves the range of double "

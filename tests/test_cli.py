@@ -114,6 +114,16 @@ class TestEval:
         assert out == ""
         assert "beta must be finite" in err
 
+    def test_huge_radius_is_an_out_of_range_error(self, capsys):
+        # the t -> 0 ladder's t**4 overflows: a DomainError like its
+        # underflowing twin at tiny radii, not a traceback
+        code, out, err = run(capsys, "eval", "--geometry", "dowker", "--r", "1e100",
+                             "--what", "stress-t0")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the t -> 0 ladder from t=2.5e+99 leaves the range "
+                       "of double precision (t**4 overflows)\n")
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--geometry", "minkowski", "--r", "1",
@@ -270,6 +280,45 @@ class TestScan:
         lines = err.splitlines()
         assert lines and all(line.startswith("warning: ") for line in lines)
         assert sum("leaves the range of double precision" in line for line in lines) >= 4
+
+
+    def test_huge_radius_leaves_empty_limit_cells(self, capsys):
+        code, out, err = run(capsys, "scan", "--geometry", "dowker", "--sweep", "r",
+                             "--lo", "1", "--hi", "1e100", "--log", "--points", "3")
+        assert code == 0
+        rows = rows_of(out)
+        assert [row["r"] for row in rows] == ["1.0", "1e+50", "1e+100"]
+        assert [value for key, value in rows[-1].items() if key.endswith("_t0")] == [""] * 4
+        assert all(rows[0].values()) and all(rows[1].values())
+        assert err == ("warning: r=1e+100 (t0): the t -> 0 ladder from t=2.5e+99 "
+                       "leaves the range of double precision (t**4 overflows)\n")
+
+
+class TestParserCache:
+    ARGVS = [
+        ["eval", "--geometry", "cone", "--theta1", "3.0", "--r", "1.0",
+         "--what", "stress-t0"],
+        ["scan", "--geometry", "dowker", "--sweep", "r", "--lo", "1", "--hi", "2",
+         "--points", "2"],
+        ["eval", "--geometry", "minkowski", "--r", "2.0", "--t", "0.5"],
+        ["verify", "--only", "flat_zero", "--json"],
+        ["figure", "--list"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_parses_match_a_fresh_parser(self):
+        parser = cli._build_parser()
+        for argv in self.ARGVS + self.ARGVS[::-1]:
+            fresh = cli._build_parser.__wrapped__()
+            assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv))
+
+    def test_repeated_main_calls_give_the_same_output(self, capsys):
+        first = [run(capsys, *argv) for argv in self.ARGVS]
+        again = [run(capsys, *argv) for argv in self.ARGVS[::-1]][::-1]
+        assert all(code == 0 for code, _, _ in first)
+        assert first == again
 
 
 class TestFigure:

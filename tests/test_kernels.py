@@ -6,6 +6,7 @@ or from values small enough to derive by hand in a docstring.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from conevac import (
     BoundaryCondition,
     CartesianSeparation,
     Cone,
+    ConvergenceError,
     DomainError,
     Dowker,
     Minkowski,
@@ -35,6 +37,7 @@ from conevac import (
     tbar_wedge_renormalized,
     u_of_pair,
 )
+from conevac import kernels
 from conevac.jets import COORDS, lift
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -237,6 +240,78 @@ class TestModeIntegral:
         tight = mode_integral(1.0, 1.0, 0.8, 0.45,
                               QuadratureControls(abs_tol=1e-13))
         assert loose == pytest.approx(tight, abs=1e-7)
+
+    def test_max_panels_raises(self):
+        with pytest.raises(ConvergenceError):
+            mode_integral(1.0, 1.0, 0.8, 0.45, QuadratureControls(max_panels=2))
+        assert mode_integral(1.0, 1.0, 0.8, 0.45) == _scalar_mode_integral(
+            1.0, 1.0, 0.8, 0.45)
+
+
+def _scalar_mode_integral(nu, r, rp, zeta, controls=None):
+    """`mode_integral` as one scalar scipy quad call per panel: the loop the
+    vectorised Gauss-Kronrod pass replaced, which it must match bit for bit."""
+    from scipy import integrate, special
+
+    c = controls or QuadratureControls()
+    width = 4.0 * math.pi / (r + rp + zeta)
+
+    def f(w):
+        return w * special.jv(nu, w * r) * special.jv(nu, w * rp) * special.kv(0, w * zeta)
+
+    total = 0.0
+    omega = 0.0
+    panels = 0
+    while True:
+        total += integrate.quad(f, omega, omega + width, full_output=1,
+                                epsabs=0.01 * c.abs_tol, epsrel=1e-11, limit=300)[0]
+        omega += width
+        panels += 1
+        if (omega / zeta) * special.kv(1, omega * zeta) < c.abs_tol:
+            return total
+        if panels >= c.max_panels:
+            raise ConvergenceError("too many panels")
+
+
+class TestModeIntegralBits:
+    # A panel whose dqk21 abserr equals its resasc: dqagse's first-pass
+    # test (abserr != resasc) sends it on to subdivision.
+    RESASC_CASE = (78.28429339055853, 0.30752026417350675, 0.6202184233790006,
+                   2.483457335927887, 1.9219551846809054e-08)
+
+    def assert_same_bits(self, cases):
+        for nu, r, rp, zeta, abs_tol in cases:
+            controls = QuadratureControls(abs_tol=abs_tol)
+            got = mode_integral(nu, r, rp, zeta, controls)
+            assert type(got) is float
+            assert got == _scalar_mode_integral(nu, r, rp, zeta, controls), (
+                nu, r, rp, zeta, abs_tol)
+
+    def test_frozen_cases(self, reference):
+        self.assert_same_bits(
+            (c["nu"], c["r"], c["rp"], c["zeta"], QuadratureControls().abs_tol)
+            for c in reference["mode_integral"])
+
+    def test_resasc_case(self):
+        self.assert_same_bits([self.RESASC_CASE])
+
+    def test_seeded_cases_and_some_panels_fall_back(self, monkeypatch):
+        fallbacks = []
+        quad = kernels._quad
+
+        def counting(f, lo, hi, **kwargs):
+            fallbacks.append((lo, hi))
+            return quad(f, lo, hi, **kwargs)
+
+        monkeypatch.setattr(kernels, "_quad", counting)
+        rng = np.random.default_rng(20261018)
+        cases = [(float(rng.uniform(0.0, 120.0)),
+                  *(float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(3)),
+                  float(10.0 ** rng.uniform(-14.0, -7.0))) for _ in range(50)]
+        self.assert_same_bits(cases)
+        panels = sum(len(kernels._panel_plan(r, rp, zeta, tol, 8000)[0]) - 1
+                     for _, r, rp, zeta, tol in cases)
+        assert 0 < len(fallbacks) < panels // 5
 
 
 class TestModeSum:

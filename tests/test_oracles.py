@@ -36,6 +36,30 @@ def test_same_seed_is_deterministic():
     assert a[0].max_rel_err == b[0].max_rel_err
 
 
+# cone_mode_sum's worst relative error per oracle seed, as it was when each
+# Bessel panel was one scalar scipy quad call: the vectorised panels keep
+# every bit of the report.
+CONE_MODE_SUM_MAX_REL = {
+    0: 3.954301855464986e-11,
+    1: 7.745932272513902e-11,
+    2: 3.8738518454872665e-11,
+    3: 3.7037855036311973e-11,
+    4: 7.174969660966947e-11,
+    5: 5.1075440647246693e-11,
+    6: 5.376505216070627e-11,
+    7: 5.161452540790157e-11,
+    8: 5.036443800397526e-11,
+    9: 7.456565911546773e-11,
+    42: 7.218381535603195e-11,
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CONE_MODE_SUM_MAX_REL))
+def test_cone_mode_sum_bits_are_frozen(seed):
+    (report,) = run_oracle_suite(["cone_mode_sum"], seed=seed)
+    assert report.max_rel_err == CONE_MODE_SUM_MAX_REL[seed]
+
+
 def test_other_seeds_still_pass():
     for report in run_oracle_suite(["flat_zero", "beta_affinity"], seed=7):
         assert report.passed

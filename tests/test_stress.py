@@ -288,6 +288,17 @@ class TestValidation:
         assert ("must be positive" if r == r and abs(r) < math.inf
                 else "must be finite") in messages.pop()
 
+    @pytest.mark.parametrize("geometry", [Dowker(), Cone(2.0), Wedge(1.0)],
+                             ids=["sheet", "cone", "wedge"])
+    def test_huge_radii_are_finite_or_out_of_range(self, geometry):
+        # the ladder's t**4 once overflowed as a bare OverflowError
+        theta = 0.5 if isinstance(geometry, Wedge) else 0.0
+        assert all(math.isfinite(v) for v in
+                   stress_t0(geometry, 1e70, theta).stress.components().values())
+        for r in (1e78, 1e100, 1e300):
+            with pytest.raises(DomainError, match=r"t\*\*4 overflows"):
+                stress_t0(geometry, r, theta)
+
     # numpy warns about the infinities on the way to the exception
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("geometry", [Dowker(), Cone(2.0)], ids=["sheet", "cone"])
