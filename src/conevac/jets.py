@@ -17,17 +17,22 @@ reads, and `ALL_PAIRS` gives the whole upper triangle.  Each entry is
 computed with the terms and their order of a full symmetric Hessian
 update, so its bits do not depend on which other entries are carried.
 
-A jet may carry a trailing batch axis: value (n,), gradient (m, n),
-Hessian entries (P, n), one element per point pair (the cutoff ladder
-of `stress.stress_t0` is one batch).  Every operation broadcasts over
-that axis with the same code as for a scalar jet, and its arithmetic
-is elementwise IEEE, so each element of a batched result is bit for
-bit the scalar jet of its own pair.  Elementary functions are the
-exception that keeps this true: their values and derivative factors
-are computed with `math`, one element at a time, because numpy's
-exp, sinh, arcsinh, log and array powers can round differently from
-the C library in the last bit.  The arrays those factors multiply
-stay vectorised.
+A jet keeps its derivatives in one array ``d``: the m gradient rows,
+then one row per Hessian entry (`grad` and `hess` are views of it).
+Each rule updates both blocks in one numpy call where their terms have
+one form, then adds the Hessian cross terms, gathered with `take`.  A
+jet may carry a trailing batch axis: value (n,), ``d`` (m + P, n), one
+element per point pair (the cutoff ladder of `stress.stress_t0` is one
+batch).  Every operation broadcasts over that axis with the same code
+as for a scalar jet, in the scalar rule's operand order and with
+elementwise IEEE arithmetic, so each element of a batched result is
+bit for bit the scalar jet of its own pair.  Only libm needs care:
+numpy's exp, sinh, arcsinh, log and powers can round differently from
+the C library in the last bit, so the rules call `math` (and ``**``)
+through `_libm`, one element at a time, and write the rest as + - * /
+that act alike on floats and arrays.  A batch that fails a rule (a
+domain check, a zero divisor, an overflow) is rerun element by
+element, so it raises what its first failing element raises alone.
 
 Branching on the magnitude of a jet must go through `value_of`; jets
 deliberately do not define ordering.  A batch takes a branch whole
@@ -39,8 +44,8 @@ only.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,55 +83,53 @@ ASSEMBLY_PAIRS = Pairs(((IT, IT), (IR, IR), (IR, IRP), (IZ, IZ), (IZ, IZP),
 ALL_PAIRS = Pairs((i, j) for i in range(len(COORDS)) for j in range(i, len(COORDS)))
 
 
-@dataclass(frozen=True, eq=False)
 class Jet2:
     """Value, gradient, and the Hessian entries ``pairs`` of one scalar quantity.
 
-    Batched jets hold n such quantities along a trailing axis; a float
-    ``value`` marks a scalar jet.  Row k of ``hess`` is the entry
-    ``pairs.pairs[k]``.
+    ``d`` holds the m gradient rows, then the Hessian entries (row k of
+    ``hess`` is ``pairs.pairs[k]``), with a trailing batch axis when
+    ``value`` is not a float.  Operations build jets with `_jet`, which
+    skips ``__init__``; none writes into an operand's ``d``.
     """
 
-    value: float | np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-    pairs: Pairs
+    __slots__ = ("value", "d", "m", "pairs")
+
+    def __init__(self, value, grad, hess, pairs: Pairs):
+        self.value, self.m, self.pairs = value, len(grad), pairs
+        self.d = np.concatenate((grad, hess))
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self.d[:self.m]
+
+    @property
+    def hess(self) -> np.ndarray:
+        return self.d[self.m:]
 
     @classmethod
     def constant(cls, value, m: int, pairs: Pairs = ASSEMBLY_PAIRS) -> "Jet2":
         if isinstance(value, (list, tuple, np.ndarray)):
             value = np.array(value, dtype=float)
-            return cls(value, np.zeros((m, *value.shape)),
-                       np.zeros((pairs.n, *value.shape)), pairs)
-        return cls(float(value), np.zeros(m), np.zeros(pairs.n), pairs)
+            return _jet(value, np.zeros((m + pairs.n, *value.shape)), m, pairs)
+        return _jet(float(value), np.zeros(m + pairs.n), m, pairs)
 
     @classmethod
     def variable(cls, value, index: int, m: int, pairs: Pairs = ASSEMBLY_PAIRS) -> "Jet2":
         jet = cls.constant(value, m, pairs)
-        jet.grad[index] = 1.0
+        jet.d[index] = 1.0
         return jet
 
     def hess_entry(self, i: int, j: int):
         """Hessian entry (i, j): a float, or (n,) for a batch."""
-        return self.hess[self.pairs.row(i, j)]
+        return self.d[self.m + self.pairs.row(i, j)]
 
     def _compose(self, f0, f1, f2) -> "Jet2":
         """Chain rule for an outer function with derivatives f1, f2 at self."""
-        g, p = self.grad, self.pairs
-        gg = g[p.ij]
-        return Jet2(f0, f1 * g, f1 * self.hess + f2 * (gg[:p.n] * gg[p.n:]), p)
-
-    def _chain(self, rule) -> "Jet2":
-        """Compose with the outer function ``rule(v) -> (f, f', f'')``.
-
-        ``rule`` works on plain floats with `math`; a batch is fed to it
-        one element at a time.
-        """
-        v = self.value
-        if isinstance(v, float):
-            return self._compose(*rule(v))
-        f0, f1, f2 = map(np.array, zip(*map(rule, v.tolist())))
-        return self._compose(f0, f1, f2)
+        p, m = self.pairs, self.m
+        gg = self.d.take(p.ij, 0)
+        d = f1 * self.d
+        d[m:] += f2 * (gg[:p.n] * gg[p.n:])
+        return _jet(f0, d, m, p)
 
     def _promote(self, other) -> "Jet2 | None":
         if isinstance(other, Jet2):
@@ -134,28 +137,25 @@ class Jet2:
                 raise ValueError("jets carry different Hessian entries")
             return other
         if isinstance(other, (int, float)):
-            return Jet2(float(other), np.zeros(self.grad.shape),
-                        np.zeros(self.hess.shape), self.pairs)
+            return _jet(float(other), np.zeros(self.d.shape), self.m, self.pairs)
         return None
 
     def __add__(self, other) -> "Jet2":
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess,
-                    self.pairs)
+        return _jet(self.value + o.value, self.d + o.d, self.m, self.pairs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.grad, -self.hess, self.pairs)
+        return _jet(-self.value, -self.d, self.m, self.pairs)
 
     def __sub__(self, other) -> "Jet2":
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess,
-                    self.pairs)
+        return _jet(self.value - o.value, self.d - o.d, self.m, self.pairs)
 
     def __rsub__(self, other) -> "Jet2":
         o = self._promote(other)
@@ -168,15 +168,14 @@ class Jet2:
         if o is None:
             return NotImplemented
         # entry (i, j) sums the terms of a full symmetric update in its
-        # order: g[i] o.g[j], then g[j] o.g[i]
-        p = self.pairs
-        cross = self.grad[p.ij] * o.grad[p.ji]
-        return Jet2(
-            self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + cross[:p.n] + cross[p.n:],
-            p,
-        )
+        # order: v h_o + w h, then g[i] o.g[j], then g[j] o.g[i]
+        p, m = self.pairs, self.m
+        cross = self.d.take(p.ij, 0) * o.d.take(p.ji, 0)
+        d = self.value * o.d
+        d += o.value * self.d
+        d[m:] += cross[:p.n]
+        d[m:] += cross[p.n:]
+        return _jet(self.value * o.value, d, m, p)
 
     __rmul__ = __mul__
 
@@ -184,12 +183,17 @@ class Jet2:
         o = self._promote(other)
         if o is None:
             return NotImplemented
+        # entry (i, j): h - v h_o, then the cross terms of the new
+        # gradient, g[i] o.g[j] and g[j] o.g[i], then / w
+        p, m = self.pairs, self.m
         val = self.value / o.value
-        grad = (self.grad - val * o.grad) / o.value
-        p = self.pairs
-        cross = grad[p.ij] * o.grad[p.ji]
-        hess = (self.hess - val * o.hess - cross[:p.n] - cross[p.n:]) / o.value
-        return Jet2(val, grad, hess, p)
+        d = self.d - val * o.d
+        d[:m] /= o.value
+        cross = d.take(p.ij, 0) * o.d.take(p.ji, 0)
+        d[m:] -= cross[:p.n]
+        d[m:] -= cross[p.n:]
+        d[m:] /= o.value
+        return _jet(val, d, m, p)
 
     def __rtruediv__(self, other) -> "Jet2":
         o = self._promote(other)
@@ -198,24 +202,79 @@ class Jet2:
         return o / self
 
     def __pow__(self, n) -> "Jet2":
+        v = self.value
         if n == 2 and isinstance(n, int):
             # The integer rule below gives (v ** 2, 2 * v, 2.0) exactly here,
             # since v ** 1 is v and v ** 0 is 1: only the value needs libm.
-            v = self.value
-            f0 = v**2 if isinstance(v, float) else np.array([e**2 for e in v.tolist()])
-            return self._compose(f0, 2 * v, 2.0)
-        if isinstance(n, int):
-            # Valid at v = 0 for n >= 2 (0.0 ** 0 == 1.0 covers f2 there).
-            def rule(v):
-                return v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
-        else:
-            def rule(v):
-                if v <= 0.0:
-                    raise DomainError(
-                        f"jet ** {n!r} requires a positive base, got {v!r}"
-                    )
-                return v**n, n * v ** (n - 1.0), n * (n - 1.0) * v ** (n - 2.0)
-        return self._chain(rule)
+            return self._compose(_libm(lambda e: e**2, v), 2 * v, 2.0)
+
+        # Integer powers are valid at v = 0 for n >= 2 and keep int
+        # arithmetic on n (0 * (0 - 1) is an unsigned 0); other powers need
+        # a positive base.
+        integer = isinstance(n, int)
+        one = 1 if integer else 1.0
+
+        def rule(v):
+            if not integer:
+                _require_positive(f"jet ** {n!r} requires a positive base", v)
+            return (_libm(lambda e: e**n, v), n * _libm(lambda e: e ** (n - one), v),
+                    n * (n - one) * _libm(lambda e: e ** (n - 2 * one), v))
+
+        return self._compose(*_factors(rule, v))
+
+
+def _jet(value, d, m: int, pairs: Pairs) -> Jet2:
+    """The jet with value ``value`` and derivative rows ``d``, without ``__init__``."""
+    jet = object.__new__(Jet2)
+    jet.value, jet.d, jet.m, jet.pairs = value, d, m, pairs
+    return jet
+
+
+def _libm(f, v):
+    """``f(v)`` for a float; for a batch, ``f`` on each element in turn."""
+    return f(v) if isinstance(v, float) else np.array(list(map(f, v.tolist())))
+
+
+def _nonzero(x):
+    """``x``, as a divisor: a batch with a zero raises as a float zero would."""
+    if isinstance(x, np.ndarray) and np.count_nonzero(x) < x.size:
+        raise ZeroDivisionError("float division by zero")
+    return x
+
+
+def _require_positive(what: str, v) -> None:
+    """Raise DomainError unless ``v``, or every element of a batch, is positive."""
+    if np.count_nonzero(v <= 0.0):
+        raise DomainError(f"{what}, got {v!r}")
+
+
+def _factors(rule, v):
+    """``rule(v) -> (f, f', f'')`` for a float or a batch value.
+
+    A batch on which the rule fails is rerun element by element, so it
+    raises what its first failing element raises alone, message included.
+    """
+    try:
+        return rule(v)
+    except (DomainError, ArithmeticError) as exc:
+        if isinstance(v, float):
+            raise
+        failure = exc
+    for e in v.tolist():
+        rule(e)
+    raise failure
+
+
+def _elementary(f):
+    """Decorate ``rule(v) -> (f, f', f'')`` (v a float or a batch value) into
+    the dispatch function: ``f`` on a number, the chain rule on a jet."""
+    def wrap(rule):
+        def dispatch(x):
+            if isinstance(x, Jet2):
+                return x._compose(*_factors(rule, x.value))
+            return f(x)
+        return functools.update_wrapper(dispatch, rule)
+    return wrap
 
 
 def value_of(x):
@@ -229,7 +288,7 @@ def value_of(x):
 def _take(x, mask):
     if not isinstance(x, Jet2):
         return x
-    return Jet2(x.value[mask], x.grad[:, mask], x.hess[:, mask], x.pairs)
+    return _jet(x.value[mask], x.d[:, mask], x.m, x.pairs)
 
 
 def _put(mask, hit, miss):
@@ -267,96 +326,63 @@ def split(cond, fn, *args):
     """
     hit = fn(*(_take(a, cond) for a in args))
     miss = fn(*(_take(a, ~cond) for a in args))
-    return Jet2(
-        _put(cond, hit.value, miss.value),
-        _put(cond, hit.grad, miss.grad),
-        _put(cond, hit.hess, miss.hess),
-        hit.pairs,
-    )
+    return _jet(_put(cond, hit.value, miss.value), _put(cond, hit.d, miss.d),
+                hit.m, hit.pairs)
 
 
-def exp(x):
-    if isinstance(x, Jet2):
-        def rule(v):
-            e = math.exp(v)
-            return e, e, e
-        return x._chain(rule)
-    return math.exp(x)
+@_elementary(math.exp)
+def exp(v):
+    e = _libm(math.exp, v)
+    return e, e, e
 
 
-def log(x):
-    if isinstance(x, Jet2):
-        def rule(v):
-            if v <= 0.0:
-                raise DomainError(f"log of a jet requires a positive value, got {v!r}")
-            return math.log(v), 1.0 / v, -1.0 / (v * v)
-        return x._chain(rule)
-    return math.log(x)
+@_elementary(math.log)
+def log(v):
+    _require_positive("log of a jet requires a positive value", v)
+    return _libm(math.log, v), 1.0 / v, -1.0 / _nonzero(v * v)
 
 
-def sqrt(x):
-    if isinstance(x, Jet2):
-        def rule(v):
-            if v <= 0.0:
-                raise DomainError(f"sqrt of a jet requires a positive value, got {v!r}")
-            s = math.sqrt(v)
-            return s, 0.5 / s, -0.25 / (s * v)
-        return x._chain(rule)
-    return math.sqrt(x)
+@_elementary(math.sqrt)
+def sqrt(v):
+    _require_positive("sqrt of a jet requires a positive value", v)
+    s = _libm(math.sqrt, v)
+    return s, 0.5 / s, -0.25 / _nonzero(s * v)
 
 
-def sinh(x):
-    if isinstance(x, Jet2):
-        def rule(v):
-            s, c = math.sinh(v), math.cosh(v)
-            return s, c, s
-        return x._chain(rule)
-    return math.sinh(x)
+@_elementary(math.sinh)
+def sinh(v):
+    s, c = _libm(math.sinh, v), _libm(math.cosh, v)
+    return s, c, s
 
 
-def cosh(x):
-    if isinstance(x, Jet2):
-        def rule(v):
-            s, c = math.sinh(v), math.cosh(v)
-            return c, s, c
-        return x._chain(rule)
-    return math.cosh(x)
+@_elementary(math.cosh)
+def cosh(v):
+    s, c = _libm(math.sinh, v), _libm(math.cosh, v)
+    return c, s, c
 
 
-def asinh(x):
-    if isinstance(x, Jet2):
-        def rule(v):
-            w = math.sqrt(1.0 + v * v)
-            return math.asinh(v), 1.0 / w, -v / w**3
-        return x._chain(rule)
-    return math.asinh(x)
+@_elementary(math.asinh)
+def asinh(v):
+    w = _libm(math.sqrt, 1.0 + v * v)
+    return _libm(math.asinh, v), 1.0 / w, -v / _libm(lambda e: e**3, w)
 
 
-def sin(x):
-    if isinstance(x, Jet2):
-        def rule(v):
-            s, c = math.sin(v), math.cos(v)
-            return s, c, -s
-        return x._chain(rule)
-    return math.sin(x)
+@_elementary(math.sin)
+def sin(v):
+    s, c = _libm(math.sin, v), _libm(math.cos, v)
+    return s, c, -s
 
 
-def cos(x):
-    if isinstance(x, Jet2):
-        def rule(v):
-            s, c = math.sin(v), math.cos(v)
-            return c, -s, -c
-        return x._chain(rule)
-    return math.cos(x)
+@_elementary(math.cos)
+def cos(v):
+    s, c = _libm(math.sin, v), _libm(math.cos, v)
+    return c, -s, -c
 
 
-def atan(x):
-    if isinstance(x, Jet2):
-        def rule(v):
-            d = 1.0 + v * v
-            return math.atan(v), 1.0 / d, -2.0 * v / (d * d)
-        return x._chain(rule)
-    return math.atan(x)
+@_elementary(math.atan)
+def atan(v):
+    d = 1.0 + v * v
+    return _libm(math.atan, v), 1.0 / d, -2.0 * v / (d * d)
 
 
 def lift(pair, pairs: Pairs = ASSEMBLY_PAIRS) -> dict:
@@ -373,5 +399,10 @@ def lift(pair, pairs: Pairs = ASSEMBLY_PAIRS) -> dict:
         pair = {name: [getattr(p, name) for p in pair] for name in COORDS}
     elif not isinstance(pair, dict):
         pair = {name: getattr(pair, name) for name in COORDS}
+    batch = isinstance(pair["t"], (list, tuple, np.ndarray))
+    values = [np.array(pair[name], dtype=float) if batch else float(pair[name])
+              for name in COORDS]
     m = len(COORDS)
-    return {name: Jet2.variable(pair[name], k, m, pairs) for k, name in enumerate(COORDS)}
+    block = np.zeros((m, m + pairs.n, *np.shape(values[0])))  # the seven d arrays
+    block[range(m), range(m)] = 1.0
+    return {name: _jet(values[k], block[k], m, pairs) for k, name in enumerate(COORDS)}

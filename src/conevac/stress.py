@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -196,9 +197,10 @@ def _ladders(kernel_fn, mode, z, betas, ladders):
     Returns, per ladder, one entry per beta: the component tuple of each
     of its cutoffs, or the ladder's own DomainError (a cutoff that is not
     positive, or a stress that leaves the range of doubles: ``r * r``
-    underflows, a derivative factor overflows, a component comes out
-    NaN).  A point that is not valid raises ValueError, as a `PointPair`
-    does.  When the pass over several ladders fails, each ladder is run
+    or the squared t-slope of the kernels' ``q`` underflows, a
+    derivative factor overflows, a component comes out NaN).  A point
+    that is not valid raises ValueError, as a `PointPair` does.  When
+    the pass over several ladders fails, each ladder is run
     alone, so each meets its own outcome.  Errors are returned without
     their tracebacks, which would keep the batch alive.
     """
@@ -211,6 +213,16 @@ def _ladders(kernel_fn, mode, z, betas, ladders):
             out.append([exc] * len(betas))
             continue
         _check_point(r, theta, z, ts[0])
+        # The kernels differentiate sqrt(q), q = (chordal distance / 2)^2 /
+        # (r rp), whose t-slope at a coincident pair is t / (2 r^2).  Where
+        # that slope squared underflows, the chain rule's f'' (dq/dt)^2 term
+        # loses its bits against a huge f'', and d^2 sqrt(q) / dt^2 (exactly
+        # 0) comes out O(1) wrong.
+        slope = min(ts) / (2.0 * r) / r
+        if slope * slope < sys.float_info.min:
+            exc = DomainError(_OUT_OF_RANGE.format(r, "t / (2 r**2) squared underflows"))
+            out.append([exc] * len(betas))
+            continue
         out.append(None)
         ts_col += ts
         r_col += [r] * len(ts)

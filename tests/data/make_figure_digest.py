@@ -11,7 +11,7 @@ nothing, and exits nonzero on any mismatch.  Regenerate the file only
 in a change that means to alter the numbers, and say so in that
 change.  Run from the repository root:
 
-    PYTHONPATH=src python3 tests/data/make_figure_digest.py [--check]
+    python3 tests/data/make_figure_digest.py [--check]
 """
 
 import argparse
@@ -19,10 +19,13 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
-from conevac import cli
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
+from conevac import cli  # noqa: E402
 
 OUT = Path(__file__).with_name("figure_digest.json")
 POINTS = 4

@@ -152,6 +152,14 @@ class TestPowers:
         assert a.grad[IR] == pytest.approx(b.grad[IR], rel=1e-14)
         assert a.hess_entry(IR, IR) == pytest.approx(b.hess_entry(IR, IR), rel=1e-13)
 
+    def test_integer_power_keeps_int_arithmetic_on_the_exponent(self):
+        # f'' of x ** 0 is 0 * (0 - 1) * v ** -2, an int 0 times a positive
+        # float: +0.0, so the (r, r) entry is -0.0 + 0.0 = +0.0
+        assert math.copysign(1.0, (var(-2.0) ** 0).hess_entry(IR, IR)) == 1.0
+        # a numpy integer is not an int: it takes the positive-base rule
+        with pytest.raises(DomainError):
+            var(-2.0) ** np.int64(3)
+
     def test_fractional_power_rejects_nonpositive_base(self):
         with pytest.raises(DomainError):
             var(0.0) ** 0.5
@@ -176,6 +184,14 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _raises(fn, v):
+    try:
+        fn(Jet2.constant(v, M))
+    except (DomainError, ArithmeticError):
+        return True
+    return False
+
+
 def _element(jet, k):
     # the scalar jet that element k of a batch stands for
     return Jet2(float(jet.value[k]), jet.grad[..., k].copy(), jet.hess[..., k].copy(),
@@ -190,12 +206,24 @@ def _assert_batch_is_scalars(batched, scalars):
         assert _bits(batched.hess[..., k]) == _bits(want.hess)
 
 
+def cube(x):
+    return x ** 3
+
+
+def pow_frac(x):
+    return x ** 2.3
+
+
 LIBM_PROBES = {
     "exp": ("0x1.33bc0fd903316p+2", "-0x1.2612b99ec51a2p+2"),
     "log": ("0x1.fb4f0030bd551p-1", "0x1.f7f8393ce954cp-1", "0x1.01fd446162bc9p+0"),
     "sinh": ("-0x1.8e88c184e71d0p-1", "-0x1.b5050c90b9b6ap+0"),
     "asinh": ("0x1.57062019c90a8p-1", "0x1.76ee3b20eab40p+1"),
+    # np.power rounds differently from libm pow here
+    "cube": ("0x1.2b6e525627c82p+3", "0x1.95f041d83553ep+1"),
+    "pow_frac": ("0x1.3a39ac2b85963p+2", "0x1.853d024e5e3edp-1"),
 }
+LIBM_POWERS = {"cube": lambda v: math.pow(v, 3), "pow_frac": lambda v: math.pow(v, 2.3)}
 
 
 class TestBatch:
@@ -214,13 +242,13 @@ class TestBatch:
         scalars = [fn(_element(batch, k)) for k in range(batch.value.shape[0])]
         _assert_batch_is_scalars(fn(batch), scalars)
 
-    @pytest.mark.parametrize("fn", [exp, log, sqrt, sinh, cosh, asinh, sin, cos, atan],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("fn", [exp, log, sqrt, sinh, cosh, asinh, sin, cos, atan,
+                                    cube, pow_frac], ids=lambda f: f.__name__)
     def test_dispatch_functions(self, batch, fn):
         self._check(batch, fn)
-        # values come from math, as for plain floats: numpy's exp, sinh
-        # and asinh can round differently on a few percent of arguments,
-        # which 256 elements would show
+        # values come from libm, as for plain floats: numpy's exp, sinh,
+        # asinh and power can round differently on a few percent of
+        # arguments, which 256 elements would show
         got = fn(batch).value.tolist()
         assert [v.hex() for v in got] == [fn(v).hex() for v in batch.value.tolist()]
         # fixed arguments on which numpy's function rounds differently
@@ -228,7 +256,8 @@ class TestBatch:
         # enough that random elements would almost never hit one
         if fn.__name__ in LIBM_PROBES:
             probes = [float.fromhex(h) for h in LIBM_PROBES[fn.__name__]]
-            libm = [getattr(math, fn.__name__)(v).hex() for v in probes]
+            ref = LIBM_POWERS.get(fn.__name__) or getattr(math, fn.__name__)
+            libm = [ref(v).hex() for v in probes]
             batched = fn(Jet2.constant(probes, M)).value.tolist()
             assert [v.hex() for v in batched] == libm
             assert [fn(Jet2.constant(v, M)).value.hex() for v in probes] == libm
@@ -254,13 +283,81 @@ class TestBatch:
         assert jets["t"].grad[IT].tolist() == [1.0, 1.0]
 
     def test_domain_checks_see_every_element(self):
-        bad = Jet2.constant([1.0, -1.0], M)
-        with pytest.raises(DomainError):
-            sqrt(bad)
-        with pytest.raises(DomainError):
-            log(bad)
-        with pytest.raises(DomainError):
-            bad ** 0.5
+        # and name the first bad one, as the element alone would
+        bad = Jet2.constant([1.0, -2.0, 3.0, 0.0, -1.0], M)
+        for fn in (sqrt, log):
+            with pytest.raises(DomainError, match=rf"^{fn.__name__} of a jet requires a "
+                                                  r"positive value, got -2\.0$"):
+                fn(bad)
+        with pytest.raises(DomainError, match=r"^sqrt of a jet .* got 0\.0$"):
+            sqrt(Jet2.constant([1.0, 0.0, -2.0], M))
+        with pytest.raises(DomainError, match=r"^jet \*\* 0\.5 requires a positive base, "
+                                              r"got -0\.0$"):
+            Jet2.constant([1.0, -0.0, -2.0], M) ** 0.5
+
+    @pytest.mark.parametrize("values, fn, error", [
+        # s * v underflows to a zero divisor, alone or before the
+        # non-positive element
+        ([2.0, 1e-300], sqrt, ZeroDivisionError),
+        ([2.0, 1e-300, -1.0], sqrt, ZeroDivisionError),
+        ([1e-200, 2.0], log, ZeroDivisionError),
+        ([1e-200, 0.0], log, ZeroDivisionError),
+        ([2.0, -1.0, 1e-300], log, DomainError),
+        # a power overflows before the non-positive base, or after it
+        ([1e300, -1.0], lambda x: x ** 2.5, OverflowError),
+        ([-1.0, 1e300], lambda x: x ** 2.5, DomainError),
+        ([2.0, 0.0], lambda x: x ** -1, ZeroDivisionError),
+    ], ids=["sqrt_zero_divisor", "sqrt_zero_divisor_first", "log_zero_divisor",
+            "log_zero_divisor_first", "log_domain", "pow_overflow", "pow_domain",
+            "pow_zero_base"])
+    def test_a_batch_fails_as_its_first_failing_element(self, values, fn, error):
+        with pytest.raises(error):
+            fn(Jet2.constant(values, M))
+        failing = next(v for v in values if _raises(fn, v))
+        with pytest.raises(error):
+            fn(Jet2.constant(failing, M))
+
+    @pytest.mark.parametrize("fn, v", [(exp, 800.0), (sinh, 800.0), (cosh, -800.0),
+                                       (asinh, 1e103)], ids=["exp", "sinh", "cosh", "asinh"])
+    def test_overflow_raises_as_for_a_float(self, fn, v):
+        # libm raises for exp, sinh and cosh; for asinh it is w**3, w = sqrt(1 + v*v)
+        with pytest.raises(OverflowError):
+            fn(Jet2.constant([1.0, v, 2.0], M))
+        with pytest.raises(OverflowError):
+            fn(Jet2.constant(v, M))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_asinh_of_a_huge_value_stays_finite(self):
+        # 1 + v*v is inf at v = 1e200, and inf ** 3 does not raise
+        x = Jet2.variable([1.0, 1e200], IR, M)
+        got = asinh(x)
+        assert got.value.tolist() == [math.asinh(1.0), math.asinh(1e200)]
+        _assert_batch_is_scalars(got, [asinh(_element(x, k)) for k in range(2)])
+
+    @pytest.mark.parametrize("fn", [exp, log, sqrt, sinh, cosh, asinh, sin, cos, atan,
+                                    cube, pow_frac, lambda x: x ** 2, lambda x: x * x,
+                                    lambda x: 1.0 / x],
+                             ids=["exp", "log", "sqrt", "sinh", "cosh", "asinh", "sin", "cos",
+                                  "atan", "cube", "pow_frac", "pow2", "mul", "rdiv"])
+    def test_nan_elements_pass_through(self, fn):
+        x = Jet2.variable([0.5, math.nan, 1.5], IR, M) * Jet2.variable([1.2] * 3, IT, M)
+        got = fn(x)
+        assert math.isnan(got.value[1]) and np.isnan(got.d[:, 1]).all()
+        for k in (0, 2):
+            want = fn(_element(x, k))
+            assert float(got.value[k]).hex() == want.value.hex()
+            assert _bits(got.d[:, k]) == _bits(want.d)
+
+    def test_grad_and_hess_are_views_of_one_array(self):
+        jets = lift([PointPair(t=t, r=2.0, rp=1.0) for t in (0.5, 0.25, 0.125)])
+        for jet in (jets["r"], jets["r"] * jets["t"] / jets["rp"], sqrt(jets["t"])):
+            assert jet.d.shape == (M + ASSEMBLY_PAIRS.n, 3)
+            assert np.shares_memory(jet.grad, jet.d) and np.shares_memory(jet.hess, jet.d)
+            assert _bits(jet.grad) == _bits(jet.d[:M])
+            assert _bits(jet.hess) == _bits(jet.d[M:])
+        built = Jet2(0.5, np.arange(M, dtype=float), np.ones(ASSEMBLY_PAIRS.n), ASSEMBLY_PAIRS)
+        assert built.d.tolist() == list(range(M)) + [1.0] * ASSEMBLY_PAIRS.n
+        assert np.shares_memory(built.grad, built.d)
 
 
 class _DenseJet:

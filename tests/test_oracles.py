@@ -1,6 +1,8 @@
 """The self-check suite: every oracle passes, and runs are reproducible."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,41 @@ def test_jet_fd_passes_across_seeds():
     for seed in [5013, *range(100)]:
         (report,) = run_oracle_suite(["jet_fd"], seed=seed)
         assert report.passed, (seed, report.max_rel_err)
+
+
+DIGEST_MAKER = Path(__file__).parent / "data" / "make_oracle_digest.py"
+
+
+def _digest_maker():
+    spec = importlib.util.spec_from_file_location("make_oracle_digest", DIGEST_MAKER)
+    maker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maker)
+    return maker
+
+
+def test_oracle_errors_match_the_frozen_digest(capsys):
+    # every oracle's max_rel_err, bit for bit, at seeds 0 and 1 (CI checks 0-7)
+    maker = _digest_maker()
+    assert maker.check(seeds=(0, 1)) == 0, capsys.readouterr().out
+    frozen = json.loads(maker.OUT.read_text())
+    assert sorted(frozen["seeds"]) == [str(s) for s in range(8)]
+    assert all(len(digest) == len(oracle_names()) for digest in frozen["seeds"].values())
+
+
+def test_oracle_digest_check_reports_a_mismatch(tmp_path, capsys, monkeypatch):
+    maker = _digest_maker()
+    frozen = json.loads(maker.OUT.read_text())
+    path = tmp_path / "oracle_digest.json"
+    path.write_text(json.dumps(frozen))
+    monkeypatch.setattr(maker, "OUT", path)
+    digest = dict(frozen["seeds"]["3"])
+    monkeypatch.setattr(maker, "seed_digest", lambda seed: dict(digest))
+    assert maker.check(seeds=(3,)) == 0
+    digest["jet_fd"] = (2.0 * float.fromhex(digest["jet_fd"])).hex()
+    assert maker.check(seeds=(3,)) == 1
+    assert json.loads(path.read_text()) == frozen
+    out = capsys.readouterr().out
+    assert "seed 3: MISMATCH" in out and "jet_fd: frozen" in out
 
 
 def test_unknown_oracle_name_rejected():

@@ -316,6 +316,23 @@ class TestValidation:
                 outcomes.add("finite")
         assert outcomes == {"finite", "error"}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("geometry", [Dowker(), Cone(2.0)], ids=["sheet", "cone"])
+    def test_huge_radii_are_tiny_or_out_of_range(self, geometry):
+        # the exact stress is below 1e-300 here; t00 once read -1/(2 pi^2)
+        # at r = 1e100, because (t / 2r^2)^2 underflows in the chain rule
+        outcomes = set()
+        for k in range(60, 161):
+            try:
+                s = stress_at(geometry, 10.0 ** k, t=1.0)
+            except DomainError as exc:
+                assert "leaves the range of double precision" in str(exc)
+                outcomes.add("error")
+            else:
+                assert all(abs(v) <= 1e-12 for v in s.components().values()), k
+                outcomes.add("tiny")
+        assert outcomes == {"tiny", "error"}
+
 
 def _scalar_rung(geometry, r, theta, beta, t):
     """Kernel-subtracted stress at one cutoff through scalar jets.
