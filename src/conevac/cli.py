@@ -14,9 +14,12 @@ and the extrapolated t -> 0 limit (tag t0).  Points where a value is
 not defined or does not converge become empty cells, with a note on
 stderr; cell text uses shortest round-trip float formatting, so a
 given grid always produces byte-identical CSV no matter how many
-worker processes computed it (`--workers N` gives each one contiguous
-slice).  Each curve, with both couplings of a correction curve, is
-one `stress.stress_grid` pass; a theta1 sweep is one pass per point.
+worker processes computed it (`--workers N` gives each the same
+contiguous slice of every file's grid).  One plan covers every file of
+a call: each distinct curve (geometry, z, cutoff and grid points) is
+one `stress.stress_grid` pass over the couplings of every file that
+draws it, so the two couplings of a wedge figure and of a correction
+curve cost one kernel evaluation; a theta1 sweep is one pass per point.
 Sidecars record the geometry, coupling, grid, and build metadata
 (`git describe` once per process); timestamps appear only there.
 """
@@ -92,6 +95,73 @@ class _FileSpec:
     cutoff_t: float = 1.0
 
 
+def _passes(spec: _FileSpec, series: _Series, xs: list[float]):
+    """(geometry, points) of each `stress_grid` pass one curve needs at ``xs``.
+
+    One pass covers the whole grid; a theta1 sweep changes the geometry
+    at every point, so it takes one pass per point.
+    """
+    if spec.sweep not in ("r", "theta", "theta1"):
+        raise ValueError(f"unknown sweep coordinate {spec.sweep!r}")
+    if spec.sweep != "r" and series.fixed_r is None:
+        raise ValueError("no radius: series needs fixed_r or an r sweep")
+    if spec.sweep == "theta1":
+        return [(Cone(x), ((series.fixed_r, series.fixed_theta),)) for x in xs]
+    return [(series.geometry, tuple((x, series.fixed_theta) if spec.sweep == "r"
+                                    else (series.fixed_r, x) for x in xs))]
+
+
+def _file_rows(specs, slices):
+    """Yield the CSV rows and notes of each file in turn, file k at ``slices[k]``.
+
+    A pass is keyed by the repr of its geometry, points, z and cutoff
+    (exact, and -0.0 is not 0.0), so curves that need the same pass share
+    one `stress_grid` call over the union of their couplings.  A pass
+    runs when the first file that needs it comes up and is dropped after
+    the last, and each file picks its own cells.
+    """
+    plan: dict = {}  # pass key -> ((geometry, points, z, t), {repr(beta): beta})
+    curves = []  # per file, per series: (its pass keys, its beta reprs)
+    for spec, xs in zip(specs, slices):
+        curves.append([])
+        for series in spec.series:
+            couplings = ((series.beta, series.beta + 1.0) if series.correction
+                         else (series.beta,))
+            betas = {repr(b): b for b in couplings}
+            keys = []
+            for geometry, points in _passes(spec, series, xs):
+                args = (geometry, points, series.fixed_z, spec.cutoff_t)
+                keys.append(repr(args))
+                plan.setdefault(keys[-1], (args, {}))[1].update(betas)
+            curves[-1].append((keys, list(betas)))
+    last = {key: k for k, file_curves in enumerate(curves)
+            for keys, _ in file_curves for key in keys}
+    passes = {}
+
+    def cells(keys, betas):
+        """(finite, limit) per point of one curve, each a list over its betas."""
+        out = []
+        for key in keys:
+            if key not in passes:
+                (geometry, points, z, t), union = plan[key]
+                passes[key] = (stress_grid(geometry, points, z, tuple(union.values()), t),
+                               list(union))
+            grid, order = passes[key]
+            picks = [order.index(b) for b in betas]
+            out += [tuple([group[i] for i in picks] for group in cell) for cell in grid]
+        return out
+
+    for k, (spec, xs, file_curves) in enumerate(zip(specs, slices, curves)):
+        yield _rows(spec, xs, [cells(*curve) for curve in file_curves])
+        for key in [key for key, j in last.items() if j == k]:
+            del passes[key]
+
+
+def _slice_rows(specs, slices):
+    """Every file's rows and notes at ``slices``, as one worker returns them."""
+    return list(_file_rows(specs, slices))
+
+
 def _cell(values):
     """Component dict of one CSV cell group from its per-coupling tensors.
 
@@ -109,29 +179,8 @@ def _cell(values):
     return {k: bumped[k] - base[k] for k in base}
 
 
-def _curve(series: _Series, sweep: str, xs: list[float], cutoff_t: float):
-    """`stress_grid` cells of one curve at every grid point.
-
-    One pass covers the whole grid and both couplings of a correction
-    curve; a theta1 sweep changes the geometry at every point, so it
-    takes one pass per point.
-    """
-    if sweep not in ("r", "theta", "theta1"):
-        raise ValueError(f"unknown sweep coordinate {sweep!r}")
-    if sweep != "r" and series.fixed_r is None:
-        raise ValueError("no radius: series needs fixed_r or an r sweep")
-    betas = (series.beta, series.beta + 1.0) if series.correction else (series.beta,)
-    if sweep == "theta1":
-        point = [(series.fixed_r, series.fixed_theta)]
-        return [cells for x in xs
-                for cells in stress_grid(Cone(x), point, series.fixed_z, betas, cutoff_t)]
-    points = [(x, series.fixed_theta) if sweep == "r" else (series.fixed_r, x) for x in xs]
-    return stress_grid(series.geometry, points, series.fixed_z, betas, cutoff_t)
-
-
-def _compute_slice(spec: _FileSpec, xs: list[float]):
-    """CSV rows and notes for the grid points ``xs``, one curve at a time."""
-    curves = [_curve(series, spec.sweep, xs, spec.cutoff_t) for series in spec.series]
+def _rows(spec: _FileSpec, xs: list[float], curves):
+    """CSV rows and notes of one file from the cells of each of its curves."""
     rows: list = []
     notes: list[str] = []
     for i, x in enumerate(xs):
@@ -168,21 +217,25 @@ def _columns(spec: _FileSpec) -> list[str]:
     return cols
 
 
-def _compute_rows(spec: _FileSpec, workers: int):
-    xs = _grid(spec.lo, spec.hi, spec.points, spec.log)
-    workers = min(workers, len(xs))
+def _compute(specs, workers: int):
+    """The CSV rows and notes of every file in ``specs``, file by file.
+
+    One worker yields each file as soon as it is done.  With several,
+    each takes the same contiguous slice of every file's grid.
+    """
+    grids = [_grid(spec.lo, spec.hi, spec.points, spec.log) for spec in specs]
+    workers = min(workers, max(map(len, grids)))
     if workers == 1:
-        return _compute_slice(spec, xs)
+        return _file_rows(specs, grids)
     # Imported here: multiprocessing costs ~1 MB that one worker does not need.
     from concurrent.futures import ProcessPoolExecutor
-    # One contiguous slice of the grid per worker.
-    bounds = [len(xs) * k // workers for k in range(workers + 1)]
-    slices = [xs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    parts = [[xs[len(xs) * k // workers:len(xs) * (k + 1) // workers] for xs in grids]
+             for k in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(functools.partial(_compute_slice, spec), slices))
-    rows = [row for slice_rows, _ in results for row in slice_rows]
-    notes = [note for _, slice_notes in results for note in slice_notes]
-    return rows, notes
+        results = list(pool.map(functools.partial(_slice_rows, specs), parts))
+    return [([row for part in results for row in part[k][0]],
+             [note for part in results for note in part[k][1]])
+            for k in range(len(specs))]
 
 
 def _write_csv(fh, header: list[str], rows) -> None:
@@ -251,8 +304,7 @@ def _sidecar(spec: _FileSpec, figure_id: str | None) -> dict:
     }
 
 
-def _emit_spec(spec: _FileSpec, outdir: Path, figure_id: str | None, workers: int) -> None:
-    rows, notes = _compute_rows(spec, workers)
+def _emit_spec(spec: _FileSpec, outdir: Path, figure_id: str | None, rows, notes) -> None:
     for note in notes:
         print(f"warning: {spec.filename}: {note}", file=sys.stderr)
     csv_path = outdir / spec.filename
@@ -568,14 +620,14 @@ def _cmd_scan(args) -> int:
                         fixed_z=args.z),),
         components=components, points=args.points, cutoff_t=args.t,
     )
+    ((rows, notes),) = _compute([spec], args.workers)
     if out is None:
-        rows, notes = _compute_rows(spec, args.workers)
         for note in notes:
             print(f"warning: {note}", file=sys.stderr)
         _write_csv(sys.stdout, _columns(spec), rows)
         return 0
     out.parent.mkdir(parents=True, exist_ok=True)
-    _emit_spec(spec, out.parent, None, args.workers)
+    _emit_spec(spec, out.parent, None, rows, notes)
     return 0
 
 
@@ -588,6 +640,7 @@ def _cmd_figure(args) -> int:
         raise ValueError("figure id required (or use --list)")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    files = []
     for figure_id in args.id:
         if figure_id not in _FIGURES:
             raise ValueError(
@@ -596,7 +649,10 @@ def _cmd_figure(args) -> int:
         for spec in _FIGURES[figure_id]:
             if args.points is not None:
                 spec = replace(spec, points=args.points)
-            _emit_spec(spec, outdir, figure_id, args.workers)
+            files.append((figure_id, spec))
+    outputs = _compute([spec for _, spec in files], args.workers)
+    for (figure_id, spec), (rows, notes) in zip(files, outputs):
+        _emit_spec(spec, outdir, figure_id, rows, notes)
     return 0
 
 

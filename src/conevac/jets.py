@@ -28,9 +28,9 @@ as for a scalar jet, in the scalar rule's operand order and with
 elementwise IEEE arithmetic, so each element of a batched result is
 bit for bit the scalar jet of its own pair.  Only libm needs care:
 numpy's exp, sinh, arcsinh, log and powers can round differently from
-the C library in the last bit, so the rules call `math` (and ``**``)
-through `_libm`, one element at a time, and write the rest as + - * /
-that act alike on floats and arrays.  A batch that fails a rule (a
+the C library in the last bit, so the rules call `math` through `_libm`
+and ``**`` through `_power`, one element at a time, and write the rest
+as + - * / that act alike on floats and arrays.  A batch that fails a rule (a
 domain check, a zero divisor, an overflow) is rerun element by
 element, so it raises what its first failing element raises alone.
 
@@ -45,6 +45,7 @@ only.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -206,7 +207,7 @@ class Jet2:
         if n == 2 and isinstance(n, int):
             # The integer rule below gives (v ** 2, 2 * v, 2.0) exactly here,
             # since v ** 1 is v and v ** 0 is 1: only the value needs libm.
-            return self._compose(_libm(lambda e: e**2, v), 2 * v, 2.0)
+            return self._compose(_power(v, 2), 2 * v, 2.0)
 
         # Integer powers are valid at v = 0 for n >= 2 and keep int
         # arithmetic on n (0 * (0 - 1) is an unsigned 0); other powers need
@@ -217,8 +218,8 @@ class Jet2:
         def rule(v):
             if not integer:
                 _require_positive(f"jet ** {n!r} requires a positive base", v)
-            return (_libm(lambda e: e**n, v), n * _libm(lambda e: e ** (n - one), v),
-                    n * (n - one) * _libm(lambda e: e ** (n - 2 * one), v))
+            return (_power(v, n), n * _power(v, n - one),
+                    n * (n - one) * _power(v, n - 2 * one))
 
         return self._compose(*_factors(rule, v))
 
@@ -233,6 +234,13 @@ def _jet(value, d, m: int, pairs: Pairs) -> Jet2:
 def _libm(f, v):
     """``f(v)`` for a float; for a batch, ``f`` on each element in turn."""
     return f(v) if isinstance(v, float) else np.array(list(map(f, v.tolist())))
+
+
+def _power(v, n):
+    """``v ** n`` for a float; for a batch, builtin ``pow`` (``**``) on each element."""
+    if isinstance(v, float):
+        return v**n
+    return np.array(list(map(pow, v.tolist(), itertools.repeat(n))))
 
 
 def _nonzero(x):
@@ -323,9 +331,16 @@ def split(cond, fn, *args):
     agrees, so no element is ever evaluated by the other branch (which
     may overflow or lose accuracy there), and each element keeps the
     bits it has alone.  Arguments that are not jets pass through whole.
+    ``fn`` returns a jet, or a list of jets that are merged one by one.
     """
     hit = fn(*(_take(a, cond) for a in args))
     miss = fn(*(_take(a, ~cond) for a in args))
+    if isinstance(hit, Jet2):
+        return _merge(cond, hit, miss)
+    return [_merge(cond, h, m) for h, m in zip(hit, miss)]
+
+
+def _merge(cond, hit, miss):
     return _jet(_put(cond, hit.value, miss.value), _put(cond, hit.d, miss.d),
                 hit.m, hit.pairs)
 
@@ -364,7 +379,7 @@ def cosh(v):
 @_elementary(math.asinh)
 def asinh(v):
     w = _libm(math.sqrt, 1.0 + v * v)
-    return _libm(math.asinh, v), 1.0 / w, -v / _libm(lambda e: e**3, w)
+    return _libm(math.asinh, v), 1.0 / w, -v / _power(w, 3)
 
 
 @_elementary(math.sin)

@@ -28,12 +28,21 @@ call, because the float path runs inside quadratures:
 
 Angular denominators are always the half-angle form
 2 sinh^2(x/2) + 2 sin^2(y/2), which cannot cancel.
+
+The wedge of opening theta0 is the cone of angle 2 theta0 at the
+angular offset theta - thetap plus its reflected image at theta +
+thetap (Sommerfeld's images).  Both terms share the separation u and
+everything built from u alone, so `_cone_terms` computes that once and
+each offset only its own angular part, with the operations of a cone
+evaluated at that offset alone; the shared u also puts both terms on
+the same side of every branch, so one `jets.split` covers them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +73,20 @@ _TWO_PI_SQ = 2.0 * math.pi**2
 
 
 def _separation(t, r, rp, z, zp):
-    """Quarter squared chordal distance q and the separation u = 2 asinh(sqrt(q))."""
+    """Quarter squared chordal distance q and the separation u = 2 asinh(sqrt(q)).
+
+    On jets, sqrt(q) is differentiated, and q = (chordal distance / 2)^2 /
+    (r rp) has t-slope t / (2 r^2) at a coincident pair.  Where that slope
+    squared underflows, the chain rule's f'' (dq/dt)^2 term loses its bits
+    against a huge f'', and d^2 sqrt(q) / dt^2 (exactly 0) comes out O(1)
+    wrong, so a jet holding such an element raises FloatingPointError.
+    At t = 0 the slope is exactly 0 and nothing is lost.
+    """
+    if isinstance(t, jets.Jet2):
+        tv, rv = value_of(t), value_of(r)
+        slope = tv / (2.0 * rv) / rv
+        if np.count_nonzero((slope * slope < sys.float_info.min) & (tv != 0.0)):
+            raise FloatingPointError("t / (2 r**2) squared underflows")
     q = ((r - rp) ** 2 + (z - zp) ** 2 + t * t) / (4.0 * r * rp)
     return q, 2.0 * jets.asinh(jets.sqrt(q))
 
@@ -82,7 +104,12 @@ def _inv_sinh_u(q, u):
 
 
 def _angular_factor(x, y):
-    """sinh(x) / (cosh(x) - cos(y)), stable at small and large x."""
+    """sinh(x) / (cosh(x) - cos(y)), stable at small and large x.
+
+    The one-offset form of `_angular_factors`, with the same operations,
+    for the float quadratures (`tbar_3d` calls it at every node): there
+    the list of the many-offset form costs ~10% of the integrand.
+    """
     large = value_of(x) > _EXP_FORM_MIN_X
     side = large if isinstance(large, bool) else jets.agree(large)
     if side is None:
@@ -91,6 +118,30 @@ def _angular_factor(x, y):
         em = jets.exp(-x)
         return (1.0 - em * em) / (1.0 - 2.0 * em * jets.cos(y) + em * em)
     return jets.sinh(x) / (2.0 * jets.sinh(0.5 * x) ** 2 + 2.0 * jets.sin(0.5 * y) ** 2)
+
+
+def _angular_factors(x, *ys):
+    """`_angular_factor` at x and each y, with the parts of x alone computed once.
+
+    The loops are written out: a comprehension costs the float path of
+    the kernels, which runs inside quadratures, a function call each.
+    """
+    large = value_of(x) > _EXP_FORM_MIN_X
+    side = large if isinstance(large, bool) else jets.agree(large)
+    if side is None:
+        return jets.split(large, _angular_factors, x, *ys)
+    out = []
+    if side:
+        em = jets.exp(-x)
+        em_sq = em * em
+        num, twice = 1.0 - em_sq, 2.0 * em
+        for y in ys:
+            out.append(num / (1.0 - twice * jets.cos(y) + em_sq))
+    else:
+        num, den_x = jets.sinh(x), 2.0 * jets.sinh(0.5 * x) ** 2
+        for y in ys:
+            out.append(num / (den_x + 2.0 * jets.sin(0.5 * y) ** 2))
+    return out
 
 
 def _sinh_ratio_series(u, a):
@@ -120,20 +171,37 @@ def _mink_term(t, r, rp, dth, z, zp):
     return -1.0 / (_TWO_PI_SQ * d)
 
 
-def _cone_term(t, r, rp, dth, z, zp, theta1):
+def _cone_terms(t, r, rp, z, zp, theta1, *dths):
+    """Cone kernel at total angle ``theta1``, one term per angular offset in ``dths``.
+
+    What depends on the separation alone (q, u, the prefactor, 1/sinh(u)
+    or the series numerator, and the u half of the angular factor) is
+    computed once for all offsets.  Each term keeps the operations of
+    the kernel at its offset alone, so its bits do not depend on the
+    other offsets.  The offsets share u and so every branch.
+    """
     a = 2.0 * math.pi / theta1
     q, u = _separation(t, r, rp, z, zp)
     uval = value_of(u)
     series = (uval < _SMALL_U) & (a * uval < _SMALL_AU)
     side = series if isinstance(series, bool) else jets.agree(series)
     if side is None:
-        return jets.split(series, _cone_term, t, r, rp, dth, z, zp, theta1)
+        return jets.split(series, _cone_terms, t, r, rp, z, zp, theta1, *dths)
     pref = -1.0 / (2.0 * math.pi * theta1 * r * rp)
+    out = []
     if side:
-        num = _sinh_ratio_series(u, a)
-        den = 2.0 * jets.sinh(0.5 * a * u) ** 2 + 2.0 * jets.sin(0.5 * a * dth) ** 2
-        return pref * num / den
-    return pref * _inv_sinh_u(q, u) * _angular_factor(a * u, a * dth)
+        num = pref * _sinh_ratio_series(u, a)
+        den_u = 2.0 * jets.sinh(0.5 * a * u) ** 2
+        for dth in dths:
+            out.append(num / (den_u + 2.0 * jets.sin(0.5 * a * dth) ** 2))
+        return out
+    scale = pref * _inv_sinh_u(q, u)
+    ys = []
+    for dth in dths:
+        ys.append(a * dth)
+    for f in _angular_factors(a * u, *ys):
+        out.append(scale * f)
+    return out
 
 
 def _dowker_term(t, r, rp, dth, z, zp):
@@ -142,12 +210,11 @@ def _dowker_term(t, r, rp, dth, z, zp):
 
 
 def _wedge_term(t, r, rp, theta, thetap, z, zp, theta0, sign):
-    doubled = 2.0 * theta0
-    return (
-        _cone_term(t, r, rp, theta - thetap, z, zp, doubled)
-        + sign * _cone_term(t, r, rp, theta + thetap, z, zp, doubled)
-        - _mink_term(t, r, rp, theta - thetap, z, zp)
-    )
+    # The doubled cone's direct term and its reflected image share one
+    # separation; the image sign leaves the direct term unmultiplied.
+    dth = theta - thetap
+    direct, image = _cone_terms(t, r, rp, z, zp, 2.0 * theta0, dth, theta + thetap)
+    return direct + sign * image - _mink_term(t, r, rp, dth, z, zp)
 
 
 def minkowski_expr(t, r, rp, theta, thetap, z, zp):
@@ -159,7 +226,7 @@ def cone_expr(theta1: float):
     """Expression for the cone kernel at total angle ``theta1``."""
     Cone(theta1)  # validate
     def expr(t, r, rp, theta, thetap, z, zp):
-        return _cone_term(t, r, rp, theta - thetap, z, zp, theta1)
+        return _cone_terms(t, r, rp, z, zp, theta1, theta - thetap)[0]
     return expr
 
 

@@ -32,15 +32,15 @@ on a whole grid of points, each contributing its finite cutoff and its
 ladder.  Batching changes no bits: each element equals `stress_at` at
 its point and cutoff.  A batch whose elements fall on different sides
 of a kernel branch is split there and each part rerun (`jets.split`);
-a pass over several ladders that fails is rerun one ladder at a time,
-so each ladder meets its own outcome.
+a pass over several ladders that fails is rerun in halves, down to
+single ladders, so each ladder meets its own outcome.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-import sys
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -200,9 +200,11 @@ def _ladders(kernel_fn, mode, z, betas, ladders):
     or the squared t-slope of the kernels' ``q`` underflows, a
     derivative factor overflows, a component comes out NaN).  A point
     that is not valid raises ValueError, as a `PointPair` does.  When
-    the pass over several ladders fails, each ladder is run
-    alone, so each meets its own outcome.  Errors are returned without
-    their tracebacks, which would keep the batch alive.
+    the pass over several ladders fails, each half of them is run on its
+    own, and so on down to single ladders, so each meets its own outcome
+    and a grid with one failing point costs about two passes, not one per
+    ladder.  Errors are returned without their tracebacks, which would
+    keep the batch alive.
     """
     out = []
     ts_col, r_col, theta_col = [], [], []
@@ -213,16 +215,6 @@ def _ladders(kernel_fn, mode, z, betas, ladders):
             out.append([exc] * len(betas))
             continue
         _check_point(r, theta, z, ts[0])
-        # The kernels differentiate sqrt(q), q = (chordal distance / 2)^2 /
-        # (r rp), whose t-slope at a coincident pair is t / (2 r^2).  Where
-        # that slope squared underflows, the chain rule's f'' (dq/dt)^2 term
-        # loses its bits against a huge f'', and d^2 sqrt(q) / dt^2 (exactly
-        # 0) comes out O(1) wrong.
-        slope = min(ts) / (2.0 * r) / r
-        if slope * slope < sys.float_info.min:
-            exc = DomainError(_OUT_OF_RANGE.format(r, "t / (2 r**2) squared underflows"))
-            out.append([exc] * len(betas))
-            continue
         out.append(None)
         ts_col += ts
         r_col += [r] * len(ts)
@@ -235,9 +227,13 @@ def _ladders(kernel_fn, mode, z, betas, ladders):
         per_beta = _rungs(kernel_fn, columns, betas, mode)
     except (DomainError, ArithmeticError) as exc:
         if len(ladders) > 1:
-            return [_ladders(kernel_fn, mode, z, betas, [ladder])[0] for ladder in ladders]
+            half = len(ladders) // 2
+            return (_ladders(kernel_fn, mode, z, betas, ladders[:half])
+                    + _ladders(kernel_fn, mode, z, betas, ladders[half:]))
         if isinstance(exc, ArithmeticError):
-            exc = DomainError(_OUT_OF_RANGE.format(ladders[0][0], type(exc).__name__))
+            # the kernels' own FloatingPointError says why; Python's name their type
+            why = str(exc) if type(exc) is FloatingPointError else type(exc).__name__
+            exc = DomainError(_OUT_OF_RANGE.format(ladders[0][0], why))
         return [[exc.with_traceback(None)] * len(betas)]
     start = 0
     for k, (r, _, ts) in enumerate(ladders):
@@ -334,6 +330,27 @@ class ExtrapolatedStress:
     error: dict[str, float]
 
 
+@functools.cache
+def _tableau_index(n: int):
+    """Where the parents and deepest rung of each entry sit in an n-rung tableau.
+
+    The tableau's columns laid side by side (the n rungs, then the n - 1
+    entries of column 1, ...): for every entry after the rungs, the
+    positions of its upper and lower parent and the rung index of the
+    noise that floors its score.
+    """
+    starts = [0]
+    for j in range(n - 1):
+        starts.append(starts[-1] + n - j)
+    upper, lower, rung = [], [], []
+    for j in range(1, n):
+        for i in range(n - j):
+            upper.append(starts[j - 1] + i + 1)
+            lower.append(starts[j - 1] + i)
+            rung.append(i + j)
+    return np.array(upper), np.array(lower), np.array(rung)
+
+
 def _richardson(values, noise):
     """Extrapolate each row f(t0), f(t0/2), ... of ``values`` assuming even powers of t.
 
@@ -356,21 +373,21 @@ def _richardson(values, noise):
     """
     values = np.asarray(values, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    entries, spreads, scores = [], [], []
-    prev = values
+    n = values.shape[1]
+    upper, lower, rung = _tableau_index(n)
+    columns = [values]
     with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(1, values.shape[1]):
+        for j in range(1, n):
             fac = 4.0**j
-            col = (fac * prev[:, 1:] - prev[:, :-1]) / (fac - 1.0)
-            a, b = np.abs(col - prev[:, 1:]), np.abs(col - prev[:, :-1])
-            spread = np.where(b > a, b, a)
-            floor = noise[:, j:]
-            entries.append(col)
-            spreads.append(spread)
-            scores.append(np.where(floor > spread, floor, spread))
-            prev = col
-    entries, spreads = np.hstack(entries), np.hstack(spreads)
-    scores = np.hstack(scores)
+            prev = columns[-1]
+            columns.append((fac * prev[:, 1:] - prev[:, :-1]) / (fac - 1.0))
+        tableau = np.hstack(columns)
+        # every entry after the rungs, against its two parents at once
+        entries = tableau[:, n:]
+        a, b = np.abs(entries - tableau[:, upper]), np.abs(entries - tableau[:, lower])
+        spreads = np.where(b > a, b, a)
+        floor = noise[:, rung]
+        scores = np.where(floor > spreads, floor, spreads)
     scores[np.isnan(scores)] = math.inf
     rows = np.arange(values.shape[0])
     k = np.argmin(scores, axis=1)

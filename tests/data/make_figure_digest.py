@@ -7,11 +7,12 @@ benchmark writes; the tests check 4 and 20, and 200 is the full
 figure set of the README).  A change that is meant to keep the numbers
 (a refactor, a speed-up) proves it by leaving this file alone and by
 passing ``--check``, which recomputes every frozen grid, writes
-nothing, and exits nonzero on any mismatch.  Regenerate the file only
-in a change that means to alter the numbers, and say so in that
-change.  Run from the repository root:
+nothing, and exits nonzero on any mismatch; ``--workers N`` computes
+with N worker processes, whose output must be the same bytes.
+Regenerate the file only in a change that means to alter the numbers,
+and say so in that change.  Run from the repository root:
 
-    python3 tests/data/make_figure_digest.py [--check]
+    python3 tests/data/make_figure_digest.py [--check] [--workers N]
 """
 
 import argparse
@@ -45,7 +46,7 @@ def warning_digest(lines: list[str]) -> str:
     return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
-def run(outdir: Path, points: int) -> tuple[int, list[str]]:
+def run(outdir: Path, points: int, workers: int = 1) -> tuple[int, list[str]]:
     """Write every figure id at ``points`` grid points into ``outdir``.
 
     Returns the exit code and the warning lines printed on stderr.
@@ -53,15 +54,15 @@ def run(outdir: Path, points: int) -> tuple[int, list[str]]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["figure", *cli._FIGURES, "--points", str(points),
-                         "--workers", "1", "--outdir", str(outdir)])
+                         "--workers", str(workers), "--outdir", str(outdir)])
     return code, [line for line in err.getvalue().splitlines()
                   if line.startswith("warning:")]
 
 
-def grid_digests(points: int) -> dict:
+def grid_digests(points: int, workers: int = 1) -> dict:
     """CSV digest, warning digest and warning count at one grid size."""
     with tempfile.TemporaryDirectory() as tmp:
-        code, warnings = run(Path(tmp), points)
+        code, warnings = run(Path(tmp), points, workers)
         if code != 0:
             raise SystemExit(f"conevac figure --points {points} failed")
         return {"sha256": figure_digest(Path(tmp)),
@@ -69,7 +70,7 @@ def grid_digests(points: int) -> dict:
                 "warning_lines": len(warnings)}
 
 
-def check() -> int:
+def check(workers: int = 1) -> int:
     """Recompute every grid in the frozen file; 0 if all match, else 1."""
     frozen = json.loads(OUT.read_text())
     if frozen["figure_ids"] != list(cli._FIGURES):
@@ -77,7 +78,7 @@ def check() -> int:
         return 1
     status = 0
     for points, want in frozen["grids"].items():
-        got = grid_digests(int(points))
+        got = grid_digests(int(points), workers)
         verdict = "ok" if got == want else "MISMATCH"
         print(f"{points} points: {verdict}")
         if got != want:
@@ -90,9 +91,14 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="recompute every frozen grid and compare; write nothing")
-    if parser.parse_args().check:
-        raise SystemExit(check())
-    grids = {str(points): grid_digests(points) for points in GRIDS}
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes for the figure computation (default 1)")
+    args = parser.parse_args()
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
+    if args.check:
+        raise SystemExit(check(args.workers))
+    grids = {str(points): grid_digests(points, args.workers) for points in GRIDS}
     OUT.write_text(json.dumps({"points": POINTS, "figure_ids": list(cli._FIGURES),
                                "sha256": grids[str(POINTS)]["sha256"],
                                "grids": grids}, indent=2) + "\n")

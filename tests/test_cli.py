@@ -498,16 +498,47 @@ def _hex_rows(rows):
     return [[None if v is None else float(v).hex() for v in row] for row in rows]
 
 
-class TestBatchedGrid:
-    """One jet pass per curve gives the bytes of the per-point path."""
+def _figure_specs(points):
+    """Every figure id's file specs at ``points`` grid points."""
+    return {fid: [replace(spec, points=points) for spec in specs]
+            for fid, specs in cli._FIGURES.items()}
 
-    def test_every_figure_file_equals_the_per_point_reference(self):
+
+def _pass_keys(specs):
+    """The distinct `stress_grid` passes of a call, by the planning rule.
+
+    Curves share a pass when their geometry, z, cutoff and grid points
+    agree; a theta1 sweep is one pass per point.
+    """
+    keys = set()
+    for spec in specs:
+        xs = cli._grid(spec.lo, spec.hi, spec.points, spec.log)
+        for series in spec.series:
+            if spec.sweep == "theta1":
+                keys.update((Cone(x), series.fixed_z, spec.cutoff_t,
+                             ((series.fixed_r, series.fixed_theta),)) for x in xs)
+            else:
+                points = tuple((x, series.fixed_theta) if spec.sweep == "r"
+                               else (series.fixed_r, x) for x in xs)
+                keys.add((series.geometry, series.fixed_z, spec.cutoff_t, points))
+    return keys
+
+
+class TestBatchedGrid:
+    """One jet pass per distinct curve gives the bytes of the per-point path."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        specs = _figure_specs(5)
+        return specs, {spec.filename: per_point_rows(spec)
+                       for file_specs in specs.values() for spec in file_specs}
+
+    def test_every_figure_file_equals_the_per_point_reference(self, reference):
+        specs, want = reference
         seen = set()
-        for figure_id, specs in cli._FIGURES.items():
-            for spec in specs:
-                spec = replace(spec, points=5)
-                rows, notes = cli._compute_rows(spec, 1)
-                want_rows, want_notes = per_point_rows(spec)
+        for figure_id, file_specs in specs.items():
+            for spec, (rows, notes) in zip(file_specs, cli._compute(file_specs, 1)):
+                want_rows, want_notes = want[spec.filename]
                 assert _hex_rows(rows) == _hex_rows(want_rows), spec.filename
                 assert notes == want_notes, spec.filename
                 seen.update({"notes"} if notes else set())
@@ -515,6 +546,18 @@ class TestBatchedGrid:
                             else set())
                 seen.add(spec.sweep)
         assert seen == {"notes", "correction", "r", "theta", "theta1"}
+
+    def test_one_call_for_every_figure_equals_the_per_point_reference(self, reference):
+        # curves of different ids share passes here (fig1 with fig1b, the
+        # cones of fig2* with fig3*, the two theta1 sweeps at 2 pi)
+        specs, want = reference
+        every = [spec for file_specs in specs.values() for spec in file_specs]
+        assert len(_pass_keys(every)) < sum(len(_pass_keys(file_specs))
+                                            for file_specs in specs.values())
+        for spec, (rows, notes) in zip(every, cli._compute(every, 1)):
+            want_rows, want_notes = want[spec.filename]
+            assert _hex_rows(rows) == _hex_rows(want_rows), spec.filename
+            assert notes == want_notes, spec.filename
 
     SCANS = {
         "r": ("--geometry", "cone", "--theta1", "3.0", "--sweep", "r",
@@ -580,13 +623,55 @@ class TestBatchedGrid:
             return counted
 
         monkeypatch.setattr(stress_module, "kernel_expr", counting)
+        specs = _figure_specs(20)
+        # one id per call, as the benchmark runs them, then every id at once
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            assert main(["figure", *cli._FIGURES, "--points", "20",
+            for figure_id in specs:
+                assert main(["figure", figure_id, "--points", "20",
+                             "--outdir", str(tmp_path)]) == 0
+            per_id = len(calls)
+            assert main(["figure", *specs, "--points", "20",
                          "--outdir", str(tmp_path)]) == 0
-        want = sum(20 if spec.sweep == "theta1" else len(spec.series)
-                   for specs in cli._FIGURES.values() for spec in specs)
-        assert len(calls) == want == 104
+        assert per_id == sum(len(_pass_keys(s)) for s in specs.values()) == 87
+        every = [spec for file_specs in specs.values() for spec in file_specs]
+        assert len(calls) - per_id == len(_pass_keys(every))
+
+    @pytest.mark.parametrize("argv, passes", [
+        (("fig4",), 1), (("fig5",), 4), (("fig6",), 3), (("fig7",), 3),
+        (("coneang1", "--points", "4"), 4),
+        # each worker takes the same slice of both files, which share 4 passes
+        (("fig5", "--workers", "2", "--points", "7"), 8),
+    ], ids=["fig4", "fig5", "fig6", "fig7", "coneang1", "fig5-workers"])
+    def test_passes_per_figure_id(self, tmp_path, monkeypatch, argv, passes):
+        calls = []
+        real = cli.stress_grid
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "stress_grid", counted)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        if "--points" not in argv:
+            argv = (*argv, "--points", "6")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["figure", *argv, "--outdir", str(tmp_path)]) == 0
+        assert len(calls) == passes
 
 
 class TestWorkers:
@@ -598,6 +683,20 @@ class TestWorkers:
             main([*command, "--workers", workers])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("figure_id", ["fig5", "fig7"])
+    def test_figure_bytes_do_not_depend_on_workers(self, capsys, tmp_path, figure_id):
+        # each worker takes the same slice of every file's grid, and the
+        # files of one id share their passes
+        outputs = set()
+        for workers in ("1", "2", "3"):
+            outdir = tmp_path / workers
+            code, _, err = run(capsys, "figure", figure_id, "--points", "7",
+                               "--outdir", str(outdir), "--workers", workers)
+            assert code == 0
+            outputs.add((err, tuple((p.name, p.read_bytes())
+                                    for p in sorted(outdir.glob("*.csv")))))
+        assert len(outputs) == 1
 
     def test_pool_never_outnumbers_the_jobs(self, capsys, monkeypatch):
         # a stand-in pool that records its size and starts no process

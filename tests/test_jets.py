@@ -214,6 +214,10 @@ def pow_frac(x):
     return x ** 2.3
 
 
+def square(x):
+    return x ** 2
+
+
 LIBM_PROBES = {
     "exp": ("0x1.33bc0fd903316p+2", "-0x1.2612b99ec51a2p+2"),
     "log": ("0x1.fb4f0030bd551p-1", "0x1.f7f8393ce954cp-1", "0x1.01fd446162bc9p+0"),
@@ -222,8 +226,11 @@ LIBM_PROBES = {
     # np.power rounds differently from libm pow here
     "cube": ("0x1.2b6e525627c82p+3", "0x1.95f041d83553ep+1"),
     "pow_frac": ("0x1.3a39ac2b85963p+2", "0x1.853d024e5e3edp-1"),
+    # libm pow(x, 2) rounds differently from x * x here
+    "square": ("0x1.886f19c3f47dfp-1", "0x1.6935a1183847ap+0", "0x1.62c72424e1c92p+2"),
 }
-LIBM_POWERS = {"cube": lambda v: math.pow(v, 3), "pow_frac": lambda v: math.pow(v, 2.3)}
+LIBM_POWERS = {"cube": lambda v: math.pow(v, 3), "pow_frac": lambda v: math.pow(v, 2.3),
+               "square": lambda v: math.pow(v, 2)}
 
 
 class TestBatch:
@@ -243,7 +250,7 @@ class TestBatch:
         _assert_batch_is_scalars(fn(batch), scalars)
 
     @pytest.mark.parametrize("fn", [exp, log, sqrt, sinh, cosh, asinh, sin, cos, atan,
-                                    cube, pow_frac], ids=lambda f: f.__name__)
+                                    square, cube, pow_frac], ids=lambda f: f.__name__)
     def test_dispatch_functions(self, batch, fn):
         self._check(batch, fn)
         # values come from libm, as for plain floats: numpy's exp, sinh,

@@ -37,7 +37,7 @@ from conevac import (
     tbar_wedge_renormalized,
     u_of_pair,
 )
-from conevac import kernels
+from conevac import jets, kernels
 from conevac.jets import COORDS, lift
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -182,6 +182,114 @@ class TestWedge:
         with pytest.raises(DomainError):
             tbar_wedge_renormalized(
                 PointPair(t=0.3, r=1.0, rp=1.0, theta=-0.1), self.THETA0)
+
+
+def _two_term_angular_factor(x, y):
+    """The angular factor at one offset, as the wedge once evaluated it per image."""
+    large = jets.value_of(x) > kernels._EXP_FORM_MIN_X
+    side = large if isinstance(large, bool) else jets.agree(large)
+    if side is None:
+        return jets.split(large, _two_term_angular_factor, x, y)
+    if side:
+        em = jets.exp(-x)
+        return (1.0 - em * em) / (1.0 - 2.0 * em * jets.cos(y) + em * em)
+    return jets.sinh(x) / (2.0 * jets.sinh(0.5 * x) ** 2 + 2.0 * jets.sin(0.5 * y) ** 2)
+
+
+def _two_term_cone(t, r, rp, dth, z, zp, theta1):
+    """The cone kernel at one offset, each call with its own separation."""
+    a = 2.0 * math.pi / theta1
+    q = ((r - rp) ** 2 + (z - zp) ** 2 + t * t) / (4.0 * r * rp)
+    u = 2.0 * jets.asinh(jets.sqrt(q))
+    uval = jets.value_of(u)
+    series = (uval < kernels._SMALL_U) & (a * uval < kernels._SMALL_AU)
+    side = series if isinstance(series, bool) else jets.agree(series)
+    if side is None:
+        return jets.split(series, _two_term_cone, t, r, rp, dth, z, zp, theta1)
+    pref = -1.0 / (2.0 * math.pi * theta1 * r * rp)
+    if side:
+        num = kernels._sinh_ratio_series(u, a)
+        den = 2.0 * jets.sinh(0.5 * a * u) ** 2 + 2.0 * jets.sin(0.5 * a * dth) ** 2
+        return pref * num / den
+    return pref * kernels._inv_sinh_u(q, u) * _two_term_angular_factor(a * u, a * dth)
+
+
+def _two_term_wedge(theta0, sign):
+    """The wedge kernel as two independent cone evaluations minus the flat kernel."""
+    def expr(t, r, rp, theta, thetap, z, zp):
+        doubled = 2.0 * theta0
+        return (_two_term_cone(t, r, rp, theta - thetap, z, zp, doubled)
+                + sign * _two_term_cone(t, r, rp, theta + thetap, z, zp, doubled)
+                - kernels._mink_term(t, r, rp, theta - thetap, z, zp))
+    return expr
+
+
+def _bits(x):
+    if isinstance(x, jets.Jet2):
+        return np.asarray(x.value).tobytes(), x.d.tobytes()
+    return float(x).hex()
+
+
+class TestWedgeImagesShareOneSeparation:
+    """The direct term and the image, built from one separation, keep their bits."""
+
+    OPENINGS = (0.05, math.pi / 3, math.pi / 2, 2 * math.pi / 3, math.pi, 1.7 * math.pi, 6.0)
+
+    @staticmethod
+    def pairs(theta0, rng, n):
+        out = []
+        for _ in range(n):
+            r, rp = rng.uniform(0.01, 10.0, 2)
+            theta, thetap = rng.uniform(0.0, theta0, 2)
+            t = float(rng.choice([0.0, 1e-9, 1e-3, 0.1, 1.0, 50.0]))
+            if t == 0.0:
+                rp = r * 1.5
+            out.append(dict(t=t, r=r, rp=rp, theta=theta, thetap=thetap,
+                            z=rng.uniform(-1, 1), zp=rng.uniform(-1, 1)))
+        return out
+
+    @staticmethod
+    def ladder(theta0, theta, ratios):
+        """Coincident pairs at r = 2, one per cutoff t = 2 * ratio."""
+        n = len(ratios)
+        return {"t": [2.0 * k for k in ratios], "r": [2.0] * n, "rp": [2.0] * n,
+                "theta": [theta] * n, "thetap": [theta] * n, "z": [0.0] * n,
+                "zp": [0.0] * n}
+
+    @pytest.mark.parametrize("theta0", OPENINGS)
+    @pytest.mark.parametrize("sign", [-1, +1])
+    def test_floats_and_scalar_jets(self, theta0, sign):
+        rng = np.random.default_rng(int(theta0 * 1000) + sign)
+        got, want = kernels.wedge_renormalized_expr(theta0, sign), _two_term_wedge(theta0, sign)
+        for coords in self.pairs(theta0, rng, 40):
+            assert _bits(got(**coords)) == _bits(want(**coords)), coords
+            lifted = lift(PointPair(**coords))
+            assert _bits(got(**lifted)) == _bits(want(**lifted)), coords
+
+    @pytest.mark.parametrize("theta0", OPENINGS)
+    @pytest.mark.parametrize("sign", [-1, +1])
+    def test_batches_that_straddle_every_branch(self, theta0, sign):
+        got, want = kernels.wedge_renormalized_expr(theta0, sign), _two_term_wedge(theta0, sign)
+        # t / r from the series window through the exponential angular form
+        # to the large-u form of 1/sinh(u)
+        ratios = [1e-8, 1e-6, 3e-5, 1e-3, 0.1, 0.4, 1.0, 3.0, 30.0, 1e3, 1e4, 1e7, 1e77]
+        a = math.pi / theta0
+        us = [2.0 * math.asinh(k) for k in ratios]
+        assert min(us) < kernels._SMALL_U < max(us)
+        assert min(us) * a < kernels._EXP_FORM_MIN_X < max(us) * a
+        assert max(us) > kernels._LARGE_U
+        rng = np.random.default_rng(7)
+        batches = [self.ladder(theta0, theta, ratios)
+                   for theta in (1e-3 * theta0, 0.37 * theta0, 0.5 * theta0, 0.98 * theta0)]
+        separated = self.pairs(theta0, rng, 24)
+        batches.append({name: [p[name] for p in separated] for name in COORDS})
+        with np.errstate(all="ignore"):
+            for batch in batches:
+                lifted = lift(batch)
+                assert _bits(got(**lifted)) == _bits(want(**lifted))
+                for k in range(len(batch["t"])):
+                    one = lift({name: batch[name][k:k + 1] for name in COORDS})
+                    assert _bits(got(**one)) == _bits(want(**one))
 
 
 class TestPeriodicLine:

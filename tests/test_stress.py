@@ -333,6 +333,20 @@ class TestValidation:
                 outcomes.add("tiny")
         assert outcomes == {"tiny", "error"}
 
+    def test_flat_space_keeps_its_values_at_huge_radii(self):
+        # only sqrt(q) loses the underflowing slope, and the flat kernel
+        # has none: kernel subtraction is exactly 0, RAW the zero-point stress
+        # (from r ~ 1e155 on, r * r overflows and the components are NaN)
+        zp = zero_point_stress(1.0).components()
+        for k in range(60, 151, 10):
+            r = 10.0 ** k
+            flat = stress_at(Minkowski(), r, t=1.0)
+            assert all(v == 0.0 for v in flat.components().values()), k
+            raw = stress_at(Minkowski(), r, t=1.0, renorm=RenormMode.RAW).components()
+            assert raw == pytest.approx(zp, rel=1e-15), k
+        with pytest.raises(DomainError, match=r"t / \(2 r\*\*2\) squared underflows"):
+            stress_at(Dowker(), 1e100, t=1.0)
+
 
 def _scalar_rung(geometry, r, theta, beta, t):
     """Kernel-subtracted stress at one cutoff through scalar jets.
