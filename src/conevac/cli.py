@@ -16,11 +16,14 @@ stderr; cell text uses shortest round-trip float formatting, so a
 given grid always produces byte-identical CSV no matter how many
 worker processes computed it (`--workers N` gives each the same
 contiguous slice of every file's grid).  One plan covers every file of
-a call: each distinct curve (geometry, z, cutoff and grid points) is
-one `stress.stress_grid` pass over the couplings of every file that
-draws it, so the two couplings of a wedge figure and of a correction
-curve cost one kernel evaluation; a theta1 sweep is one pass per point.
-Sidecars record the geometry, coupling, grid, and build metadata
+a call: the curves of one kernel kind (cones of any angle, the sheet,
+flat space, or wedges of any opening with one wall condition), z and
+cutoff share `stress.stress_grid` passes of up to `_PASS_POINTS`
+points, with the angle a batch column, and each distinct point is
+computed once over the couplings of every curve that draws it.  So the
+two couplings of a wedge figure or of a correction curve, the angles
+of a multi-cone figure and every point of a theta1 sweep share one
+pass.  Sidecars record the geometry, coupling, grid, and build metadata
 (`git describe` once per process); timestamps appear only there.
 """
 
@@ -52,6 +55,7 @@ from .geometry import (
     Wedge,
 )
 from .kernels import (
+    kernel_kind,
     tbar_cone,
     tbar_dowker,
     tbar_minkowski,
@@ -95,66 +99,95 @@ class _FileSpec:
     cutoff_t: float = 1.0
 
 
-def _passes(spec: _FileSpec, series: _Series, xs: list[float]):
-    """(geometry, points) of each `stress_grid` pass one curve needs at ``xs``.
+# Points per `stress_grid` pass.  A pass's results stay until the last
+# file that draws it is written, so this bounds the memory of a call:
+# `figure` over every id at 200 points peaks at ~37 MB ru_maxrss.
+_PASS_POINTS = 128
 
-    One pass covers the whole grid; a theta1 sweep changes the geometry
-    at every point, so it takes one pass per point.
-    """
+
+def _curve_points(spec: _FileSpec, series: _Series, xs: list[float]):
+    """(geometry, r, theta) of one curve at each grid point in ``xs``."""
     if spec.sweep not in ("r", "theta", "theta1"):
         raise ValueError(f"unknown sweep coordinate {spec.sweep!r}")
     if spec.sweep != "r" and series.fixed_r is None:
         raise ValueError("no radius: series needs fixed_r or an r sweep")
     if spec.sweep == "theta1":
-        return [(Cone(x), ((series.fixed_r, series.fixed_theta),)) for x in xs]
-    return [(series.geometry, tuple((x, series.fixed_theta) if spec.sweep == "r"
-                                    else (series.fixed_r, x) for x in xs))]
+        return [(Cone(x), series.fixed_r, series.fixed_theta) for x in xs]
+    if spec.sweep == "r":
+        return [(series.geometry, x, series.fixed_theta) for x in xs]
+    return [(series.geometry, series.fixed_r, x) for x in xs]
 
 
 def _file_rows(specs, slices):
     """Yield the CSV rows and notes of each file in turn, file k at ``slices[k]``.
 
-    A pass is keyed by the repr of its geometry, points, z and cutoff
-    (exact, and -0.0 is not 0.0), so curves that need the same pass share
-    one `stress_grid` call over the union of their couplings.  A pass
-    runs when the first file that needs it comes up and is dropped after
-    the last, and each file picks its own cells.
+    Curves share `stress_grid` passes by kernel kind, z and cutoff, so
+    every cone curve of a call, whatever its angle, is in one pass of up
+    to `_PASS_POINTS` points, taken in the order the files draw them.
+    A point is keyed by its geometry and the bits of its r and theta
+    (-0.0 is not 0.0), and curves that draw the same point share it,
+    over the union of their couplings.  A pass runs when the first file
+    that needs it comes up and is dropped after the last, and each file
+    picks its own cells.
     """
-    plan: dict = {}  # pass key -> ((geometry, points, z, t), {repr(beta): beta})
-    curves = []  # per file, per series: (its pass keys, its beta reprs)
+    passes = []  # per pass: z, cutoff, its points as [geometry, r, theta, beta reprs]
+    open_pass = {}  # (kernel kind, repr z, repr t) -> the pass that takes new points
+    slots = {}  # point key -> (its pass, its place there)
+    unions = {}  # (beta reprs, beta reprs) -> their union, a tuple points share
+    beta_of = {}  # beta repr -> beta
+    curves = []  # per file, per series: (the slot of each of its points, its beta reprs)
     for spec, xs in zip(specs, slices):
         curves.append([])
         for series in spec.series:
             couplings = ((series.beta, series.beta + 1.0) if series.correction
                          else (series.beta,))
-            betas = {repr(b): b for b in couplings}
-            keys = []
-            for geometry, points in _passes(spec, series, xs):
-                args = (geometry, points, series.fixed_z, spec.cutoff_t)
-                keys.append(repr(args))
-                plan.setdefault(keys[-1], (args, {}))[1].update(betas)
-            curves[-1].append((keys, list(betas)))
-    last = {key: k for k, file_curves in enumerate(curves)
-            for keys, _ in file_curves for key in keys}
-    passes = {}
+            beta_of.update((repr(b), b) for b in couplings)
+            betas = tuple(dict.fromkeys(map(repr, couplings)))
+            placed, points = [], _curve_points(spec, series, xs)
+            # a curve's points share one kernel kind
+            group = (kernel_kind(points[0][0]) if points else None,
+                     repr(series.fixed_z), repr(spec.cutoff_t))
+            for geometry, r, theta in points:
+                key = (group, geometry, float(r).hex(), float(theta).hex())
+                slot = slots.get(key)
+                if slot is None:
+                    k = open_pass.get(group)
+                    if k is None or len(passes[k][2]) == _PASS_POINTS:
+                        k = open_pass[group] = len(passes)
+                        passes.append((series.fixed_z, spec.cutoff_t, []))
+                    slot = slots[key] = (k, len(passes[k][2]))
+                    passes[k][2].append([geometry, r, theta, ()])
+                point = passes[slot[0]][2][slot[1]]
+                pair = (point[3], betas)
+                if pair not in unions:
+                    unions[pair] = tuple(dict.fromkeys(point[3] + betas))
+                point[3] = unions[pair]
+                placed.append(slot)
+            curves[-1].append((placed, betas))
+    del open_pass, slots, unions
+    last = {k: j for j, file_curves in enumerate(curves)
+            for placed, _ in file_curves for k, _ in placed}
+    done = {}
 
-    def cells(keys, betas):
+    def cells(placed, betas):
         """(finite, limit) per point of one curve, each a list over its betas."""
         out = []
-        for key in keys:
-            if key not in passes:
-                (geometry, points, z, t), union = plan[key]
-                passes[key] = (stress_grid(geometry, points, z, tuple(union.values()), t),
-                               list(union))
-            grid, order = passes[key]
-            picks = [order.index(b) for b in betas]
-            out += [tuple([group[i] for i in picks] for group in cell) for cell in grid]
+        for k, i in placed:
+            if k not in done:
+                z, t, points = passes[k]
+                grid = stress_grid([(g, r, th, tuple(map(beta_of.get, union)))
+                                    for g, r, th, union in points], z, t)
+                done[k] = [(cell, point[3]) for point, cell in zip(points, grid)]
+                passes[k] = None
+            cell, union = done[k][i]
+            picks = [union.index(b) for b in betas]
+            out.append(tuple([group[j] for j in picks] for group in cell))
         return out
 
-    for k, (spec, xs, file_curves) in enumerate(zip(specs, slices, curves)):
+    for j, (spec, xs, file_curves) in enumerate(zip(specs, slices, curves)):
         yield _rows(spec, xs, [cells(*curve) for curve in file_curves])
-        for key in [key for key, j in last.items() if j == k]:
-            del passes[key]
+        for k in [k for k, i in last.items() if i == j]:
+            del done[k]
 
 
 def _slice_rows(specs, slices):

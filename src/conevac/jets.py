@@ -33,6 +33,8 @@ and ``**`` through `_power`, one element at a time, and write the rest
 as + - * / that act alike on floats and arrays.  A batch that fails a rule (a
 domain check, a zero divisor, an overflow) is rerun element by
 element, so it raises what its first failing element raises alone.
+An (n,) array operand of a batched jet is a batch constant, element k
+acting as the float at k would, in either operand order.
 
 Branching on the magnitude of a jet must go through `value_of`; jets
 deliberately do not define ordering.  A batch takes a branch whole
@@ -94,6 +96,9 @@ class Jet2:
     """
 
     __slots__ = ("value", "d", "m", "pairs")
+    # numpy defers every operator to the jet, so ``array * jet`` reaches
+    # `__rmul__` instead of making an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, value, grad, hess, pairs: Pairs):
         self.value, self.m, self.pairs = value, len(grad), pairs
@@ -139,6 +144,10 @@ class Jet2:
             return other
         if isinstance(other, (int, float)):
             return _jet(float(other), np.zeros(self.d.shape), self.m, self.pairs)
+        if isinstance(other, np.ndarray) and other.shape == self.d.shape[1:] != ():
+            # a batch constant: element k acts as the float other[k] would
+            return _jet(np.asarray(other, dtype=float), np.zeros(self.d.shape), self.m,
+                        self.pairs)
         return None
 
     def __add__(self, other) -> "Jet2":
@@ -294,9 +303,9 @@ def value_of(x):
 
 
 def _take(x, mask):
-    if not isinstance(x, Jet2):
-        return x
-    return _jet(x.value[mask], x.d[:, mask], x.m, x.pairs)
+    if isinstance(x, Jet2):
+        return _jet(x.value[mask], x.d[:, mask], x.m, x.pairs)
+    return x[mask] if isinstance(x, np.ndarray) else x
 
 
 def _put(mask, hit, miss):
@@ -330,7 +339,9 @@ def split(cond, fn, *args):
     the rest, and the parts are merged back in order.  Each part then
     agrees, so no element is ever evaluated by the other branch (which
     may overflow or lose accuracy there), and each element keeps the
-    bits it has alone.  Arguments that are not jets pass through whole.
+    bits it has alone.  An (n,) array argument, a batch column such as a
+    per-element cone angle, is split with the jets; any other argument
+    that is not a jet passes through whole.
     ``fn`` returns a jet, or a list of jets that are merged one by one.
     """
     hit = fn(*(_take(a, cond) for a in args))
@@ -418,6 +429,10 @@ def lift(pair, pairs: Pairs = ASSEMBLY_PAIRS) -> dict:
     values = [np.array(pair[name], dtype=float) if batch else float(pair[name])
               for name in COORDS]
     m = len(COORDS)
-    block = np.zeros((m, m + pairs.n, *np.shape(values[0])))  # the seven d arrays
-    block[range(m), range(m)] = 1.0
-    return {name: _jet(values[k], block[k], m, pairs) for k, name in enumerate(COORDS)}
+    seeds = np.eye(m, m + pairs.n)  # row k: the d column of coordinate k
+    if batch:
+        # each row repeated along the batch by a zero stride: no memory per element
+        seeds = np.ndarray((*seeds.shape, len(values[0])), buffer=seeds,
+                           strides=(*seeds.strides, 0))
+        seeds.flags.writeable = False
+    return {name: _jet(values[k], seeds[k], m, pairs) for k, name in enumerate(COORDS)}

@@ -36,6 +36,13 @@ everything built from u alone, so `_cone_terms` computes that once and
 each offset only its own angular part, with the operations of a cone
 evaluated at that offset alone; the shared u also puts both terms on
 the same side of every branch, so one `jets.split` covers them.
+
+A batch may mix cones of different angles, or wedges of different
+openings with one wall condition: `kernel_expr` of a list of
+geometries hands `_cone_terms` the angle as an (n,) column, and each
+element sees the IEEE operations of its own angle.  `cone_expr` and
+`wedge_renormalized_expr` stay the validated one-geometry forms of the
+same closures, for `kernel_expr` of one geometry and the float kernels.
 """
 
 from __future__ import annotations
@@ -150,7 +157,7 @@ def _sinh_ratio_series(u, a):
     return a * (
         1.0
         + (a * a - 1.0) / 6.0 * u2
-        + (a**4 / 120.0 - a * a / 36.0 + 7.0 / 360.0) * (u2 * u2)
+        + (jets._power(a, 4) / 120.0 - a * a / 36.0 + 7.0 / 360.0) * (u2 * u2)
     )
 
 
@@ -174,11 +181,15 @@ def _mink_term(t, r, rp, dth, z, zp):
 def _cone_terms(t, r, rp, z, zp, theta1, *dths):
     """Cone kernel at total angle ``theta1``, one term per angular offset in ``dths``.
 
-    What depends on the separation alone (q, u, the prefactor, 1/sinh(u)
-    or the series numerator, and the u half of the angular factor) is
-    computed once for all offsets.  Each term keeps the operations of
-    the kernel at its offset alone, so its bits do not depend on the
-    other offsets.  The offsets share u and so every branch.
+    ``theta1`` is a float, or for a batch an (n,) column that gives each
+    element its own cone; either way each element sees the operations
+    of its own angle (libm ``pow`` for ``a**4``, through `jets._power`),
+    and `jets.split` divides the column with the jets.  What depends on
+    the separation alone (q, u, the prefactor, 1/sinh(u) or the series
+    numerator, and the u half of the angular factor) is computed once
+    for all offsets.  Each term keeps the operations of the kernel at
+    its offset alone, so its bits do not depend on the other offsets.
+    The offsets share u and so every branch.
     """
     a = 2.0 * math.pi / theta1
     q, u = _separation(t, r, rp, z, zp)
@@ -196,10 +207,12 @@ def _cone_terms(t, r, rp, z, zp, theta1, *dths):
             out.append(num / (den_u + 2.0 * jets.sin(0.5 * a * dth) ** 2))
         return out
     scale = pref * _inv_sinh_u(q, u)
+    x = a * u
+    del q, u, pref  # a batch's memory peaks in the angular factors below
     ys = []
     for dth in dths:
         ys.append(a * dth)
-    for f in _angular_factors(a * u, *ys):
+    for f in _angular_factors(x, *ys):
         out.append(scale * f)
     return out
 
@@ -222,12 +235,22 @@ def minkowski_expr(t, r, rp, theta, thetap, z, zp):
     return _mink_term(t, r, rp, theta - thetap, z, zp)
 
 
-def cone_expr(theta1: float):
-    """Expression for the cone kernel at total angle ``theta1``."""
-    Cone(theta1)  # validate
+def _cone_expr(theta1):
     def expr(t, r, rp, theta, thetap, z, zp):
         return _cone_terms(t, r, rp, z, zp, theta1, theta - thetap)[0]
     return expr
+
+
+def _wedge_expr(theta0, sign):
+    def expr(t, r, rp, theta, thetap, z, zp):
+        return _wedge_term(t, r, rp, theta, thetap, z, zp, theta0, sign)
+    return expr
+
+
+def cone_expr(theta1: float):
+    """Expression for the cone kernel at total angle ``theta1``."""
+    Cone(theta1)  # validate
+    return _cone_expr(theta1)
 
 
 def dowker_expr(t, r, rp, theta, thetap, z, zp):
@@ -245,9 +268,17 @@ def wedge_renormalized_expr(theta0: float, sign: int):
     Wedge(theta0)  # validate
     if sign not in (-1, +1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    def expr(t, r, rp, theta, thetap, z, zp):
-        return _wedge_term(t, r, rp, theta, thetap, z, zp, theta0, sign)
-    return expr
+    return _wedge_expr(theta0, sign)
+
+
+def kernel_kind(geometry):
+    """What geometries must share to share a kernel expression up to their angle.
+
+    The type, and for a wedge its boundary condition: cones of any
+    angles are one kind, and so are wedges of any openings with one
+    wall condition.
+    """
+    return type(geometry), getattr(geometry, "bc", None)
 
 
 def kernel_expr(geometry):
@@ -257,7 +288,15 @@ def kernel_expr(geometry):
     minus the flat part); for the other cylindrical geometries it is
     the full kernel.  The periodically identified line is not a
     cylindrical geometry and has no expression in these coordinates.
+
+    ``geometry`` may also be a list, the geometry of each element of a
+    batch, all of one `kernel_kind`.  When they differ, the cone angle or
+    the wedge opening reaches the kernel as an (n,) column, and each
+    element is bit for bit its own geometry's expression; a list of one
+    geometry gives that geometry's expression, with the angle a float.
     """
+    if isinstance(geometry, list):
+        return _column_expr(geometry)
     match geometry:
         case Minkowski():
             return minkowski_expr
@@ -274,6 +313,22 @@ def kernel_expr(geometry):
             )
         case _:
             raise TypeError(f"not a geometry: {geometry!r}")
+
+
+def _column_expr(geometries):
+    """`kernel_expr` of a batch whose element k lies in ``geometries[k]``."""
+    first = geometries[0]
+    if geometries.count(first) == len(geometries):
+        return kernel_expr(first)
+    kind = kernel_kind(first)
+    # the distinct objects, by identity: a pass repeats each ladder's geometry
+    if any(kernel_kind(g) != kind for g in {id(g): g for g in geometries}.values()):
+        raise ValueError("a batch of geometries must share one kernel kind")
+    if kind[0] is Cone:
+        return _cone_expr(np.array([g.theta1 for g in geometries]))
+    if kind[0] is Wedge:
+        return _wedge_expr(np.array([g.theta0 for g in geometries]), first.bc.image_sign)
+    return kernel_expr(first)  # raises: not a geometry with a kernel expression
 
 
 def _evaluate(expr, pair: PointPair, message: str) -> float:

@@ -23,17 +23,21 @@ The renormalized components have finite t -> 0 limits, reached by
 `stress_t0` through even-power Richardson extrapolation over a fixed
 halving ladder of six cutoffs (`_t0_cutoffs`).
 
-There is one engine, `_ladders`: it takes any list of (r, theta,
-cutoffs) ladders, evaluates the kernel expression once on batched jets
-(see `jets`), one element per cutoff, and assembles elementwise, once
-per coupling.  `stress_at` and `stress_from_kernel` run it on a ladder
-of one cutoff, `stress_t0` on its six-cutoff ladder, and `stress_grid`
-on a whole grid of points, each contributing its finite cutoff and its
-ladder.  Batching changes no bits: each element equals `stress_at` at
-its point and cutoff.  A batch whose elements fall on different sides
-of a kernel branch is split there and each part rerun (`jets.split`);
-a pass over several ladders that fails is rerun in halves, down to
-single ladders, so each ladder meets its own outcome.
+There is one engine, `_ladders`: it takes any list of (geometry, r,
+theta, cutoffs, couplings) ladders whose geometries share one kernel
+kind (`kernels.kernel_kind`), evaluates the kernel expression once on
+batched jets (see `jets`), one element per cutoff, with the cone angle
+or wedge opening a batch column when the ladders' geometries differ,
+and assembles each ladder elementwise at its own couplings.
+`stress_at` and `stress_from_kernel` run it on a ladder of one cutoff,
+`stress_t0` on its six-cutoff ladder, and `stress_grid` on a whole
+grid of points of any geometries of one kind, each contributing its
+finite cutoff and its ladder.  Batching changes no bits: each element
+equals `stress_at` at its geometry, point and cutoff.  A batch whose
+elements fall on different sides of a kernel branch is split there and
+each part rerun (`jets.split`); a pass over several ladders whose
+kernel evaluation fails is rerun in halves, down to single ladders, so
+each ladder meets its own outcome.
 """
 
 from __future__ import annotations
@@ -58,6 +62,13 @@ _RUNG_NOISE = 3.4e-17
 
 # Cutoffs in the t -> 0 ladder.
 _RUNGS = 6
+
+_CONFORMAL_BETA = Coupling.conformal().beta
+
+# Cutoffs per kernel evaluation in `_ladders`.  The jets hold ~1.6 KB per
+# cutoff at their peak, and at this size the fixed cost of an evaluation
+# (~0.4 ms) is already a small share.
+_BATCH_ELEMENTS = 448
 
 _OUT_OF_RANGE = "the stress at r={!r} leaves the range of double precision ({})"
 
@@ -118,23 +129,26 @@ def zero_point_stress(t: float) -> StressTensor:
     )
 
 
-def _assemble(k, rs, beta: float):
-    """Stress components from the jet of a kernel expression.
-
-    ``rs`` holds the radius of each batch element.  Returns one
-    (t00, t_rr, t_perp, t_zz) tuple per batch element.  The
-    arithmetic runs on plain floats, element by element: it is the same
-    IEEE arithmetic as on numpy values, cheaper than array operations
-    for ladder-sized batches, and keeps numpy scalars out of the JSON
-    serialization downstream.
-    """
+def _derivatives(k):
+    """The kernel derivatives `_assemble` reads, from the jet of a kernel expression."""
     h = k.hess_entry
-    columns = (k.grad[IR], h(IT, IT), h(IR, IR), h(IR, IRP), h(IZ, IZ), h(IZ, IZP),
-               h(ITHETA, ITHETA), h(ITHETA, ITHETAP))
+    return (k.grad[IR], h(IT, IT), h(IR, IR), h(IR, IRP), h(IZ, IZ), h(IZ, IZP),
+            h(ITHETA, ITHETA), h(ITHETA, ITHETAP))
+
+
+def _assemble(rows, beta: float, renorm_mode: RenormMode):
+    """Stress components from `_rungs` rows: one (t00, t_rr, t_perp, t_zz) tuple per row.
+
+    A row holds one batch element's radius, cutoff and `_derivatives`.
+    The arithmetic runs on plain floats, element by element: it is the
+    same IEEE arithmetic as on numpy values, cheaper than array operations
+    for ladder-sized batches, and keeps numpy scalars out of the JSON
+    serialization downstream.  Component subtraction takes off the
+    zero-point stress of each row's cutoff.
+    """
+    subtract = renorm_mode is RenormMode.COMPONENT_SUBTRACTION
     out = []
-    for r, d_r, d_t2, d_r2, d_r_rp, d_z2, d_z_zp, d_th2, d_th_thp in zip(
-        rs, *(c.tolist() for c in columns)
-    ):
+    for r, t, d_r, d_t2, d_r2, d_r_rp, d_z2, d_z_zp, d_th2, d_th_thp in rows:
         radial = d_r_rp + d_r2 + d_r / r
         # Angular part of the Laplacian acting on the coincidence value
         # of the pair function.  Exactly zero (bitwise) for kernels that
@@ -151,36 +165,32 @@ def _assemble(k, rs, beta: float):
             - beta * (d_r_rp + d_r2)
         )
         t_zz = -0.25 * (d_z_zp - d_z2) - beta * (radial + angular)
+        if subtract:
+            zp = zero_point_stress(t)
+            t00, t_rr, t_perp, t_zz = (t00 - zp.t00, t_rr - zp.t_rr, t_perp - zp.t_perp,
+                                       t_zz - zp.t_zz)
         out.append((t00, t_rr, t_perp, t_zz))
     return out
 
 
-def _rungs(kernel_fn, pairs, betas, renorm_mode):
-    """Stress components at every point pair, for every beta, from one jet pass.
+def _rungs(kernel_fn, pairs, renorm_mode):
+    """Every point pair's `_assemble` row, from one jet pass.
 
     ``pairs`` is a batch as `jets.lift` takes it: a list of point pairs,
     or a dict of coordinate columns.  The kernel expression is
-    evaluated once, on the whole batch, and assembled once per beta;
-    the result holds one list per beta with one component tuple per
-    pair.  Every element is bit for bit what a batch of one would give
-    (see `jets`).  Near the axis the arrays meet infinities on the way to
-    the error `_ladders` reports; numpy is kept quiet about them.
+    evaluated once, on the whole batch; the caller assembles each row at
+    the couplings it needs.  Every element is bit for bit what a batch
+    of one would give (see `jets`).  Near the axis the arrays meet
+    infinities on the way to the error `_ladders` reports; numpy is kept
+    quiet about them.
     """
     coords = jets.lift(pairs)
     with np.errstate(all="ignore"):
         k = kernel_fn(**coords)
         if renorm_mode is RenormMode.KERNEL_SUBTRACTION:
             k = k - minkowski_expr(**coords)
-    rs = coords["r"].value.tolist()
-    out = [_assemble(k, rs, beta) for beta in betas]
-    if renorm_mode is RenormMode.COMPONENT_SUBTRACTION:
-        for rungs in out:
-            for i, t in enumerate(coords["t"].value.tolist()):
-                zp = zero_point_stress(t)
-                t00, t_rr, t_perp, t_zz = rungs[i]
-                rungs[i] = (t00 - zp.t00, t_rr - zp.t_rr, t_perp - zp.t_perp,
-                            t_zz - zp.t_zz)
-    return out
+    columns = (coords["r"].value, coords["t"].value, *_derivatives(k))
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def _check_point(r, theta, z, t) -> None:
@@ -191,24 +201,21 @@ def _check_point(r, theta, z, t) -> None:
         PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z)
 
 
-def _ladders(kernel_fn, mode, z, betas, ladders):
-    """Stress components on every (r, theta, cutoffs) ladder, from one jet pass.
+def _ladders(kernel_for, z, ladders):
+    """Stress components on (geometry, r, theta, cutoffs, betas) ladders, on batched jets.
 
-    Returns, per ladder, one entry per beta: the component tuple of each
-    of its cutoffs, or the ladder's own DomainError (a cutoff that is not
-    positive, or a stress that leaves the range of doubles: ``r * r``
-    or the squared t-slope of the kernels' ``q`` underflows, a
-    derivative factor overflows, a component comes out NaN).  A point
-    that is not valid raises ValueError, as a `PointPair` does.  When
-    the pass over several ladders fails, each half of them is run on its
-    own, and so on down to single ladders, so each meets its own outcome
-    and a grid with one failing point costs about two passes, not one per
-    ladder.  Errors are returned without their tracebacks, which would
-    keep the batch alive.
+    ``kernel_for`` maps the list of every batch element's geometry to
+    the kernel expression and its `RenormMode` (see `_kernel_for`); the
+    geometries share one kernel kind, and their angles become a batch
+    column.  Returns, per ladder, one entry per beta of its own: the
+    component tuple of each of its cutoffs, or the ladder's own
+    DomainError (a cutoff that is not positive, or one `_pass` reports).
+    A point that is not valid raises ValueError, as a `PointPair` does.
+    The valid ladders go to `_pass` in runs of up to `_BATCH_ELEMENTS`
+    cutoffs, which bounds the memory of a kernel evaluation.
     """
-    out = []
-    ts_col, r_col, theta_col = [], [], []
-    for r, theta, ts in ladders:
+    out, runs, size = [], [[]], 0
+    for k, (geometry, r, theta, ts, betas) in enumerate(ladders):
         bad = [t for t in ts if not (math.isfinite(t) and t > 0)]
         if bad:
             exc = DomainError(f"stress needs a cutoff t > 0, got {bad[0]!r}")
@@ -216,33 +223,65 @@ def _ladders(kernel_fn, mode, z, betas, ladders):
             continue
         _check_point(r, theta, z, ts[0])
         out.append(None)
+        if runs[-1] and size + len(ts) > _BATCH_ELEMENTS:
+            runs.append([])
+            size = 0
+        runs[-1].append(k)
+        size += len(ts)
+    for run in filter(None, runs):
+        for k, entry in zip(run, _pass(kernel_for, z, [ladders[k] for k in run])):
+            out[k] = entry
+    return out
+
+
+def _pass(kernel_for, z, ladders):
+    """`_ladders` on valid ladders: one kernel evaluation, then each ladder's assembly.
+
+    A ladder is assembled at its own betas only, and one whose assembly
+    fails (``r * r`` underflows) meets its own error there.  When the
+    kernel evaluation fails (the squared t-slope of the kernels' ``q``
+    underflows, a derivative factor overflows), each half of the
+    ladders is run on its own, and so on down to single ladders, so each
+    meets its own outcome and a grid with one failing point costs about
+    two passes, not one per ladder.  A component that comes out NaN is
+    out of range too.  Errors are returned without their tracebacks,
+    which would keep the batch alive.
+    """
+    ts_col, r_col, theta_col, geometry_col = [], [], [], []
+    for geometry, r, theta, ts, _ in ladders:
         ts_col += ts
         r_col += [r] * len(ts)
         theta_col += [theta] * len(ts)
-    if not ts_col:
-        return out
+        geometry_col += [geometry] * len(ts)
     columns = {"t": ts_col, "r": r_col, "rp": r_col, "theta": theta_col,
                "thetap": theta_col, "z": [z] * len(ts_col), "zp": [z] * len(ts_col)}
+    expr, mode = kernel_for(geometry_col)
     try:
-        per_beta = _rungs(kernel_fn, columns, betas, mode)
+        rows = _rungs(expr, columns, mode)
     except (DomainError, ArithmeticError) as exc:
         if len(ladders) > 1:
             half = len(ladders) // 2
-            return (_ladders(kernel_fn, mode, z, betas, ladders[:half])
-                    + _ladders(kernel_fn, mode, z, betas, ladders[half:]))
+            return (_pass(kernel_for, z, ladders[:half])
+                    + _pass(kernel_for, z, ladders[half:]))
         if isinstance(exc, ArithmeticError):
             # the kernels' own FloatingPointError says why; Python's name their type
             why = str(exc) if type(exc) is FloatingPointError else type(exc).__name__
-            exc = DomainError(_OUT_OF_RANGE.format(ladders[0][0], why))
-        return [[exc.with_traceback(None)] * len(betas)]
-    start = 0
-    for k, (r, _, ts) in enumerate(ladders):
-        if out[k] is None:
-            spans = [rungs[start:start + len(ts)] for rungs in per_beta]
-            out[k] = [DomainError(_OUT_OF_RANGE.format(r, "NaN"))
-                      if any(map(math.isnan, chain.from_iterable(span))) else span
-                      for span in spans]
-            start += len(ts)
+            exc = DomainError(_OUT_OF_RANGE.format(ladders[0][1], why))
+        return [[exc.with_traceback(None)] * len(ladders[0][4])]
+    out, start = [], 0
+    for _, r, _, ts, betas in ladders:
+        span = rows[start:start + len(ts)]
+        start += len(ts)
+        try:
+            # r * r or a cutoff's t**4 fails alike at every beta
+            per_beta = [_assemble(span, beta, mode) for beta in betas]
+        except ArithmeticError as exc:
+            out.append([DomainError(_OUT_OF_RANGE.format(r, type(exc).__name__))]
+                       * len(betas))
+            continue
+        out.append([DomainError(_OUT_OF_RANGE.format(r, "NaN"))
+                    if any(map(math.isnan, chain.from_iterable(rungs))) else rungs
+                    for rungs in per_beta])
     return out
 
 
@@ -265,7 +304,8 @@ def stress_from_kernel(
     independently constructed kernels (image sums, cross checks) can be
     pushed through the same assembly.
     """
-    ((rungs,),) = _ladders(kernel_fn, renorm_mode, z, (beta,), [(r, theta, [t])])
+    ((rungs,),) = _ladders(lambda _: (kernel_fn, renorm_mode), z,
+                           [(None, r, theta, [t], (beta,))])
     if isinstance(rungs, DomainError):
         raise rungs
     return StressTensor(*rungs[0], renorm_mode=renorm_mode, cutoff_t=t)
@@ -279,15 +319,17 @@ def _check_interior(geometry: Geometry, theta: float) -> None:
         )
 
 
-def _kernel_for(geometry: Geometry, renorm: RenormMode):
+def _kernel_for(geometry, renorm: RenormMode):
     """The kernel expression and subtraction mode that give ``renorm`` stress.
 
-    The stored wedge kernel is flat-part-free: kernel subtraction is
-    the identity there, RAW adds the flat kernel back, and component
-    subtraction is not defined.
+    ``geometry`` is a geometry, or a list of one kernel kind, the
+    geometry of each batch element (see `kernel_expr`).  The stored
+    wedge kernel is flat-part-free: kernel subtraction is the identity
+    there, RAW adds the flat kernel back, and component subtraction is
+    not defined.
     """
     expr = kernel_expr(geometry)
-    if not isinstance(geometry, Wedge):
+    if not isinstance(geometry[0] if isinstance(geometry, list) else geometry, Wedge):
         return expr, renorm
     if renorm is RenormMode.COMPONENT_SUBTRACTION:
         raise DomainError(
@@ -297,6 +339,10 @@ def _kernel_for(geometry: Geometry, renorm: RenormMode):
     if renorm is RenormMode.RAW:
         return (lambda **coords: expr(**coords) + minkowski_expr(**coords)), RenormMode.RAW
     return expr, RenormMode.RAW
+
+
+def _kernel_subtraction(geometries):
+    return _kernel_for(geometries, RenormMode.KERNEL_SUBTRACTION)
 
 
 def stress_at(
@@ -409,18 +455,13 @@ def _noise(ts) -> list[float]:
     return [_RUNG_NOISE / tk**4 for tk in ts]
 
 
-def _t0_cutoffs(geometry: Geometry, r, theta, beta) -> list[float]:
-    """The halving cutoff ladder of `stress_t0`, after its domain checks."""
+def _t0_ladder(geometry: Geometry, r, theta) -> list[float]:
+    """The halving cutoff ladder of `stress_t0`, after its checks that ignore beta."""
     scale_len = r
     if isinstance(geometry, Wedge):
         gap = min(theta, geometry.theta0 - theta)
         if gap <= 0.0:
             _check_interior(geometry, theta)  # raises: theta is on or past a wall
-        if abs(beta - Coupling.conformal().beta) > 1e-12 and gap < 1e-3:
-            raise DomainError(
-                "nonconformal wedge stress diverges at the walls; "
-                f"theta={theta!r} is too close (gap {gap!r} < 1e-3)"
-            )
         # The even-in-t expansion of the renormalized stress converges
         # out to twice the wall distance (the image source sits at 2d,
         # and past a right angle the nearest wall point is its edge on
@@ -451,11 +492,38 @@ def _t0_cutoffs(geometry: Geometry, r, theta, beta) -> list[float]:
     return ts
 
 
+def _t0_cutoffs(geometry: Geometry, r, theta, betas) -> list:
+    """The ladder of `stress_t0` at each beta in ``betas``, or the DomainError it meets.
+
+    `_t0_ladder` runs once; only the nonconformal near-wall check runs
+    per beta, and it comes before every check of the ladder but the
+    walls themselves.  A point that is not valid raises ValueError, as a
+    `PointPair` does, at the first beta that reaches that check.
+    """
+    try:
+        ts = _t0_ladder(geometry, r, theta)
+    except ValueError as exc:  # a DomainError is a ValueError too
+        ts = exc.with_traceback(None)
+    gap = min(theta, geometry.theta0 - theta) if isinstance(geometry, Wedge) else math.inf
+    out = []
+    for beta in betas:
+        if 0.0 < gap < 1e-3 and abs(beta - _CONFORMAL_BETA) > 1e-12:
+            out.append(DomainError(
+                "nonconformal wedge stress diverges at the walls; "
+                f"theta={theta!r} is too close (gap {gap!r} < 1e-3)"
+            ))
+        elif type(ts) is ValueError:
+            raise ts
+        else:
+            out.append(ts)
+    return out
+
+
 def _extrapolate(best, err, spread) -> ExtrapolatedStress:
     """The t -> 0 stress from the `_richardson` rows of one ladder's components."""
-    best = dict(zip(COMPONENT_NAMES, best.tolist()))
-    err = dict(zip(COMPONENT_NAMES, err.tolist()))
-    spread = dict(zip(COMPONENT_NAMES, spread.tolist()))
+    best = dict(zip(COMPONENT_NAMES, best))
+    err = dict(zip(COMPONENT_NAMES, err))
+    spread = dict(zip(COMPONENT_NAMES, spread))
     scale = max(abs(v) for v in best.values())
     for name in COMPONENT_NAMES:
         # err exceeding the spread means the chosen entry is accurate
@@ -481,28 +549,33 @@ def _extrapolate(best, err, spread) -> ExtrapolatedStress:
     )
 
 
-def _limits(ladders):
-    """The t -> 0 limit of every (cutoffs, rungs) ladder, from one tableau.
+# Ladders per `_richardson` call: its arrays take ~1.3 KB per ladder, so
+# a grid's tableau is split to stay below the memory of its kernel pass.
+_TABLEAU_LADDERS = 128
 
-    Every component of every ladder is one row of a single `_richardson`
-    call.  Returns per ladder its `ExtrapolatedStress`, or its
+
+def _limits(ladders):
+    """The t -> 0 limit of every (cutoffs, rungs) ladder, from vectorised tableaux.
+
+    Every component of every ladder is one row of a `_richardson` call,
+    `_TABLEAU_LADDERS` ladders to a call (a row's bits do not depend on
+    the others).  Returns per ladder its `ExtrapolatedStress`, or its
     ConvergenceError; a ladder whose rungs are a DomainError keeps it.
     """
     out = [rungs for _, rungs in ladders]
     live = [k for k, rungs in enumerate(out) if not isinstance(rungs, DomainError)]
-    if not live:
-        return out
     m = len(COMPONENT_NAMES)
-    values = np.array([out[k] for k in live])
-    noise = np.repeat([_noise(ladders[k][0]) for k in live], m, axis=0)
-    best, err, spread = _richardson(
-        values.transpose(0, 2, 1).reshape(len(live) * m, values.shape[1]), noise)
-    for j, k in enumerate(live):
-        rows = slice(j * m, (j + 1) * m)
-        try:
-            out[k] = _extrapolate(best[rows], err[rows], spread[rows])
-        except ConvergenceError as exc:
-            out[k] = exc.with_traceback(None)
+    for start in range(0, len(live), _TABLEAU_LADDERS):
+        part = live[start:start + _TABLEAU_LADDERS]
+        values = np.array([out[k] for k in part])
+        noise = np.repeat([_noise(ladders[k][0]) for k in part], m, axis=0)
+        rows = _richardson(values.transpose(0, 2, 1).reshape(len(part) * m, -1), noise)
+        best, err, spread = (a.reshape(len(part), m).tolist() for a in rows)
+        for j, k in enumerate(part):
+            try:
+                out[k] = _extrapolate(best[j], err[j], spread[j])
+            except ConvergenceError as exc:
+                out[k] = exc.with_traceback(None)
     return out
 
 
@@ -531,66 +604,61 @@ def stress_t0(
     nonconformal stress has no finite limit to extrapolate to, or
     where the ladder leaves the range of doubles.
     """
-    ts = _t0_cutoffs(geometry, r, theta, beta)
-    expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
-    ((rungs,),) = _ladders(expr, mode, z, (beta,), [(r, theta, ts)])
+    (ts,) = _t0_cutoffs(geometry, r, theta, (beta,))
+    if isinstance(ts, DomainError):
+        raise ts
+    ((rungs,),) = _ladders(_kernel_subtraction, z, [(geometry, r, theta, ts, (beta,))])
     (limit,) = _limits([(ts, rungs)])
     if isinstance(limit, Exception):
         raise limit
     return limit
 
 
-def stress_grid(geometry: Geometry, points, z: float, betas, t: float):
-    """`stress_at` at cutoff ``t`` and `stress_t0` at every point, in one jet pass.
+def stress_grid(points, z: float, t: float):
+    """`stress_at` at cutoff ``t`` and `stress_t0` at every point, in one pass.
 
-    ``points`` lists (r, theta) pairs.  Every point contributes its
-    cutoff ``t`` and its `stress_t0` ladder to one `_ladders` pass, so
-    the kernel expression is evaluated once for the whole grid and
-    assembled once per beta in ``betas``.  Returns one ``(finite,
-    limit)`` pair per point, each a list with one entry per beta: the
-    tensor that ``stress_at(geometry, r, theta, z, beta=beta, t=t)`` or
-    ``stress_t0(geometry, r, theta, z, beta=beta).stress`` returns, bit
-    for bit, or the DomainError or ConvergenceError it raises, without
-    its traceback.
+    ``points`` lists (geometry, r, theta, betas) entries whose
+    geometries share one `kernels.kernel_kind`: cones of any angles,
+    say, or wedges of any openings with one wall condition.  Every point
+    contributes its cutoff ``t`` and its `stress_t0` ladder to one
+    `_ladders` pass, so the kernel expression is evaluated on the whole
+    grid at once (in batches of up to `_BATCH_ELEMENTS` cutoffs), with
+    the angles as a batch column, and each ladder is assembled at its
+    own point's couplings only; one `_limits` call then extrapolates
+    every ladder at every coupling.  Returns one ``(finite,
+    limit)`` pair per point, each a list with one entry per beta of that
+    point: the tensor that ``stress_at(geometry, r, theta, z, beta=beta,
+    t=t)`` or ``stress_t0(geometry, r, theta, z, beta=beta).stress``
+    returns, bit for bit, or the DomainError or ConvergenceError it
+    raises, without its traceback.
     """
-    expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
     ladders, plan = [], []
-    for r, theta in points:
-        # Each cell is the index of its ladder, or the DomainError of its plan.
+    for geometry, r, theta, betas in points:
         try:
             _check_interior(geometry, theta)
-            finite = len(ladders)
-            ladders.append((r, theta, [t]))
+            finite = len(ladders)  # its ladder, or its DomainError
+            ladders.append((geometry, r, theta, [t], betas))
         except DomainError as exc:
             finite = exc.with_traceback(None)
-        limit, ts = [], None
-        for beta in betas:
-            # The ladder does not depend on beta, only whether it is allowed.
-            try:
-                ts = _t0_cutoffs(geometry, r, theta, beta)
-                limit.append(len(ladders))
-            except DomainError as exc:
-                limit.append(exc.with_traceback(None))
-        if ts is not None:
-            ladders.append((r, theta, ts))
-        plan.append((finite, limit))
-    results = _ladders(expr, mode, z, betas, ladders)
-
-    def pick(cell, b):
-        """(cutoffs, rungs at the b-th beta) of a cell, or (None, its error)."""
-        if isinstance(cell, DomainError):
-            return None, cell
-        return ladders[cell][2], results[cell][b]
-
-    out = [([], []) for _ in points]
-    for b in range(len(betas)):
-        # One tableau per beta over every ladder of the grid.
-        limits = _limits([pick(limit[b], b) for _, limit in plan])
-        for (finite, _), (finite_cells, limit_cells), lim in zip(plan, out, limits):
-            _, rungs = pick(finite, b)
-            finite_cells.append(rungs if isinstance(rungs, DomainError) else StressTensor(
-                *rungs[0], renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=t))
-            limit_cells.append(lim if isinstance(lim, Exception) else lim.stress)
+        limit = _t0_cutoffs(geometry, r, theta, betas)  # per beta: cutoffs or DomainError
+        cutoffs = [ts for ts in limit if not isinstance(ts, DomainError)]
+        if cutoffs:
+            ladders.append((geometry, r, theta, cutoffs[0],
+                            [beta for beta, ts in zip(betas, limit) if ts is cutoffs[0]]))
+        plan.append((betas, finite, limit, len(ladders) - 1 if cutoffs else None))
+    results = _ladders(_kernel_subtraction, z, ladders)
+    limits = iter(_limits([(ladders[k][3], rungs) for *_, k in plan if k is not None
+                           for rungs in results[k]]))
+    out = []
+    for betas, finite, limit, _ in plan:
+        rungs = ([finite] * len(betas) if isinstance(finite, DomainError)
+                 else results[finite])
+        lims = [ts if isinstance(ts, DomainError) else next(limits) for ts in limit]
+        out.append((
+            [cell if isinstance(cell, DomainError) else StressTensor(
+                *cell[0], renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=t)
+             for cell in rungs],
+            [lim if isinstance(lim, Exception) else lim.stress for lim in lims]))
     return out
 
 

@@ -8,7 +8,10 @@ figure set of the README).  A change that is meant to keep the numbers
 (a refactor, a speed-up) proves it by leaving this file alone and by
 passing ``--check``, which recomputes every frozen grid, writes
 nothing, and exits nonzero on any mismatch; ``--workers N`` computes
-with N worker processes, whose output must be the same bytes.
+with N worker processes, whose output must be the same bytes.  Each
+grid's line also gives its wall time and the peak resident set so far
+(``ru_maxrss``) of this process and of its finished worker processes,
+the memory that the figure planner's pass size bounds.
 Regenerate the file only in a change that means to alter the numbers,
 and say so in that change.  Run from the repository root:
 
@@ -20,8 +23,10 @@ import contextlib
 import hashlib
 import io
 import json
+import resource
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
@@ -78,9 +83,15 @@ def check(workers: int = 1) -> int:
         return 1
     status = 0
     for points, want in frozen["grids"].items():
+        start = time.perf_counter()
         got = grid_digests(int(points), workers)
+        wall = time.perf_counter() - start
         verdict = "ok" if got == want else "MISMATCH"
-        print(f"{points} points: {verdict}")
+        # ru_maxrss is in KiB on Linux
+        peaks = [resource.getrusage(who).ru_maxrss / 1024
+                 for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+        print(f"{points} points: {verdict} ({wall:.2f} s; ru_maxrss self "
+              f"{peaks[0]:.1f} MB, children {peaks[1]:.1f} MB)")
         if got != want:
             print(f"  frozen   {want}\n  computed {got}")
             status = 1

@@ -20,7 +20,6 @@ import pytest
 
 import conevac
 from conevac import Cone, ConvergenceError, DomainError, cli, stress_at, stress_t0
-from conevac import stress as stress_module
 from conevac.cli import main
 from conevac.oracles import SUITE_VERSION
 
@@ -504,28 +503,31 @@ def _figure_specs(points):
             for fid, specs in cli._FIGURES.items()}
 
 
-def _pass_keys(specs):
-    """The distinct `stress_grid` passes of a call, by the planning rule.
+def _pass_count(specs):
+    """The number of `stress_grid` passes of a call, by the planning rule.
 
-    Curves share a pass when their geometry, z, cutoff and grid points
-    agree; a theta1 sweep is one pass per point.
+    Curves of one kernel kind (type, and a wedge's wall condition), z and
+    cutoff share passes of up to `cli._PASS_POINTS` distinct points.
     """
-    keys = set()
+    groups = {}
     for spec in specs:
         xs = cli._grid(spec.lo, spec.hi, spec.points, spec.log)
         for series in spec.series:
-            if spec.sweep == "theta1":
-                keys.update((Cone(x), series.fixed_z, spec.cutoff_t,
-                             ((series.fixed_r, series.fixed_theta),)) for x in xs)
-            else:
-                points = tuple((x, series.fixed_theta) if spec.sweep == "r"
-                               else (series.fixed_r, x) for x in xs)
-                keys.add((series.geometry, series.fixed_z, spec.cutoff_t, points))
-    return keys
+            for x in xs:
+                if spec.sweep == "theta1":
+                    point = (Cone(x), series.fixed_r, series.fixed_theta)
+                elif spec.sweep == "r":
+                    point = (series.geometry, x, series.fixed_theta)
+                else:
+                    point = (series.geometry, series.fixed_r, x)
+                group = (type(point[0]), getattr(point[0], "bc", None), series.fixed_z,
+                         spec.cutoff_t)
+                groups.setdefault(group, set()).add(repr(point))
+    return sum(-(-len(points) // cli._PASS_POINTS) for points in groups.values())
 
 
 class TestBatchedGrid:
-    """One jet pass per distinct curve gives the bytes of the per-point path."""
+    """Passes shared across curves, angles and files give the bytes of the per-point path."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -552,8 +554,8 @@ class TestBatchedGrid:
         # cones of fig2* with fig3*, the two theta1 sweeps at 2 pi)
         specs, want = reference
         every = [spec for file_specs in specs.values() for spec in file_specs]
-        assert len(_pass_keys(every)) < sum(len(_pass_keys(file_specs))
-                                            for file_specs in specs.values())
+        assert _pass_count(every) < sum(_pass_count(file_specs)
+                                        for file_specs in specs.values())
         for spec, (rows, notes) in zip(every, cli._compute(every, 1)):
             want_rows, want_notes = want[spec.filename]
             assert _hex_rows(rows) == _hex_rows(want_rows), spec.filename
@@ -611,18 +613,17 @@ class TestBatchedGrid:
             assert want_err
 
     def test_one_kernel_pass_per_curve(self, tmp_path, monkeypatch):
+        # counted as `stress_grid` passes, each over every curve of one kernel
+        # kind; a pass evaluates its kernel in batches of up to
+        # `stress._BATCH_ELEMENTS` cutoffs (see TestStressGrid)
         calls = []
-        real = stress_module.kernel_expr
+        real = cli.stress_grid
 
-        def counting(geometry):
-            expr = real(geometry)
+        def counted(points, z, t):
+            calls.append(len(points))
+            return real(points, z, t)
 
-            def counted(**coords):
-                calls.append(geometry)
-                return expr(**coords)
-            return counted
-
-        monkeypatch.setattr(stress_module, "kernel_expr", counting)
+        monkeypatch.setattr(cli, "stress_grid", counted)
         specs = _figure_specs(20)
         # one id per call, as the benchmark runs them, then every id at once
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -633,15 +634,15 @@ class TestBatchedGrid:
             per_id = len(calls)
             assert main(["figure", *specs, "--points", "20",
                          "--outdir", str(tmp_path)]) == 0
-        assert per_id == sum(len(_pass_keys(s)) for s in specs.values()) == 87
+        assert per_id == sum(_pass_count(s) for s in specs.values()) == 16
         every = [spec for file_specs in specs.values() for spec in file_specs]
-        assert len(calls) - per_id == len(_pass_keys(every))
+        assert len(calls) - per_id == _pass_count(every)
 
     @pytest.mark.parametrize("argv, passes", [
-        (("fig4",), 1), (("fig5",), 4), (("fig6",), 3), (("fig7",), 3),
-        (("coneang1", "--points", "4"), 4),
-        # each worker takes the same slice of both files, which share 4 passes
-        (("fig5", "--workers", "2", "--points", "7"), 8),
+        (("fig4",), 1), (("fig5",), 1), (("fig6",), 1), (("fig7",), 1),
+        (("coneang1", "--points", "4"), 1),
+        # each worker takes the same slice of both files, which share 1 pass
+        (("fig5", "--workers", "2", "--points", "7"), 2),
     ], ids=["fig4", "fig5", "fig6", "fig7", "coneang1", "fig5-workers"])
     def test_passes_per_figure_id(self, tmp_path, monkeypatch, argv, passes):
         calls = []
@@ -672,6 +673,24 @@ class TestBatchedGrid:
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(["figure", *argv, "--outdir", str(tmp_path)]) == 0
         assert len(calls) == passes
+
+
+    def test_no_pass_exceeds_the_cap(self, monkeypatch):
+        # every figure id at 200 points, planned through a stand-in for the grid
+        sizes = []
+
+        def planned(points, z, t):
+            sizes.append(len(points))
+            skipped = DomainError("not computed")
+            return [([skipped] * len(betas), [skipped] * len(betas))
+                    for *_, betas in points]
+
+        monkeypatch.setattr(cli, "stress_grid", planned)
+        specs = [spec for file_specs in _figure_specs(200).values() for spec in file_specs]
+        for _ in cli._compute(specs, 1):
+            pass
+        assert len(sizes) == _pass_count(specs)
+        assert max(sizes) == cli._PASS_POINTS
 
 
 class TestWorkers:

@@ -1,6 +1,7 @@
 """Second-order forward-mode jets against high-precision derivatives."""
 
 import math
+import operator
 
 import mpmath as mp
 import numpy as np
@@ -279,6 +280,29 @@ class TestBatch:
             "div_jet", "pow2", "pow3", "pow_frac"])
     def test_arithmetic(self, batch, op):
         self._check(batch, op)
+
+    @pytest.mark.parametrize("jet_first", [True, False], ids=["jet_left", "array_left"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv], ids=lambda op: op.__name__)
+    def test_array_operands_act_as_their_floats(self, batch, op, jet_first):
+        # an (n,) array is a batch constant: element k gets the bits of the
+        # scalar jet of element k with the float c[k], in either order
+        c = np.random.default_rng(11).uniform(-3.0, 3.0, size=batch.value.shape[0])
+        c[:2] = (2.0, -1.0)
+        got = op(batch, c) if jet_first else op(c, batch)
+        assert isinstance(got, Jet2)
+        scalars = [op(_element(batch, k), float(c[k])) if jet_first
+                   else op(float(c[k]), _element(batch, k)) for k in range(len(c))]
+        _assert_batch_is_scalars(got, scalars)
+
+    def test_array_operands_must_match_the_batch(self, batch):
+        for other in (np.ones(3), np.ones((batch.value.shape[0], 1))):
+            with pytest.raises(TypeError):
+                batch * other
+            with pytest.raises(TypeError):
+                other + batch
+        with pytest.raises(TypeError):
+            np.ones(2) * Jet2.constant(1.0, M)
 
     def test_lift_batches_every_coordinate(self):
         pairs = [PointPair(t=t, r=2.0, rp=1.0, theta=0.3) for t in (0.5, 0.25)]

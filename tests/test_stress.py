@@ -38,6 +38,7 @@ from conevac.kernels import minkowski_expr
 from conevac.stress import (
     COMPONENT_NAMES,
     _assemble,
+    _derivatives,
     _kernel_for,
     _ladders,
     _noise,
@@ -61,6 +62,11 @@ NONCONVERGENT = {
     ("wedge_right_dirichlet_r8_th0.001pi", CONFORMAL_BETA),
     ("wedge_right_dirichlet_r8_th0.005pi", CONFORMAL_BETA),
 }
+
+
+def _grid(geometry, points, z, betas, t):
+    """`stress_grid` over (r, theta) points of one geometry, each at every beta."""
+    return stress_grid([(geometry, r, theta, betas) for r, theta in points], z, t)
 
 
 def _case_target(reference, name):
@@ -276,7 +282,7 @@ class TestValidation:
         calls = {
             "stress_at": lambda: stress_at(Cone(2.2), r, t=0.5),
             "stress_t0": lambda: stress_t0(Cone(2.2), r),
-            "stress_grid": lambda: stress_grid(Cone(2.2), [(r, 0.0)], 0.0, (0.0,), 0.5),
+            "stress_grid": lambda: _grid(Cone(2.2), [(r, 0.0)], 0.0, (0.0,), 0.5),
         }
         messages = set()
         for call in calls.values():
@@ -360,8 +366,8 @@ def _scalar_rung(geometry, r, theta, beta, t):
     wedge = isinstance(geometry, Wedge)
     if not wedge:
         k = k - minkowski_expr(**coords)
-    one = jets.Jet2(np.array([k.value]), k.grad[:, None], k.hess[:, None], k.pairs)
-    (rung,) = _assemble(one, [r], beta)
+    (rung,) = _assemble([(r, t, *map(float, _derivatives(k)))], beta,
+                        RenormMode.KERNEL_SUBTRACTION)
     return rung
 
 
@@ -386,7 +392,7 @@ LADDERS = {
 def _ladder(geometry, r, theta, beta, ts):
     """Kernel-subtracted stress tensors on one cutoff ladder, from one engine pass."""
     expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
-    ((rungs,),) = _ladders(expr, mode, 0.0, (beta,), [(r, theta, ts)])
+    ((rungs,),) = _ladders(lambda _: (expr, mode), 0.0, [(geometry, r, theta, ts, (beta,))])
     return [StressTensor(*comps, renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=t)
             for t, comps in zip(ts, rungs)]
 
@@ -453,7 +459,8 @@ class TestBatchedLadder:
         mode = (RenormMode.RAW if isinstance(geometry, Wedge)
                 else RenormMode.KERNEL_SUBTRACTION)
         betas = (CONFORMAL_BETA, -0.25, 0.7)
-        batch = _rungs(kernel_expr(geometry), pairs, betas, mode)
+        rows = _rungs(kernel_expr(geometry), pairs, mode)
+        batch = [_assemble(rows, beta, mode) for beta in betas]
         for beta, rungs in zip(betas, batch):
             for (r, theta, t), got in zip(points, rungs):
                 want = _scalar_rung(geometry, r, theta, beta, t)
@@ -508,7 +515,7 @@ class TestStressGrid:
     # numpy warns about the infinities on the way to the out-of-range errors
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_grid_equals_per_point_functions(self, geometry, points, betas):
-        grid = stress_grid(geometry, points, 0.0, betas, 0.5)
+        grid = _grid(geometry, points, 0.0, betas, 0.5)
         assert len(grid) == len(points)
         for (r, theta), (finite, limit) in zip(points, grid):
             for b, beta in enumerate(betas):
@@ -518,10 +525,20 @@ class TestStressGrid:
 
     def test_grid_cells_cover_every_outcome(self):
         points = [(8.0, th) for th in (0.0, 0.0005, 0.001 * math.pi, 0.3)]
-        grid = stress_grid(Wedge(math.pi / 2), points, 0.0,
+        grid = _grid(Wedge(math.pi / 2), points, 0.0,
                            (CONFORMAL_BETA, CONFORMAL_BETA + 1.0), 0.5)
         kinds = {type(cell).__name__ for finite, limit in grid for cell in finite + limit}
         assert kinds == {"DomainError", "ConvergenceError", "StressTensor"}
+
+    def test_near_wall_couplings_fail_before_the_ladder_checks(self):
+        # one plan serves both couplings: the nonconformal one is refused for
+        # the wall, the conformal one meets the ladder's own underflow
+        wedge, r, theta = Wedge(math.pi / 2), 1e-300, 5e-4
+        ((_, limit),) = _grid(wedge, [(r, theta)], 0.0, (0.0, CONFORMAL_BETA), 0.5)
+        for cell, beta in zip(limit, (0.0, CONFORMAL_BETA)):
+            assert _same(cell, self.per_point(wedge, r, theta, beta, 0.5)[1])
+        assert "nonconformal" in str(limit[0])
+        assert "underflows" in str(limit[1])
 
     def test_grid_reads_one_kernel_pass(self, monkeypatch):
         calls = []
@@ -536,8 +553,29 @@ class TestStressGrid:
             return counted
 
         monkeypatch.setattr("conevac.stress.kernel_expr", counting)
-        stress_grid(Cone(2.2), [(1.0, 0.0), (2.0, 0.0), (4.0, 0.0)], 0.0, (0.0, 1.0), 0.5)
+        _grid(Cone(2.2), [(1.0, 0.0), (2.0, 0.0), (4.0, 0.0)], 0.0, (0.0, 1.0), 0.5)
         assert calls == [3 * 7]
+
+    def test_a_grid_over_the_batch_size_runs_in_batches(self, monkeypatch):
+        points = [(r, 0.0) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        whole = _grid(Cone(2.2), points, 0.0, (0.0, 1.0), 0.5)
+        calls = []
+        real = kernel_expr
+
+        def counting(geometry):
+            expr = real(geometry)
+
+            def counted(**coords):
+                calls.append(len(coords["t"].value))
+                return expr(**coords)
+            return counted
+
+        monkeypatch.setattr("conevac.stress.kernel_expr", counting)
+        monkeypatch.setattr("conevac.stress._BATCH_ELEMENTS", 14)
+        batched = _grid(Cone(2.2), points, 0.0, (0.0, 1.0), 0.5)
+        assert max(calls) <= 14 and sum(calls) == 5 * 7
+        for got, want in zip(batched, whole):
+            assert all(_same(g, w) for g, w in zip(got[0] + got[1], want[0] + want[1]))
 
     # numpy warns about the infinities on the way to the exception
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -547,7 +585,7 @@ class TestStressGrid:
         # batched kernel pass meets first; neither stress is representable
         points = [(1e-200, 0.5), (1e-150, 0.5)]
         causes = ["ZeroDivisionError", "OverflowError"]
-        grid = stress_grid(Wedge(1.0), points, 0.0, (0.0,), 1.0)
+        grid = _grid(Wedge(1.0), points, 0.0, (0.0,), 1.0)
         for (r, theta), cause, (finite, limit) in zip(points, causes, grid):
             want_finite, want_limit = self.per_point(Wedge(1.0), r, theta, 0.0, 1.0)
             assert isinstance(want_finite, DomainError) and cause in str(want_finite)
@@ -559,7 +597,7 @@ class TestStressGrid:
         # t * t underflows to 0, so the finite cutoff's jet sqrt fails for
         # the whole batch; each point then runs on its own
         points = [(1.0, 0.0), (2.0, 0.0)]
-        grid = stress_grid(Cone(2.2), points, 0.0, (0.0,), 1e-200)
+        grid = _grid(Cone(2.2), points, 0.0, (0.0,), 1e-200)
         for (r, theta), (finite, limit) in zip(points, grid):
             want_finite, want_limit = self.per_point(Cone(2.2), r, theta, 0.0, 1e-200)
             assert isinstance(want_finite, DomainError)
@@ -572,7 +610,91 @@ class TestStressGrid:
         with pytest.raises(ValueError, match="theta must be finite"):
             stress_t0(Cone(2.2), 1.0, math.nan)
         with pytest.raises(ValueError, match="theta must be finite"):
-            stress_grid(Cone(2.2), [(1.0, math.nan)], 0.0, (0.0,), 0.0)
+            _grid(Cone(2.2), [(1.0, math.nan)], 0.0, (0.0,), 0.0)
+
+
+_MERGE_BETAS = (CONFORMAL_BETA, 0.0, -0.25, 0.7)
+
+
+@st.composite
+def _cone(draw):
+    # sharp cones at small r put a * u on both sides of the exponential form
+    return Cone(math.exp(draw(st.floats(math.log(0.05), math.log(1e4 * math.pi)))))
+
+
+@st.composite
+def _cone_point(draw, geometry):
+    return draw(st.one_of(st.floats(0.02, 8.0), st.sampled_from([1e-3, 2e4]))), 0.0
+
+
+@st.composite
+def _wedge(draw, bc):
+    return Wedge(draw(st.floats(0.2, 2.0 * math.pi)), bc)
+
+
+@st.composite
+def _wedge_point(draw, geometry):
+    theta0 = geometry.theta0
+    # on the walls, too close for nonconformal couplings, near them, inside
+    theta = draw(st.one_of(st.floats(0.0, 1.0).map(lambda f: f * theta0),
+                           st.sampled_from([0.0, 5e-4, 2e-3, theta0 - 5e-4, theta0])))
+    return draw(st.floats(0.1, 8.0)), theta
+
+
+@st.composite
+def _merged_points(draw, geometries, positions):
+    """(geometry, r, theta, betas) points on up to three geometries of one kind."""
+    shapes = draw(st.lists(geometries, min_size=1, max_size=3))
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        geometry = draw(st.sampled_from(shapes))
+        r, theta = draw(positions(geometry))
+        betas = draw(st.lists(st.sampled_from(_MERGE_BETAS), min_size=1, max_size=2,
+                              unique=True))
+        points.append((geometry, r, theta, tuple(betas)))
+    return points
+
+
+def _check_merged_pass(points, t):
+    """One pass over ``points`` equals one pass per geometry and the per-point functions."""
+    merged = stress_grid(points, 0.0, t)
+    alone = {}
+    for geometry in {p[0] for p in points}:
+        mine = [k for k, p in enumerate(points) if p[0] == geometry]
+        alone.update(zip(mine, stress_grid([points[k] for k in mine], 0.0, t)))
+    for k, (geometry, r, theta, betas) in enumerate(points):
+        for b, beta in enumerate(betas):
+            want = TestStressGrid.per_point(geometry, r, theta, beta, t)
+            for cells in (merged[k], alone[k]):
+                assert _same(cells[0][b], want[0]), (geometry, r, theta, beta)
+                assert _same(cells[1][b], want[1]), (geometry, r, theta, beta)
+
+
+class TestMergedPasses:
+    """A pass over many angles gives each point the bits of its own geometry."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_merged_pass_equals_per_geometry_and_per_point(self, data):
+        t = data.draw(st.sampled_from([0.05, 0.5, 1.0]))
+        kinds = [(_cone(), _cone_point)] + [
+            (_wedge(bc), _wedge_point) for bc in BoundaryCondition]
+        for geometries, positions in kinds:
+            _check_merged_pass(data.draw(_merged_points(geometries, positions)), t)
+
+    def test_sharp_cones_straddle_the_exponential_form(self):
+        points = [(Cone(0.3), 0.5, 0.0, (0.0,)), (Cone(0.3), 0.2, 0.0, (0.7,)),
+                  (Cone(0.05), 0.05, 0.0, (CONFORMAL_BETA, 0.0)),
+                  (Cone(2.0 * math.pi), 1.0, 0.0, (-0.25,)), (Cone(0.3), 0.5, 0.0, (0.7,))]
+        au = [g.order * 2.0 * math.asinh(0.5 / (2.0 * r)) for g, r, _, _ in points]
+        assert max(au) > kernels._EXP_FORM_MIN_X > min(au)
+        _check_merged_pass(points, 0.5)
+
+    def test_a_pass_holds_one_kernel_kind(self):
+        with pytest.raises(ValueError, match="one kernel kind"):
+            stress_grid([(Wedge(1.0), 2.0, 0.5, (0.0,)),
+                         (Wedge(2.0, BoundaryCondition.NEUMANN), 2.0, 0.5, (0.0,))], 0.0, 1.0)
 
 
 def _richardson_even(values, noise):
