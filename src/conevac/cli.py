@@ -38,6 +38,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -61,7 +62,8 @@ from .kernels import (
     tbar_minkowski,
     tbar_wedge_renormalized,
 )
-from .oracles import SUITE_VERSION, format_reports, reports_to_json, run_oracle_suite
+from .oracles import (SUITE_VERSION, check_oracle_names, format_reports, oracle_names,
+                      reports_to_json, run_oracle_suite)
 from .stress import COMPONENT_NAMES, RenormMode, stress_at, stress_grid, stress_t0
 
 _XI_TAGS = {"xi14": 0.25, "xi16": 1.0 / 6.0}
@@ -690,9 +692,15 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    selection = args.only.split(",") if args.only else None
-    reports = run_oracle_suite(selection, seed=args.seed)
-    print(reports_to_json(reports) if args.json else format_reports(reports))
+    # one run per oracle, timed: a subset run reproduces the full run's reports
+    names = args.only.split(",") if args.only else oracle_names()
+    check_oracle_names(names)
+    reports, wall_s = [], []
+    for name in names:
+        start = time.perf_counter()
+        reports.extend(run_oracle_suite([name], seed=args.seed))
+        wall_s.append(time.perf_counter() - start)
+    print(reports_to_json(reports, wall_s) if args.json else format_reports(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 

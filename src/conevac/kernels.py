@@ -43,6 +43,12 @@ geometries hands `_cone_terms` the angle as an (n,) column, and each
 element sees the IEEE operations of its own angle.  `cone_expr` and
 `wedge_renormalized_expr` stay the validated one-geometry forms of the
 same closures, for `kernel_expr` of one geometry and the float kernels.
+
+The independent checks integrate: the Bessel mode sum (`mode_integral`)
+and the three-dimensional kernel (`tbar_3d`) go through
+`integrate_gk21`, a numpy adaptive Gauss-Kronrod quadrature built on
+QUADPACK's dqk21 rule.  scipy is imported only for the Bessel functions
+of the mode integral, from scipy.special.
 """
 
 from __future__ import annotations
@@ -110,28 +116,12 @@ def _inv_sinh_u(q, u):
     return 1.0 / (2.0 * jets.sqrt(q * (1.0 + q)))
 
 
-def _angular_factor(x, y):
-    """sinh(x) / (cosh(x) - cos(y)), stable at small and large x.
-
-    The one-offset form of `_angular_factors`, with the same operations,
-    for the float quadratures (`tbar_3d` calls it at every node): there
-    the list of the many-offset form costs ~10% of the integrand.
-    """
-    large = value_of(x) > _EXP_FORM_MIN_X
-    side = large if isinstance(large, bool) else jets.agree(large)
-    if side is None:
-        return jets.split(large, _angular_factor, x, y)
-    if side:
-        em = jets.exp(-x)
-        return (1.0 - em * em) / (1.0 - 2.0 * em * jets.cos(y) + em * em)
-    return jets.sinh(x) / (2.0 * jets.sinh(0.5 * x) ** 2 + 2.0 * jets.sin(0.5 * y) ** 2)
-
-
 def _angular_factors(x, *ys):
-    """`_angular_factor` at x and each y, with the parts of x alone computed once.
+    """sinh(x) / (cosh(x) - cos(y)) at x and each y, stable at small and
+    large x, with the parts of x alone computed once.
 
-    The loops are written out: a comprehension costs the float path of
-    the kernels, which runs inside quadratures, a function call each.
+    The loops are written out: a comprehension would cost the float
+    path of the kernels a function call each.
     """
     large = value_of(x) > _EXP_FORM_MIN_X
     side = large if isinstance(large, bool) else jets.agree(large)
@@ -434,6 +424,10 @@ def _lattice_sum(
     return ImageSum(value=total + tail, tail_correction=tail)
 
 
+# `_u_over_sinh` of floats, kept apart: that one multiplies u by the
+# reciprocal `_inv_sinh_u` (exponential above _LARGE_U) where this divides
+# by sinh u, so folding them would move the bits of `tbar_cone_via_images`
+# and of the `cone_image_sum` oracle.
 def _u_over_sinh_float(uv: UVariable) -> float:
     if uv.u < _SMALL_U:
         u2 = uv.u * uv.u
@@ -512,7 +506,7 @@ def tbar_periodic_line_closed(sep: CartesianSeparation, period: float) -> float:
     a = _transverse_distance(sep)
     x = 2.0 * math.pi * a / period
     y = 2.0 * math.pi * sep.dx / period
-    return -_angular_factor(x, y) / (2.0 * math.pi * a * period)
+    return -_angular_factors(x, y)[0] / (2.0 * math.pi * a * period)
 
 
 # ---------------------------------------------------------------------------
@@ -529,20 +523,10 @@ class QuadratureControls:
 
 _QUAD_EPSREL = 1e-11
 
-
-def _quad(f, lo, hi, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300):
-    from scipy import integrate
-
-    out = integrate.quad(f, lo, hi, full_output=1, epsabs=epsabs, epsrel=epsrel,
-                         limit=limit)
-    return out[0]
-
-
-# QUADPACK's 21-point Gauss-Kronrod rule (dqk21, Piessens et al. 1983),
-# the first rule `_quad` applies to a finite interval: the Kronrod
-# abscissae in (0, 1) (positions 1, 3, ..., 9 are the 10-point Gauss
-# ones), the Kronrod weights of these and of the centre, and the Gauss
-# weights of abscissae 1, 3, ..., 9.
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21, Piessens et al. 1983):
+# the Kronrod abscissae in (0, 1) (positions 1, 3, ..., 9 are the
+# 10-point Gauss ones), the Kronrod weights of these and of the centre,
+# and the Gauss weights of abscissae 1, 3, ..., 9.
 _XGK = np.array([
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -550,30 +534,236 @@ _XGK = np.array([
     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
 ])
-_WGK = (
+_WGK = np.array([
     0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
     0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
     0.149445554002916905664936468389821,
-)
-_WG = (
+])
+_WG = np.array([
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
-)
+])
 _EPMACH = 2.0**-52  # QUADPACK's d1mach(4), the double epsilon
 _UFLOW = 2.0**-1022  # d1mach(1), the least normal double
+_X21 = np.concatenate([-_XGK, [0.0], _XGK])  # the nodes of [-1, 1], in fv's column order
+
+
+def _pair_sums(order, centre=True):
+    """(21, 11) matrix: a row of fv times it is [f(centre), f(-x_j) + f(x_j)
+    for j in ``order``], zero-padded.  Beside the one sum x + y there are
+    only exact zeros, so each product has the bits of x + y."""
+    m = np.zeros((21, 11))
+    m[10, 0] = float(centre)
+    for col, j in enumerate(order, start=1):
+        m[j, col] = m[11 + j, col] = 1.0
+    return m
+
+
+_GAUSS_FIRST = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # dqk21's order for resk and resabs
+# _TERMS times [fv, |fv|] transposed, times _W_TERMS, is the terms of resk,
+# resg and resabs, 11 each in dqk21's order; _ASC times |fv - resk / 2|
+# transposed, times _W_ASC, is those of resasc.
+_TERMS = np.zeros((33, 42))
+_TERMS[:11, :21] = _pair_sums(_GAUSS_FIRST).T
+_TERMS[11:22, :21] = _pair_sums([1, 3, 5, 7, 9], centre=False).T
+_TERMS[22:, 21:] = _pair_sums(_GAUSS_FIRST).T
+_W_TERMS = np.concatenate([[_WGK[10]], _WGK[_GAUSS_FIRST], [0.0], _WG, np.zeros(5),
+                           [_WGK[10]], _WGK[_GAUSS_FIRST]]).reshape(3, 11, 1)
+_ASC = _pair_sums(range(10)).T
+_W_ASC = np.concatenate([[_WGK[10]], _WGK[:10]])[:, None]
+
+
+def _in_order(terms):
+    """Sum of ``terms`` (..., 11, n) over its 11, one term after another.
+
+    numpy's ``sum`` may add pairwise; ``np.add.accumulate`` is sequential
+    but slow on long rows, where a loop of whole-row additions is not.
+    """
+    if terms.shape[-1] < 64:
+        return np.add.accumulate(terms, axis=-2)[..., -1, :]
+    total = terms[..., 0, :]
+    for k in range(1, terms.shape[-2]):
+        total = total + terms[..., k, :]
+    return total
+
+
+def _gk21_nodes(a, b):
+    """The (n, 21) dqk21 nodes of the intervals [a_k, b_k]: columns 0-9
+    centr - hlgth * _XGK, 10 the centre, 11-20 centr + hlgth * _XGK."""
+    return (0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _X21
+
+
+def _dqk21(fv, hlgth):
+    """dqk21 on every row of ``fv`` (the integrand on `_gk21_nodes`) at once.
+
+    Returns the Kronrod result, the error estimate, resabs and resasc in
+    QUADPACK's operation order: each weight times its node pair's sum,
+    the terms summed one after another in dqk21's order (`_in_order`),
+    and the (200 err / resasc)^1.5 scaling through libm's pow, as
+    QUADPACK does, not numpy's.
+    """
+    n = len(fv)
+    terms = (_TERMS @ np.concatenate([fv, np.abs(fv)], axis=1).T).reshape(3, 11, n)
+    resk, resg, resabs = _in_order(terms * _W_TERMS)
+    dev = np.abs(fv - (resk * 0.5)[:, None])
+    resasc = _in_order((_ASC @ dev.T) * _W_ASC)
+    dhlgth = np.abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    ratio = np.divide(200.0 * abserr, resasc, out=np.zeros(n), where=scaled)
+    capped = np.fmin(1.0, jets._power(ratio, 1.5))
+    abserr = np.where(scaled, resasc * capped, abserr)
+    floor = resabs > _UFLOW / (50.0 * _EPMACH)
+    np.fmax((_EPMACH * 50.0) * resabs, abserr, out=abserr, where=floor)
+    return result, abserr, resabs, resasc
+
+
+def _flat_ends(s):
+    """w(s) = (15 s - 10 s^3 + 3 s^5) / 8 and w'(s) = 15/8 (1 - s^2)^2.
+
+    w maps [-1, 1] onto itself with w' vanishing to second order at both
+    ends (a Sidi-type change of variable): an integrable endpoint
+    singularity of f, such as x log x or a non-integer power, becomes
+    one whose bisection error falls ~2^6 times per level.
+    """
+    s2 = s * s
+    return s * (15.0 - 10.0 * s2 + 3.0 * s2 * s2) / 8.0, (15.0 / 8.0) * (1.0 - s2) ** 2
+
+
+def _finite_map(a, half):
+    """x(s) = a + half (1 + w(s)) of the intervals [a, a + 2 half], and dx/ds,
+    for an (n, 21) array of s and the interval of each row."""
+    def x_of(s, k):
+        w, dw = _flat_ends(s)
+        return a[k][:, None] + half[k][:, None] * (1.0 + w), half[k][:, None] * dw
+    return x_of
+
+
+def _infinite_map(a, b):
+    """x(s) and dx/ds on [-1, 1] for [a, b] with one end or both infinite:
+    x = tan(pi w / 2) on the line, x = a + tan(pi (1 + w) / 4) to +inf, and
+    its mirror x = b - tan(pi (1 - w) / 4) from -inf."""
+    if np.isinf(a) and np.isinf(b):
+        offset, scale, sign, c = 0.0, 0.5 * math.pi, 1.0, 0.0
+    elif np.isinf(b):
+        offset, scale, sign, c = 1.0, 0.25 * math.pi, 1.0, a
+    else:
+        offset, scale, sign, c = 1.0, 0.25 * math.pi, -1.0, b
+
+    def x_of(s, k):
+        w, dw = _flat_ends(s)
+        y = scale * (offset + sign * w)
+        cos_y = np.cos(y)
+        return c + sign * np.tan(y), scale * dw / (cos_y * cos_y)
+    return x_of
+
+
+_QUARTERS = np.linspace(-1.0, 1.0, 5)
+
+
+def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
+                   groups=None, fv=None):
+    """Integrals of ``f`` over the intervals [a_k, b_k], one per group.
+
+    An adaptive 21-point Gauss-Kronrod quadrature, numpy only.
+    ``groups[k]`` numbers the integral that interval k is a part of (by
+    default each interval is its own).  ``f`` maps an array of abscissae
+    to the integrand's values; each level calls it once, on the nodes of
+    every live piece, and applies `_dqk21` to each piece.  A group's
+    tolerance max(``epsabs``, ``epsrel`` |I|), I its current estimate,
+    is shared among its intervals and their pieces by width, and a piece
+    is accepted by dqagse's first-pass test against its share.
+
+    The first level is the intervals themselves, so an interval that is
+    its own group and passes there has the value QUADPACK's dqagse gives
+    it, bit for bit (``fv``, if given, is ``f`` on their `_gk21_nodes`).
+    An interval that fails is integrated anew from the quarters of s in
+    [-1, 1], x = a + (b - a) (1 + w(s)) / 2 (`_flat_ends`), and failing
+    pieces are bisected from then on, all at once.  A call with one
+    interval may have infinite endpoints: it starts at the quarters,
+    through `_infinite_map`.
+
+    Raises ConvergenceError where the integrand is not finite (NaN or
+    infinity at a node) and where the pieces would exceed ``limit`` per
+    interval, pooled over the call: no estimate is returned silently.
+    """
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
+    n = len(a)
+    group = np.arange(n) if groups is None else np.asarray(groups)
+    m = int(group.max()) + 1
+    values = np.zeros(m)
+    if np.isfinite(a).all() and np.isfinite(b).all():
+        # the first level, in x: a piece's share of its interval is hlgth / half
+        half = 0.5 * (b - a)
+        weight = half / np.bincount(group, half, m)[group]
+        lo, hi, start, span, x_of = a, b, np.arange(n), half, None
+    else:
+        if n != 1 or groups is not None or fv is not None:
+            raise ValueError("an infinite endpoint needs a single interval, "
+                             "without groups or fv")
+        weight = np.ones(1)
+        lo, hi, start, span = _QUARTERS[:-1], _QUARTERS[1:], np.zeros(4, int), np.ones(1)
+        x_of = _infinite_map(a[0], b[0])
+    pieces = len(lo)
+    while True:
+        hlgth = 0.5 * (hi - lo)
+        if fv is None:
+            nodes = _gk21_nodes(lo, hi)
+            if x_of is None:
+                fv = f(nodes)
+            else:
+                x, dx = x_of(nodes, start)
+                fv = f(x) * dx
+        if not np.isfinite(fv).all():
+            k = start[np.flatnonzero(~np.isfinite(fv).all(axis=1))[0]]
+            raise ConvergenceError(f"integrand not finite on [{a[k]!r}, {b[k]!r}]")
+        result, abserr, resabs, resasc = _dqk21(fv, hlgth)
+        owner = group[start]
+        estimate = values + np.bincount(owner, result, m)
+        share = np.fmax(epsabs, epsrel * np.abs(estimate))[owner] * (
+            weight[start] * (hlgth / span[start]))
+        # dqagse's first-pass test: within the share and not capped at resasc
+        # (its "abserr != resabs"), or at the roundoff floor, or zero
+        ok = ((abserr <= share) & (abserr != resasc)) | (abserr == 0.0)
+        ok |= (abserr <= 100.0 * _EPMACH * resabs) & (abserr > share)
+        values += np.bincount(owner, result * ok, m)
+        if ok.all():
+            return values
+        fail = np.flatnonzero(~ok)
+        if x_of is None:
+            # failing intervals start again from the quarters of s
+            start = start[fail]
+            lo, hi = np.tile(_QUARTERS[:-1], len(fail)), np.tile(_QUARTERS[1:], len(fail))
+            pieces += 3 * len(fail)
+            x_of = _finite_map(a, half)
+            span = np.ones(n)
+            start = np.repeat(start, 4)
+        else:
+            lo, hi, start = lo[fail], hi[fail], start[fail]
+            mid = 0.5 * (lo + hi)
+            lo, hi, start = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(start, 2)
+            pieces += len(fail)
+        if pieces > limit * n:
+            raise ConvergenceError(
+                f"adaptive quadrature needs more than {limit} pieces per interval"
+            )
+        fv = None
 
 
 @functools.lru_cache(maxsize=1)  # shared by the modes of one `tbar_modesum_4d` point
 def _panel_plan(r, rp, zeta, abs_tol, max_panels):
     """The panels of `mode_integral` and what on them does not depend on nu.
 
-    Returns the panel edges and (panels, 21) arrays of the dqk21 nodes w
-    (columns 0-9 centr - hlgth * _XGK, 10 the centre, 11-20 centr +
-    hlgth * _XGK), w r, w rp and K_0(w zeta), and the half widths.
+    Returns the panel starts and ends and (panels, 21) arrays of the
+    dqk21 nodes w (`_gk21_nodes`), w r, w rp and K_0(w zeta).
     """
     from scipy import special
 
@@ -591,58 +781,11 @@ def _panel_plan(r, rp, zeta, abs_tol, max_panels):
             )
     a = np.array(edges[:-1])
     b = np.array(edges[1:])
-    centr = (0.5 * (a + b))[:, None]
-    hlgth = 0.5 * (b - a)
-    absc = hlgth[:, None] * _XGK
-    w = np.concatenate([centr - absc, centr, centr + absc], axis=1)
-    arrays = (w, w * r, w * rp, special.kv(0, w * zeta), hlgth)
+    w = _gk21_nodes(a, b)
+    arrays = (a, b, w, w * r, w * rp, special.kv(0, w * zeta))
     for arr in arrays:
         arr.flags.writeable = False
-    return tuple(edges), *arrays
-
-
-def _first_pass(fv, hlgth, epsabs):
-    """dqagse's first pass on every panel at once: dqk21's result, and
-    whether dqagse returns it without subdividing.
-
-    A line-for-line copy of QUADPACK's operation order, so that each
-    accepted result is the one `_quad` returns.  dqagse names dqk21's
-    resabs ``defabs`` and its resasc ``resabs``, so the ``abserr !=
-    resabs`` of its test compares with resasc.
-    """
-    fc = fv[:, 10]
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = np.abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss abscissae first
-        fval1, fval2 = fv[:, j], fv[:, 11 + j]
-        fsum = fval1 + fval2
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (np.abs(fval1) + np.abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv[:, j] - reskh) + np.abs(fv[:, 11 + j] - reskh))
-    dhlgth = np.abs(hlgth)
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = np.abs((resk - resg) * hlgth)
-    scaled = (resasc != 0.0) & (abserr != 0.0)
-    # libm's pow, which QUADPACK calls, not numpy's vectorised one
-    ratio = (200.0 * abserr[scaled] / resasc[scaled]).tolist()
-    abserr[scaled] = resasc[scaled] * np.fmin(1.0, [math.pow(x, 1.5) for x in ratio])
-    floor = resabs > _UFLOW / (50.0 * _EPMACH)
-    abserr[floor] = np.fmax((_EPMACH * 50.0) * resabs[floor], abserr[floor])
-
-    errbnd = np.fmax(epsabs, _QUAD_EPSREL * np.abs(result))
-    ier2 = (abserr <= 100.0 * _EPMACH * resabs) & (abserr > errbnd)
-    accepted = ier2 | ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
-    # the copy does not follow QUADPACK through NaN and infinity
-    accepted &= np.isfinite(result) & np.isfinite(abserr)
-    return result, accepted
+    return arrays
 
 
 def mode_integral(
@@ -659,16 +802,13 @@ def mode_integral(
     stops once the analytic bound (W/zeta) K_1(W zeta) on the
     remaining tail (using |J_nu| <= 1) drops below ``abs_tol``.
 
-    Each panel's value is what `_quad` (scipy's QUADPACK dqagse) gives
-    on it, bit for bit.  dqagse first applies the 21-point Gauss-Kronrod
-    rule dqk21 and returns its value when the error estimate passes;
-    here that first pass runs on all panels of the mode at once, as one
-    numpy evaluation of the integrand on every node and a copy of
-    dqk21's operation order and of dqagse's acceptance test.  The few
-    panels that fail the test (about 3% in the `cone_mode_sum` oracle)
-    go through `_quad` itself.  The panels are summed in order.  The
-    nodes and K_0 on them do not depend on nu and are shared by the
-    modes of one point.
+    The panels are the starting intervals of one `integrate_gk21` call,
+    whose first level is the integrand on every node of every panel in
+    one numpy evaluation; the nodes and K_0 on them do not depend on nu
+    and are shared by the modes of one point.  A panel accepted there
+    (about 97% in the `cone_mode_sum` oracle) has the value scipy's
+    QUADPACK dqagse gives on it, bit for bit; the rest are integrated
+    adaptively together.  The panels are summed in order.
     """
     if nu < 0 or r <= 0 or rp <= 0:
         raise DomainError("mode_integral needs nu >= 0 and positive radii")
@@ -677,18 +817,15 @@ def mode_integral(
     from scipy import special
 
     c = controls or QuadratureControls()
-    edges, w, wr, wrp, k0, hlgth = _panel_plan(r, rp, zeta, c.abs_tol, c.max_panels)
-    epsabs = 0.01 * c.abs_tol
-    result, accepted = _first_pass(w * special.jv(nu, wr) * special.jv(nu, wrp) * k0,
-                                   hlgth, epsabs)
+    a, b, w, wr, wrp, k0 = _panel_plan(r, rp, zeta, c.abs_tol, c.max_panels)
 
     def f(w):
         return w * special.jv(nu, w * r) * special.jv(nu, w * rp) * special.kv(0, w * zeta)
 
+    panels = integrate_gk21(f, a, b, epsabs=0.01 * c.abs_tol,
+                            fv=w * special.jv(nu, wr) * special.jv(nu, wrp) * k0)
     total = 0.0
-    for k, (value, ok) in enumerate(zip(result.tolist(), accepted.tolist())):
-        if not ok:
-            value = _quad(f, edges[k], edges[k + 1], epsabs=epsabs)
+    for value in panels.tolist():
         total += value
     return total
 
@@ -754,16 +891,27 @@ def _3d_u0(t: float, r: float, rp: float, theta1: float) -> float:
     return 2.0 * math.asinh(math.sqrt(q0))
 
 
+# The v ranges of `_v_integral`, one integral: one dqk21 level on all five
+# usually meets its tolerance where two ranges needed three levels.
+_V_EDGES = np.array([0.0, 1.0, 2.0, 3.0, 4.5, math.sqrt(80.0)])
+
+
 def _v_integral(f) -> float:
     """Integral of f(v) over u = u0 + v^2 from u0 out to u0 + 80."""
-    return _quad(f, 0.0, 1.0) + _quad(f, 1.0, math.sqrt(80.0))
+    (total,) = integrate_gk21(f, _V_EDGES[:-1], _V_EDGES[1:], groups=[0] * 5).tolist()
+    return total
 
 
-def _sinhc_half_sq(v: float) -> float:
-    # sinh(v^2/2) / v^2 with its v -> 0 limit.
-    if v <= 1e-8:
-        return 0.5
-    return math.sinh(0.5 * v * v) / (v * v)
+def _v_weight(u0: float, v):
+    """(du/dv) / sqrt(2 (cosh u - cosh u0)) at u = u0 + v^2, on an array of v.
+
+    That is 1 / sqrt(sinh(u0 + v^2/2) sinh(v^2/2) / v^2), with 1/sinh
+    written as 2 e^-x / (1 - e^-2x), which cannot overflow.
+    """
+    h = 0.5 * v * v
+    sinhc = np.divide(np.sinh(h), v * v, out=np.full_like(v, 0.5), where=v > 1e-8)
+    x = u0 + h
+    return np.sqrt(2.0 * np.exp(-x) / (-np.expm1(-2.0 * x) * sinhc))
 
 
 def tbar_3d(t: float, r: float, rp: float, dtheta: float, theta1: float) -> float:
@@ -772,19 +920,22 @@ def tbar_3d(t: float, r: float, rp: float, dtheta: float, theta1: float) -> floa
     Equals the z' integral of the four-dimensional kernel and is
     computed as a one-dimensional integral over u from its minimum u0,
     with the substitution u = u0 + v^2 to remove the inverse square
-    root at the lower endpoint.  At theta1 = 2 pi this reduces to
+    root at the lower endpoint.  The integrand is numpy on the node
+    arrays of `integrate_gk21`.  At theta1 = 2 pi this reduces to
     -1/(2 pi d) with d the chordal distance in the plane.
     """
     u0 = _3d_u0(t, r, rp, theta1)
     a = 2.0 * math.pi / theta1
+    gap = 4.0 * math.sin(0.5 * a * dtheta) ** 2
 
     def f(v):
-        w = 0.5 * v * v
-        sc = _sinhc_half_sq(v)
-        g = _angular_factor(a * (u0 + v * v), a * dtheta)
-        return 2.0 * g / math.sqrt(2.0 * math.sinh(u0 + w) * sc)
+        # sinh(x) / (cosh(x) - cos(a dtheta)), numerator and denominator
+        # times 2 e^-x: the denominator is a sum of squares, nothing cancels
+        x = a * (u0 + v * v)
+        angular = -np.expm1(-2.0 * x) / (np.expm1(-x) ** 2 + gap * np.exp(-x))
+        return angular * _v_weight(u0, v)
 
-    return -_v_integral(f) / (math.pi * theta1 * math.sqrt(2.0 * r * rp))
+    return -_v_integral(f) / (math.pi * theta1 * math.sqrt(r * rp))
 
 
 def tbar_3d_theta_average(t: float, r: float, rp: float, theta1: float) -> float:
@@ -792,12 +943,8 @@ def tbar_3d_theta_average(t: float, r: float, rp: float, theta1: float) -> float
 
     The average has a closed form in terms of the Legendre function of
     the second kind of degree -1/2, evaluated here through the same
-    endpoint-regularized integral used by `tbar_3d`.
+    endpoint-regularized integral used by `tbar_3d`: averaging over
+    dtheta takes its angular factor to 1.
     """
     u0 = _3d_u0(t, r, rp, theta1)
-
-    def f(v):
-        w = 0.5 * v * v
-        return 1.0 / math.sqrt(math.sinh(u0 + w) * _sinhc_half_sq(v))
-
-    return -_v_integral(f) / (math.pi * theta1 * math.sqrt(r * rp))
+    return -_v_integral(lambda v: _v_weight(u0, v)) / (math.pi * theta1 * math.sqrt(r * rp))

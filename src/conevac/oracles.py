@@ -384,8 +384,6 @@ def _oracle_periodic_line(rng) -> OracleReport:
 
 
 def _oracle_threedim_reduction(rng) -> OracleReport:
-    from scipy import integrate
-
     tol = 1e-6
     worst = 0.0
     angles = [0.7 * math.pi, 1.25 * math.pi, 1.6 * math.pi, 2.0 * math.pi,
@@ -397,13 +395,15 @@ def _oracle_threedim_reduction(rng) -> OracleReport:
         dth = float(rng.uniform(0.2, 0.9))
         reduced = tbar_3d(t, r, rp, dth, theta1)
 
-        def f(dz, _t=t, _r=r, _rp=rp, _dth=dth, _theta1=theta1):
-            pair = PointPair(t=_t, r=_r, rp=_rp, theta=_dth, thetap=0.0, z=dz, zp=0.0)
-            return tbar_cone(pair, _theta1)
+        # `tbar_cone`'s expression, called on floats without its validation
+        expr = kernels.cone_expr(theta1)
 
-        z_integral = integrate.quad(
-            f, -np.inf, np.inf, full_output=1, epsabs=1e-12, epsrel=1e-10, limit=400
-        )[0]
+        def f(dz, _t=t, _r=r, _rp=rp, _dth=dth, _expr=expr):
+            return np.array([_expr(_t, _r, _rp, _dth, 0.0, z, 0.0)
+                             for z in dz.ravel().tolist()]).reshape(dz.shape)
+
+        (z_integral,) = kernels.integrate_gk21(f, -np.inf, np.inf, epsabs=1e-12,
+                                               epsrel=1e-10, limit=400).tolist()
         worst = max(worst, _rel(z_integral, reduced))
     return OracleReport("threedim_reduction", len(angles), worst, tol, worst <= tol)
 
@@ -650,6 +650,16 @@ def oracle_names() -> list[str]:
     return list(_ORACLES)
 
 
+def check_oracle_names(names) -> None:
+    """Raise ValueError unless every name in ``names`` is an oracle's."""
+    unknown = sorted(set(names) - set(_ORACLES))
+    if unknown:
+        raise ValueError(
+            f"unknown oracle names: {', '.join(unknown)}; "
+            f"known: {', '.join(_ORACLES)}"
+        )
+
+
 def run_oracle_suite(selection=None, seed: int = 42) -> list[OracleReport]:
     """Run the named cross checks and return one report per oracle.
 
@@ -659,12 +669,7 @@ def run_oracle_suite(selection=None, seed: int = 42) -> list[OracleReport]:
     subset run reproduces exactly what the full run saw.
     """
     names = list(_ORACLES) if selection is None else list(selection)
-    unknown = sorted(set(names) - set(_ORACLES))
-    if unknown:
-        raise ValueError(
-            f"unknown oracle names: {', '.join(unknown)}; "
-            f"known: {', '.join(_ORACLES)}"
-        )
+    check_oracle_names(names)
     reports = []
     for name in names:
         rng = np.random.default_rng([seed, _ORACLE_INDEX[name]])
@@ -686,5 +691,10 @@ def format_reports(reports) -> str:
     return "\n".join(lines)
 
 
-def reports_to_json(reports) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2)
+def reports_to_json(reports, wall_s=None) -> str:
+    """The reports as a JSON list; ``wall_s``, one time per report, adds a
+    ``wall_s`` key to each."""
+    rows = [asdict(r) for r in reports]
+    for row, wall in zip(rows, wall_s or ()):
+        row["wall_s"] = wall
+    return json.dumps(rows, indent=2)

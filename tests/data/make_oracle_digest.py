@@ -6,7 +6,8 @@ its whole pipeline (kernels, jets, stress assembly, quadrature), so a
 change that is meant to keep the numbers (a refactor, a speed-up)
 proves it by leaving this file alone and by passing ``--check``, which
 reruns every frozen seed, writes nothing, and exits nonzero on any
-mismatch.  The tests check seeds 0 and 1.  Regenerate the file only in
+mismatch; it also prints each seed's wall time and the process's peak
+resident memory.  The tests check seeds 0 and 1.  Regenerate the file only in
 a change that means to alter the numbers, and say so in that change.
 Run from the repository root:
 
@@ -15,7 +16,9 @@ Run from the repository root:
 
 import argparse
 import json
+import resource
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
@@ -40,12 +43,16 @@ def check(seeds=None) -> int:
     status = 0
     for seed in (frozen["seeds"] if seeds is None else [str(s) for s in seeds]):
         want = frozen["seeds"][seed]
+        start = time.perf_counter()
         got = seed_digest(int(seed))
-        print(f"seed {seed}: {'ok' if got == want else 'MISMATCH'}")
+        wall = time.perf_counter() - start
+        print(f"seed {seed}: {'ok' if got == want else 'MISMATCH'} ({wall:.2f} s)")
         for name in want:
             if got.get(name) != want[name]:
                 print(f"  {name}: frozen {want[name]}, computed {got.get(name)}")
                 status = 1
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return status
 
 

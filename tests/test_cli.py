@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -318,8 +319,13 @@ class TestParserCache:
             assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv))
 
     def test_repeated_main_calls_give_the_same_output(self, capsys):
-        first = [run(capsys, *argv) for argv in self.ARGVS]
-        again = [run(capsys, *argv) for argv in self.ARGVS[::-1]][::-1]
+        def untimed(result):
+            # verify --json times each oracle; everything else must repeat
+            code, out, err = result
+            return code, re.sub(r'"wall_s": [0-9.e-]+', '"wall_s"', out), err
+
+        first = [untimed(run(capsys, *argv)) for argv in self.ARGVS]
+        again = [untimed(run(capsys, *argv)) for argv in self.ARGVS[::-1]][::-1]
         assert all(code == 0 for code, _, _ in first)
         assert first == again
 
@@ -740,14 +746,35 @@ class TestWorkers:
         assert sizes == [3]
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
+def _loaded_after(statements: str, *modules: str) -> list[bool]:
+    """Whether each of ``modules`` is in sys.modules after ``statements``
+    run in a fresh interpreter."""
     src = str(Path(conevac.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    probe = "import sys, conevac.cli; print('scipy' in sys.modules)"
+    probe = f"import sys\n{statements}\nprint([m in sys.modules for m in {modules!r}])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+                          text=True, timeout=300, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1].lower())
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    assert _loaded_after("import conevac.cli", "scipy") == [False]
+
+
+def test_three_dim_quadratures_leave_scipy_unloaded():
+    # their adaptive Gauss-Kronrod is numpy only
+    statements = ("import conevac.cli\n"
+                  "from conevac import run_oracle_suite, tbar_3d\n"
+                  "run_oracle_suite(['threedim_average', 'threedim_reduction'])\n"
+                  "tbar_3d(0.5, 1.0, 1.2, 0.4, 5.0)")
+    assert _loaded_after(statements, "scipy") == [False]
+
+
+def test_the_oracle_suite_leaves_scipy_integrate_unloaded():
+    # the Bessel mode integral imports scipy.special, and nothing imports scipy.integrate
+    statements = "from conevac import run_oracle_suite\nrun_oracle_suite()"
+    assert _loaded_after(statements, "scipy.special", "scipy.integrate") == [True, False]
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
@@ -807,3 +834,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--only", "flat_zero,scaling")
         assert code == 0
         assert "2/2 oracles passed" in out
+
+    def test_json_times_each_oracle(self, capsys, oracle_reports):
+        code, out, _ = run(capsys, "verify", "--only", "flat_zero,scaling", "--json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["name"] for row in rows] == ["flat_zero", "scaling"]
+        for row in rows:
+            assert row["wall_s"] > 0.0
+            report = oracle_reports[row["name"]]
+            assert row["max_rel_err"] == report.max_rel_err
+            assert row["points_tested"] == report.points_tested
+
+    def test_unknown_oracle_runs_nothing(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_oracle_suite", lambda names, seed: ran.append(names))
+        code, _, err = run(capsys, "verify", "--only", "flat_zero,no_such_oracle")
+        assert code == 2
+        assert "no_such_oracle" in err and ran == []

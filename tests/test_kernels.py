@@ -350,34 +350,38 @@ class TestModeIntegral:
         assert loose == pytest.approx(tight, abs=1e-7)
 
     def test_max_panels_raises(self):
+        before = mode_integral(1.0, 1.0, 0.8, 0.45)
         with pytest.raises(ConvergenceError):
             mode_integral(1.0, 1.0, 0.8, 0.45, QuadratureControls(max_panels=2))
-        assert mode_integral(1.0, 1.0, 0.8, 0.45) == _scalar_mode_integral(
-            1.0, 1.0, 0.8, 0.45)
+        assert mode_integral(1.0, 1.0, 0.8, 0.45) == before
 
 
-def _scalar_mode_integral(nu, r, rp, zeta, controls=None):
-    """`mode_integral` as one scalar scipy quad call per panel: the loop the
-    vectorised Gauss-Kronrod pass replaced, which it must match bit for bit."""
-    from scipy import integrate, special
-
-    c = controls or QuadratureControls()
-    width = 4.0 * math.pi / (r + rp + zeta)
+def _mode_integrand(nu, r, rp, zeta):
+    from scipy import special
 
     def f(w):
         return w * special.jv(nu, w * r) * special.jv(nu, w * rp) * special.kv(0, w * zeta)
+    return f
 
-    total = 0.0
+
+def _scipy_panels(nu, r, rp, zeta, controls):
+    """The panels of `mode_integral`, each as one scalar scipy quad call:
+    (lo, hi, value, whether dqagse returned its first dqk21 pass)."""
+    from scipy import integrate, special
+
+    f = _mode_integrand(nu, r, rp, zeta)
+    width = 4.0 * math.pi / (r + rp + zeta)
     omega = 0.0
-    panels = 0
+    panels = []
     while True:
-        total += integrate.quad(f, omega, omega + width, full_output=1,
-                                epsabs=0.01 * c.abs_tol, epsrel=1e-11, limit=300)[0]
+        value, _, info = integrate.quad(f, omega, omega + width, full_output=1,
+                                        epsabs=0.01 * controls.abs_tol, epsrel=1e-11,
+                                        limit=300)[:3]
+        panels.append((omega, omega + width, value, info["last"] == 1))
         omega += width
-        panels += 1
-        if (omega / zeta) * special.kv(1, omega * zeta) < c.abs_tol:
-            return total
-        if panels >= c.max_panels:
+        if (omega / zeta) * special.kv(1, omega * zeta) < controls.abs_tol:
+            return panels
+        if len(panels) >= controls.max_panels:
             raise ConvergenceError("too many panels")
 
 
@@ -387,39 +391,107 @@ class TestModeIntegralBits:
     RESASC_CASE = (78.28429339055853, 0.30752026417350675, 0.6202184233790006,
                    2.483457335927887, 1.9219551846809054e-08)
 
-    def assert_same_bits(self, cases):
+    def assert_bits(self, cases):
+        """A panel whose first pass dqagse accepts is accepted there with
+        scipy's bits, the others go on and are `integrate_gk21` on that panel
+        alone, and the sum in panel order agrees with the closed form;
+        returns the panels that go on, and all panels."""
+        bisected = panels = 0
         for nu, r, rp, zeta, abs_tol in cases:
             controls = QuadratureControls(abs_tol=abs_tol)
+            f = _mode_integrand(nu, r, rp, zeta)
+            total = 0.0
+            for lo, hi, value, first_pass in _scipy_panels(nu, r, rp, zeta, controls):
+                epsabs = 0.01 * abs_tol
+                if first_pass:  # a budget of one piece is enough
+                    assert kernels.integrate_gk21(f, lo, hi, epsabs=epsabs, limit=1)[0] == value
+                else:
+                    with pytest.raises(ConvergenceError):
+                        kernels.integrate_gk21(f, lo, hi, epsabs=epsabs, limit=1)
+                    (value,) = kernels.integrate_gk21(f, lo, hi, epsabs=epsabs)
+                    bisected += 1
+                total += value
+                panels += 1
             got = mode_integral(nu, r, rp, zeta, controls)
             assert type(got) is float
-            assert got == _scalar_mode_integral(nu, r, rp, zeta, controls), (
-                nu, r, rp, zeta, abs_tol)
+            assert got == total, (nu, r, rp, zeta, abs_tol)
+            uv = u_of_pair(PointPair(t=zeta, r=r, rp=rp))
+            closed = math.exp(-nu * uv.u) / (2.0 * r * rp * uv.sinh_u)
+            assert abs(got - closed) <= max(1e-10 * closed, abs_tol), (nu, r, rp, zeta)
+        return bisected, panels
 
     def test_frozen_cases(self, reference):
-        self.assert_same_bits(
+        self.assert_bits(
             (c["nu"], c["r"], c["rp"], c["zeta"], QuadratureControls().abs_tol)
             for c in reference["mode_integral"])
 
     def test_resasc_case(self):
-        self.assert_same_bits([self.RESASC_CASE])
+        assert self.assert_bits([self.RESASC_CASE])[0] > 0
 
-    def test_seeded_cases_and_some_panels_fall_back(self, monkeypatch):
-        fallbacks = []
-        quad = kernels._quad
-
-        def counting(f, lo, hi, **kwargs):
-            fallbacks.append((lo, hi))
-            return quad(f, lo, hi, **kwargs)
-
-        monkeypatch.setattr(kernels, "_quad", counting)
+    def test_seeded_cases_and_some_panels_fall_back(self):
         rng = np.random.default_rng(20261018)
         cases = [(float(rng.uniform(0.0, 120.0)),
                   *(float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(3)),
                   float(10.0 ** rng.uniform(-14.0, -7.0))) for _ in range(50)]
-        self.assert_same_bits(cases)
-        panels = sum(len(kernels._panel_plan(r, rp, zeta, tol, 8000)[0]) - 1
-                     for _, r, rp, zeta, tol in cases)
-        assert 0 < len(fallbacks) < panels // 5
+        bisected, panels = self.assert_bits(cases)
+        assert 0 < bisected < panels // 5
+
+
+class TestIntegrateGK21:
+    def test_rule_is_exact_through_degree_31(self):
+        a, b = np.array([-0.5]), np.array([1.5])
+        nodes = kernels._gk21_nodes(a, b)
+        for degree in range(32):
+            want = (1.5 ** (degree + 1) - (-0.5) ** (degree + 1)) / (degree + 1)
+            (got,) = kernels._dqk21(nodes ** degree, 0.5 * (b - a))[0]
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-15), degree
+            (adaptive,) = kernels.integrate_gk21(lambda x, d=degree: x ** d, a, b)
+            assert adaptive == pytest.approx(want, rel=1e-14, abs=1e-15), degree
+        # and not beyond: x^32 on [-1, 1] is off by ~7e-11
+        one = np.array([1.0])
+        (got,) = kernels._dqk21(kernels._gk21_nodes(-one, one) ** 32, one)[0]
+        assert got != pytest.approx(2.0 / 33.0, rel=1e-12)
+
+    def test_lorentzian_over_the_line_and_half_lines(self):
+        def f(x):
+            return 1.0 / (1.0 + x * x)
+        assert kernels.integrate_gk21(f, -np.inf, np.inf)[0] == pytest.approx(math.pi, rel=1e-14)
+        assert kernels.integrate_gk21(f, 0.0, np.inf)[0] == pytest.approx(math.pi / 2, rel=1e-14)
+        assert kernels.integrate_gk21(f, -np.inf, 1.0)[0] == pytest.approx(
+            0.75 * math.pi, rel=1e-14)
+        gauss = kernels.integrate_gk21(lambda x: np.exp(-x * x), -np.inf, np.inf)[0]
+        assert gauss == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+
+    def test_bessel_j0_panels(self):
+        # int_0^x J_0 = x J_0(x) + (pi x / 2) (J_1(x) H_0(x) - J_0(x) H_1(x))
+        from scipy import special
+
+        edges = np.arange(41) * math.pi
+        panels = kernels.integrate_gk21(lambda x: special.j0(x), edges[:-1], edges[1:])
+        assert panels.shape == (40,)
+        x = edges[1:]
+        closed = x * special.j0(x) + 0.5 * math.pi * x * (
+            special.j1(x) * special.struve(0, x) - special.j0(x) * special.struve(1, x))
+        np.testing.assert_allclose(np.cumsum(panels), closed, rtol=1e-12, atol=1e-14)
+        (pooled,) = kernels.integrate_gk21(lambda x: special.j0(x), edges[:-1], edges[1:],
+                                           groups=[0] * 40)
+        assert pooled == pytest.approx(closed[-1], rel=1e-11)
+
+    def test_budget_runs_out(self):
+        with np.errstate(divide="ignore"), pytest.raises(ConvergenceError):
+            kernels.integrate_gk21(lambda x: 1.0 / x, 0.0, 1.0)  # not integrable
+        with pytest.raises(ConvergenceError):
+            kernels.integrate_gk21(lambda x: np.sin(50.0 * x), 0.0, 10.0, limit=1)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(ConvergenceError, match="not finite"):
+            kernels.integrate_gk21(lambda x: np.where(x > 0.7, np.nan, x), 0.0, 1.0)
+        with np.errstate(divide="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+            kernels.integrate_gk21(lambda x: 1.0 / x, -1.0, 1.0)  # the centre node is 0
+
+    def test_infinite_endpoints_need_one_interval(self):
+        with pytest.raises(ValueError):
+            kernels.integrate_gk21(np.exp, [-np.inf, 0.0], [0.0, 1.0])
 
 
 class TestModeSum:
