@@ -746,7 +746,7 @@ class TestWorkers:
         assert sizes == [3]
 
 
-def _loaded_after(statements: str, *modules: str) -> list[bool]:
+def _loaded_after(statements: str, *modules: str, timeout: float = 120) -> list[bool]:
     """Whether each of ``modules`` is in sys.modules after ``statements``
     run in a fresh interpreter."""
     src = str(Path(conevac.__file__).resolve().parents[1])
@@ -754,7 +754,7 @@ def _loaded_after(statements: str, *modules: str) -> list[bool]:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     probe = f"import sys\n{statements}\nprint([m in sys.modules for m in {modules!r}])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
+                          text=True, timeout=timeout, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1].lower())
 
 
@@ -774,7 +774,8 @@ def test_three_dim_quadratures_leave_scipy_unloaded():
 def test_the_oracle_suite_leaves_scipy_integrate_unloaded():
     # the Bessel mode integral imports scipy.special, and nothing imports scipy.integrate
     statements = "from conevac import run_oracle_suite\nrun_oracle_suite()"
-    assert _loaded_after(statements, "scipy.special", "scipy.integrate") == [True, False]
+    loaded = _loaded_after(statements, "scipy.special", "scipy.integrate", timeout=300)
+    assert loaded == [True, False]
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

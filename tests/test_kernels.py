@@ -452,13 +452,10 @@ class TestIntegrateGK21:
         (got,) = kernels._dqk21(kernels._gk21_nodes(-one, one) ** 32, one)[0]
         assert got != pytest.approx(2.0 / 33.0, rel=1e-12)
 
-    def test_lorentzian_over_the_line_and_half_lines(self):
+    def test_lorentzian_and_gaussian_over_the_line(self):
         def f(x):
             return 1.0 / (1.0 + x * x)
         assert kernels.integrate_gk21(f, -np.inf, np.inf)[0] == pytest.approx(math.pi, rel=1e-14)
-        assert kernels.integrate_gk21(f, 0.0, np.inf)[0] == pytest.approx(math.pi / 2, rel=1e-14)
-        assert kernels.integrate_gk21(f, -np.inf, 1.0)[0] == pytest.approx(
-            0.75 * math.pi, rel=1e-14)
         gauss = kernels.integrate_gk21(lambda x: np.exp(-x * x), -np.inf, np.inf)[0]
         assert gauss == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
@@ -489,9 +486,12 @@ class TestIntegrateGK21:
         with np.errstate(divide="ignore"), pytest.raises(ConvergenceError, match="not finite"):
             kernels.integrate_gk21(lambda x: 1.0 / x, -1.0, 1.0)  # the centre node is 0
 
-    def test_infinite_endpoints_need_one_interval(self):
+    def test_infinite_endpoints_need_the_whole_line(self):
         with pytest.raises(ValueError):
             kernels.integrate_gk21(np.exp, [-np.inf, 0.0], [0.0, 1.0])
+        for a, b in [(0.0, np.inf), (-np.inf, 1.0), (np.inf, -np.inf), (np.nan, np.inf)]:
+            with pytest.raises(ValueError):
+                kernels.integrate_gk21(np.exp, a, b)
 
 
 class TestModeSum:
