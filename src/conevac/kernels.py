@@ -44,16 +44,17 @@ element sees the IEEE operations of its own angle.  `cone_expr` and
 `wedge_renormalized_expr` stay the validated one-geometry forms of the
 same closures, for `kernel_expr` of one geometry and the float kernels.
 
-The independent checks integrate: the Bessel mode sum (`mode_integral`)
-and the three-dimensional kernel (`tbar_3d`) go through
-`integrate_gk21`, a numpy adaptive Gauss-Kronrod quadrature built on
-QUADPACK's dqk21 rule.  scipy is imported only for the Bessel functions
-of the mode integral, from scipy.special.
+The independent checks integrate: the Bessel mode sum (`mode_integral`,
+`tbar_modesum_4d`) and the three-dimensional kernel (`tbar_3d`) go
+through `integrate_gk21`, a numpy adaptive Gauss-Kronrod quadrature
+built on QUADPACK's dqk21 rule.  The Bessel functions are numpy too:
+J_nu of whole families of orders by Miller's backward recurrence
+(`_bessel_j`), K_0 and K_1 by the trapezoid rule (`_bessel_k`).
+Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -658,9 +659,10 @@ def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
 
     An adaptive 21-point Gauss-Kronrod quadrature, numpy only.
     ``groups[k]`` numbers the integral that interval k is a part of (by
-    default each interval is its own).  ``f`` maps an array of abscissae
-    to the integrand's values; each level calls it once, on the nodes of
-    every live piece, and applies `_dqk21` to each piece.  A group's
+    default each interval is its own).  ``f(x, k)`` maps an (n, 21)
+    array of abscissae, a row per piece, and the interval each row lies
+    in to the integrand's values; each level calls it once, on the nodes
+    of every live piece, and applies `_dqk21` to each piece.  A group's
     tolerance max(``epsabs``, ``epsrel`` |I|), I its current estimate,
     is shared among its intervals and their pieces by width, and a piece
     is accepted by dqagse's first-pass test against its share.
@@ -703,10 +705,10 @@ def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
         if fv is None:
             nodes = _gk21_nodes(lo, hi)
             if x_of is None:
-                fv = f(nodes)
+                fv = f(nodes, start)
             else:
                 x, dx = x_of(nodes, start)
-                fv = f(x) * dx
+                fv = f(x, start) * dx
         if not np.isfinite(fv).all():
             k = start[np.flatnonzero(~np.isfinite(fv).all(axis=1))[0]]
             raise ConvergenceError(f"integrand not finite on [{a[k]!r}, {b[k]!r}]")
@@ -743,34 +745,184 @@ def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
         fv = None
 
 
-@functools.lru_cache(maxsize=1)  # shared by the modes of one `tbar_modesum_4d` point
-def _panel_plan(r, rp, zeta, abs_tol, max_panels):
-    """The panels of `mode_integral` and what on them does not depend on nu.
+def _envj(n, x):
+    # about -log10 |J_n(x)| (Zhang and Jin's ENVJ), for n >= 1
+    return 0.5 * math.log10(6.28 * n) - n * math.log10(1.36 * x / n)
 
-    Returns the panel starts and ends and (panels, 21) arrays of the
-    dqk21 nodes w (`_gk21_nodes`), w r, w rp and K_0(w zeta).
-    """
-    from scipy import special
 
-    width = 4.0 * math.pi / (r + rp + zeta)
-    edges = [0.0]
-    while True:
-        omega = edges[-1] + width
-        edges.append(omega)
-        if (omega / zeta) * special.kv(1, omega * zeta) < abs_tol:
+def _msta2(x, n, digits):
+    """Zhang and Jin's MSTA2 (1996, ch. 5): an order from which the backward
+    recurrence gives J_n(x), n >= 1, with ``digits`` significant digits."""
+    half = 0.5 * digits
+    ejn = _envj(n, x)
+    if ejn <= half:
+        obj, n0 = digits, int(1.1 * x) + 1
+    else:
+        obj, n0 = half + ejn, int(n)
+    f0 = _envj(n0, x) - obj
+    n1 = n0 + 5
+    f1 = _envj(n1, x) - obj
+    for _ in range(20):  # the secant method on the integers
+        nn = max(1, int(n1 - (n1 - n0) / (1.0 - f0 / f1)))
+        if abs(nn - n1) < 1:
             break
-        if len(edges) - 1 >= max_panels:
+        n0, f0, n1, f1 = n1, f1, nn, _envj(nn, x) - obj
+    return nn + 10
+
+
+def _bessel_j(nu0, ks, x):
+    """J_{nu0[f] + ks[f, i]}(x) as an (F, m, X) array.
+
+    ``nu0`` is an (F,) array of orders in [0, 1), one per family, ``ks``
+    an (F, m) array of integers >= 0, and ``x`` > 0 an (X,) array shared
+    by the families or an (F, X) array, a row each.  Miller's backward
+    recurrence J_{v-1} = (2v/x) J_v - J_{v+1} (Gautschi 1967) runs down
+    every family at once, as the rows of an (F, X) array, from an order
+    that Zhang and Jin's MSTA2 picks for the largest x and the top
+    order; Neumann's sum
+    (x/2)^nu0 / Gamma(nu0 + 1) = sum_k c_k J_{nu0+2k}(x), with c_0 = 1 and
+    c_k = (nu0 + 2k) Gamma(nu0 + k) / (Gamma(nu0 + 1) k!), normalizes it.
+    Every few orders each element is rescaled by a power of 2 (exactly),
+    and keeps the exponent, so nothing overflows however fast J grows
+    toward low orders at small x; values below the double range come out
+    as 0.  Each value is relatively accurate where J_v(x) cannot vanish
+    (x <= v) and accurate relative to the modulus |H_v(x)| beyond.
+    """
+    nu0 = np.asarray(nu0, dtype=float)
+    ks = np.asarray(ks)
+    x = np.asarray(x, dtype=float)
+    families, members = ks.shape
+    col = nu0[:, None]
+    start = max(int(ks.max()), _msta2(float(x.max()), max(float((col + ks).max()), 1.0), 17))
+    # |f_{s-1}| <= (2 (nu0 + s) / x + 1) max(|f_s|, |f_{s+1}|): rescale well
+    # before 2^1023
+    every = max(1, int(900.0 // math.log2(2.0 * (start + 1) / float(x.min()) + 1.0)))
+    k = np.arange(1.0, start // 2 + 1)
+    gammas = np.cumprod(np.concatenate([np.ones((families, 1)), (col + k[:-1]) / k[:-1]], axis=1),
+                        axis=1)  # Gamma(nu0 + k) / (Gamma(nu0 + 1) (k - 1)!)
+    c = np.concatenate([np.ones((families, 1)), (col + 2.0 * k) / k * gammas], axis=1)
+    stores = {}
+    for i, s in enumerate(ks.ravel().tolist()):
+        stores.setdefault(s, []).append(i)
+    family = np.arange(families * members) // members
+    two_over_x = 2.0 / x
+    cur = np.ones(np.broadcast_shapes((families, 1), x.shape))
+    above = np.zeros_like(cur)
+    exponent = np.zeros(cur.shape, dtype=int)
+    norm = np.zeros_like(cur)
+    out = np.empty((families * members, cur.shape[1]))
+    out_exponent = np.empty(out.shape, dtype=int)
+    for s in range(start, -1, -1):  # cur holds f_{nu0+s}, above f_{nu0+s+1}
+        if s % 2 == 0:
+            norm += c[:, s // 2, None] * cur
+        if s in stores:
+            i = np.array(stores[s])
+            out[i] = cur[family[i]]
+            out_exponent[i] = exponent[family[i]]
+        if s == 0:
+            break
+        cur, above = (col + s) * two_over_x * cur - above, cur
+        if s % every == 0:
+            _, e = np.frexp(np.fmax(np.abs(cur), np.abs(above)))
+            cur, above, norm = np.ldexp(cur, -e), np.ldexp(above, -e), np.ldexp(norm, -e)
+            exponent += e
+    mantissa, e = np.frexp(norm)
+    exponent += e
+    lhs = np.power(0.5 * x, col) / np.array([math.gamma(v + 1.0) for v in nu0.tolist()])[:, None]
+    scale = lhs / mantissa
+    j = np.ldexp(out * scale[family], out_exponent - exponent[family])
+    return j.reshape(families, members, -1)
+
+
+_K_NODES = 160
+_K_STEPS = np.arange(1.0, _K_NODES + 1)
+
+
+def _bessel_k(order, x):
+    """K_0 (``order`` 0) or K_1 (1) at an array ``x`` > 0.
+
+    K_v(x) = e^-x int_0^inf exp(-2x sinh^2(s/2)) cosh(v s) ds by the
+    trapezoid rule, which converges double-exponentially on it
+    (Trefethen and Weideman 2014): _K_NODES steps out to where the
+    exponent reaches -40, a step size per element.  Relative error
+    ~1e-15 for x in [1e-14, 250].
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    h = 2.0 * np.arcsinh(np.sqrt(40.0 / x)) / _K_NODES
+    s = h * _K_STEPS
+    terms = np.exp(-2.0 * x * np.sinh(0.5 * s) ** 2)
+    if order:
+        terms *= np.cosh(s)
+    return (np.exp(-x) * h)[..., 0] * (0.5 + terms.sum(axis=-1))
+
+
+def _panel_plan(r, rp, zeta, abs_tol, max_panels):
+    """The panels of the mode integrals and what on them does not depend on nu.
+
+    Returns the panel starts and ends, the (panels, 21) dqk21 nodes w
+    (`_gk21_nodes`) and K_0(w zeta) on them.  The panels are as many as
+    it takes the tail bound (W/zeta) K_1(W zeta) at the last end W to
+    drop below ``abs_tol``.
+    """
+    width = 4.0 * math.pi / (r + rp + zeta)
+    count = 64
+    while True:
+        count = min(count, max_panels)
+        ends = np.cumsum(np.full(count, width))  # sequential, as one adds panels
+        done = (ends / zeta) * _bessel_k(1, ends * zeta) < abs_tol  # the bound falls with W
+        if done.any():
+            break
+        if count == max_panels:
             raise ConvergenceError(
                 f"mode_integral did not meet abs_tol={abs_tol!r} "
                 f"within {max_panels} panels"
             )
-    a = np.array(edges[:-1])
-    b = np.array(edges[1:])
+        count *= 8
+    b = ends[:int(done.argmax()) + 1]
+    a = np.concatenate([[0.0], b[:-1]])
     w = _gk21_nodes(a, b)
-    arrays = (a, b, w, w * r, w * rp, special.kv(0, w * zeta))
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    return a, b, w, _bessel_k(0, w * zeta)
+
+
+def _mode_integrals(nu0, ks, count, r, rp, zeta, controls):
+    """`mode_integral` of the modes n < ``count``, as a (count,) array,
+    where mode n = f + F i (F families) has the order nu0[f] + ks[f, i].
+
+    One `_bessel_j` table covers every order on every node of every
+    panel; the intervals of one `integrate_gk21` call are the (mode,
+    panel) pairs, each its own integral, so each panel has the tolerance
+    it would have alone.  A panel that fails its first pass is refined
+    at its own order only.  Each mode's panels are summed in order.
+    """
+    c = controls or QuadratureControls()
+    a, b, w, k0 = _panel_plan(r, rp, zeta, c.abs_tol, c.max_panels)
+    panels, families, half = len(a), len(nu0), w.size
+    j = _bessel_j(nu0, ks, np.concatenate([(w * r).ravel(), (w * rp).ravel()]))
+    j = j.transpose(1, 0, 2).reshape(-1, 2 * half)[:count]
+    fv = w.ravel() * j[:, :half] * j[:, half:] * k0.ravel()
+    mode_k = ks.T.ravel()
+
+    def f(x, k):
+        # Rows of one piece share their nodes (the same panel of several
+        # modes): K_0 once per piece, and one recurrence per piece and
+        # family, for just the orders its rows need.
+        pieces, piece = np.unique(x, axis=0, return_inverse=True)
+        piece = piece.reshape(-1)  # numpy 2.0.0 gave it a trailing axis
+        mode = k // panels
+        groups, group = np.unique(piece * families + mode % families, return_inverse=True)
+        by_group = np.argsort(group, kind="stable")
+        slot = np.empty_like(group)
+        slot[by_group] = np.arange(len(group)) - np.searchsorted(group[by_group], group[by_group])
+        gks = np.zeros((len(groups), slot.max() + 1), dtype=int)
+        gks[group, slot] = mode_k[mode]
+        gx = pieces[groups // families]
+        jx = _bessel_j(nu0[groups % families], gks,
+                       np.concatenate([gx * r, gx * rp], axis=1))[group, slot]
+        return x * jx[:, :21] * jx[:, 21:] * _bessel_k(0, pieces * zeta)[piece]
+
+    values = integrate_gk21(f, np.tile(a, count), np.tile(b, count),
+                            epsabs=0.01 * c.abs_tol, fv=fv.reshape(-1, 21))
+    return np.add.accumulate(values.reshape(count, panels), axis=1)[:, -1]
 
 
 def mode_integral(
@@ -783,36 +935,43 @@ def mode_integral(
 
     which has the closed value exp(-nu u) / (2 r rp sinh u).  Done
     panel by panel with panel width 4 pi/(r + rp + zeta) so each
-    panel holds at most a couple of Bessel oscillations.  The loop
-    stops once the analytic bound (W/zeta) K_1(W zeta) on the
-    remaining tail (using |J_nu| <= 1) drops below ``abs_tol``.
+    panel holds at most a couple of Bessel oscillations.  The panels
+    end once the analytic bound (W/zeta) K_1(W zeta) on the remaining
+    tail (using |J_nu| <= 1) drops below ``abs_tol``.
 
     The panels are the starting intervals of one `integrate_gk21` call,
     whose first level is the integrand on every node of every panel in
-    one numpy evaluation; the nodes and K_0 on them do not depend on nu
-    and are shared by the modes of one point.  A panel accepted there
-    (about 97% in the `cone_mode_sum` oracle) has the value scipy's
-    QUADPACK dqagse gives on it, bit for bit; the rest are integrated
-    adaptively together.  The panels are summed in order.
+    one numpy evaluation; the Bessel functions are numpy too
+    (`_bessel_j`, `_bessel_k`).  A panel that fails dqagse's first test
+    there is integrated adaptively.  The panels are summed in order.
+    This is the one-order case of what `tbar_modesum_4d` does for all
+    its modes at once.
     """
     if nu < 0 or r <= 0 or rp <= 0:
         raise DomainError("mode_integral needs nu >= 0 and positive radii")
     if zeta <= 0:
         raise DomainError("mode_integral needs zeta > 0 for convergence")
-    from scipy import special
+    k = math.floor(nu)
+    return float(_mode_integrals(np.array([nu - k]), np.array([[k]]), 1, r, rp, zeta,
+                                 controls)[0])
 
-    c = controls or QuadratureControls()
-    a, b, w, wr, wrp, k0 = _panel_plan(r, rp, zeta, c.abs_tol, c.max_panels)
 
-    def f(w):
-        return w * special.jv(nu, w * r) * special.jv(nu, w * rp) * special.kv(0, w * zeta)
+def _mode_orders(a, count):
+    """The orders a n, n < count, as families nu0 + k of `_bessel_j`.
 
-    panels = integrate_gk21(f, a, b, epsabs=0.01 * c.abs_tol,
-                            fv=w * special.jv(nu, wr) * special.jv(nu, wrp) * k0)
-    total = 0.0
-    for value in panels.tolist():
-        total += value
-    return total
+    With a p an integer q (to a few ulps) for some p < count, mode
+    n = f + p i has the order nu0_f + k_f + q i, where nu0_f + k_f = a f
+    and k_f is an integer: p families of ceil(count / p) members, the
+    last ones past count.  Otherwise each order is a family of its own.
+    Returns nu0 (F,) and ks (F, m), as `_mode_integrals` takes them.
+    """
+    p = next((p for p in range(1, count)
+              if abs(a * p - round(a * p)) <= 4.0 * _EPMACH * a * p and round(a * p) > 0),
+             count)
+    base = a * np.arange(p)
+    whole = np.floor(base)
+    ks = whole.astype(int)[:, None] + round(a * p) * np.arange(-(-count // p))
+    return base - whole, ks
 
 
 def tbar_modesum_4d(
@@ -829,6 +988,12 @@ def tbar_modesum_4d(
     not converge on the purely radial section) and a hyperbolic
     separation u >= 0.05 (the number of contributing modes grows like
     theta1/u).  Terms decay like exp(-2 pi n u / theta1).
+
+    Every mode n <= ``n_terms``, of order a n with a = 2 pi / theta1, is
+    integrated in one `_mode_integrals` call; orders a apart by whole
+    numbers share one Bessel recurrence (`_mode_orders`).  The modes
+    are summed in order until the geometric bound on the rest falls
+    below 1e-10 of the leading mode.
     """
     Cone(theta1)  # validate
     zeta = math.hypot(pair.t, pair.z - pair.zp)
@@ -842,17 +1007,18 @@ def tbar_modesum_4d(
         )
     a = 2.0 * math.pi / theta1
     decay = a * uv.u
-    i0 = mode_integral(0.0, pair.r, pair.rp, zeta, controls)
     if n_terms is None:
         # Geometric tail below 1e-10 of the leading mode.
         n_terms = math.ceil(
             (math.log(1e10) - math.log(-math.expm1(-decay))) / decay
         ) + 1
+    nu0, ks = _mode_orders(a, n_terms + 1)
+    modes = _mode_integrals(nu0, ks, n_terms + 1, pair.r, pair.rp, zeta, controls).tolist()
     dth = pair.dtheta
-    total = i0
-    cutoff = 1e-10 * abs(i0)
+    total = modes[0]
+    cutoff = 1e-10 * abs(modes[0])
     for n in range(1, n_terms + 1):
-        mode = mode_integral(a * n, pair.r, pair.rp, zeta, controls)
+        mode = modes[n]
         total += 2.0 * math.cos(a * n * dth) * mode
         if 2.0 * mode * math.exp(-decay) / -math.expm1(-decay) < cutoff:
             break
@@ -882,7 +1048,7 @@ _V_EDGES = np.array([0.0, 1.0, 2.0, 3.0, 4.5, math.sqrt(80.0)])
 
 
 def _v_integral(f) -> float:
-    """Integral of f(v) over u = u0 + v^2 from u0 out to u0 + 80."""
+    """Integral of f(v, k) over u = u0 + v^2 from u0 out to u0 + 80."""
     (total,) = integrate_gk21(f, _V_EDGES[:-1], _V_EDGES[1:], groups=[0] * 5).tolist()
     return total
 
@@ -913,7 +1079,7 @@ def tbar_3d(t: float, r: float, rp: float, dtheta: float, theta1: float) -> floa
     a = 2.0 * math.pi / theta1
     gap = 4.0 * math.sin(0.5 * a * dtheta) ** 2
 
-    def f(v):
+    def f(v, k):
         # sinh(x) / (cosh(x) - cos(a dtheta)), numerator and denominator
         # times 2 e^-x: the denominator is a sum of squares, nothing cancels
         x = a * (u0 + v * v)
@@ -932,4 +1098,4 @@ def tbar_3d_theta_average(t: float, r: float, rp: float, theta1: float) -> float
     dtheta takes its angular factor to 1.
     """
     u0 = _3d_u0(t, r, rp, theta1)
-    return -_v_integral(lambda v: _v_weight(u0, v)) / (math.pi * theta1 * math.sqrt(r * rp))
+    return -_v_integral(lambda v, k: _v_weight(u0, v)) / (math.pi * theta1 * math.sqrt(r * rp))

@@ -398,7 +398,7 @@ def _oracle_threedim_reduction(rng) -> OracleReport:
         # `tbar_cone`'s expression, called on floats without its validation
         expr = kernels.cone_expr(theta1)
 
-        def f(dz, _t=t, _r=r, _rp=rp, _dth=dth, _expr=expr):
+        def f(dz, k, _t=t, _r=r, _rp=rp, _dth=dth, _expr=expr):
             return np.array([_expr(_t, _r, _rp, _dth, 0.0, z, 0.0)
                              for z in dz.ravel().tolist()]).reshape(dz.shape)
 

@@ -171,6 +171,47 @@ def periodic_line_reference(t, dx, dy, dz, period):
     return float(total)
 
 
+# Bessel functions for the numpy J_nu, K_0 and K_1 of the mode integral.
+# J at the orders a n <= 100 of the mode-sum oracle's cone angles pi/4,
+# pi/2, 1.3 pi, 2 pi and 3 pi (a = 2 pi / theta1 = 8, 4, 20/13, 1, 2/3) and
+# of one irrational a.  Each order is written as nu0 + k, nu0 in [0, 1) a
+# double and k an integer, and J is taken at exactly that order: a
+# rational a = q/p gives p families of one nu0, an irrational a one
+# family per order.
+BESSEL_J_A = [
+    ("8", mp.mpf(8)),
+    ("4", mp.mpf(4)),
+    ("20/13", mp.mpf(20) / 13),
+    ("1", mp.mpf(1)),
+    ("2/3", mp.mpf(2) / 3),
+    ("sqrt(2)", mp.sqrt(2)),
+]
+BESSEL_J_X = [1e-12, 1e-6, 0.01, 0.5, 2.0, 8.0, 25.0, 60.0, 100.0, 170.0, 250.0]
+BESSEL_K_X = [float(mp.mpf(10) ** (-13 + i * (mp.log10(200) + 13) / 29)) for i in range(30)]
+
+
+def bessel_j_reference(a):
+    """J_{nu0 + k}(x) on BESSEL_J_X for the orders a n <= 100, with its
+    scale: |J| where x <= nu (J has no zero there), and the modulus
+    sqrt(J^2 + Y^2) beyond, where J oscillates and its zeros make a
+    relative error meaningless."""
+    orders = []
+    n = 0
+    with mp.workdps(40):
+        while a * n <= 100:
+            k = int(mp.floor(a * n))
+            nu0 = float(a * n - k)
+            nu = mp.mpf(nu0) + k
+            values, scales = [], []
+            for x in map(mp.mpf, BESSEL_J_X):
+                j = mp.besselj(nu, x)
+                values.append(float(j))
+                scales.append(float(abs(j) if x <= nu else mp.sqrt(j**2 + mp.bessely(nu, x) ** 2)))
+            orders.append({"nu0": nu0, "k": k, "value": values, "scale": scales})
+            n += 1
+    return orders
+
+
 def main():
     data = {
         "meta": {
@@ -182,6 +223,8 @@ def main():
         "mode_integral": [],
         "legendre_q": [],
         "periodic_line": [],
+        "bessel_j": [],
+        "bessel_k": [],
     }
 
     cases = {
@@ -246,6 +289,15 @@ def main():
             }
         )
     print("scalar references done")
+
+    for label, a in BESSEL_J_A:
+        data["bessel_j"].append({"a": label, "x": BESSEL_J_X, "orders": bessel_j_reference(a)})
+        print("J_nu, a =", label, "done")
+    with mp.workdps(30):
+        for x in BESSEL_K_X:
+            data["bessel_k"].append({"x": x, "k0": float(mp.besselk(0, mp.mpf(x))),
+                                     "k1": float(mp.besselk(1, mp.mpf(x)))})
+    print("K_0 and K_1 done")
 
     OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print("wrote", OUT)

@@ -356,85 +356,73 @@ class TestModeIntegral:
         assert mode_integral(1.0, 1.0, 0.8, 0.45) == before
 
 
-def _mode_integrand(nu, r, rp, zeta):
-    from scipy import special
-
-    def f(w):
-        return w * special.jv(nu, w * r) * special.jv(nu, w * rp) * special.kv(0, w * zeta)
-    return f
-
-
-def _scipy_panels(nu, r, rp, zeta, controls):
-    """The panels of `mode_integral`, each as one scalar scipy quad call:
-    (lo, hi, value, whether dqagse returned its first dqk21 pass)."""
-    from scipy import integrate, special
-
-    f = _mode_integrand(nu, r, rp, zeta)
-    width = 4.0 * math.pi / (r + rp + zeta)
-    omega = 0.0
-    panels = []
-    while True:
-        value, _, info = integrate.quad(f, omega, omega + width, full_output=1,
-                                        epsabs=0.01 * controls.abs_tol, epsrel=1e-11,
-                                        limit=300)[:3]
-        panels.append((omega, omega + width, value, info["last"] == 1))
-        omega += width
-        if (omega / zeta) * special.kv(1, omega * zeta) < controls.abs_tol:
-            return panels
-        if len(panels) >= controls.max_panels:
-            raise ConvergenceError("too many panels")
-
-
-class TestModeIntegralBits:
-    # A panel whose dqk21 abserr equals its resasc: dqagse's first-pass
-    # test (abserr != resasc) sends it on to subdivision.
+class TestModeIntegralClosedForm:
+    # A panel whose dqk21 abserr equals its resasc under scipy's Bessel
+    # functions: dqagse's first-pass test (abserr != resasc) sends it on.
     RESASC_CASE = (78.28429339055853, 0.30752026417350675, 0.6202184233790006,
                    2.483457335927887, 1.9219551846809054e-08)
 
-    def assert_bits(self, cases):
-        """A panel whose first pass dqagse accepts is accepted there with
-        scipy's bits, the others go on and are `integrate_gk21` on that panel
-        alone, and the sum in panel order agrees with the closed form;
-        returns the panels that go on, and all panels."""
-        bisected = panels = 0
+    def assert_closed(self, cases):
+        """`mode_integral` is a float within max(1e-10 |closed|, abs_tol)
+        of exp(-nu u) / (2 r rp sinh u)."""
         for nu, r, rp, zeta, abs_tol in cases:
-            controls = QuadratureControls(abs_tol=abs_tol)
-            f = _mode_integrand(nu, r, rp, zeta)
-            total = 0.0
-            for lo, hi, value, first_pass in _scipy_panels(nu, r, rp, zeta, controls):
-                epsabs = 0.01 * abs_tol
-                if first_pass:  # a budget of one piece is enough
-                    assert kernels.integrate_gk21(f, lo, hi, epsabs=epsabs, limit=1)[0] == value
-                else:
-                    with pytest.raises(ConvergenceError):
-                        kernels.integrate_gk21(f, lo, hi, epsabs=epsabs, limit=1)
-                    (value,) = kernels.integrate_gk21(f, lo, hi, epsabs=epsabs)
-                    bisected += 1
-                total += value
-                panels += 1
-            got = mode_integral(nu, r, rp, zeta, controls)
+            got = mode_integral(nu, r, rp, zeta, QuadratureControls(abs_tol=abs_tol))
             assert type(got) is float
-            assert got == total, (nu, r, rp, zeta, abs_tol)
             uv = u_of_pair(PointPair(t=zeta, r=r, rp=rp))
             closed = math.exp(-nu * uv.u) / (2.0 * r * rp * uv.sinh_u)
             assert abs(got - closed) <= max(1e-10 * closed, abs_tol), (nu, r, rp, zeta)
-        return bisected, panels
 
     def test_frozen_cases(self, reference):
-        self.assert_bits(
+        self.assert_closed(
             (c["nu"], c["r"], c["rp"], c["zeta"], QuadratureControls().abs_tol)
             for c in reference["mode_integral"])
 
     def test_resasc_case(self):
-        assert self.assert_bits([self.RESASC_CASE])[0] > 0
+        self.assert_closed([self.RESASC_CASE])
 
-    def test_seeded_cases_and_some_panels_fall_back(self):
+    def test_seeded_cases(self):
         rng = np.random.default_rng(20261018)
-        cases = [(float(rng.uniform(0.0, 120.0)),
-                  *(float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(3)),
-                  float(10.0 ** rng.uniform(-14.0, -7.0))) for _ in range(50)]
-        bisected, panels = self.assert_bits(cases)
-        assert 0 < bisected < panels // 5
+        self.assert_closed([(float(rng.uniform(0.0, 120.0)),
+                             *(float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(3)),
+                             float(10.0 ** rng.uniform(-14.0, -7.0))) for _ in range(50)])
+
+
+class TestBesselFunctions:
+    def test_j_matches_frozen_values(self, reference):
+        # relative to |J| where x <= nu, to the modulus sqrt(J^2 + Y^2) beyond
+        for entry in reference["bessel_j"]:
+            x = np.array(entry["x"])
+            orders = entry["orders"]
+            nu0 = sorted({o["nu0"] for o in orders})
+            members = [[o for o in orders if o["nu0"] == v] for v in nu0]
+            ks = np.zeros((len(nu0), max(map(len, members))), dtype=int)
+            for f, family in enumerate(members):
+                ks[f, :len(family)] = [o["k"] for o in family]
+            table = kernels._bessel_j(np.array(nu0), ks, x)
+            for f, family in enumerate(members):
+                for i, o in enumerate(family):
+                    value, scale = np.array(o["value"]), np.array(o["scale"])
+                    shown = np.abs(value) >= 1e-280
+                    err = np.abs(table[f, i] - value)[shown] / scale[shown]
+                    bound = np.where(x[shown] <= 100.0, 1e-13, 5e-13)
+                    assert (err <= bound).all(), (entry["a"], o["nu0"], o["k"], err.max())
+
+    def test_k0_and_k1_match_frozen_values(self, reference):
+        x = np.array([c["x"] for c in reference["bessel_k"]])
+        for order, key in ((0, "k0"), (1, "k1")):
+            want = np.array([c[key] for c in reference["bessel_k"]])
+            np.testing.assert_allclose(kernels._bessel_k(order, x), want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("theta1, families", [
+        (math.pi / 4, 1), (math.pi / 2, 1), (1.3 * math.pi, 13), (2 * math.pi, 1),
+        (3 * math.pi, 3), (5.0, 40)])
+    def test_mode_orders_are_a_n_in_families(self, theta1, families):
+        a = 2.0 * math.pi / theta1
+        nu0, ks = kernels._mode_orders(a, 40)
+        assert len(nu0) == families
+        assert ((0.0 <= nu0) & (nu0 < 1.0)).all()
+        orders = (nu0[:, None] + ks).T.ravel()[:40]
+        np.testing.assert_allclose(orders, a * np.arange(40), rtol=1e-15, atol=0)
 
 
 class TestIntegrateGK21:
@@ -445,7 +433,7 @@ class TestIntegrateGK21:
             want = (1.5 ** (degree + 1) - (-0.5) ** (degree + 1)) / (degree + 1)
             (got,) = kernels._dqk21(nodes ** degree, 0.5 * (b - a))[0]
             assert got == pytest.approx(want, rel=1e-14, abs=1e-15), degree
-            (adaptive,) = kernels.integrate_gk21(lambda x, d=degree: x ** d, a, b)
+            (adaptive,) = kernels.integrate_gk21(lambda x, k, d=degree: x ** d, a, b)
             assert adaptive == pytest.approx(want, rel=1e-14, abs=1e-15), degree
         # and not beyond: x^32 on [-1, 1] is off by ~7e-11
         one = np.array([1.0])
@@ -453,38 +441,56 @@ class TestIntegrateGK21:
         assert got != pytest.approx(2.0 / 33.0, rel=1e-12)
 
     def test_lorentzian_and_gaussian_over_the_line(self):
-        def f(x):
+        def f(x, k):
             return 1.0 / (1.0 + x * x)
         assert kernels.integrate_gk21(f, -np.inf, np.inf)[0] == pytest.approx(math.pi, rel=1e-14)
-        gauss = kernels.integrate_gk21(lambda x: np.exp(-x * x), -np.inf, np.inf)[0]
+        gauss = kernels.integrate_gk21(lambda x, k: np.exp(-x * x), -np.inf, np.inf)[0]
         assert gauss == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
     def test_bessel_j0_panels(self):
         # int_0^x J_0 = x J_0(x) + (pi x / 2) (J_1(x) H_0(x) - J_0(x) H_1(x))
-        from scipy import special
+        mp = pytest.importorskip("mpmath")
+
+        def j0(x, k):
+            return kernels._bessel_j(np.zeros(1), np.zeros((1, 1), int), x.ravel())[0, 0].reshape(x.shape)
 
         edges = np.arange(41) * math.pi
-        panels = kernels.integrate_gk21(lambda x: special.j0(x), edges[:-1], edges[1:])
+        panels = kernels.integrate_gk21(j0, edges[:-1], edges[1:])
         assert panels.shape == (40,)
-        x = edges[1:]
-        closed = x * special.j0(x) + 0.5 * math.pi * x * (
-            special.j1(x) * special.struve(0, x) - special.j0(x) * special.struve(1, x))
+        with mp.workdps(30):
+            closed = [float(x * mp.besselj(0, x) + mp.pi * x / 2 * (
+                mp.besselj(1, x) * mp.struveh(0, x) - mp.besselj(0, x) * mp.struveh(1, x)))
+                for x in map(mp.mpf, edges[1:].tolist())]
         np.testing.assert_allclose(np.cumsum(panels), closed, rtol=1e-12, atol=1e-14)
-        (pooled,) = kernels.integrate_gk21(lambda x: special.j0(x), edges[:-1], edges[1:],
-                                           groups=[0] * 40)
+        (pooled,) = kernels.integrate_gk21(j0, edges[:-1], edges[1:], groups=[0] * 40)
         assert pooled == pytest.approx(closed[-1], rel=1e-11)
+
+    def test_f_is_told_each_rows_interval(self):
+        # (k + 1) sqrt(x) on [0, 1] and [1, 2]: the first interval fails its
+        # first pass, and its refined rows still see k = 0
+        seen = []
+
+        def f(x, k):
+            seen.append(k)
+            return (k + 1.0)[:, None] * np.sqrt(x)
+
+        got = kernels.integrate_gk21(f, [0.0, 1.0], [1.0, 2.0])
+        np.testing.assert_allclose(got, [2.0 / 3.0, 2.0 * (2.0 * math.sqrt(8.0) - 2.0) / 3.0],
+                                   rtol=1e-13)
+        assert [k.tolist() for k in seen[:2]] == [[0, 1], [0] * 4]
+        assert all((k == 0).all() for k in seen[1:])
 
     def test_budget_runs_out(self):
         with np.errstate(divide="ignore"), pytest.raises(ConvergenceError):
-            kernels.integrate_gk21(lambda x: 1.0 / x, 0.0, 1.0)  # not integrable
+            kernels.integrate_gk21(lambda x, k: 1.0 / x, 0.0, 1.0)  # not integrable
         with pytest.raises(ConvergenceError):
-            kernels.integrate_gk21(lambda x: np.sin(50.0 * x), 0.0, 10.0, limit=1)
+            kernels.integrate_gk21(lambda x, k: np.sin(50.0 * x), 0.0, 10.0, limit=1)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(ConvergenceError, match="not finite"):
-            kernels.integrate_gk21(lambda x: np.where(x > 0.7, np.nan, x), 0.0, 1.0)
+            kernels.integrate_gk21(lambda x, k: np.where(x > 0.7, np.nan, x), 0.0, 1.0)
         with np.errstate(divide="ignore"), pytest.raises(ConvergenceError, match="not finite"):
-            kernels.integrate_gk21(lambda x: 1.0 / x, -1.0, 1.0)  # the centre node is 0
+            kernels.integrate_gk21(lambda x, k: 1.0 / x, -1.0, 1.0)  # the centre node is 0
 
     def test_infinite_endpoints_need_the_whole_line(self):
         with pytest.raises(ValueError):

@@ -38,21 +38,21 @@ def test_same_seed_is_deterministic():
     assert a[0].max_rel_err == b[0].max_rel_err
 
 
-# cone_mode_sum's worst relative error per oracle seed.  Each Bessel panel
-# that passes dqagse's first test keeps scipy quad's bits; the few others
-# are integrated adaptively by kernels.integrate_gk21, so the report keeps
-# its bits only while that integrator does.
+# cone_mode_sum's worst relative error per oracle seed.  The Bessel
+# functions are numpy (kernels._bessel_j, kernels._bessel_k) and the
+# panels are integrated by kernels.integrate_gk21, so the report keeps its
+# bits only while those do.
 CONE_MODE_SUM_MAX_REL = {
-    0: 3.9543963068540715e-11,
-    1: 7.745932272513902e-11,
-    2: 3.873747007949839e-11,
-    3: 3.7017842301054995e-11,
-    4: 7.174957165787127e-11,
-    5: 5.105266710666731e-11,
-    6: 5.3765623894570454e-11,
-    7: 5.161300722645912e-11,
-    8: 5.036694803137424e-11,
-    9: 7.458687139414233e-11,
+    0: 3.954434087409706e-11,
+    1: 7.745955535003853e-11,
+    2: 3.873767975457325e-11,
+    3: 3.70155031501808e-11,
+    4: 7.174994651326586e-11,
+    5: 5.1051676952729077e-11,
+    6: 5.376539520102478e-11,
+    7: 5.162044631552714e-11,
+    8: 5.036251857125838e-11,
+    9: 7.4680291126487e-11,
     42: 7.218318102770056e-11,
 }
 
