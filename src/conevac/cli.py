@@ -23,8 +23,10 @@ points, with the angle a batch column, and each distinct point is
 computed once over the couplings of every curve that draws it.  So the
 two couplings of a wedge figure or of a correction curve, the angles
 of a multi-cone figure and every point of a theta1 sweep share one
-pass.  Sidecars record the geometry, coupling, grid, and build metadata
-(`git describe` once per process); timestamps appear only there.
+pass.  A pass's cells are component tuples in `COMPONENT_NAMES` order,
+read by index into the CSV columns.  Sidecars record the geometry,
+coupling, grid, and build metadata (`git describe` once per process);
+timestamps appear only there.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ def _slice_rows(specs, slices):
 
 
 def _cell(values):
-    """Component dict of one CSV cell group from its per-coupling tensors.
+    """Component tuple of one CSV cell group from its per-coupling component tuples.
 
     A correction curve has two couplings and gives their per-unit
     difference, exploiting that every component is affine in beta.
@@ -207,17 +209,17 @@ def _cell(values):
     for value in values:
         if isinstance(value, ConeVacError):
             return value
-    comps = [value.components() for value in values]
-    if len(comps) == 1:
-        return comps[0]
-    base, bumped = comps
-    return {k: bumped[k] - base[k] for k in base}
+    if len(values) == 1:
+        return values[0]
+    base, bumped = values
+    return tuple(b - a for a, b in zip(base, bumped))
 
 
 def _rows(spec: _FileSpec, xs: list[float], curves):
     """CSV rows and notes of one file from the cells of each of its curves."""
     rows: list = []
     notes: list[str] = []
+    picks = [COMPONENT_NAMES.index(name) for name in spec.components]
     for i, x in enumerate(xs):
         cells: list = [x]
         for group, tag in enumerate((f"t={spec.cutoff_t:g}", "t0")):
@@ -228,7 +230,7 @@ def _rows(spec: _FileSpec, xs: list[float], curves):
                     label = f" [{series.label}]" if series.label else ""
                     notes.append(f"{spec.sweep}={x:g}{label} ({tag}): {comps}")
                 else:
-                    cells.extend(comps[name] for name in spec.components)
+                    cells.extend(comps[j] for j in picks)
         rows.append(cells)
     return rows, notes
 
@@ -236,9 +238,14 @@ def _rows(spec: _FileSpec, xs: list[float], curves):
 def _grid(lo: float, hi: float, points: int, log: bool) -> list[float]:
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points!r}")
+    for name, value in (("--lo", lo), ("--hi", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"grid endpoint {name} must be finite, got {value!r}")
+        if log and value <= 0:
+            raise ValueError(f"log grids need positive endpoints, got {name} {value!r}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"grid from --lo {lo!r} to --hi {hi!r} spans more than a double")
     if log:
-        if lo <= 0:
-            raise ValueError("log grids need positive endpoints")
         return [float(v) for v in np.geomspace(lo, hi, points)]
     return [float(v) for v in np.linspace(lo, hi, points)]
 
@@ -643,7 +650,7 @@ def _cmd_scan(args) -> int:
     unknown = sorted(set(components) - set(COMPONENT_NAMES))
     if unknown:
         raise ValueError(
-            f"unknown components: {', '.join(unknown)}; "
+            f"unknown components: {', '.join(map(repr, unknown))}; "
             f"known: {', '.join(COMPONENT_NAMES)}"
         )
     out = Path(args.out) if args.out else None

@@ -30,10 +30,12 @@ batched jets (see `jets`), one element per cutoff, with the cone angle
 or wedge opening a batch column when the ladders' geometries differ,
 and assembles each ladder elementwise at its own couplings.
 `stress_at` and `stress_from_kernel` run it on a ladder of one cutoff,
-`stress_t0` on its six-cutoff ladder, and `stress_grid` on a whole
-grid of points of any geometries of one kind, each contributing its
-finite cutoff and its ladder.  Batching changes no bits: each element
-equals `stress_at` at its geometry, point and cutoff.  A batch whose
+`stress_t0` on its six-cutoff ladder, and `stress_grid` on blocks of
+`_GRID_POINTS` points of any geometries of one kind, each contributing
+its finite cutoff and its ladder.  Batching changes no bits: each element
+equals `stress_at` at its geometry, point and cutoff.  Inside the engine
+a stress is the plain component tuple (t00, t_rr, t_perp, t_zz); the
+public functions wrap it in a `StressTensor` once per call.  A batch whose
 elements fall on different sides of a kernel branch is split there and
 each part rerun (`jets.split`); a pass over several ladders whose
 kernel evaluation fails is rerun in halves, down to single ladders, so
@@ -45,7 +47,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -65,10 +67,11 @@ _RUNGS = 6
 
 _CONFORMAL_BETA = Coupling.conformal().beta
 
-# Cutoffs per kernel evaluation in `_ladders`.  The jets hold ~1.6 KB per
-# cutoff at their peak, and at this size the fixed cost of an evaluation
-# (~0.4 ms) is already a small share.
-_BATCH_ELEMENTS = 448
+# Points per `_ladders` pass and `_richardson` call in `stress_grid`.  A point
+# brings its finite cutoff and a six-cutoff ladder, so a pass takes at most
+# 448 cutoffs: the jets hold ~1.6 KB per cutoff at their peak, and at this
+# size the fixed cost of an evaluation (~0.4 ms) is already a small share.
+_GRID_POINTS = 64
 
 _OUT_OF_RANGE = "the stress at r={!r} leaves the range of double precision ({})"
 
@@ -211,10 +214,9 @@ def _ladders(kernel_for, z, ladders):
     component tuple of each of its cutoffs, or the ladder's own
     DomainError (a cutoff that is not positive, or one `_pass` reports).
     A point that is not valid raises ValueError, as a `PointPair` does.
-    The valid ladders go to `_pass` in runs of up to `_BATCH_ELEMENTS`
-    cutoffs, which bounds the memory of a kernel evaluation.
+    The valid ladders go to `_pass` together.
     """
-    out, runs, size = [], [[]], 0
+    out, live = [], []
     for k, (geometry, r, theta, ts, betas) in enumerate(ladders):
         bad = [t for t in ts if not (math.isfinite(t) and t > 0)]
         if bad:
@@ -223,13 +225,9 @@ def _ladders(kernel_for, z, ladders):
             continue
         _check_point(r, theta, z, ts[0])
         out.append(None)
-        if runs[-1] and size + len(ts) > _BATCH_ELEMENTS:
-            runs.append([])
-            size = 0
-        runs[-1].append(k)
-        size += len(ts)
-    for run in filter(None, runs):
-        for k, entry in zip(run, _pass(kernel_for, z, [ladders[k] for k in run])):
+        live.append(k)
+    if live:
+        for k, entry in zip(live, _pass(kernel_for, z, [ladders[k] for k in live])):
             out[k] = entry
     return out
 
@@ -304,11 +302,17 @@ def stress_from_kernel(
     independently constructed kernels (image sums, cross checks) can be
     pushed through the same assembly.
     """
+    return StressTensor(*_at_cutoff(kernel_fn, renorm_mode, r, theta, z, beta, t),
+                        renorm_mode=renorm_mode, cutoff_t=t)
+
+
+def _at_cutoff(kernel_fn, renorm_mode, r, theta, z, beta, t):
+    """The component tuple at one point and cutoff, from `_ladders` on a ladder of one."""
     ((rungs,),) = _ladders(lambda _: (kernel_fn, renorm_mode), z,
                            [(None, r, theta, [t], (beta,))])
     if isinstance(rungs, DomainError):
         raise rungs
-    return StressTensor(*rungs[0], renorm_mode=renorm_mode, cutoff_t=t)
+    return rungs[0]
 
 
 def _check_interior(geometry: Geometry, theta: float) -> None:
@@ -364,8 +368,8 @@ def stress_at(
     """
     _check_interior(geometry, theta)
     expr, mode = _kernel_for(geometry, renorm)
-    stress = stress_from_kernel(expr, r, theta, z, beta=beta, t=t, renorm_mode=mode)
-    return replace(stress, renorm_mode=renorm)
+    return StressTensor(*_at_cutoff(expr, mode, r, theta, z, beta, t),
+                        renorm_mode=renorm, cutoff_t=t)
 
 
 @dataclass(frozen=True)
@@ -519,63 +523,48 @@ def _t0_cutoffs(geometry: Geometry, r, theta, betas) -> list:
     return out
 
 
-def _extrapolate(best, err, spread) -> ExtrapolatedStress:
-    """The t -> 0 stress from the `_richardson` rows of one ladder's components."""
-    best = dict(zip(COMPONENT_NAMES, best))
-    err = dict(zip(COMPONENT_NAMES, err))
-    spread = dict(zip(COMPONENT_NAMES, spread))
-    scale = max(abs(v) for v in best.values())
-    for name in COMPONENT_NAMES:
+def _extrapolate(best, err, spread):
+    """The t -> 0 (components, errors) tuples from one ladder's `_richardson` rows."""
+    scale = max(map(abs, best))
+    for name, value, error, width in zip(COMPONENT_NAMES, best, err, spread):
         # err exceeding the spread means the chosen entry is accurate
         # to the roundoff model rather than to tableau disagreement:
         # the ladder contracted below the noise it carries, which is
         # convergence, just with a noise-dominated error bar.  Only a
         # spread that is both above the noise and a sizable fraction of
         # the answer marks a tableau that never settled.
-        if err[name] > spread[name]:
+        if error > width:
             continue
-        if spread[name] > 0.25 * max(abs(best[name]), 0.05 * scale):
+        if width > 0.25 * max(abs(value), 0.05 * scale):
             raise ConvergenceError(
                 f"t -> 0 extrapolation did not converge for {name}: "
-                f"value {best[name]!r}, error estimate {err[name]!r}"
+                f"value {value!r}, error estimate {error!r}"
             )
-    return ExtrapolatedStress(
-        stress=StressTensor(
-            t00=best["t00"], t_rr=best["t_rr"], t_perp=best["t_perp"],
-            t_zz=best["t_zz"],
-            renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=0.0,
-        ),
-        error=err,
-    )
-
-
-# Ladders per `_richardson` call: its arrays take ~1.3 KB per ladder, so
-# a grid's tableau is split to stay below the memory of its kernel pass.
-_TABLEAU_LADDERS = 128
+    return tuple(best), tuple(err)
 
 
 def _limits(ladders):
-    """The t -> 0 limit of every (cutoffs, rungs) ladder, from vectorised tableaux.
+    """The t -> 0 limit of every (cutoffs, rungs) ladder, from one vectorised tableau.
 
-    Every component of every ladder is one row of a `_richardson` call,
-    `_TABLEAU_LADDERS` ladders to a call (a row's bits do not depend on
-    the others).  Returns per ladder its `ExtrapolatedStress`, or its
-    ConvergenceError; a ladder whose rungs are a DomainError keeps it.
+    Every component of every ladder is one row of a single `_richardson`
+    call (a row's bits do not depend on the others).  Returns per ladder
+    its (components, errors) tuples, or its ConvergenceError; a ladder
+    whose rungs are a DomainError keeps it.
     """
     out = [rungs for _, rungs in ladders]
     live = [k for k, rungs in enumerate(out) if not isinstance(rungs, DomainError)]
+    if not live:
+        return out
     m = len(COMPONENT_NAMES)
-    for start in range(0, len(live), _TABLEAU_LADDERS):
-        part = live[start:start + _TABLEAU_LADDERS]
-        values = np.array([out[k] for k in part])
-        noise = np.repeat([_noise(ladders[k][0]) for k in part], m, axis=0)
-        rows = _richardson(values.transpose(0, 2, 1).reshape(len(part) * m, -1), noise)
-        best, err, spread = (a.reshape(len(part), m).tolist() for a in rows)
-        for j, k in enumerate(part):
-            try:
-                out[k] = _extrapolate(best[j], err[j], spread[j])
-            except ConvergenceError as exc:
-                out[k] = exc.with_traceback(None)
+    values = np.array([out[k] for k in live])
+    noise = np.repeat([_noise(ladders[k][0]) for k in live], m, axis=0)
+    rows = _richardson(values.transpose(0, 2, 1).reshape(len(live) * m, -1), noise)
+    best, err, spread = (a.reshape(len(live), m).tolist() for a in rows)
+    for j, k in enumerate(live):
+        try:
+            out[k] = _extrapolate(best[j], err[j], spread[j])
+        except ConvergenceError as exc:
+            out[k] = exc.with_traceback(None)
     return out
 
 
@@ -611,54 +600,55 @@ def stress_t0(
     (limit,) = _limits([(ts, rungs)])
     if isinstance(limit, Exception):
         raise limit
-    return limit
+    best, err = limit
+    return ExtrapolatedStress(
+        stress=StressTensor(*best, renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=0.0),
+        error=dict(zip(COMPONENT_NAMES, err)),
+    )
 
 
 def stress_grid(points, z: float, t: float):
-    """`stress_at` at cutoff ``t`` and `stress_t0` at every point, in one pass.
+    """`stress_at` at cutoff ``t`` and `stress_t0` at every point, in blocks of points.
 
     ``points`` lists (geometry, r, theta, betas) entries whose
     geometries share one `kernels.kernel_kind`: cones of any angles,
     say, or wedges of any openings with one wall condition.  Every point
-    contributes its cutoff ``t`` and its `stress_t0` ladder to one
-    `_ladders` pass, so the kernel expression is evaluated on the whole
-    grid at once (in batches of up to `_BATCH_ELEMENTS` cutoffs), with
-    the angles as a batch column, and each ladder is assembled at its
-    own point's couplings only; one `_limits` call then extrapolates
-    every ladder at every coupling.  Returns one ``(finite,
-    limit)`` pair per point, each a list with one entry per beta of that
-    point: the tensor that ``stress_at(geometry, r, theta, z, beta=beta,
-    t=t)`` or ``stress_t0(geometry, r, theta, z, beta=beta).stress``
-    returns, bit for bit, or the DomainError or ConvergenceError it
-    raises, without its traceback.
+    of a block of `_GRID_POINTS` contributes its cutoff ``t`` and its
+    `stress_t0` ladder to one `_ladders` pass, with the angles as a
+    batch column, and each ladder is assembled at its own point's
+    couplings only; one `_limits` call then extrapolates every ladder of
+    the block at every coupling.  Returns one ``(finite, limit)`` pair
+    per point, each a list with one entry per beta of that point: the
+    component tuple of what ``stress_at(geometry, r, theta, z,
+    beta=beta, t=t)`` or ``stress_t0(geometry, r, theta, z,
+    beta=beta).stress`` returns, bit for bit, or the DomainError or
+    ConvergenceError it raises, without its traceback.
     """
-    ladders, plan = [], []
-    for geometry, r, theta, betas in points:
-        try:
-            _check_interior(geometry, theta)
-            finite = len(ladders)  # its ladder, or its DomainError
-            ladders.append((geometry, r, theta, [t], betas))
-        except DomainError as exc:
-            finite = exc.with_traceback(None)
-        limit = _t0_cutoffs(geometry, r, theta, betas)  # per beta: cutoffs or DomainError
-        cutoffs = [ts for ts in limit if not isinstance(ts, DomainError)]
-        if cutoffs:
-            ladders.append((geometry, r, theta, cutoffs[0],
-                            [beta for beta, ts in zip(betas, limit) if ts is cutoffs[0]]))
-        plan.append((betas, finite, limit, len(ladders) - 1 if cutoffs else None))
-    results = _ladders(_kernel_subtraction, z, ladders)
-    limits = iter(_limits([(ladders[k][3], rungs) for *_, k in plan if k is not None
-                           for rungs in results[k]]))
     out = []
-    for betas, finite, limit, _ in plan:
-        rungs = ([finite] * len(betas) if isinstance(finite, DomainError)
-                 else results[finite])
-        lims = [ts if isinstance(ts, DomainError) else next(limits) for ts in limit]
-        out.append((
-            [cell if isinstance(cell, DomainError) else StressTensor(
-                *cell[0], renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=t)
-             for cell in rungs],
-            [lim if isinstance(lim, Exception) else lim.stress for lim in lims]))
+    for start in range(0, len(points), _GRID_POINTS):
+        ladders, plan = [], []
+        for geometry, r, theta, betas in points[start:start + _GRID_POINTS]:
+            try:
+                _check_interior(geometry, theta)
+                finite = len(ladders)  # its ladder, or its DomainError
+                ladders.append((geometry, r, theta, [t], betas))
+            except DomainError as exc:
+                finite = exc.with_traceback(None)
+            limit = _t0_cutoffs(geometry, r, theta, betas)  # per beta: cutoffs or DomainError
+            cutoffs = [ts for ts in limit if not isinstance(ts, DomainError)]
+            if cutoffs:
+                ladders.append((geometry, r, theta, cutoffs[0],
+                                [beta for beta, ts in zip(betas, limit) if ts is cutoffs[0]]))
+            plan.append((betas, finite, limit, len(ladders) - 1 if cutoffs else None))
+        results = _ladders(_kernel_subtraction, z, ladders)
+        limits = iter(_limits([(ladders[k][3], rungs) for *_, k in plan if k is not None
+                               for rungs in results[k]]))
+        for betas, finite, limit, _ in plan:
+            rungs = ([finite] * len(betas) if isinstance(finite, DomainError)
+                     else results[finite])
+            lims = [ts if isinstance(ts, DomainError) else next(limits) for ts in limit]
+            out.append(([cell if isinstance(cell, DomainError) else cell[0] for cell in rungs],
+                        [lim if isinstance(lim, Exception) else lim[0] for lim in lims]))
     return out
 
 

@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -169,15 +170,36 @@ class TestScan:
                          "--points", "1")
         assert code == 2
 
-    def test_rejects_unknown_component(self, capsys):
-        code, _, _ = run(capsys, *self.CONE, "--components", "t01")
+    @pytest.mark.parametrize("components, shown", [("t01", "'t01'"), ("t00,,t_rr", "''")])
+    def test_rejects_unknown_component(self, capsys, components, shown):
+        code, _, err = run(capsys, *self.CONE, "--components", components)
         assert code == 2
+        assert err.startswith(f"error: unknown components: {shown};")
 
     def test_rejects_log_grid_through_zero(self, capsys):
         code, _, _ = run(capsys, "scan", "--geometry", "cone", "--theta1", "3",
                          "--sweep", "r", "--lo", "-1", "--hi", "2",
                          "--points", "2", "--log")
         assert code == 2
+
+    @pytest.mark.parametrize("endpoints, named", [
+        (("--lo", "1", "--hi", "-1", "--log"), "--hi -1.0"),
+        (("--lo", "1", "--hi", "0", "--log"), "--hi 0.0"),
+        (("--lo", "1", "--hi", "inf"), "--hi must be finite, got inf"),
+        (("--lo", "nan", "--hi", "2"), "--lo must be finite, got nan"),
+        (("--lo=-inf", "--hi", "2", "--log"), "--lo must be finite, got -inf"),
+        (("--lo=-1e308", "--hi", "1e308"), "--lo -1e+308 to --hi 1e+308"),
+    ], ids=["log-negative-hi", "log-zero-hi", "infinite-hi", "nan-lo", "log-infinite-lo",
+            "overflowing-span"])
+    def test_rejects_bad_grid_endpoints(self, capsys, endpoints, named):
+        # as under `python -W error`: a numpy warning on the way would raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "scan", "--geometry", "cone", "--theta1", "2",
+                               "--sweep", "r", "--points", "3", *endpoints)
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+        assert "RuntimeWarning" not in err
 
     def test_angle_sweep_needs_a_radius(self, capsys):
         code, _, _ = run(capsys, "scan", "--geometry", "cone", "--theta1", "3",
@@ -620,8 +642,8 @@ class TestBatchedGrid:
 
     def test_one_kernel_pass_per_curve(self, tmp_path, monkeypatch):
         # counted as `stress_grid` passes, each over every curve of one kernel
-        # kind; a pass evaluates its kernel in batches of up to
-        # `stress._BATCH_ELEMENTS` cutoffs (see TestStressGrid)
+        # kind; a pass evaluates its kernel in blocks of up to
+        # `stress._GRID_POINTS` points (see TestStressGrid)
         calls = []
         real = cli.stress_grid
 

@@ -472,15 +472,17 @@ class TestBatchedLadder:
         assert max(au) > kernels._EXP_FORM_MIN_X > min(au)
 
 
-def _hexes(stress):
-    return [v.hex() for v in stress.components().values()]
+def _hexes(cell):
+    """float.hex of each component of a grid cell's tuple or of a tensor."""
+    return [v.hex() for v in (cell if type(cell) is tuple else cell.components().values())]
 
 
 def _same(got, want):
-    """Equal tensors by float.hex, or errors of one type and message."""
+    """A grid cell equal to a tensor or cell by float.hex, or errors of one type and message."""
     if isinstance(want, Exception):
-        return type(got) is type(want) and str(got) == str(want)
-    return not isinstance(got, Exception) and _hexes(got) == _hexes(want)
+        return (type(got) is type(want) and str(got) == str(want)
+                and "np.float64(" not in str(got))
+    return type(got) is tuple and _hexes(got) == _hexes(want)
 
 
 class TestStressGrid:
@@ -528,7 +530,35 @@ class TestStressGrid:
         grid = _grid(Wedge(math.pi / 2), points, 0.0,
                            (CONFORMAL_BETA, CONFORMAL_BETA + 1.0), 0.5)
         kinds = {type(cell).__name__ for finite, limit in grid for cell in finite + limit}
-        assert kinds == {"DomainError", "ConvergenceError", "StressTensor"}
+        assert kinds == {"DomainError", "ConvergenceError", "tuple"}
+
+    def test_cells_are_float_tuples_built_without_tensors(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("stress_grid built a result object")
+
+        monkeypatch.setattr("conevac.stress.StressTensor", refused)
+        monkeypatch.setattr("conevac.stress.ExtrapolatedStress", refused)
+        points = [(8.0, th) for th in (0.0, 0.0005, 0.001 * math.pi, 0.3, 1.2)]
+        grid = _grid(Wedge(math.pi / 2), points, 0.0,
+                     (CONFORMAL_BETA, CONFORMAL_BETA + 1.0), 0.5)
+        grid += _grid(Cone(2.2), [(0.5, 0.0), (2.0, 0.0)], 0.0, (0.0,), 0.5)
+        finite, limit = ([cell for pair in grid for cell in pair[k]
+                          if not isinstance(cell, Exception)] for k in (0, 1))
+        assert finite and limit
+        for cell in finite + limit:
+            assert type(cell) is tuple and len(cell) == 4
+            assert all(type(v) is float for v in cell)
+
+    def test_convergence_message_is_pinned(self):
+        # the values are Python floats, so no numpy repr leaks into the text
+        want = ("t -> 0 extrapolation did not converge for t00: "
+                "value -3.2555390459450737, error estimate 2000.2329059268109")
+        wedge, r, theta = Wedge(math.pi / 2), 4.0, 0.0005
+        with pytest.raises(ConvergenceError) as info:
+            stress_t0(wedge, r, theta, beta=CONFORMAL_BETA)
+        assert str(info.value) == want
+        ((_, (limit,)),) = _grid(wedge, [(r, theta)], 0.0, (CONFORMAL_BETA,), 0.5)
+        assert type(limit) is ConvergenceError and str(limit) == want
 
     def test_near_wall_couplings_fail_before_the_ladder_checks(self):
         # one plan serves both couplings: the nonconformal one is refused for
@@ -570,10 +600,20 @@ class TestStressGrid:
                 return expr(**coords)
             return counted
 
+        tableaux = []
+
+        def counted_richardson(values, noise):
+            tableaux.append(len(values))
+            return _richardson(values, noise)
+
         monkeypatch.setattr("conevac.stress.kernel_expr", counting)
-        monkeypatch.setattr("conevac.stress._BATCH_ELEMENTS", 14)
+        monkeypatch.setattr("conevac.stress._richardson", counted_richardson)
+        monkeypatch.setattr("conevac.stress._GRID_POINTS", 2)
         batched = _grid(Cone(2.2), points, 0.0, (0.0, 1.0), 0.5)
-        assert max(calls) <= 14 and sum(calls) == 5 * 7
+        # blocks of 2, 2 and 1 points, each one kernel pass and one tableau
+        # of 4 component rows per ladder and coupling
+        assert calls == [14, 14, 7]
+        assert tableaux == [2 * 2 * 4, 2 * 2 * 4, 2 * 4]
         for got, want in zip(batched, whole):
             assert all(_same(g, w) for g, w in zip(got[0] + got[1], want[0] + want[1]))
 
