@@ -44,18 +44,24 @@ element sees the IEEE operations of its own angle.  `cone_expr` and
 `wedge_renormalized_expr` stay the validated one-geometry forms of the
 same closures, for `kernel_expr` of one geometry and the float kernels.
 
-The independent checks integrate: the Bessel mode sum (`mode_integral`,
-`tbar_modesum_4d`) and the three-dimensional kernel (`tbar_3d`) go
-through `integrate_gk21`, a numpy adaptive Gauss-Kronrod quadrature
-built on QUADPACK's dqk21 rule.  The Bessel functions are numpy too:
-J_nu of whole families of orders by Miller's backward recurrence
-(`_bessel_j`), K_0 and K_1 by the trapezoid rule (`_bessel_k`).
-Nothing here imports scipy.
+The independent checks are batched.  The image sums (the cone's sheets,
+the periodic line's copies) are one numpy expression over all images,
+summed one after another in the order of a running sum
+(`_lattice_sum`).  The Bessel mode sum (`mode_integral`,
+`tbar_modesum_4d`) and the three-dimensional kernel (`tbar_3d`, and
+`_tbar_3d_many` for many angular offsets in one call) go through
+`integrate_gk21`, a numpy adaptive Gauss-Kronrod quadrature built on
+QUADPACK's dqk21 rule; it adds node pairs elementwise, with no matrix
+product, so BLAS cannot change a bit.  The
+Bessel functions are numpy too: J_nu of whole families of orders by
+Miller's backward recurrence (`_bessel_j`), K_0 and K_1 by the
+trapezoid rule (`_bessel_k`).  Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -389,6 +395,9 @@ class ImageSum:
     tail_correction: float
 
 
+_IMAGE_BLOCK = 1 << 14  # images per numpy expression in `_lattice_sum`
+
+
 def _lattice_sum(
     amplitude: float, width: float, offset: float, spacing: float,
     n_images: int, include_tail: bool,
@@ -396,20 +405,30 @@ def _lattice_sum(
     """sum_n -amplitude / (width^2 + (offset + n spacing)^2) over |n| <= n_images.
 
     Both image sums here, the cone's sheets and the periodic line's
-    copies, are this Lorentzian lattice.  With ``include_tail`` the
-    Euler-Maclaurin estimate of the discarded images, n >= m and
-    n <= -m for m = n_images + 1, is added.  It keeps the integral,
-    half the boundary term, and the first derivative correction; the
-    next correction is smaller by roughly (1 / m)^2 / 60 and is dropped.
+    copies, are this Lorentzian lattice.  The terms are numpy
+    expressions over blocks of `_IMAGE_BLOCK` images (so a huge
+    ``n_images`` costs time, not memory), summed one after another from
+    n = -n_images by `np.add.accumulate` after the running total, which
+    starts at 0.0: the order and the bits of a running sum over n.  A
+    zero denominator raises ZeroDivisionError, as the float division does.  With ``include_tail`` the Euler-Maclaurin
+    estimate of the discarded images, n >= m and n <= -m for
+    m = n_images + 1, is added.  It keeps the integral, half the boundary
+    term, and the first derivative correction; the next correction is
+    smaller by roughly (1 / m)^2 / 60 and is dropped.
     """
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images!r}")
+    n_images = operator.index(n_images)  # a float count is a TypeError
     a, b, d, lam = amplitude, width, offset, spacing
     b_sq = b * b
     total = 0.0
-    for n in range(-n_images, n_images + 1):
-        x = d + n * lam
-        total += -a / (b_sq + x * x)
+    for start in range(-n_images, n_images + 1, _IMAGE_BLOCK):
+        x = d + np.arange(start, min(start + _IMAGE_BLOCK, n_images + 1)) * lam
+        with np.errstate(all="ignore"):  # overflow to inf, as float arithmetic does
+            den = b_sq + x * x
+            if not den.all():
+                raise ZeroDivisionError("float division by zero")
+            total = float(np.add.accumulate(np.concatenate([[total], -a / den]))[-1])
     tail = 0.0
     if include_tail:
         m_start = n_images + 1
@@ -553,28 +572,30 @@ _UFLOW = 2.0**-1022  # d1mach(1), the least normal double
 _X21 = np.concatenate([-_XGK, [0.0], _XGK])  # the nodes of [-1, 1], in fv's column order
 
 
-def _pair_sums(order, centre=True):
-    """(21, 11) matrix: a row of fv times it is [f(centre), f(-x_j) + f(x_j)
-    for j in ``order``], zero-padded.  Beside the one sum x + y there are
-    only exact zeros, so each product has the bits of x + y."""
-    m = np.zeros((21, 11))
-    m[10, 0] = float(centre)
-    for col, j in enumerate(order, start=1):
-        m[j, col] = m[11 + j, col] = 1.0
-    return m
+def _pair_rows(order, offset=0, centre=True):
+    """Row indices (left, right) of 11 sums over the nodes: [f(centre),
+    f(-x_j) + f(x_j) for j in ``order``], zero-padded, for the rows
+    ``offset`` to ``offset + 20`` of a node-major array (`_gk21_nodes`'
+    column order) whose last row is zero.  Index -1, the zero row, stands
+    in for a missing partner; adding an exact zero keeps the bits of the
+    term."""
+    pad = [-1] * (10 - len(order))
+    left = [offset + 10 if centre else -1] + [offset + j for j in order] + pad
+    right = [-1] + [offset + 11 + j for j in order] + pad
+    return left, right
 
 
 _GAUSS_FIRST = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # dqk21's order for resk and resabs
-# _TERMS times [fv, |fv|] transposed, times _W_TERMS, is the terms of resk,
-# resg and resabs, 11 each in dqk21's order; _ASC times |fv - resk / 2|
-# transposed, times _W_ASC, is those of resasc.
-_TERMS = np.zeros((33, 42))
-_TERMS[:11, :21] = _pair_sums(_GAUSS_FIRST).T
-_TERMS[11:22, :21] = _pair_sums([1, 3, 5, 7, 9], centre=False).T
-_TERMS[22:, 21:] = _pair_sums(_GAUSS_FIRST).T
+# [fv, |fv|] node-major, plus a zero row, gathered at _TERMS_LEFT and
+# _TERMS_RIGHT and summed, times _W_TERMS, is the terms of resk, resg and
+# resabs, 11 each in dqk21's order; |fv - resk / 2| node-major, plus a zero
+# row, gathered at _ASC_LEFT and _ASC_RIGHT, times _W_ASC, is those of resasc.
+_TERMS_LEFT, _TERMS_RIGHT = (np.array(a + b + c) for a, b, c in zip(
+    _pair_rows(_GAUSS_FIRST), _pair_rows([1, 3, 5, 7, 9], centre=False),
+    _pair_rows(_GAUSS_FIRST, offset=21)))
 _W_TERMS = np.concatenate([[_WGK[10]], _WGK[_GAUSS_FIRST], [0.0], _WG, np.zeros(5),
                            [_WGK[10]], _WGK[_GAUSS_FIRST]]).reshape(3, 11, 1)
-_ASC = _pair_sums(range(10)).T
+_ASC_LEFT, _ASC_RIGHT = (np.array(a) for a in _pair_rows(range(10)))
 _W_ASC = np.concatenate([[_WGK[10]], _WGK[:10]])[:, None]
 
 
@@ -596,16 +617,24 @@ def _dqk21(fv, hlgth):
     """dqk21 on every row of ``fv`` (the integrand on `_gk21_nodes`) at once.
 
     Returns the Kronrod result, the error estimate, resabs and resasc in
-    QUADPACK's operation order: each weight times its node pair's sum,
+    QUADPACK's operation order: each weight times its node pair's sum
+    (gathered rows added elementwise, no matrix product, so no BLAS),
     the terms summed one after another in dqk21's order (`_in_order`),
     and the (200 err / resasc)^1.5 scaling through libm's pow, as
     QUADPACK does, not numpy's.
     """
     n = len(fv)
-    terms = (_TERMS @ np.concatenate([fv, np.abs(fv)], axis=1).T).reshape(3, 11, n)
-    resk, resg, resabs = _in_order(terms * _W_TERMS)
-    dev = np.abs(fv - (resk * 0.5)[:, None])
-    resasc = _in_order((_ASC @ dev.T) * _W_ASC)
+    rows = np.zeros((43, n))  # fv and |fv| node-major, then the zero row
+    rows[:21] = fv.T
+    np.abs(rows[:21], out=rows[21:42])
+    terms = rows[_TERMS_LEFT]
+    terms += rows[_TERMS_RIGHT]
+    resk, resg, resabs = _in_order(terms.reshape(3, 11, n) * _W_TERMS)
+    dev = np.zeros((22, n))  # |fv - resk / 2| node-major, then the zero row
+    np.abs(np.subtract(rows[:21], resk * 0.5, out=dev[:21]), out=dev[:21])
+    asc = dev[_ASC_LEFT]
+    asc += dev[_ASC_RIGHT]
+    resasc = _in_order(asc * _W_ASC)
     dhlgth = np.abs(hlgth)
     result = resk * hlgth
     resabs = resabs * dhlgth
@@ -1042,15 +1071,10 @@ def _3d_u0(t: float, r: float, rp: float, theta1: float) -> float:
     return 2.0 * math.asinh(math.sqrt(q0))
 
 
-# The v ranges of `_v_integral`, one integral: one dqk21 level on all five
-# usually meets its tolerance where two ranges needed three levels.
+# The v ranges of one integral over u = u0 + v^2 from u0 out to u0 + 80: one
+# dqk21 level on all five usually meets its tolerance where two ranges
+# needed three levels.
 _V_EDGES = np.array([0.0, 1.0, 2.0, 3.0, 4.5, math.sqrt(80.0)])
-
-
-def _v_integral(f) -> float:
-    """Integral of f(v, k) over u = u0 + v^2 from u0 out to u0 + 80."""
-    (total,) = integrate_gk21(f, _V_EDGES[:-1], _V_EDGES[1:], groups=[0] * 5).tolist()
-    return total
 
 
 def _v_weight(u0: float, v):
@@ -1065,6 +1089,31 @@ def _v_weight(u0: float, v):
     return np.sqrt(2.0 * np.exp(-x) / (-np.expm1(-2.0 * x) * sinhc))
 
 
+def _tbar_3d_many(t, r, rp, dthetas, theta1) -> list[float]:
+    """`tbar_3d` at every angular offset in ``dthetas``, from one quadrature.
+
+    Each offset's integral is a group of its own five v ranges in one
+    `integrate_gk21` call, so it has the tolerance and the bits it has
+    alone; only the piece limit is pooled over the call.
+    """
+    u0 = _3d_u0(t, r, rp, theta1)
+    a = 2.0 * math.pi / theta1
+    gap = np.array([4.0 * math.sin(0.5 * a * dth) ** 2 for dth in dthetas])[:, None]
+    count, ranges = len(gap), len(_V_EDGES) - 1
+
+    def f(v, k):
+        # sinh(x) / (cosh(x) - cos(a dtheta)), numerator and denominator
+        # times 2 e^-x: the denominator is a sum of squares, nothing cancels
+        x = a * (u0 + v * v)
+        angular = -np.expm1(-2.0 * x) / (np.expm1(-x) ** 2 + gap[k // ranges] * np.exp(-x))
+        return angular * _v_weight(u0, v)
+
+    values = integrate_gk21(f, np.tile(_V_EDGES[:-1], count), np.tile(_V_EDGES[1:], count),
+                            groups=np.repeat(np.arange(count), ranges))
+    scale = math.pi * theta1 * math.sqrt(r * rp)
+    return [-v / scale for v in values.tolist()]
+
+
 def tbar_3d(t: float, r: float, rp: float, dtheta: float, theta1: float) -> float:
     """Cylinder kernel of the cone with no translational direction.
 
@@ -1075,18 +1124,7 @@ def tbar_3d(t: float, r: float, rp: float, dtheta: float, theta1: float) -> floa
     arrays of `integrate_gk21`.  At theta1 = 2 pi this reduces to
     -1/(2 pi d) with d the chordal distance in the plane.
     """
-    u0 = _3d_u0(t, r, rp, theta1)
-    a = 2.0 * math.pi / theta1
-    gap = 4.0 * math.sin(0.5 * a * dtheta) ** 2
-
-    def f(v, k):
-        # sinh(x) / (cosh(x) - cos(a dtheta)), numerator and denominator
-        # times 2 e^-x: the denominator is a sum of squares, nothing cancels
-        x = a * (u0 + v * v)
-        angular = -np.expm1(-2.0 * x) / (np.expm1(-x) ** 2 + gap * np.exp(-x))
-        return angular * _v_weight(u0, v)
-
-    return -_v_integral(f) / (math.pi * theta1 * math.sqrt(r * rp))
+    return _tbar_3d_many(t, r, rp, [dtheta], theta1)[0]
 
 
 def tbar_3d_theta_average(t: float, r: float, rp: float, theta1: float) -> float:
@@ -1098,4 +1136,6 @@ def tbar_3d_theta_average(t: float, r: float, rp: float, theta1: float) -> float
     dtheta takes its angular factor to 1.
     """
     u0 = _3d_u0(t, r, rp, theta1)
-    return -_v_integral(lambda v, k: _v_weight(u0, v)) / (math.pi * theta1 * math.sqrt(r * rp))
+    (total,) = integrate_gk21(lambda v, k: _v_weight(u0, v), _V_EDGES[:-1], _V_EDGES[1:],
+                              groups=[0] * 5).tolist()
+    return -total / (math.pi * theta1 * math.sqrt(r * rp))

@@ -8,6 +8,16 @@ invariances (scaling, coupling affinity, conservation, tracelessness)
 for the assembled stress.  Each check draws its own deterministic
 random points and reports the worst relative error it saw.
 
+An oracle evaluates its points in one batch wherever that keeps every
+bit of the per-point calls: all its draws come first, in the order
+the per-point loop made them, then the stresses go through
+`stress._stress_points` (one jet pass per kernel kind and renorm
+mode, one t -> 0 tableau), the 3D average's offsets through one
+quadrature (`kernels._tbar_3d_many`), and each image sum is one numpy
+expression.  The mode sum stays point by point: its Bessel recurrence
+starts at an order set by the largest argument in the call, so a
+batch would move its bits.
+
 Run everything with `run_oracle_suite`; the CLI exposes the same suite
 as the `verify` subcommand.
 """
@@ -47,11 +57,8 @@ from .kernels import (
 )
 from .stress import (
     RenormMode,
+    _stress_points,
     conservation_residual,
-    stress_at,
-    stress_from_kernel,
-    stress_t0,
-    trace,
     zero_point_stress,
 )
 
@@ -73,13 +80,19 @@ def _rel(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
 
 
+_KERNEL = RenormMode.KERNEL_SUBTRACTION
+_CONFORMAL = Coupling.conformal().beta
+
+
 def _stress_rel(s1, s2) -> float:
-    """Worst component difference normalized by the largest component."""
-    c1, c2 = s1.components(), s2.components()
-    scale = max(max(abs(v) for v in c1.values()), max(abs(v) for v in c2.values()))
+    """Worst component difference normalized by the largest component.
+
+    ``s1`` and ``s2`` are component tuples (t00, t_rr, t_perp, t_zz).
+    """
+    scale = max(max(abs(v) for v in s1), max(abs(v) for v in s2))
     if scale == 0.0:
         return 0.0
-    return max(abs(c1[k] - c2[k]) for k in c1) / scale
+    return max(abs(a - b) for a, b in zip(s1, s2)) / scale
 
 
 def _sample_pair(
@@ -351,15 +364,16 @@ def _oracle_wedge_images(rng) -> OracleReport:
             count += 1
         # Stress against the image-built kernel expression.
         imaged = _right_wedge_image_expr(sign)
+        points = []
         for _ in range(4):
             r = float(rng.uniform(0.7, 2.0))
             th = float(rng.uniform(0.15, theta0 - 0.15))
             beta = float(rng.uniform(-0.3, 0.3))
             t = 0.4 * r
-            via_images = stress_from_kernel(
-                imaged, r, th, beta=beta, t=t, renorm_mode=RenormMode.RAW
-            )
-            direct = stress_at(Wedge(theta0, bc), r, th, beta=beta, t=t)
+            points.append((imaged, RenormMode.RAW, r, th, t, (beta,)))
+            points.append((Wedge(theta0, bc), _KERNEL, r, th, t, (beta,)))
+        stresses = _stress_points(points)
+        for (via_images,), (direct,) in zip(stresses[::2], stresses[1::2]):
             worst = max(worst, _stress_rel(via_images, direct))
             count += 1
     return OracleReport("wedge_images", count, worst, tol, worst <= tol)
@@ -418,7 +432,7 @@ def _oracle_threedim_average(rng) -> OracleReport:
         r = float(rng.uniform(0.9, 1.5))
         rp = float(rng.uniform(0.7, 1.2))
         nodes = [theta1 * (j + 0.5) / n_nodes for j in range(n_nodes)]
-        mean = math.fsum(tbar_3d(t, r, rp, dth, theta1) for dth in nodes) / n_nodes
+        mean = math.fsum(kernels._tbar_3d_many(t, r, rp, nodes, theta1)) / n_nodes
         closed = tbar_3d_theta_average(t, r, rp, theta1)
         worst = max(worst, _rel(mean, closed))
     return OracleReport("threedim_average", len(cases), worst, tol, worst <= tol)
@@ -428,12 +442,15 @@ def _oracle_zero_point_pipeline(rng) -> OracleReport:
     tol = 1e-10
     worst = 0.0
     n = 20
+    points = []
     for _ in range(n):
         r = float(rng.uniform(0.3, 3.0))
         t = float(rng.uniform(0.2, 2.0))
         beta = float(rng.uniform(-1.0, 1.0))
-        raw = stress_at(Minkowski(), r, beta=beta, t=t, renorm=RenormMode.RAW)
-        worst = max(worst, _stress_rel(raw, zero_point_stress(t)))
+        points.append((Minkowski(), RenormMode.RAW, r, 0.0, t, (beta,)))
+    for point, (raw,) in zip(points, _stress_points(points)):
+        flat = tuple(zero_point_stress(point[4]).components().values())
+        worst = max(worst, _stress_rel(raw, flat))
     return OracleReport("zero_point_pipeline", n, worst, tol, worst <= tol)
 
 
@@ -441,37 +458,33 @@ def _oracle_flat_zero(rng) -> OracleReport:
     tol = 1e-10
     worst = 0.0
     n = 20
+    points = []
     for k in range(n):
         r = float(rng.uniform(0.3, 3.0))
         t = float(rng.uniform(0.3, 2.0))
         beta = float(rng.uniform(-1.0, 1.0))
-        mode = (
-            RenormMode.KERNEL_SUBTRACTION if k % 2 == 0
-            else RenormMode.COMPONENT_SUBTRACTION
-        )
-        s = stress_at(Minkowski(), r, beta=beta, t=t, renorm=mode)
-        worst = max(
-            worst, max(abs(v) for v in s.components().values()) * t**4
-        )
+        mode = _KERNEL if k % 2 == 0 else RenormMode.COMPONENT_SUBTRACTION
+        points.append((Minkowski(), mode, r, 0.0, t, (beta,)))
+    for point, (s,) in zip(points, _stress_points(points)):
+        worst = max(worst, max(abs(v) for v in s) * point[4]**4)
     return OracleReport("flat_zero", n, worst, tol, worst <= tol)
 
 
 def _oracle_renorm_paths(rng) -> OracleReport:
     tol = 1e-8
     worst = 0.0
-    count = 0
+    points = []
     for geometry in (Cone(1.3 * math.pi), Dowker()):
         for _ in range(5):
             r = float(rng.uniform(0.8, 2.0))
             beta = float(rng.uniform(-0.5, 0.5))
             t = 0.7 * r
-            a = stress_at(geometry, r, beta=beta, t=t,
-                          renorm=RenormMode.KERNEL_SUBTRACTION)
-            b = stress_at(geometry, r, beta=beta, t=t,
-                          renorm=RenormMode.COMPONENT_SUBTRACTION)
-            worst = max(worst, _stress_rel(a, b))
-            count += 1
-    return OracleReport("renorm_paths", count, worst, tol, worst <= tol)
+            for mode in (_KERNEL, RenormMode.COMPONENT_SUBTRACTION):
+                points.append((geometry, mode, r, 0.0, t, (beta,)))
+    stresses = _stress_points(points)
+    for (a,), (b,) in zip(stresses[::2], stresses[1::2]):
+        worst = max(worst, _stress_rel(a, b))
+    return OracleReport("renorm_paths", len(stresses) // 2, worst, tol, worst <= tol)
 
 
 def _oracle_scaling(rng) -> OracleReport:
@@ -491,17 +504,15 @@ def _oracle_scaling(rng) -> OracleReport:
                 worst, _rel(kern(pair.scaled(lam)) * lam**2, kern(pair))
             )
             count += 1
+        points = []
         for _ in range(3):
             r = float(rng.uniform(0.5, 2.0))
             beta = float(rng.uniform(-0.5, 0.5))
-            s1 = stress_at(geometry, r, beta=beta, t=0.6 * r)
-            s2 = stress_at(geometry, lam * r, beta=beta, t=0.6 * lam * r)
-            scaled = type(s2)(
-                t00=s2.t00 * lam**4, t_rr=s2.t_rr * lam**4,
-                t_perp=s2.t_perp * lam**4, t_zz=s2.t_zz * lam**4,
-                renorm_mode=s2.renorm_mode, cutoff_t=s2.cutoff_t,
-            )
-            worst = max(worst, _stress_rel(scaled, s1))
+            points.append((geometry, _KERNEL, r, 0.0, 0.6 * r, (beta,)))
+            points.append((geometry, _KERNEL, lam * r, 0.0, 0.6 * lam * r, (beta,)))
+        stresses = _stress_points(points)
+        for (s1,), (s2,) in zip(stresses[::2], stresses[1::2]):
+            worst = max(worst, _stress_rel(tuple(v * lam**4 for v in s2), s1))
             count += 1
     return OracleReport("scaling", count, worst, tol, worst <= tol)
 
@@ -515,24 +526,17 @@ def _oracle_beta_affinity(rng) -> OracleReport:
         (Dowker(), 0.3),
         (Wedge(0.5 * math.pi, BoundaryCondition.DIRICHLET), 0.7),
     ]
+    points = []
     for geometry, theta in cases:
         for _ in range(4):
             r = float(rng.uniform(0.6, 2.0))
             beta = float(rng.uniform(-0.8, 0.8))
-            t = 0.5 * r
-            s0 = stress_at(geometry, r, theta, beta=0.0, t=t)
-            s1 = stress_at(geometry, r, theta, beta=1.0, t=t)
-            sb = stress_at(geometry, r, theta, beta=beta, t=t)
-            predicted = type(sb)(
-                t00=s0.t00 + beta * (s1.t00 - s0.t00),
-                t_rr=s0.t_rr + beta * (s1.t_rr - s0.t_rr),
-                t_perp=s0.t_perp + beta * (s1.t_perp - s0.t_perp),
-                t_zz=s0.t_zz + beta * (s1.t_zz - s0.t_zz),
-                renorm_mode=sb.renorm_mode, cutoff_t=sb.cutoff_t,
-            )
-            worst = max(worst, _stress_rel(predicted, sb))
-            count += 1
-    return OracleReport("beta_affinity", count, worst, tol, worst <= tol)
+            points.append((geometry, _KERNEL, r, theta, 0.5 * r, (0.0, 1.0, beta)))
+    for point, (s0, s1, sb) in zip(points, _stress_points(points)):
+        beta = point[5][2]
+        predicted = tuple(a + beta * (b - a) for a, b in zip(s0, s1))
+        worst = max(worst, _stress_rel(predicted, sb))
+    return OracleReport("beta_affinity", len(points), worst, tol, worst <= tol)
 
 
 def _oracle_conservation(rng) -> OracleReport:
@@ -542,7 +546,7 @@ def _oracle_conservation(rng) -> OracleReport:
         (Cone(math.pi), 0.0),
         (Cone(4.0 * math.pi), 0.0),
         (Dowker(), 0.0),
-        (Cone(math.pi), Coupling.conformal().beta),
+        (Cone(math.pi), _CONFORMAL),
     ]
     for geometry, beta in cases:
         worst = max(worst, conservation_residual(geometry, 1.3, beta=beta))
@@ -553,10 +557,9 @@ def _oracle_conformal_trace(rng) -> OracleReport:
     tol = 1e-4
     worst = 0.0
     cases = [Cone(math.pi), Cone(4.0 * math.pi), Dowker()]
-    for geometry in cases:
-        ext = stress_t0(geometry, 1.0, beta=Coupling.conformal().beta)
-        scale = max(abs(v) for v in ext.stress.components().values())
-        worst = max(worst, abs(trace(ext.stress)) / scale)
+    for (s,) in _stress_points([(g, _KERNEL, 1.0, 0.0, None, (_CONFORMAL,)) for g in cases]):
+        t00, t_rr, t_perp, t_zz = s
+        worst = max(worst, abs(-t00 + t_rr + t_perp + t_zz) / max(abs(v) for v in s))
     return OracleReport("conformal_trace", len(cases), worst, tol, worst <= tol)
 
 
@@ -564,10 +567,8 @@ def _oracle_conformal_wedge(rng) -> OracleReport:
     tol = 1e-4
     geometry = Wedge(0.5 * math.pi, BoundaryCondition.DIRICHLET)
     angles = [math.pi / 16, math.pi / 8, math.pi / 4]
-    values = [
-        stress_t0(geometry, 8.0, th, beta=Coupling.conformal().beta).stress.t00
-        for th in angles
-    ]
+    values = [s[0] for (s,) in _stress_points(
+        [(geometry, _KERNEL, 8.0, th, None, (_CONFORMAL,)) for th in angles])]
     mean = math.fsum(values) / len(values)
     worst = max(abs(v - mean) / abs(mean) for v in values)
     return OracleReport("conformal_wedge", len(angles), worst, tol, worst <= tol)
@@ -582,18 +583,18 @@ def _oracle_dowker_large_angle(rng) -> OracleReport:
         pair = _sample_pair(rng, 0.1, 2.0, dtheta=float(rng.uniform(-2.0, 2.0)))
         worst = max(worst, _rel(tbar_cone(pair, theta1), tbar_dowker(pair)))
         count += 1
-    for beta in (0.0, -0.25):
-        a = stress_t0(Cone(theta1), 1.0, beta=beta)
-        b = stress_t0(Dowker(), 1.0, beta=beta)
-        worst = max(worst, _stress_rel(a.stress, b.stress))
+    stresses = _stress_points([(g, _KERNEL, 1.0, 0.0, None, (beta,))
+                               for beta in (0.0, -0.25) for g in (Cone(theta1), Dowker())])
+    for (a,), (b,) in zip(stresses[::2], stresses[1::2]):
+        worst = max(worst, _stress_rel(a, b))
         count += 1
     return OracleReport("dowker_large_angle", count, worst, tol, worst <= tol)
 
 
 def _oracle_sign_change(rng) -> OracleReport:
     tol = 0.5
-    sharp = stress_t0(Cone(math.pi), 1.0).stress.t00
-    wide = stress_t0(Cone(4.0 * math.pi), 1.0).stress.t00
+    ((sharp, *_),), ((wide, *_),) = _stress_points(
+        [(Cone(theta1), _KERNEL, 1.0, 0.0, None, (0.0,)) for theta1 in (math.pi, 4.0 * math.pi)])
     flipped = sharp * wide < 0.0
     return OracleReport("sign_change", 2, 0.0 if flipped else 1.0, tol, flipped)
 

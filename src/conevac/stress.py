@@ -32,7 +32,10 @@ and assembles each ladder elementwise at its own couplings.
 `stress_at` and `stress_from_kernel` run it on a ladder of one cutoff,
 `stress_t0` on its six-cutoff ladder, and `stress_grid` on blocks of
 `_GRID_POINTS` points of any geometries of one kind, each contributing
-its finite cutoff and its ladder.  Batching changes no bits: each element
+its finite cutoff and its ladder; `_stress_points` runs it once per
+kernel kind and renorm mode over a list of `stress_at`,
+`stress_from_kernel` and `stress_t0` calls (the oracles, and the three
+radii of `conservation_residual`).  Batching changes no bits: each element
 equals `stress_at` at its geometry, point and cutoff.  Inside the engine
 a stress is the plain component tuple (t00, t_rr, t_perp, t_zz); the
 public functions wrap it in a `StressTensor` once per call.  A batch whose
@@ -56,7 +59,7 @@ from . import jets
 from .errors import ConvergenceError, DomainError
 from .geometry import Cone, Coupling, Dowker, Geometry, Minkowski, PointPair, Wedge
 from .jets import IR, IRP, IT, ITHETA, ITHETAP, IZ, IZP
-from .kernels import kernel_expr, minkowski_expr
+from .kernels import kernel_expr, kernel_kind, minkowski_expr
 
 # Double-precision epsilon times 3/(2 pi^2), the coefficient of the
 # zero-point 1/t^4 piece that the renormalized assembly cancels.
@@ -652,6 +655,62 @@ def stress_grid(points, z: float, t: float):
     return out
 
 
+def _stress_points(points, z: float = 0.0):
+    """`stress_at`, `stress_from_kernel` or `stress_t0` at every point, in one batch.
+
+    A point is (source, renorm, r, theta, t, betas): ``source`` a
+    geometry, or a kernel expression as `stress_from_kernel` takes it,
+    and ``t`` a cutoff, or None for the t -> 0 limit of `stress_t0` (a
+    geometry, with ``renorm`` KERNEL_SUBTRACTION).  The points of one
+    kernel kind (or one expression) and renorm mode share one `_ladders`
+    pass, and every t -> 0 ladder one `_limits` call.  Returns per point
+    one component tuple per beta, bit for bit what the per-point call
+    returns.  The first error those calls would meet, in point order and
+    then beta order, is raised; a point that `_ladders` finds not valid
+    raises its ValueError at once.
+    """
+    cells, cutoffs_of, groups = [], [], {}
+    for k, (source, renorm, r, theta, t, betas) in enumerate(points):
+        expression = callable(source)
+        try:
+            if t is None:
+                cells.append(_t0_cutoffs(source, r, theta, betas))
+            else:
+                if not expression:
+                    _check_interior(source, theta)
+                cells.append([[t]] * len(betas))
+        except ValueError as exc:
+            cells.append([exc.with_traceback(None)] * len(betas))
+        # per beta its error, or its cutoffs until the pass
+        js = [j for j, ts in enumerate(cells[k]) if type(ts) is list]
+        cutoffs_of.append(cells[k][js[0]] if js else None)
+        if js:
+            key = (source if expression else kernel_kind(source), renorm)
+            if key not in groups:
+                groups[key] = ((lambda _, e=source, m=renorm: (e, m)) if expression
+                               else (lambda gs, m=renorm: _kernel_for(gs, m)), [], [])
+            ladders, members = groups[key][1:]
+            ladders.append((None if expression else source, r, theta, cutoffs_of[k],
+                            [betas[j] for j in js]))
+            members.append((k, js))
+    for kernel_for, ladders, members in groups.values():
+        for (k, js), entry in zip(members, _ladders(kernel_for, z, ladders)):
+            for j, rungs in zip(js, entry):
+                cells[k][j] = rungs
+    limits = [(k, j) for k, point in enumerate(points) if point[4] is None
+              for j, rungs in enumerate(cells[k]) if type(rungs) is list]
+    for (k, j), limit in zip(limits, _limits([(cutoffs_of[k], cells[k][j])
+                                              for k, j in limits])):
+        cells[k][j] = limit  # (components, errors), or its ConvergenceError
+    out = []
+    for cell in cells:
+        for entry in cell:
+            if isinstance(entry, Exception):
+                raise entry
+        out.append([entry[0] for entry in cell])
+    return out
+
+
 def conservation_residual(geometry: Geometry, r: float, beta: float = 0.0) -> float:
     """Relative residual of radial stress conservation at t -> 0.
 
@@ -675,12 +734,12 @@ def conservation_residual(geometry: Geometry, r: float, beta: float = 0.0) -> fl
             f"geometries only, not {type(geometry).__name__}"
         )
     h = 0.01 * r
-    mid = stress_t0(geometry, r, beta=beta).stress
-    hi = stress_t0(geometry, r + h, beta=beta).stress
-    lo = stress_t0(geometry, r - h, beta=beta).stress
-    d_trr = (hi.t_rr - lo.t_rr) / (2.0 * h)
-    resid = d_trr + (mid.t_rr - mid.t_perp) / r
-    scale = max(abs(v) for v in mid.components().values()) / r
+    (mid,), (hi,), (lo,) = _stress_points(
+        [(geometry, RenormMode.KERNEL_SUBTRACTION, x, 0.0, None, (beta,))
+         for x in (r, r + h, r - h)])
+    d_trr = (hi[1] - lo[1]) / (2.0 * h)
+    resid = d_trr + (mid[1] - mid[2]) / r
+    scale = max(abs(v) for v in mid) / r
     if scale < 1e-280:
         return 0.0 if abs(resid) < 1e-280 else math.inf
     return abs(resid) / scale

@@ -322,6 +322,71 @@ class TestPeriodicLine:
             CartesianSeparation(t=-1.0, dx=0.0)
 
 
+def _running_sum(amplitude, width, offset, spacing, n_images):
+    """The lattice image sum as a plain loop, one term after another from n = -n_images."""
+    b_sq = width * width
+    total = 0.0
+    for n in range(-n_images, n_images + 1):
+        x = offset + n * spacing
+        total += -amplitude / (b_sq + x * x)
+    return total
+
+
+IMAGE_SUMS = {
+    "cone": lambda n: tbar_cone_via_images(
+        PointPair(t=0.3, r=1.0, rp=1.2, theta=0.4, thetap=0.0, z=0.1, zp=0.0), 2.0, n_images=n),
+    "periodic_line": lambda n: tbar_periodic_line(
+        CartesianSeparation(t=0.3, dx=0.2), 1.5, n_images=n),
+}
+
+
+class TestLatticeSum:
+    """The vectorised image sum against the running-sum loop, bit for bit."""
+
+    @pytest.mark.parametrize("n_images", [1, 1000])
+    @pytest.mark.parametrize("offset, spacing", [(0.3, 2.2), (-1.7, 0.45), (-0.0, 3.0),
+                                                 (-5.2, 0.01)])
+    @pytest.mark.parametrize("include_tail", [False, True])
+    def test_equals_the_running_sum(self, n_images, offset, spacing, include_tail):
+        amplitude, width = 0.05, 0.4
+        got = kernels._lattice_sum(amplitude, width, offset, spacing, n_images, include_tail)
+        want = _running_sum(amplitude, width, offset, spacing, n_images)
+        assert (got.tail_correction != 0.0) is include_tail
+        assert got.value.hex() == (want + got.tail_correction).hex()
+
+    def test_blocks_continue_the_running_sum(self, monkeypatch):
+        want = kernels._lattice_sum(0.05, 0.4, -1.7, 0.45, 1000, True)
+        monkeypatch.setattr(kernels, "_IMAGE_BLOCK", 7)  # 2001 = 285 * 7 + 6
+        got = kernels._lattice_sum(0.05, 0.4, -1.7, 0.45, 1000, True)
+        assert got.value.hex() == want.value.hex()
+        assert got.tail_correction.hex() == want.tail_correction.hex()
+
+    def test_public_sums_equal_the_running_sum(self):
+        pair = PointPair(t=0.3, r=1.0, rp=1.2, theta=-0.4, thetap=0.0, z=0.1, zp=0.0)
+        uv = u_of_pair(pair)
+        amp = uv.u / uv.sinh_u / (TWO_PI_SQ * pair.r * pair.rp)
+        got = tbar_cone_via_images(pair, 2.0, n_images=1000, include_tail=False)
+        assert got.value.hex() == _running_sum(amp, uv.u, pair.dtheta, 2.0, 1000).hex()
+        sep = CartesianSeparation(t=0.3, dx=-0.2, dy=0.5)
+        got = tbar_periodic_line(sep, 1.5, n_images=1000, include_tail=False)
+        a = math.sqrt(0.3**2 + 0.5**2 + 0.0**2)
+        assert got.value.hex() == _running_sum(1.0 / TWO_PI_SQ, a, -0.2, 1.5, 1000).hex()
+
+    def test_zero_denominator_is_a_zero_division(self):
+        # width**2 underflows and an image sits on the point
+        with pytest.raises(ZeroDivisionError):
+            kernels._lattice_sum(1.0, 1e-200, 0.0, 1.0, 3, False)
+
+    @pytest.mark.parametrize("image_sum", IMAGE_SUMS.values(), ids=IMAGE_SUMS.keys())
+    def test_n_images_is_a_positive_integer(self, image_sum):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            image_sum(2.5)
+        for bad in (0, -1, 0.5):
+            with pytest.raises(ValueError, match="n_images must be >= 1"):
+                image_sum(bad)
+        assert image_sum(True).value.hex() == image_sum(1).value.hex()
+
+
 class TestModeIntegral:
     def test_matches_frozen_values(self, reference):
         for case in reference["mode_integral"]:
@@ -425,6 +490,44 @@ class TestBesselFunctions:
         np.testing.assert_allclose(orders, a * np.arange(40), rtol=1e-15, atol=0)
 
 
+def _dqk21_loop(f, hlgth):
+    """QUADPACK's dqk21 on one row f of `_gk21_nodes` values, a float at a time.
+
+    Returns (result, abserr, resabs, resasc) in the Fortran's own order:
+    the Gauss nodes (x_1, x_3, ..., x_9) first, then the others.
+    """
+    wgk, wg = kernels._WGK.tolist(), kernels._WG.tolist()
+    epmach, uflow = kernels._EPMACH, kernels._UFLOW
+    fc = f[10]
+    resg = 0.0
+    resk = wgk[10] * fc
+    resabs = abs(resk)
+    for j in range(5):
+        jtw = 2 * j + 1
+        fsum = f[jtw] + f[11 + jtw]
+        resg += wg[j] * fsum
+        resk += wgk[jtw] * fsum
+        resabs += wgk[jtw] * (abs(f[jtw]) + abs(f[11 + jtw]))
+    for j in range(5):
+        jtwm1 = 2 * j
+        fsum = f[jtwm1] + f[11 + jtwm1]
+        resk += wgk[jtwm1] * fsum
+        resabs += wgk[jtwm1] * (abs(f[jtwm1]) + abs(f[11 + jtwm1]))
+    reskh = resk * 0.5
+    resasc = wgk[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc += wgk[j] * (abs(f[j] - reskh) + abs(f[11 + j] - reskh))
+    result = resk * hlgth
+    resabs *= abs(hlgth)
+    resasc *= abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > uflow / (50.0 * epmach):
+        abserr = max((epmach * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
 class TestIntegrateGK21:
     def test_rule_is_exact_through_degree_31(self):
         a, b = np.array([-0.5]), np.array([1.5])
@@ -439,6 +542,20 @@ class TestIntegrateGK21:
         one = np.array([1.0])
         (got,) = kernels._dqk21(kernels._gk21_nodes(-one, one) ** 32, one)[0]
         assert got != pytest.approx(2.0 / 33.0, rel=1e-12)
+
+    def test_dqk21_is_quadpacks_loop(self):
+        # each row against dqk21 as the Fortran runs it, by float.hex: no
+        # BLAS product or pairwise sum may change a bit
+        rng = np.random.default_rng(3)
+        fv = rng.standard_normal((64, 21)) * np.exp(rng.uniform(-30.0, 30.0, (64, 1)))
+        fv[1] = 0.0
+        fv[2, 10] = 0.0
+        fv[3] = kernels._X21  # odd: every pair sum cancels
+        hlgth = rng.uniform(-2.0, 2.0, 64)
+        got = [a.tolist() for a in kernels._dqk21(fv, hlgth)]
+        for k in range(64):
+            want = _dqk21_loop(fv[k].tolist(), float(hlgth[k]))
+            assert [v.hex() for v in want] == [a[k].hex() for a in got], k
 
     def test_lorentzian_and_gaussian_over_the_line(self):
         def f(x, k):
@@ -521,6 +638,23 @@ class TestThreeDim:
         d = math.sqrt(t * t + r * r + rp * rp - 2.0 * r * rp * math.cos(dth))
         assert tbar_3d(t, r, rp, dth, 2.0 * math.pi) == pytest.approx(
             -1.0 / (2.0 * math.pi * d), rel=1e-12)
+
+    @pytest.mark.parametrize("theta1", [0.8 * math.pi, 2.0 * math.pi, 2.6 * math.pi, 9.0])
+    def test_many_offsets_equal_one_at_a_time(self, theta1, monkeypatch):
+        t, r, rp = 0.7, 1.2, 0.9
+        dthetas = [0.0, 0.3, -1.1, 0.5 * theta1, theta1 + 0.2, 3.9]
+        want = [tbar_3d(t, r, rp, dth, theta1) for dth in dthetas]
+        calls = []
+        real = kernels.integrate_gk21
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "integrate_gk21", counting)
+        got = kernels._tbar_3d_many(t, r, rp, dthetas, theta1)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert calls == [5 * len(dthetas)]
 
     def test_theta_average_is_legendre_q(self, reference):
         # the angular average collapses to Q_{-1/2}(cosh u0)

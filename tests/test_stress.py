@@ -33,7 +33,7 @@ from conevac import (
     trace,
     zero_point_stress,
 )
-from conevac import jets, kernels
+from conevac import jets, kernels, stress
 from conevac.kernels import minkowski_expr
 from conevac.stress import (
     COMPONENT_NAMES,
@@ -44,6 +44,7 @@ from conevac.stress import (
     _noise,
     _richardson,
     _rungs,
+    _stress_points,
     stress_grid,
 )
 
@@ -259,6 +260,27 @@ class TestConservation:
         # theta dependence breaks the radial-only balance used here
         with pytest.raises(DomainError):
             conservation_residual(Wedge(math.pi / 2), 1.0)
+
+    @pytest.mark.parametrize("geometry, r, want", [
+        (Minkowski(), 1.3, "0x0.0p+0"),
+        (Cone(math.pi), 1.3, "0x1.0bcd86f8204e2p-35"),
+    ], ids=["flat", "half_turn"])
+    def test_residual_is_pinned(self, geometry, r, want):
+        assert conservation_residual(geometry, r).hex() == want
+
+    @pytest.mark.parametrize("geometry, r, error, message", [
+        # only the upper radius r + h overflows its ladder's t**4
+        (Cone(2.0), 4.6e77, DomainError,
+         "the t -> 0 ladder from t=1.1614999999999999e+77 leaves the range of "
+         "double precision (t**4 overflows)"),
+        (Cone(2.0 * math.pi), 0.7, ConvergenceError,
+         "t -> 0 extrapolation did not converge for t00: value -1.8284633066893243e-12, "
+         "error estimate 1.8568850161197284e-12"),
+    ], ids=["upper_ladder_overflows", "flat_cone_does_not_converge"])
+    def test_errors_are_pinned(self, geometry, r, error, message):
+        with pytest.raises(error) as info:
+            conservation_residual(geometry, r)
+        assert str(info.value) == message
 
 
 class TestValidation:
@@ -708,6 +730,93 @@ def _check_merged_pass(points, t):
             for cells in (merged[k], alone[k]):
                 assert _same(cells[0][b], want[0]), (geometry, r, theta, beta)
                 assert _same(cells[1][b], want[1]), (geometry, r, theta, beta)
+
+
+def _per_point(source, renorm, r, theta, t, beta):
+    """What the public per-point call returns at one point and beta, or raises."""
+    try:
+        if t is None:
+            return stress_t0(source, r, theta, beta=beta).stress
+        if callable(source):
+            return stress_from_kernel(source, r, theta, beta=beta, t=t, renorm_mode=renorm)
+        return stress_at(source, r, theta, beta=beta, t=t, renorm=renorm)
+    except (ValueError, ConvergenceError) as exc:
+        return exc
+
+
+KERNEL, COMPONENT, RAW = (RenormMode.KERNEL_SUBTRACTION, RenormMode.COMPONENT_SUBTRACTION,
+                          RenormMode.RAW)
+
+
+class TestStressPoints:
+    """`_stress_points` is bit for bit the per-point calls, in one pass per kind and mode."""
+
+    POINTS = [
+        (Cone(2.2), KERNEL, 1.0, 0.0, 0.5, (0.0, 1.0, 0.3)),
+        (Cone(0.9 * math.pi), COMPONENT, 1.5, 0.2, 0.4, (0.0, -0.2)),
+        (Dowker(), RAW, 0.8, 0.0, 0.3, (0.1,)),
+        (Wedge(math.pi / 2), KERNEL, 2.0, 0.7, 0.5, (0.0, 1.0)),
+        (Wedge(math.pi / 2), RAW, 2.0, 0.7, 0.5, (0.0,)),
+        (Minkowski(), COMPONENT, 1.3, 0.0, 0.6, (0.5,)),
+        (minkowski_expr, RAW, 1.0, 0.3, 0.5, (0.2,)),
+        (Cone(2.2), KERNEL, 3.0, 0.0, 1e-3, (0.0,)),
+        (Wedge(2.0 * math.pi / 3, BoundaryCondition.NEUMANN), KERNEL, 3.0, 0.4, None,
+         (0.0, CONFORMAL_BETA)),
+        (Cone(math.pi), KERNEL, 1.0, 0.0, None, (0.0, CONFORMAL_BETA)),
+        (Cone(4.0 * math.pi), KERNEL, 1.0, 0.0, None, (CONFORMAL_BETA,)),
+        (Dowker(), KERNEL, 2.0, 0.0, None, (0.0,)),
+    ]
+
+    def test_points_equal_per_point_calls(self, monkeypatch):
+        passes, limits = [], []
+        real_ladders, real_limits = stress._ladders, stress._limits
+
+        def counting_ladders(kernel_for, z, ladders):
+            passes.append(len(ladders))
+            return real_ladders(kernel_for, z, ladders)
+
+        def counting_limits(ladders):
+            limits.append(len(ladders))
+            return real_limits(ladders)
+
+        monkeypatch.setattr(stress, "_ladders", counting_ladders)
+        monkeypatch.setattr(stress, "_limits", counting_limits)
+        got = _stress_points(self.POINTS)
+        monkeypatch.undo()
+        # cones kernel / component, sheet raw / kernel, Dirichlet wedge
+        # kernel / raw, Neumann wedge, flat component, one expression
+        assert sorted(passes) == [1] * 8 + [4]
+        assert limits == [6]
+        for point, cells in zip(self.POINTS, got):
+            source, renorm, r, theta, t, betas = point
+            assert len(cells) == len(betas)
+            for cell, beta in zip(cells, betas):
+                assert type(cell) is tuple and all(type(v) is float for v in cell)
+                assert _hexes(cell) == _hexes(_per_point(source, renorm, r, theta, t, beta))
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 0, 1), (3, 2, 1, 0)])
+    def test_first_error_in_call_order_is_raised(self, order):
+        failing = [
+            (Cone(2.0 * math.pi), KERNEL, 0.707, 0.0, None, (0.0,)),  # ConvergenceError
+            (Cone(2.0), KERNEL, 4.6e77 * 1.01, 0.0, None, (0.0,)),  # t**4 overflows
+            (Cone(2.0), KERNEL, -1.0, 0.0, None, (0.0,)),  # not a valid radius
+            (Wedge(math.pi / 2), KERNEL, 1.0, 0.0, 0.5, (0.0,)),  # on the wall
+        ]
+        points = [(Cone(2.2), KERNEL, 1.0, 0.0, 0.5, (0.0,))] + [failing[k] for k in order]
+        want = _per_point(*failing[order[0]][:5], 0.0)
+        with pytest.raises(type(want)) as info:
+            _stress_points(points)
+        assert str(info.value) == str(want)
+
+    def test_errors_per_beta_come_in_beta_order(self):
+        # the nonconformal coupling is refused at the wall, the conformal
+        # one meets the ladder's own underflow
+        wedge, r, theta = Wedge(math.pi / 2), 1e-300, 5e-4
+        for betas in [(0.0, CONFORMAL_BETA), (CONFORMAL_BETA, 0.0)]:
+            want = _per_point(wedge, KERNEL, r, theta, None, betas[0])
+            with pytest.raises(DomainError) as info:
+                _stress_points([(wedge, KERNEL, r, theta, None, betas)])
+            assert str(info.value) == str(want)
 
 
 class TestMergedPasses:
