@@ -410,8 +410,9 @@ def _lattice_sum(
     ``n_images`` costs time, not memory), summed one after another from
     n = -n_images by `np.add.accumulate` after the running total, which
     starts at 0.0: the order and the bits of a running sum over n.  A
-    zero denominator raises ZeroDivisionError, as the float division does.  With ``include_tail`` the Euler-Maclaurin
-    estimate of the discarded images, n >= m and n <= -m for
+    zero denominator raises ZeroDivisionError, as the float division
+    does.  With ``include_tail`` the Euler-Maclaurin estimate of the
+    discarded images, n >= m and n <= -m for
     m = n_images + 1, is added.  It keeps the integral, half the boundary
     term, and the first derivative correction; the next correction is
     smaller by roughly (1 / m)^2 / 60 and is dropped.

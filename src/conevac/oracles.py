@@ -58,6 +58,7 @@ from .kernels import (
 from .stress import (
     RenormMode,
     _stress_points,
+    _trace,
     conservation_residual,
     zero_point_stress,
 )
@@ -558,8 +559,7 @@ def _oracle_conformal_trace(rng) -> OracleReport:
     worst = 0.0
     cases = [Cone(math.pi), Cone(4.0 * math.pi), Dowker()]
     for (s,) in _stress_points([(g, _KERNEL, 1.0, 0.0, None, (_CONFORMAL,)) for g in cases]):
-        t00, t_rr, t_perp, t_zz = s
-        worst = max(worst, abs(-t00 + t_rr + t_perp + t_zz) / max(abs(v) for v in s))
+        worst = max(worst, abs(_trace(s)) / max(abs(v) for v in s))
     return OracleReport("conformal_trace", len(cases), worst, tol, worst <= tol)
 
 

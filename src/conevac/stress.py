@@ -32,10 +32,11 @@ and assembles each ladder elementwise at its own couplings.
 `stress_at` and `stress_from_kernel` run it on a ladder of one cutoff,
 `stress_t0` on its six-cutoff ladder, and `stress_grid` on blocks of
 `_GRID_POINTS` points of any geometries of one kind, each contributing
-its finite cutoff and its ladder; `_stress_points` runs it once per
-kernel kind and renorm mode over a list of `stress_at`,
-`stress_from_kernel` and `stress_t0` calls (the oracles, and the three
-radii of `conservation_residual`).  Batching changes no bits: each element
+its finite cutoff and its ladder.  Both the grid and `_stress_points`
+(the oracles, and the three radii of `conservation_residual`) plan
+their passes in `_stress_cells`: one per kernel kind and renorm mode
+over a list of `stress_at`, `stress_from_kernel` and `stress_t0` calls,
+and one `_limits` call.  Batching changes no bits: each element
 equals `stress_at` at its geometry, point and cutoff.  Inside the engine
 a stress is the plain component tuple (t00, t_rr, t_perp, t_zz); the
 public functions wrap it in a `StressTensor` once per call.  A batch whose
@@ -116,7 +117,13 @@ COMPONENT_NAMES = ("t00", "t_rr", "t_perp", "t_zz")
 
 def trace(stress: StressTensor) -> float:
     """Trace with the energy density entering with a minus sign."""
-    return -stress.t00 + stress.t_rr + stress.t_perp + stress.t_zz
+    return _trace((stress.t00, stress.t_rr, stress.t_perp, stress.t_zz))
+
+
+def _trace(components) -> float:
+    """`trace` of a component tuple (t00, t_rr, t_perp, t_zz)."""
+    t00, t_rr, t_perp, t_zz = components
+    return -t00 + t_rr + t_perp + t_zz
 
 
 def zero_point_stress(t: float) -> StressTensor:
@@ -214,19 +221,21 @@ def _ladders(kernel_for, z, ladders):
     the kernel expression and its `RenormMode` (see `_kernel_for`); the
     geometries share one kernel kind, and their angles become a batch
     column.  Returns, per ladder, one entry per beta of its own: the
-    component tuple of each of its cutoffs, or the ladder's own
-    DomainError (a cutoff that is not positive, or one `_pass` reports).
-    A point that is not valid raises ValueError, as a `PointPair` does.
-    The valid ladders go to `_pass` together.
+    component tuple of each of its cutoffs, or the ladder's own error,
+    without its traceback: a DomainError (a cutoff that is not positive,
+    or one `_pass` reports), or the ValueError a `PointPair` raises for
+    a point that is not valid.  The valid ladders go to `_pass` together.
     """
     out, live = [], []
     for k, (geometry, r, theta, ts, betas) in enumerate(ladders):
         bad = [t for t in ts if not (math.isfinite(t) and t > 0)]
-        if bad:
-            exc = DomainError(f"stress needs a cutoff t > 0, got {bad[0]!r}")
-            out.append([exc] * len(betas))
+        try:
+            if bad:
+                raise DomainError(f"stress needs a cutoff t > 0, got {bad[0]!r}")
+            _check_point(r, theta, z, ts[0])
+        except ValueError as exc:  # a DomainError is a ValueError too
+            out.append([exc.with_traceback(None)] * len(betas))
             continue
-        _check_point(r, theta, z, ts[0])
         out.append(None)
         live.append(k)
     if live:
@@ -313,7 +322,7 @@ def _at_cutoff(kernel_fn, renorm_mode, r, theta, z, beta, t):
     """The component tuple at one point and cutoff, from `_ladders` on a ladder of one."""
     ((rungs,),) = _ladders(lambda _: (kernel_fn, renorm_mode), z,
                            [(None, r, theta, [t], (beta,))])
-    if isinstance(rungs, DomainError):
+    if isinstance(rungs, ValueError):
         raise rungs
     return rungs[0]
 
@@ -335,17 +344,22 @@ def _kernel_for(geometry, renorm: RenormMode):
     there, RAW adds the flat kernel back, and component subtraction is
     not defined.
     """
+    first = geometry[0] if isinstance(geometry, list) else geometry
+    _check_renorm(first, renorm)
     expr = kernel_expr(geometry)
-    if not isinstance(geometry[0] if isinstance(geometry, list) else geometry, Wedge):
+    if not isinstance(first, Wedge):
         return expr, renorm
-    if renorm is RenormMode.COMPONENT_SUBTRACTION:
+    if renorm is RenormMode.RAW:
+        return (lambda **coords: expr(**coords) + minkowski_expr(**coords)), RenormMode.RAW
+    return expr, RenormMode.RAW
+
+
+def _check_renorm(geometry: Geometry, renorm: RenormMode) -> None:
+    if isinstance(geometry, Wedge) and renorm is RenormMode.COMPONENT_SUBTRACTION:
         raise DomainError(
             "component subtraction is not defined for the wedge; "
             "its kernel is stored with the flat part already removed"
         )
-    if renorm is RenormMode.RAW:
-        return (lambda **coords: expr(**coords) + minkowski_expr(**coords)), RenormMode.RAW
-    return expr, RenormMode.RAW
 
 
 def _kernel_subtraction(geometries):
@@ -500,12 +514,13 @@ def _t0_ladder(geometry: Geometry, r, theta) -> list[float]:
 
 
 def _t0_cutoffs(geometry: Geometry, r, theta, betas) -> list:
-    """The ladder of `stress_t0` at each beta in ``betas``, or the DomainError it meets.
+    """The ladder of `stress_t0` at each beta in ``betas``, or the error it meets.
 
     `_t0_ladder` runs once; only the nonconformal near-wall check runs
     per beta, and it comes before every check of the ladder but the
-    walls themselves.  A point that is not valid raises ValueError, as a
-    `PointPair` does, at the first beta that reaches that check.
+    walls themselves.  The error is a DomainError, or the ValueError a
+    `PointPair` raises for a point that is not valid; it comes without
+    its traceback.
     """
     try:
         ts = _t0_ladder(geometry, r, theta)
@@ -519,8 +534,6 @@ def _t0_cutoffs(geometry: Geometry, r, theta, betas) -> list:
                 "nonconformal wedge stress diverges at the walls; "
                 f"theta={theta!r} is too close (gap {gap!r} < 1e-3)"
             ))
-        elif type(ts) is ValueError:
-            raise ts
         else:
             out.append(ts)
     return out
@@ -552,10 +565,10 @@ def _limits(ladders):
     Every component of every ladder is one row of a single `_richardson`
     call (a row's bits do not depend on the others).  Returns per ladder
     its (components, errors) tuples, or its ConvergenceError; a ladder
-    whose rungs are a DomainError keeps it.
+    whose rungs are an error (a DomainError, say) keeps it.
     """
     out = [rungs for _, rungs in ladders]
-    live = [k for k, rungs in enumerate(out) if not isinstance(rungs, DomainError)]
+    live = [k for k, rungs in enumerate(out) if not isinstance(rungs, ValueError)]
     if not live:
         return out
     m = len(COMPONENT_NAMES)
@@ -597,7 +610,7 @@ def stress_t0(
     where the ladder leaves the range of doubles.
     """
     (ts,) = _t0_cutoffs(geometry, r, theta, (beta,))
-    if isinstance(ts, DomainError):
+    if isinstance(ts, ValueError):
         raise ts
     ((rungs,),) = _ladders(_kernel_subtraction, z, [(geometry, r, theta, ts, (beta,))])
     (limit,) = _limits([(ts, rungs)])
@@ -617,97 +630,97 @@ def stress_grid(points, z: float, t: float):
     geometries share one `kernels.kernel_kind`: cones of any angles,
     say, or wedges of any openings with one wall condition.  Every point
     of a block of `_GRID_POINTS` contributes its cutoff ``t`` and its
-    `stress_t0` ladder to one `_ladders` pass, with the angles as a
-    batch column, and each ladder is assembled at its own point's
-    couplings only; one `_limits` call then extrapolates every ladder of
-    the block at every coupling.  Returns one ``(finite, limit)`` pair
-    per point, each a list with one entry per beta of that point: the
-    component tuple of what ``stress_at(geometry, r, theta, z,
-    beta=beta, t=t)`` or ``stress_t0(geometry, r, theta, z,
-    beta=beta).stress`` returns, bit for bit, or the DomainError or
-    ConvergenceError it raises, without its traceback.
+    `stress_t0` ladder to one `_stress_cells` call, so to one `_ladders`
+    pass, with the angles as a batch column, and each ladder is assembled
+    at its own point's couplings only; one `_limits` call then
+    extrapolates every ladder of the block at every coupling.  Returns
+    one ``(finite, limit)`` pair per point, each a list with one entry
+    per beta of that point: the component tuple of what
+    ``stress_at(geometry, r, theta, z, beta=beta, t=t)`` or
+    ``stress_t0(geometry, r, theta, z, beta=beta).stress`` returns, bit
+    for bit, or the DomainError or ConvergenceError it raises, without
+    its traceback.  A point that is not valid raises its ValueError, as
+    a `PointPair` does.
     """
+    if len({kernel_kind(geometry) for geometry, *_ in points}) > 1:
+        raise ValueError("a batch of geometries must share one kernel kind")
     out = []
     for start in range(0, len(points), _GRID_POINTS):
-        ladders, plan = [], []
-        for geometry, r, theta, betas in points[start:start + _GRID_POINTS]:
-            try:
-                _check_interior(geometry, theta)
-                finite = len(ladders)  # its ladder, or its DomainError
-                ladders.append((geometry, r, theta, [t], betas))
-            except DomainError as exc:
-                finite = exc.with_traceback(None)
-            limit = _t0_cutoffs(geometry, r, theta, betas)  # per beta: cutoffs or DomainError
-            cutoffs = [ts for ts in limit if not isinstance(ts, DomainError)]
-            if cutoffs:
-                ladders.append((geometry, r, theta, cutoffs[0],
-                                [beta for beta, ts in zip(betas, limit) if ts is cutoffs[0]]))
-            plan.append((betas, finite, limit, len(ladders) - 1 if cutoffs else None))
-        results = _ladders(_kernel_subtraction, z, ladders)
-        limits = iter(_limits([(ladders[k][3], rungs) for *_, k in plan if k is not None
-                               for rungs in results[k]]))
-        for betas, finite, limit, _ in plan:
-            rungs = ([finite] * len(betas) if isinstance(finite, DomainError)
-                     else results[finite])
-            lims = [ts if isinstance(ts, DomainError) else next(limits) for ts in limit]
-            out.append(([cell if isinstance(cell, DomainError) else cell[0] for cell in rungs],
-                        [lim if isinstance(lim, Exception) else lim[0] for lim in lims]))
+        cells = _stress_cells([(geometry, RenormMode.KERNEL_SUBTRACTION, r, theta, cutoff, betas)
+                               for geometry, r, theta, betas in points[start:start + _GRID_POINTS]
+                               for cutoff in (t, None)], z)
+        for cell in chain.from_iterable(cells):
+            if type(cell) is ValueError:
+                raise cell
+        out += zip(cells[::2], cells[1::2])
     return out
 
 
-def _stress_points(points, z: float = 0.0):
-    """`stress_at`, `stress_from_kernel` or `stress_t0` at every point, in one batch.
+def _stress_cells(entries, z: float):
+    """`stress_at`, `stress_from_kernel` or `stress_t0` at every entry, in one batch.
 
-    A point is (source, renorm, r, theta, t, betas): ``source`` a
+    An entry is (source, renorm, r, theta, t, betas): ``source`` a
     geometry, or a kernel expression as `stress_from_kernel` takes it,
     and ``t`` a cutoff, or None for the t -> 0 limit of `stress_t0` (a
-    geometry, with ``renorm`` KERNEL_SUBTRACTION).  The points of one
-    kernel kind (or one expression) and renorm mode share one `_ladders`
-    pass, and every t -> 0 ladder one `_limits` call.  Returns per point
-    one component tuple per beta, bit for bit what the per-point call
-    returns.  The first error those calls would meet, in point order and
-    then beta order, is raised; a point that `_ladders` finds not valid
-    raises its ValueError at once.
+    geometry, with ``renorm`` KERNEL_SUBTRACTION, the only mode
+    `stress_t0` has).  The entries of one kernel kind (or one
+    expression) and renorm mode share one `_ladders` pass, and every
+    t -> 0 ladder one `_limits` call.  Returns per entry one cell per
+    beta: the component tuple the per-entry call returns, bit for bit,
+    or the error it raises, without its traceback.
     """
-    cells, cutoffs_of, groups = [], [], {}
-    for k, (source, renorm, r, theta, t, betas) in enumerate(points):
+    cells, groups, limits = [], {}, []
+    for k, (source, renorm, r, theta, t, betas) in enumerate(entries):
         expression = callable(source)
         try:
             if t is None:
-                cells.append(_t0_cutoffs(source, r, theta, betas))
+                if renorm is not RenormMode.KERNEL_SUBTRACTION:
+                    raise ValueError("the t -> 0 limit is of the kernel-subtracted "
+                                     f"stress, not {renorm}")
+                cell = _t0_cutoffs(source, r, theta, betas)
             else:
                 if not expression:
                     _check_interior(source, theta)
-                cells.append([[t]] * len(betas))
+                    _check_renorm(source, renorm)
+                cell = [[t]] * len(betas)
         except ValueError as exc:
-            cells.append([exc.with_traceback(None)] * len(betas))
-        # per beta its error, or its cutoffs until the pass
-        js = [j for j, ts in enumerate(cells[k]) if type(ts) is list]
-        cutoffs_of.append(cells[k][js[0]] if js else None)
+            cell = [exc.with_traceback(None)] * len(betas)
+        cells.append(cell)  # per beta its error, or its cutoffs until the pass
+        js = [j for j, ts in enumerate(cell) if type(ts) is list]
         if js:
             key = (source if expression else kernel_kind(source), renorm)
-            if key not in groups:
-                groups[key] = ((lambda _, e=source, m=renorm: (e, m)) if expression
-                               else (lambda gs, m=renorm: _kernel_for(gs, m)), [], [])
-            ladders, members = groups[key][1:]
-            ladders.append((None if expression else source, r, theta, cutoffs_of[k],
-                            [betas[j] for j in js]))
-            members.append((k, js))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ((lambda _, e=source, m=renorm: (e, m)) if expression
+                                       else (lambda gs, m=renorm: _kernel_for(gs, m)), [], [])
+            group[1].append((None if expression else source, r, theta, cell[js[0]],
+                             [betas[j] for j in js]))
+            group[2].append((k, js))
     for kernel_for, ladders, members in groups.values():
-        for (k, js), entry in zip(members, _ladders(kernel_for, z, ladders)):
+        for (k, js), ladder, entry in zip(members, ladders, _ladders(kernel_for, z, ladders)):
+            limit = entries[k][4] is None
             for j, rungs in zip(js, entry):
-                cells[k][j] = rungs
-    limits = [(k, j) for k, point in enumerate(points) if point[4] is None
-              for j, rungs in enumerate(cells[k]) if type(rungs) is list]
-    for (k, j), limit in zip(limits, _limits([(cutoffs_of[k], cells[k][j])
-                                              for k, j in limits])):
-        cells[k][j] = limit  # (components, errors), or its ConvergenceError
-    out = []
-    for cell in cells:
-        for entry in cell:
-            if isinstance(entry, Exception):
-                raise entry
-        out.append([entry[0] for entry in cell])
+                if isinstance(rungs, Exception):
+                    cells[k][j] = rungs
+                elif limit:
+                    limits.append((k, j, ladder[3], rungs))
+                else:
+                    cells[k][j] = rungs[0]
+    for (k, j, *_), limit in zip(limits, _limits([(ts, rungs) for *_, ts, rungs in limits])):
+        cells[k][j] = limit if isinstance(limit, Exception) else limit[0]
+    return cells
+
+
+def _stress_points(points):
+    """`_stress_cells` at z = 0, raising the first error, in point and then beta order.
+
+    The per-point calls would meet that error first, so an oracle that
+    batches its points fails as its point-by-point loop would.
+    """
+    out = _stress_cells(points, 0.0)
+    for cell in chain.from_iterable(out):
+        if isinstance(cell, Exception):
+            raise cell
     return out
 
 

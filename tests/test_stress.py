@@ -794,19 +794,37 @@ class TestStressPoints:
                 assert type(cell) is tuple and all(type(v) is float for v in cell)
                 assert _hexes(cell) == _hexes(_per_point(source, renorm, r, theta, t, beta))
 
-    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 0, 1), (3, 2, 1, 0)])
+    FAILING = [
+        (Cone(2.0 * math.pi), KERNEL, 0.707, 0.0, None, (0.0,)),  # ConvergenceError
+        (Cone(2.0), KERNEL, 4.6e77 * 1.01, 0.0, None, (0.0,)),  # t**4 overflows
+        (Cone(2.0), KERNEL, -1.0, 0.0, None, (0.0,)),  # not a valid radius
+        (Wedge(math.pi / 2), KERNEL, 1.0, 0.0, 0.5, (0.0,)),  # on the wall
+        (Wedge(math.pi / 2), COMPONENT, 1.0, 0.7, 0.5, (0.0,)),  # no component mode
+        (Cone(2.0), KERNEL, 1.0, math.nan, 0.5, (0.0,)),  # not a valid angle
+    ]
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3, 4, 5), (1, 0, 2, 3, 5, 4),
+                                       (2, 3, 0, 1, 4, 5), (3, 2, 1, 0, 5, 4),
+                                       (4, 5, 3, 2, 1, 0), (5, 4, 0, 1, 2, 3)])
+    # numpy warns about the infinities on the way to the overflow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_first_error_in_call_order_is_raised(self, order):
-        failing = [
-            (Cone(2.0 * math.pi), KERNEL, 0.707, 0.0, None, (0.0,)),  # ConvergenceError
-            (Cone(2.0), KERNEL, 4.6e77 * 1.01, 0.0, None, (0.0,)),  # t**4 overflows
-            (Cone(2.0), KERNEL, -1.0, 0.0, None, (0.0,)),  # not a valid radius
-            (Wedge(math.pi / 2), KERNEL, 1.0, 0.0, 0.5, (0.0,)),  # on the wall
-        ]
-        points = [(Cone(2.2), KERNEL, 1.0, 0.0, 0.5, (0.0,))] + [failing[k] for k in order]
-        want = _per_point(*failing[order[0]][:5], 0.0)
+        points = [(Cone(2.2), KERNEL, 1.0, 0.0, 0.5, (0.0,))] + [self.FAILING[k] for k in order]
+        want = _per_point(*self.FAILING[order[0]][:5], 0.0)
+        assert isinstance(want, Exception)
         with pytest.raises(type(want)) as info:
             _stress_points(points)
         assert str(info.value) == str(want)
+
+    @pytest.mark.parametrize("renorm", [COMPONENT, RAW])
+    def test_t0_points_take_kernel_subtraction_only(self, renorm):
+        # stress_t0 has no renorm mode: another one is refused, in call order
+        point = (Cone(2.2), renorm, 1.0, 0.0, None, (0.0,))
+        with pytest.raises(ValueError, match="kernel-subtracted") as info:
+            _stress_points([point])
+        assert type(info.value) is ValueError
+        with pytest.raises(ConvergenceError):
+            _stress_points([self.FAILING[0], point])
 
     def test_errors_per_beta_come_in_beta_order(self):
         # the nonconformal coupling is refused at the wall, the conformal
