@@ -16,17 +16,16 @@ stderr; cell text uses shortest round-trip float formatting, so a
 given grid always produces byte-identical CSV no matter how many
 worker processes computed it (`--workers N` gives each the same
 contiguous slice of every file's grid).  One plan covers every file of
-a call: the curves of one kernel kind (cones of any angle, the sheet,
-flat space, or wedges of any opening with one wall condition), z and
-cutoff share `stress.stress_grid` passes of up to `_PASS_POINTS`
-points, with the angle a batch column, and each distinct point is
-computed once over the couplings of every curve that draws it.  So the
-two couplings of a wedge figure or of a correction curve, the angles
-of a multi-cone figure and every point of a theta1 sweep share one
-pass.  A pass's cells are component tuples in `COMPONENT_NAMES` order,
-read by index into the CSV columns.  Sidecars record the geometry,
-coupling, grid, and build metadata (`git describe` once per process);
-timestamps appear only there.
+a call: each distinct point is computed once, over the couplings of
+every curve that draws it, and the points go in draw order to
+`stress._stress_cells` in calls of up to `_PASS_POINTS` points, which
+groups them into one jet pass per kernel kind with r, theta, z and the
+angle batch columns.  So the two couplings of a wedge figure or of a
+correction curve, the angles of a multi-cone figure and every point of
+a theta1 sweep share one pass.  Cells are component tuples in
+`COMPONENT_NAMES` order, read by index into the CSV columns.  Sidecars
+record the geometry, coupling, grid, and build metadata (`git
+describe` once per process); timestamps appear only there.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,6 @@ from .geometry import (
     Wedge,
 )
 from .kernels import (
-    kernel_kind,
     tbar_cone,
     tbar_dowker,
     tbar_minkowski,
@@ -66,7 +65,7 @@ from .kernels import (
 )
 from .oracles import (SUITE_VERSION, check_oracle_names, format_reports, oracle_names,
                       reports_to_json, run_oracle_suite)
-from .stress import COMPONENT_NAMES, RenormMode, stress_at, stress_grid, stress_t0
+from .stress import COMPONENT_NAMES, RenormMode, _stress_cells, stress_at, stress_t0
 
 _XI_TAGS = {"xi14": 0.25, "xi16": 1.0 / 6.0}
 
@@ -103,10 +102,11 @@ class _FileSpec:
     cutoff_t: float = 1.0
 
 
-# Points per `stress_grid` pass.  A pass's results stay until the last
-# file that draws it is written, so this bounds the memory of a call:
-# `figure` over every id at 200 points peaks at ~37 MB ru_maxrss.
-_PASS_POINTS = 128
+# Distinct points per `stress._stress_cells` call, the one batch bound.  A
+# point brings its finite cutoff and a six-cutoff ladder, so a call takes at
+# most 448 cutoffs: the jets hold ~1.6 KB per cutoff at their peak, and at
+# this size the fixed cost of an evaluation (~0.4 ms) is already a small share.
+_PASS_POINTS = 64
 
 
 def _curve_points(spec: _FileSpec, series: _Series, xs: list[float]):
@@ -125,73 +125,72 @@ def _curve_points(spec: _FileSpec, series: _Series, xs: list[float]):
 def _file_rows(specs, slices):
     """Yield the CSV rows and notes of each file in turn, file k at ``slices[k]``.
 
-    Curves share `stress_grid` passes by kernel kind, z and cutoff, so
-    every cone curve of a call, whatever its angle, is in one pass of up
-    to `_PASS_POINTS` points, taken in the order the files draw them.
-    A point is keyed by its geometry and the bits of its r and theta
-    (-0.0 is not 0.0), and curves that draw the same point share it,
-    over the union of their couplings.  A pass runs when the first file
-    that needs it comes up and is dropped after the last, and each file
-    picks its own cells.
+    The distinct points of every file, in the order the files draw them,
+    go to `_stress_cells` in consecutive calls of `_PASS_POINTS`, each
+    point as a finite cutoff and a t -> 0 entry, as far as the next file
+    needs: a call spans curves, angles, kernel kinds and files alike.  A
+    point is keyed by its geometry and the bits of its r, theta, z and
+    cutoff (-0.0 is not 0.0), and curves that draw the same point share
+    it, over the union of their couplings.  Its cells are dropped after
+    the last file that draws it, and each file picks its own.
     """
-    passes = []  # per pass: z, cutoff, its points as [geometry, r, theta, beta reprs]
-    open_pass = {}  # (kernel kind, repr z, repr t) -> the pass that takes new points
-    slots = {}  # point key -> (its pass, its place there)
-    unions = {}  # (beta reprs, beta reprs) -> their union, a tuple points share
+    plan = {}  # point key -> its place in `points`
+    points = []  # in draw order: [geometry, r, theta, z, cutoff, beta reprs, last file]
     beta_of = {}  # beta repr -> beta
-    curves = []  # per file, per series: (the slot of each of its points, its beta reprs)
-    for spec, xs in zip(specs, slices):
+    curves = []  # per file, per series: (the place of each of its points, its beta reprs)
+    ends = []  # per file: how many points it needs computed
+    for j, (spec, xs) in enumerate(zip(specs, slices)):
         curves.append([])
         for series in spec.series:
             couplings = ((series.beta, series.beta + 1.0) if series.correction
                          else (series.beta,))
             beta_of.update((repr(b), b) for b in couplings)
             betas = tuple(dict.fromkeys(map(repr, couplings)))
-            placed, points = [], _curve_points(spec, series, xs)
-            # a curve's points share one kernel kind
-            group = (kernel_kind(points[0][0]) if points else None,
-                     repr(series.fixed_z), repr(spec.cutoff_t))
-            for geometry, r, theta in points:
-                key = (group, geometry, float(r).hex(), float(theta).hex())
-                slot = slots.get(key)
-                if slot is None:
-                    k = open_pass.get(group)
-                    if k is None or len(passes[k][2]) == _PASS_POINTS:
-                        k = open_pass[group] = len(passes)
-                        passes.append((series.fixed_z, spec.cutoff_t, []))
-                    slot = slots[key] = (k, len(passes[k][2]))
-                    passes[k][2].append([geometry, r, theta, ()])
-                point = passes[slot[0]][2][slot[1]]
-                pair = (point[3], betas)
-                if pair not in unions:
-                    unions[pair] = tuple(dict.fromkeys(point[3] + betas))
-                point[3] = unions[pair]
-                placed.append(slot)
+            z, t = series.fixed_z, spec.cutoff_t
+            zt, placed = (float(z).hex(), float(t).hex()), []
+            for geometry, r, theta in _curve_points(spec, series, xs):
+                key = (geometry, float(r).hex(), float(theta).hex(), zt)
+                k = plan.setdefault(key, len(points))
+                if k == len(points):
+                    points.append([geometry, r, theta, z, t, betas, j])
+                point = points[k]
+                if point[5] != betas:
+                    point[5] = tuple(dict.fromkeys(point[5] + betas))
+                point[6] = j
+                placed.append(k)
             curves[-1].append((placed, betas))
-    del open_pass, slots, unions
-    last = {k: j for j, file_curves in enumerate(curves)
-            for placed, _ in file_curves for k, _ in placed}
-    done = {}
+        ends.append(len(points))
+    del plan
+    cells = [None] * len(points)  # per point: beta reprs, last file, finite and limit cells
+    done = 0
 
-    def cells(placed, betas):
-        """(finite, limit) per point of one curve, each a list over its betas."""
-        out = []
-        for k, i in placed:
-            if k not in done:
-                z, t, points = passes[k]
-                grid = stress_grid([(g, r, th, tuple(map(beta_of.get, union)))
-                                    for g, r, th, union in points], z, t)
-                done[k] = [(cell, point[3]) for point, cell in zip(points, grid)]
-                passes[k] = None
-            cell, union = done[k][i]
-            picks = [union.index(b) for b in betas]
-            out.append(tuple([group[j] for j in picks] for group in cell))
-        return out
+    def pick(k, betas):
+        """(finite, limit) of point k, each a list over ``betas``."""
+        union, _, finite, limit = cells[k]
+        at = [union.index(b) for b in betas]
+        return [finite[i] for i in at], [limit[i] for i in at]
 
     for j, (spec, xs, file_curves) in enumerate(zip(specs, slices, curves)):
-        yield _rows(spec, xs, [cells(*curve) for curve in file_curves])
-        for k in [k for k, i in last.items() if i == j]:
-            del done[k]
+        while done < ends[j]:
+            chunk = points[done:done + _PASS_POINTS]
+            out = _stress_cells([(g, RenormMode.KERNEL_SUBTRACTION, r, theta, z, cutoff,
+                                  tuple(map(beta_of.get, union)))
+                                 for g, r, theta, z, t, union, _ in chunk
+                                 for cutoff in (t, None)])
+            for cell in chain.from_iterable(out):
+                if type(cell) is ValueError:
+                    raise cell
+            for point, finite, limit in zip(chunk, out[::2], out[1::2]):
+                limit = [c if isinstance(c, Exception) else c[0] for c in limit]
+                cells[done] = point[5], point[6], finite, limit
+                points[done] = None  # computed: its cells hold what files still read
+                done += 1
+        yield _rows(spec, xs, [[pick(k, betas) for k in placed]
+                               for placed, betas in file_curves])
+        for placed, _ in file_curves:
+            for k in placed:
+                if cells[k] is not None and cells[k][1] == j:
+                    cells[k] = None
 
 
 def _slice_rows(specs, slices):

@@ -622,7 +622,7 @@ def _dqk21(fv, hlgth):
     (gathered rows added elementwise, no matrix product, so no BLAS),
     the terms summed one after another in dqk21's order (`_in_order`),
     and the (200 err / resasc)^1.5 scaling through libm's pow, as
-    QUADPACK does, not numpy's.
+    QUADPACK does, not numpy's, on the rows where both are nonzero.
     """
     n = len(fv)
     rows = np.zeros((43, n))  # fv and |fv| node-major, then the zero row
@@ -642,9 +642,8 @@ def _dqk21(fv, hlgth):
     resasc = resasc * dhlgth
     abserr = np.abs((resk - resg) * hlgth)
     scaled = (resasc != 0.0) & (abserr != 0.0)
-    ratio = np.divide(200.0 * abserr, resasc, out=np.zeros(n), where=scaled)
-    capped = np.fmin(1.0, jets._power(ratio, 1.5))
-    abserr = np.where(scaled, resasc * capped, abserr)
+    ratio = 200.0 * abserr[scaled] / resasc[scaled]
+    abserr[scaled] = resasc[scaled] * np.fmin(1.0, jets._power(ratio, 1.5))
     floor = resabs > _UFLOW / (50.0 * _EPMACH)
     np.fmax((_EPMACH * 50.0) * resabs, abserr, out=abserr, where=floor)
     return result, abserr, resabs, resasc

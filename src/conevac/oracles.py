@@ -371,8 +371,8 @@ def _oracle_wedge_images(rng) -> OracleReport:
             th = float(rng.uniform(0.15, theta0 - 0.15))
             beta = float(rng.uniform(-0.3, 0.3))
             t = 0.4 * r
-            points.append((imaged, RenormMode.RAW, r, th, t, (beta,)))
-            points.append((Wedge(theta0, bc), _KERNEL, r, th, t, (beta,)))
+            points.append((imaged, RenormMode.RAW, r, th, 0.0, t, (beta,)))
+            points.append((Wedge(theta0, bc), _KERNEL, r, th, 0.0, t, (beta,)))
         stresses = _stress_points(points)
         for (via_images,), (direct,) in zip(stresses[::2], stresses[1::2]):
             worst = max(worst, _stress_rel(via_images, direct))
@@ -448,9 +448,9 @@ def _oracle_zero_point_pipeline(rng) -> OracleReport:
         r = float(rng.uniform(0.3, 3.0))
         t = float(rng.uniform(0.2, 2.0))
         beta = float(rng.uniform(-1.0, 1.0))
-        points.append((Minkowski(), RenormMode.RAW, r, 0.0, t, (beta,)))
+        points.append((Minkowski(), RenormMode.RAW, r, 0.0, 0.0, t, (beta,)))
     for point, (raw,) in zip(points, _stress_points(points)):
-        flat = tuple(zero_point_stress(point[4]).components().values())
+        flat = tuple(zero_point_stress(point[5]).components().values())
         worst = max(worst, _stress_rel(raw, flat))
     return OracleReport("zero_point_pipeline", n, worst, tol, worst <= tol)
 
@@ -465,9 +465,9 @@ def _oracle_flat_zero(rng) -> OracleReport:
         t = float(rng.uniform(0.3, 2.0))
         beta = float(rng.uniform(-1.0, 1.0))
         mode = _KERNEL if k % 2 == 0 else RenormMode.COMPONENT_SUBTRACTION
-        points.append((Minkowski(), mode, r, 0.0, t, (beta,)))
+        points.append((Minkowski(), mode, r, 0.0, 0.0, t, (beta,)))
     for point, (s,) in zip(points, _stress_points(points)):
-        worst = max(worst, max(abs(v) for v in s) * point[4]**4)
+        worst = max(worst, max(abs(v) for v in s) * point[5]**4)
     return OracleReport("flat_zero", n, worst, tol, worst <= tol)
 
 
@@ -481,7 +481,7 @@ def _oracle_renorm_paths(rng) -> OracleReport:
             beta = float(rng.uniform(-0.5, 0.5))
             t = 0.7 * r
             for mode in (_KERNEL, RenormMode.COMPONENT_SUBTRACTION):
-                points.append((geometry, mode, r, 0.0, t, (beta,)))
+                points.append((geometry, mode, r, 0.0, 0.0, t, (beta,)))
     stresses = _stress_points(points)
     for (a,), (b,) in zip(stresses[::2], stresses[1::2]):
         worst = max(worst, _stress_rel(a, b))
@@ -509,8 +509,8 @@ def _oracle_scaling(rng) -> OracleReport:
         for _ in range(3):
             r = float(rng.uniform(0.5, 2.0))
             beta = float(rng.uniform(-0.5, 0.5))
-            points.append((geometry, _KERNEL, r, 0.0, 0.6 * r, (beta,)))
-            points.append((geometry, _KERNEL, lam * r, 0.0, 0.6 * lam * r, (beta,)))
+            points.append((geometry, _KERNEL, r, 0.0, 0.0, 0.6 * r, (beta,)))
+            points.append((geometry, _KERNEL, lam * r, 0.0, 0.0, 0.6 * lam * r, (beta,)))
         stresses = _stress_points(points)
         for (s1,), (s2,) in zip(stresses[::2], stresses[1::2]):
             worst = max(worst, _stress_rel(tuple(v * lam**4 for v in s2), s1))
@@ -532,9 +532,9 @@ def _oracle_beta_affinity(rng) -> OracleReport:
         for _ in range(4):
             r = float(rng.uniform(0.6, 2.0))
             beta = float(rng.uniform(-0.8, 0.8))
-            points.append((geometry, _KERNEL, r, theta, 0.5 * r, (0.0, 1.0, beta)))
+            points.append((geometry, _KERNEL, r, theta, 0.0, 0.5 * r, (0.0, 1.0, beta)))
     for point, (s0, s1, sb) in zip(points, _stress_points(points)):
-        beta = point[5][2]
+        beta = point[6][2]
         predicted = tuple(a + beta * (b - a) for a, b in zip(s0, s1))
         worst = max(worst, _stress_rel(predicted, sb))
     return OracleReport("beta_affinity", len(points), worst, tol, worst <= tol)
@@ -558,7 +558,8 @@ def _oracle_conformal_trace(rng) -> OracleReport:
     tol = 1e-4
     worst = 0.0
     cases = [Cone(math.pi), Cone(4.0 * math.pi), Dowker()]
-    for (s,) in _stress_points([(g, _KERNEL, 1.0, 0.0, None, (_CONFORMAL,)) for g in cases]):
+    for (s,) in _stress_points([(g, _KERNEL, 1.0, 0.0, 0.0, None, (_CONFORMAL,))
+                                for g in cases]):
         worst = max(worst, abs(_trace(s)) / max(abs(v) for v in s))
     return OracleReport("conformal_trace", len(cases), worst, tol, worst <= tol)
 
@@ -568,7 +569,7 @@ def _oracle_conformal_wedge(rng) -> OracleReport:
     geometry = Wedge(0.5 * math.pi, BoundaryCondition.DIRICHLET)
     angles = [math.pi / 16, math.pi / 8, math.pi / 4]
     values = [s[0] for (s,) in _stress_points(
-        [(geometry, _KERNEL, 8.0, th, None, (_CONFORMAL,)) for th in angles])]
+        [(geometry, _KERNEL, 8.0, th, 0.0, None, (_CONFORMAL,)) for th in angles])]
     mean = math.fsum(values) / len(values)
     worst = max(abs(v - mean) / abs(mean) for v in values)
     return OracleReport("conformal_wedge", len(angles), worst, tol, worst <= tol)
@@ -583,7 +584,7 @@ def _oracle_dowker_large_angle(rng) -> OracleReport:
         pair = _sample_pair(rng, 0.1, 2.0, dtheta=float(rng.uniform(-2.0, 2.0)))
         worst = max(worst, _rel(tbar_cone(pair, theta1), tbar_dowker(pair)))
         count += 1
-    stresses = _stress_points([(g, _KERNEL, 1.0, 0.0, None, (beta,))
+    stresses = _stress_points([(g, _KERNEL, 1.0, 0.0, 0.0, None, (beta,))
                                for beta in (0.0, -0.25) for g in (Cone(theta1), Dowker())])
     for (a,), (b,) in zip(stresses[::2], stresses[1::2]):
         worst = max(worst, _stress_rel(a, b))
@@ -594,7 +595,8 @@ def _oracle_dowker_large_angle(rng) -> OracleReport:
 def _oracle_sign_change(rng) -> OracleReport:
     tol = 0.5
     ((sharp, *_),), ((wide, *_),) = _stress_points(
-        [(Cone(theta1), _KERNEL, 1.0, 0.0, None, (0.0,)) for theta1 in (math.pi, 4.0 * math.pi)])
+        [(Cone(theta1), _KERNEL, 1.0, 0.0, 0.0, None, (0.0,))
+         for theta1 in (math.pi, 4.0 * math.pi)])
     flipped = sharp * wide < 0.0
     return OracleReport("sign_change", 2, 0.0 if flipped else 1.0, tol, flipped)
 

@@ -23,21 +23,21 @@ The renormalized components have finite t -> 0 limits, reached by
 `stress_t0` through even-power Richardson extrapolation over a fixed
 halving ladder of six cutoffs (`_t0_cutoffs`).
 
-There is one engine, `_ladders`: it takes any list of (geometry, r,
-theta, cutoffs, couplings) ladders whose geometries share one kernel
-kind (`kernels.kernel_kind`), evaluates the kernel expression once on
-batched jets (see `jets`), one element per cutoff, with the cone angle
-or wedge opening a batch column when the ladders' geometries differ,
-and assembles each ladder elementwise at its own couplings.
-`stress_at` and `stress_from_kernel` run it on a ladder of one cutoff,
-`stress_t0` on its six-cutoff ladder, and `stress_grid` on blocks of
-`_GRID_POINTS` points of any geometries of one kind, each contributing
-its finite cutoff and its ladder.  Both the grid and `_stress_points`
-(the oracles, and the three radii of `conservation_residual`) plan
-their passes in `_stress_cells`: one per kernel kind and renorm mode
-over a list of `stress_at`, `stress_from_kernel` and `stress_t0` calls,
-and one `_limits` call.  Batching changes no bits: each element
-equals `stress_at` at its geometry, point and cutoff.  Inside the engine
+There is one engine, `_ladders`: it takes any list of (source, r,
+theta, z, cutoffs, couplings) ladders whose sources are one kernel
+expression or geometries of one kernel kind (`kernels.kernel_kind`),
+evaluates the kernel expression once on batched jets (see `jets`), one
+element per cutoff, with r, theta, z and the cone angle or wedge
+opening batch columns, and assembles each ladder elementwise at its
+own couplings.  There is one planner, `_stress_cells`: over a list of
+`stress_at`, `stress_from_kernel` and `stress_t0` calls it runs one
+pass per kernel kind (or expression) and renorm mode and one `_limits`
+call.  The three public functions are one-entry calls to it,
+`_stress_points` (the oracles, and the three radii of
+`conservation_residual`) a call that raises the first error, and the
+CLI's scans and figures calls of up to `cli._PASS_POINTS` points, each
+contributing its finite cutoff and its six-cutoff ladder.  Batching
+changes no bits: each element equals a batch of one.  Inside the engine
 a stress is the plain component tuple (t00, t_rr, t_perp, t_zz); the
 public functions wrap it in a `StressTensor` once per call.  A batch whose
 elements fall on different sides of a kernel branch is split there and
@@ -70,12 +70,6 @@ _RUNG_NOISE = 3.4e-17
 _RUNGS = 6
 
 _CONFORMAL_BETA = Coupling.conformal().beta
-
-# Points per `_ladders` pass and `_richardson` call in `stress_grid`.  A point
-# brings its finite cutoff and a six-cutoff ladder, so a pass takes at most
-# 448 cutoffs: the jets hold ~1.6 KB per cutoff at their peak, and at this
-# size the fixed cost of an evaluation (~0.4 ms) is already a small share.
-_GRID_POINTS = 64
 
 _OUT_OF_RANGE = "the stress at r={!r} leaves the range of double precision ({})"
 
@@ -214,20 +208,21 @@ def _check_point(r, theta, z, t) -> None:
         PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z)
 
 
-def _ladders(kernel_for, z, ladders):
-    """Stress components on (geometry, r, theta, cutoffs, betas) ladders, on batched jets.
+def _ladders(renorm, ladders):
+    """Stress components on (source, r, theta, z, cutoffs, betas) ladders, on batched jets.
 
-    ``kernel_for`` maps the list of every batch element's geometry to
-    the kernel expression and its `RenormMode` (see `_kernel_for`); the
-    geometries share one kernel kind, and their angles become a batch
-    column.  Returns, per ladder, one entry per beta of its own: the
-    component tuple of each of its cutoffs, or the ladder's own error,
-    without its traceback: a DomainError (a cutoff that is not positive,
-    or one `_pass` reports), or the ValueError a `PointPair` raises for
-    a point that is not valid.  The valid ladders go to `_pass` together.
+    The ladders' sources are one kernel expression, or geometries of one
+    kernel kind whose angles become a batch column, as r, theta and z
+    are; `_kernel_for` gives the expression and subtraction mode of
+    ``renorm`` stress.  Returns, per ladder, one entry per beta of its
+    own: the component tuple of each of its cutoffs, or the ladder's own
+    error, without its traceback: a DomainError (a cutoff that is not
+    positive, or one `_pass` reports), or the ValueError a `PointPair`
+    raises for a point that is not valid.  The valid ladders go to
+    `_pass` together.
     """
     out, live = [], []
-    for k, (geometry, r, theta, ts, betas) in enumerate(ladders):
+    for k, (_, r, theta, z, ts, betas) in enumerate(ladders):
         bad = [t for t in ts if not (math.isfinite(t) and t > 0)]
         try:
             if bad:
@@ -239,12 +234,12 @@ def _ladders(kernel_for, z, ladders):
         out.append(None)
         live.append(k)
     if live:
-        for k, entry in zip(live, _pass(kernel_for, z, [ladders[k] for k in live])):
+        for k, entry in zip(live, _pass(renorm, [ladders[k] for k in live])):
             out[k] = entry
     return out
 
 
-def _pass(kernel_for, z, ladders):
+def _pass(renorm, ladders):
     """`_ladders` on valid ladders: one kernel evaluation, then each ladder's assembly.
 
     A ladder is assembled at its own betas only, and one whose assembly
@@ -257,29 +252,30 @@ def _pass(kernel_for, z, ladders):
     out of range too.  Errors are returned without their tracebacks,
     which would keep the batch alive.
     """
-    ts_col, r_col, theta_col, geometry_col = [], [], [], []
-    for geometry, r, theta, ts, _ in ladders:
+    ts_col, r_col, theta_col, z_col, source_col = [], [], [], [], []
+    for source, r, theta, z, ts, _ in ladders:
+        n = len(ts)
         ts_col += ts
-        r_col += [r] * len(ts)
-        theta_col += [theta] * len(ts)
-        geometry_col += [geometry] * len(ts)
+        r_col += [r] * n
+        theta_col += [theta] * n
+        z_col += [z] * n
+        source_col += [source] * n
     columns = {"t": ts_col, "r": r_col, "rp": r_col, "theta": theta_col,
-               "thetap": theta_col, "z": [z] * len(ts_col), "zp": [z] * len(ts_col)}
-    expr, mode = kernel_for(geometry_col)
+               "thetap": theta_col, "z": z_col, "zp": z_col}
+    expr, mode = _kernel_for(source_col, renorm)
     try:
         rows = _rungs(expr, columns, mode)
     except (DomainError, ArithmeticError) as exc:
         if len(ladders) > 1:
             half = len(ladders) // 2
-            return (_pass(kernel_for, z, ladders[:half])
-                    + _pass(kernel_for, z, ladders[half:]))
+            return _pass(renorm, ladders[:half]) + _pass(renorm, ladders[half:])
         if isinstance(exc, ArithmeticError):
             # the kernels' own FloatingPointError says why; Python's name their type
             why = str(exc) if type(exc) is FloatingPointError else type(exc).__name__
             exc = DomainError(_OUT_OF_RANGE.format(ladders[0][1], why))
-        return [[exc.with_traceback(None)] * len(ladders[0][4])]
+        return [[exc.with_traceback(None)] * len(ladders[0][5])]
     out, start = [], 0
-    for _, r, _, ts, betas in ladders:
+    for _, r, _, _, ts, betas in ladders:
         span = rows[start:start + len(ts)]
         start += len(ts)
         try:
@@ -293,6 +289,14 @@ def _pass(kernel_for, z, ladders):
                     if any(map(math.isnan, chain.from_iterable(rungs))) else rungs
                     for rungs in per_beta])
     return out
+
+
+def _one_cell(source, renorm, r, theta, z, t, beta):
+    """The one cell of a one-entry `_stress_cells` call, or its error, raised."""
+    ((cell,),) = _stress_cells([(source, renorm, r, theta, z, t, (beta,))])
+    if isinstance(cell, Exception):
+        raise cell
+    return cell
 
 
 def stress_from_kernel(
@@ -309,22 +313,14 @@ def stress_from_kernel(
 
     ``kernel_fn`` takes the seven pair coordinates by keyword and must
     be built from the `jets` dispatch functions, branching through
-    `jets.agree` and `jets.split`.  This is the engine under
-    `stress_at`, run on a ladder of one cutoff; it is exposed so
-    independently constructed kernels (image sums, cross checks) can be
-    pushed through the same assembly.
+    `jets.agree` and `jets.split`.  It takes the path of `stress_at`, a
+    one-entry `_stress_cells` call, with the expression as the source;
+    it is exposed so independently constructed kernels (image sums,
+    cross checks) can be pushed through the same assembly.
     """
-    return StressTensor(*_at_cutoff(kernel_fn, renorm_mode, r, theta, z, beta, t),
+    math.isfinite(t)  # a cutoff that is not a number (None marks t -> 0) raises here
+    return StressTensor(*_one_cell(kernel_fn, renorm_mode, r, theta, z, t, beta),
                         renorm_mode=renorm_mode, cutoff_t=t)
-
-
-def _at_cutoff(kernel_fn, renorm_mode, r, theta, z, beta, t):
-    """The component tuple at one point and cutoff, from `_ladders` on a ladder of one."""
-    ((rungs,),) = _ladders(lambda _: (kernel_fn, renorm_mode), z,
-                           [(None, r, theta, [t], (beta,))])
-    if isinstance(rungs, ValueError):
-        raise rungs
-    return rungs[0]
 
 
 def _check_interior(geometry: Geometry, theta: float) -> None:
@@ -335,18 +331,19 @@ def _check_interior(geometry: Geometry, theta: float) -> None:
         )
 
 
-def _kernel_for(geometry, renorm: RenormMode):
-    """The kernel expression and subtraction mode that give ``renorm`` stress.
+def _kernel_for(sources, renorm: RenormMode):
+    """The kernel expression and subtraction mode that give ``renorm`` stress on a batch.
 
-    ``geometry`` is a geometry, or a list of one kernel kind, the
-    geometry of each batch element (see `kernel_expr`).  The stored
-    wedge kernel is flat-part-free: kernel subtraction is the identity
-    there, RAW adds the flat kernel back, and component subtraction is
-    not defined.
+    ``sources`` holds the source of each batch element: one kernel
+    expression throughout, taken as it is, or geometries of one kernel
+    kind (see `kernel_expr`).  The stored wedge kernel is flat-part-free:
+    kernel subtraction is the identity there, and RAW adds the flat
+    kernel back.
     """
-    first = geometry[0] if isinstance(geometry, list) else geometry
-    _check_renorm(first, renorm)
-    expr = kernel_expr(geometry)
+    first = sources[0]
+    if callable(first):
+        return first, renorm
+    expr = kernel_expr(sources)
     if not isinstance(first, Wedge):
         return expr, renorm
     if renorm is RenormMode.RAW:
@@ -360,10 +357,6 @@ def _check_renorm(geometry: Geometry, renorm: RenormMode) -> None:
             "component subtraction is not defined for the wedge; "
             "its kernel is stored with the flat part already removed"
         )
-
-
-def _kernel_subtraction(geometries):
-    return _kernel_for(geometries, RenormMode.KERNEL_SUBTRACTION)
 
 
 def stress_at(
@@ -383,9 +376,8 @@ def stress_at(
     the stored wedge kernel is flat-part-free, so kernel subtraction
     is the identity and RAW adds the flat kernel back.
     """
-    _check_interior(geometry, theta)
-    expr, mode = _kernel_for(geometry, renorm)
-    return StressTensor(*_at_cutoff(expr, mode, r, theta, z, beta, t),
+    math.isfinite(t)  # a cutoff that is not a number (None marks t -> 0) raises here
+    return StressTensor(*_one_cell(geometry, renorm, r, theta, z, t, beta),
                         renorm_mode=renorm, cutoff_t=t)
 
 
@@ -609,68 +601,30 @@ def stress_t0(
     nonconformal stress has no finite limit to extrapolate to, or
     where the ladder leaves the range of doubles.
     """
-    (ts,) = _t0_cutoffs(geometry, r, theta, (beta,))
-    if isinstance(ts, ValueError):
-        raise ts
-    ((rungs,),) = _ladders(_kernel_subtraction, z, [(geometry, r, theta, ts, (beta,))])
-    (limit,) = _limits([(ts, rungs)])
-    if isinstance(limit, Exception):
-        raise limit
-    best, err = limit
+    best, err = _one_cell(geometry, RenormMode.KERNEL_SUBTRACTION, r, theta, z, None, beta)
     return ExtrapolatedStress(
         stress=StressTensor(*best, renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=0.0),
         error=dict(zip(COMPONENT_NAMES, err)),
     )
 
 
-def stress_grid(points, z: float, t: float):
-    """`stress_at` at cutoff ``t`` and `stress_t0` at every point, in blocks of points.
-
-    ``points`` lists (geometry, r, theta, betas) entries whose
-    geometries share one `kernels.kernel_kind`: cones of any angles,
-    say, or wedges of any openings with one wall condition.  Every point
-    of a block of `_GRID_POINTS` contributes its cutoff ``t`` and its
-    `stress_t0` ladder to one `_stress_cells` call, so to one `_ladders`
-    pass, with the angles as a batch column, and each ladder is assembled
-    at its own point's couplings only; one `_limits` call then
-    extrapolates every ladder of the block at every coupling.  Returns
-    one ``(finite, limit)`` pair per point, each a list with one entry
-    per beta of that point: the component tuple of what
-    ``stress_at(geometry, r, theta, z, beta=beta, t=t)`` or
-    ``stress_t0(geometry, r, theta, z, beta=beta).stress`` returns, bit
-    for bit, or the DomainError or ConvergenceError it raises, without
-    its traceback.  A point that is not valid raises its ValueError, as
-    a `PointPair` does.
-    """
-    if len({kernel_kind(geometry) for geometry, *_ in points}) > 1:
-        raise ValueError("a batch of geometries must share one kernel kind")
-    out = []
-    for start in range(0, len(points), _GRID_POINTS):
-        cells = _stress_cells([(geometry, RenormMode.KERNEL_SUBTRACTION, r, theta, cutoff, betas)
-                               for geometry, r, theta, betas in points[start:start + _GRID_POINTS]
-                               for cutoff in (t, None)], z)
-        for cell in chain.from_iterable(cells):
-            if type(cell) is ValueError:
-                raise cell
-        out += zip(cells[::2], cells[1::2])
-    return out
-
-
-def _stress_cells(entries, z: float):
+def _stress_cells(entries):
     """`stress_at`, `stress_from_kernel` or `stress_t0` at every entry, in one batch.
 
-    An entry is (source, renorm, r, theta, t, betas): ``source`` a
+    An entry is (source, renorm, r, theta, z, t, betas): ``source`` a
     geometry, or a kernel expression as `stress_from_kernel` takes it,
     and ``t`` a cutoff, or None for the t -> 0 limit of `stress_t0` (a
     geometry, with ``renorm`` KERNEL_SUBTRACTION, the only mode
     `stress_t0` has).  The entries of one kernel kind (or one
-    expression) and renorm mode share one `_ladders` pass, and every
-    t -> 0 ladder one `_limits` call.  Returns per entry one cell per
-    beta: the component tuple the per-entry call returns, bit for bit,
-    or the error it raises, without its traceback.
+    expression) and renorm mode share one `_ladders` pass, whatever
+    their r, theta, z, cutoffs and angles, and every t -> 0 ladder one
+    `_limits` call.  Returns per entry one cell per beta: the component
+    tuple of a cutoff, or the (components, errors) tuples of a limit,
+    bit for bit what the per-entry call returns, or the error it raises,
+    without its traceback.
     """
-    cells, groups, limits = [], {}, []
-    for k, (source, renorm, r, theta, t, betas) in enumerate(entries):
+    cells, groups, targets, limits = [], {}, [], []
+    for k, (source, renorm, r, theta, z, t, betas) in enumerate(entries):
         expression = callable(source)
         try:
             if t is None:
@@ -691,37 +645,36 @@ def _stress_cells(entries, z: float):
             key = (source if expression else kernel_kind(source), renorm)
             group = groups.get(key)
             if group is None:
-                group = groups[key] = ((lambda _, e=source, m=renorm: (e, m)) if expression
-                                       else (lambda gs, m=renorm: _kernel_for(gs, m)), [], [])
-            group[1].append((None if expression else source, r, theta, cell[js[0]],
-                             [betas[j] for j in js]))
-            group[2].append((k, js))
-    for kernel_for, ladders, members in groups.values():
-        for (k, js), ladder, entry in zip(members, ladders, _ladders(kernel_for, z, ladders)):
-            limit = entries[k][4] is None
-            for j, rungs in zip(js, entry):
-                if isinstance(rungs, Exception):
-                    cells[k][j] = rungs
-                elif limit:
-                    limits.append((k, j, ladder[3], rungs))
-                else:
-                    cells[k][j] = rungs[0]
-    for (k, j, *_), limit in zip(limits, _limits([(ts, rungs) for *_, ts, rungs in limits])):
-        cells[k][j] = limit if isinstance(limit, Exception) else limit[0]
+                group = groups[key] = ([], [])
+            group[0].append((source, r, theta, z, cell[js[0]],
+                             betas if len(js) == len(betas) else [betas[j] for j in js]))
+            group[1].append((k, js))
+    for (_, renorm), (ladders, members) in groups.items():
+        for (k, js), ladder, entry in zip(members, ladders, _ladders(renorm, ladders)):
+            if entries[k][5] is None:  # `_limits` keeps a ladder's error
+                targets += [(k, j) for j in js]
+                limits += [(ladder[4], rungs) for rungs in entry]
+            else:
+                for j, rungs in zip(js, entry):
+                    cells[k][j] = rungs if isinstance(rungs, Exception) else rungs[0]
+    for (k, j), limit in zip(targets, _limits(limits)):
+        cells[k][j] = limit
     return cells
 
 
 def _stress_points(points):
-    """`_stress_cells` at z = 0, raising the first error, in point and then beta order.
+    """`_stress_cells`, raising the first error, in point and then beta order.
 
     The per-point calls would meet that error first, so an oracle that
-    batches its points fails as its point-by-point loop would.
+    batches its points fails as its point-by-point loop would.  A t -> 0
+    cell gives its components only.
     """
-    out = _stress_cells(points, 0.0)
+    out = _stress_cells(points)
     for cell in chain.from_iterable(out):
         if isinstance(cell, Exception):
             raise cell
-    return out
+    return [cells if point[5] is not None else [limit[0] for limit in cells]
+            for point, cells in zip(points, out)]
 
 
 def conservation_residual(geometry: Geometry, r: float, beta: float = 0.0) -> float:
@@ -748,7 +701,7 @@ def conservation_residual(geometry: Geometry, r: float, beta: float = 0.0) -> fl
         )
     h = 0.01 * r
     (mid,), (hi,), (lo,) = _stress_points(
-        [(geometry, RenormMode.KERNEL_SUBTRACTION, x, 0.0, None, (beta,))
+        [(geometry, RenormMode.KERNEL_SUBTRACTION, x, 0.0, 0.0, None, (beta,))
          for x in (r, r + h, r - h)])
     d_trr = (hi[1] - lo[1]) / (2.0 * h)
     resid = d_trr + (mid[1] - mid[2]) / r

@@ -11,7 +11,7 @@ nothing, and exits nonzero on any mismatch; ``--workers N`` computes
 with N worker processes, whose output must be the same bytes.  Each
 grid's line also gives its wall time and the peak resident set so far
 (``ru_maxrss``) of this process and of its finished worker processes,
-the memory that the figure planner's pass size bounds.
+the memory that the CLI's chunk of ``cli._PASS_POINTS`` points bounds.
 Regenerate the file only in a change that means to alter the numbers,
 and say so in that change.  Run from the repository root:
 

@@ -531,13 +531,13 @@ def _figure_specs(points):
             for fid, specs in cli._FIGURES.items()}
 
 
-def _pass_count(specs):
-    """The number of `stress_grid` passes of a call, by the planning rule.
+def _plan(specs):
+    """The kernel kind of each distinct point of a call, in the order the files draw them.
 
-    Curves of one kernel kind (type, and a wedge's wall condition), z and
-    cutoff share passes of up to `cli._PASS_POINTS` distinct points.
+    A point is its geometry and the bits of its r, theta, z and cutoff;
+    a kind is a geometry's type, and a wedge's wall condition.
     """
-    groups = {}
+    kinds = {}
     for spec in specs:
         xs = cli._grid(spec.lo, spec.hi, spec.points, spec.log)
         for series in spec.series:
@@ -548,10 +548,33 @@ def _pass_count(specs):
                     point = (series.geometry, x, series.fixed_theta)
                 else:
                     point = (series.geometry, series.fixed_r, x)
-                group = (type(point[0]), getattr(point[0], "bc", None), series.fixed_z,
-                         spec.cutoff_t)
-                groups.setdefault(group, set()).add(repr(point))
-    return sum(-(-len(points) // cli._PASS_POINTS) for points in groups.values())
+                key = (point[0], *(float(v).hex() for v in
+                                   (*point[1:], series.fixed_z, spec.cutoff_t)))
+                kinds.setdefault(key, (type(point[0]), getattr(point[0], "bc", None)))
+    return list(kinds.values())
+
+
+def _pass_count(specs):
+    """The number of kernel passes of a call, by the planning rule.
+
+    The distinct points go to `_stress_cells` in consecutive calls of
+    `cli._PASS_POINTS`, which make one pass per kernel kind each.
+    """
+    kinds, n = _plan(specs), cli._PASS_POINTS
+    return sum(len(set(kinds[k:k + n])) for k in range(0, len(kinds), n))
+
+
+def _counting_kernel_passes(monkeypatch):
+    """Count `stress.kernel_expr` calls, one per kernel pass, into the list returned."""
+    calls = []
+    real = conevac.stress.kernel_expr
+
+    def counted(geometries):
+        calls.append(len(geometries))
+        return real(geometries)
+
+    monkeypatch.setattr(conevac.stress, "kernel_expr", counted)
+    return calls
 
 
 class TestBatchedGrid:
@@ -594,6 +617,9 @@ class TestBatchedGrid:
               "--lo", "0.5", "--hi", "4", "--log"),
         "r_correction": ("--geometry", "dowker", "--sweep", "r", "--lo", "0.5",
                          "--hi", "4", "--correction"),
+        # z is a batch column of the pass, as r and theta are
+        "wedge_r_z": ("--geometry", "wedge", "--theta0", str(PI / 2), "--sweep", "r",
+                      "--lo", "0.5", "--hi", "4", "--log", "--theta", "0.4", "--z", "0.7"),
         # the grid touches both walls, and its neighbours graze them
         "theta_walls": ("--geometry", "wedge", "--theta0", str(PI / 2), "--sweep",
                         "theta", "--lo", "0", "--hi", str(PI / 2), "--r", "8"),
@@ -641,17 +667,10 @@ class TestBatchedGrid:
             assert want_err
 
     def test_one_kernel_pass_per_curve(self, tmp_path, monkeypatch):
-        # counted as `stress_grid` passes, each over every curve of one kernel
-        # kind; a pass evaluates its kernel in blocks of up to
-        # `stress._GRID_POINTS` points (see TestStressGrid)
-        calls = []
-        real = cli.stress_grid
-
-        def counted(points, z, t):
-            calls.append(len(points))
-            return real(points, z, t)
-
-        monkeypatch.setattr(cli, "stress_grid", counted)
+        # counted as `stress.kernel_expr` calls, each a pass over the points
+        # of one kernel kind in one `_stress_cells` call of up to
+        # `cli._PASS_POINTS` points (see TestStressGrid)
+        calls = _counting_kernel_passes(monkeypatch)
         specs = _figure_specs(20)
         # one id per call, as the benchmark runs them, then every id at once
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -662,9 +681,13 @@ class TestBatchedGrid:
             per_id = len(calls)
             assert main(["figure", *specs, "--points", "20",
                          "--outdir", str(tmp_path)]) == 0
-        assert per_id == sum(_pass_count(s) for s in specs.values()) == 16
+        # two passes for the ids of more than 64 distinct points
+        twice = {"fig2b", "fig3", "fig3b", "fig5", "fig5b"}
+        assert {fid: _pass_count(s) for fid, s in specs.items()} == {
+            fid: 2 if fid in twice else 1 for fid in specs}
+        assert per_id == sum(_pass_count(s) for s in specs.values()) == 21
         every = [spec for file_specs in specs.values() for spec in file_specs]
-        assert len(calls) - per_id == _pass_count(every)
+        assert len(calls) - per_id == _pass_count(every) <= 15
 
     @pytest.mark.parametrize("argv, passes", [
         (("fig4",), 1), (("fig5",), 1), (("fig6",), 1), (("fig7",), 1),
@@ -673,12 +696,7 @@ class TestBatchedGrid:
         (("fig5", "--workers", "2", "--points", "7"), 2),
     ], ids=["fig4", "fig5", "fig6", "fig7", "coneang1", "fig5-workers"])
     def test_passes_per_figure_id(self, tmp_path, monkeypatch, argv, passes):
-        calls = []
-        real = cli.stress_grid
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+        calls = _counting_kernel_passes(monkeypatch)
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -693,7 +711,6 @@ class TestBatchedGrid:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "stress_grid", counted)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         if "--points" not in argv:
             argv = (*argv, "--points", "6")
@@ -702,23 +719,22 @@ class TestBatchedGrid:
             assert main(["figure", *argv, "--outdir", str(tmp_path)]) == 0
         assert len(calls) == passes
 
-
     def test_no_pass_exceeds_the_cap(self, monkeypatch):
-        # every figure id at 200 points, planned through a stand-in for the grid
+        # every figure id at 200 points, planned through a stand-in for the planner
         sizes = []
 
-        def planned(points, z, t):
-            sizes.append(len(points))
+        def planned(entries):
+            sizes.append(len(entries))
             skipped = DomainError("not computed")
-            return [([skipped] * len(betas), [skipped] * len(betas))
-                    for *_, betas in points]
+            return [[skipped] * len(betas) for *_, betas in entries]
 
-        monkeypatch.setattr(cli, "stress_grid", planned)
+        monkeypatch.setattr(cli, "_stress_cells", planned)
         specs = [spec for file_specs in _figure_specs(200).values() for spec in file_specs]
         for _ in cli._compute(specs, 1):
             pass
-        assert len(sizes) == _pass_count(specs)
-        assert max(sizes) == cli._PASS_POINTS
+        # a finite cutoff and a t -> 0 entry per point
+        assert len(sizes) == -(-len(_plan(specs)) // cli._PASS_POINTS)
+        assert max(sizes) == 2 * cli._PASS_POINTS
 
 
 class TestWorkers:

@@ -8,6 +8,7 @@ ratio 0.97, and the worst relative deviation was 7.4e-6 (near the wedge wall).
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conevac import (
     Coupling,
     DomainError,
     Dowker,
+    ExtrapolatedStress,
     Minkowski,
     PointPair,
     RenormMode,
@@ -33,19 +35,18 @@ from conevac import (
     trace,
     zero_point_stress,
 )
-from conevac import jets, kernels, stress
+from conevac import cli, jets, kernels, stress
 from conevac.kernels import minkowski_expr
 from conevac.stress import (
     COMPONENT_NAMES,
     _assemble,
     _derivatives,
-    _kernel_for,
     _ladders,
     _noise,
     _richardson,
     _rungs,
+    _stress_cells,
     _stress_points,
-    stress_grid,
 )
 
 CONFORMAL_BETA = Coupling.conformal().beta
@@ -65,9 +66,24 @@ NONCONVERGENT = {
 }
 
 
+def _cells(points, z, t):
+    """`_stress_cells` at cutoff ``t`` and at t -> 0 of (geometry, r, theta, betas) points.
+
+    Two entries per point, as the CLI makes them; returns per point its
+    (finite, limit) cells, each a list over its betas, and raises the
+    first plain ValueError (a point that is not valid), as the CLI does.
+    """
+    cells = _stress_cells([(geometry, RenormMode.KERNEL_SUBTRACTION, r, theta, z, cutoff, betas)
+                           for geometry, r, theta, betas in points for cutoff in (t, None)])
+    for cell in chain.from_iterable(cells):
+        if type(cell) is ValueError:
+            raise cell
+    return list(zip(cells[::2], cells[1::2]))
+
+
 def _grid(geometry, points, z, betas, t):
-    """`stress_grid` over (r, theta) points of one geometry, each at every beta."""
-    return stress_grid([(geometry, r, theta, betas) for r, theta in points], z, t)
+    """`_cells` over (r, theta) points of one geometry, each at every beta."""
+    return _cells([(geometry, r, theta, betas) for r, theta in points], z, t)
 
 
 def _case_target(reference, name):
@@ -298,13 +314,18 @@ class TestValidation:
     def test_stress_needs_positive_cutoff(self):
         with pytest.raises(DomainError):
             stress_at(Cone(2.2), 1.0, t=0.0)
+        # the planner reads t = None as the t -> 0 limit; a cutoff must be a number
+        for call in (lambda: stress_at(Cone(2.2), 1.0, t=None),
+                     lambda: stress_from_kernel(minkowski_expr, 1.0, t=None)):
+            with pytest.raises(TypeError, match="must be real number, not NoneType"):
+                call()
 
     @pytest.mark.parametrize("r", [-1.0, 0.0, math.inf, math.nan])
     def test_bad_radius_is_rejected_alike_everywhere(self, r):
         calls = {
             "stress_at": lambda: stress_at(Cone(2.2), r, t=0.5),
             "stress_t0": lambda: stress_t0(Cone(2.2), r),
-            "stress_grid": lambda: _grid(Cone(2.2), [(r, 0.0)], 0.0, (0.0,), 0.5),
+            "_stress_cells": lambda: _grid(Cone(2.2), [(r, 0.0)], 0.0, (0.0,), 0.5),
         }
         messages = set()
         for call in calls.values():
@@ -413,8 +434,8 @@ LADDERS = {
 
 def _ladder(geometry, r, theta, beta, ts):
     """Kernel-subtracted stress tensors on one cutoff ladder, from one engine pass."""
-    expr, mode = _kernel_for(geometry, RenormMode.KERNEL_SUBTRACTION)
-    ((rungs,),) = _ladders(lambda _: (expr, mode), 0.0, [(geometry, r, theta, ts, (beta,))])
+    ((rungs,),) = _ladders(RenormMode.KERNEL_SUBTRACTION,
+                           [(geometry, r, theta, 0.0, ts, (beta,))])
     return [StressTensor(*comps, renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=t)
             for t, comps in zip(ts, rungs)]
 
@@ -495,12 +516,21 @@ class TestBatchedLadder:
 
 
 def _hexes(cell):
-    """float.hex of each component of a grid cell's tuple or of a tensor."""
+    """float.hex of each value of a cell or of what a public function returns.
+
+    A cell is a component tuple, or a t -> 0 cell's (components, errors)
+    tuples; a tensor gives its components, an extrapolated stress its
+    components and then its errors.
+    """
+    if isinstance(cell, ExtrapolatedStress):
+        return _hexes(cell.stress) + [v.hex() for v in cell.error.values()]
+    if type(cell) is tuple and type(cell[0]) is tuple:
+        return [v.hex() for part in cell for v in part]
     return [v.hex() for v in (cell if type(cell) is tuple else cell.components().values())]
 
 
 def _same(got, want):
-    """A grid cell equal to a tensor or cell by float.hex, or errors of one type and message."""
+    """A cell equal to a public result or cell by float.hex, or errors of one type and message."""
     if isinstance(want, Exception):
         return (type(got) is type(want) and str(got) == str(want)
                 and "np.float64(" not in str(got))
@@ -508,7 +538,7 @@ def _same(got, want):
 
 
 class TestStressGrid:
-    """Each grid entry is bit for bit the per-point `stress_at` / `stress_t0`."""
+    """Each cell of a grid's `_stress_cells` call is bit for bit `stress_at` / `stress_t0`."""
 
     @staticmethod
     def per_point(geometry, r, theta, beta, t):
@@ -517,7 +547,7 @@ class TestStressGrid:
         except DomainError as exc:
             finite = exc
         try:
-            limit = stress_t0(geometry, r, theta, beta=beta).stress
+            limit = stress_t0(geometry, r, theta, beta=beta)
         except (DomainError, ConvergenceError) as exc:
             limit = exc
         return finite, limit
@@ -556,7 +586,7 @@ class TestStressGrid:
 
     def test_cells_are_float_tuples_built_without_tensors(self, monkeypatch):
         def refused(*args, **kwargs):
-            raise AssertionError("stress_grid built a result object")
+            raise AssertionError("_stress_cells built a result object")
 
         monkeypatch.setattr("conevac.stress.StressTensor", refused)
         monkeypatch.setattr("conevac.stress.ExtrapolatedStress", refused)
@@ -567,9 +597,11 @@ class TestStressGrid:
         finite, limit = ([cell for pair in grid for cell in pair[k]
                           if not isinstance(cell, Exception)] for k in (0, 1))
         assert finite and limit
-        for cell in finite + limit:
+        # a limit is its components and their errors
+        for cell in finite + [part for pair in limit for part in pair]:
             assert type(cell) is tuple and len(cell) == 4
             assert all(type(v) is float for v in cell)
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in limit)
 
     def test_convergence_message_is_pinned(self):
         # the values are Python floats, so no numpy repr leaks into the text
@@ -609,8 +641,15 @@ class TestStressGrid:
         assert calls == [3 * 7]
 
     def test_a_grid_over_the_batch_size_runs_in_batches(self, monkeypatch):
-        points = [(r, 0.0) for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
-        whole = _grid(Cone(2.2), points, 0.0, (0.0, 1.0), 0.5)
+        # the CLI's grid, whose points go to `_stress_cells` in calls of
+        # `cli._PASS_POINTS`; its two curves share each point, over both
+        # couplings, and its rows hold every component of every cell
+        spec = cli._FileSpec("grid.csv", "r", 0.5, 8.0, True,
+                             series=(cli._Series("b0", Cone(2.2), 0.0),
+                                     cli._Series("b1", Cone(2.2), 1.0)),
+                             cutoff_t=0.5)
+        points = [[0.5, 1.0, 2.0, 4.0, 8.0]]
+        whole = list(cli._file_rows([spec], points))
         calls = []
         real = kernel_expr
 
@@ -630,14 +669,16 @@ class TestStressGrid:
 
         monkeypatch.setattr("conevac.stress.kernel_expr", counting)
         monkeypatch.setattr("conevac.stress._richardson", counted_richardson)
-        monkeypatch.setattr("conevac.stress._GRID_POINTS", 2)
-        batched = _grid(Cone(2.2), points, 0.0, (0.0, 1.0), 0.5)
+        monkeypatch.setattr("conevac.cli._PASS_POINTS", 2)
+        batched = list(cli._file_rows([spec], points))
         # blocks of 2, 2 and 1 points, each one kernel pass and one tableau
         # of 4 component rows per ladder and coupling
         assert calls == [14, 14, 7]
         assert tableaux == [2 * 2 * 4, 2 * 2 * 4, 2 * 4]
-        for got, want in zip(batched, whole):
-            assert all(_same(g, w) for g, w in zip(got[0] + got[1], want[0] + want[1]))
+        ((rows, notes),), ((want_rows, want_notes),) = batched, whole
+        assert len(rows) == 5 and len(rows[0]) == 1 + 2 * 2 * 4 and notes == want_notes
+        assert ([[v.hex() for v in row] for row in rows]
+                == [[v.hex() for v in row] for row in want_rows])
 
     # numpy warns about the infinities on the way to the exception
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -719,11 +760,11 @@ def _merged_points(draw, geometries, positions):
 
 def _check_merged_pass(points, t):
     """One pass over ``points`` equals one pass per geometry and the per-point functions."""
-    merged = stress_grid(points, 0.0, t)
+    merged = _cells(points, 0.0, t)
     alone = {}
     for geometry in {p[0] for p in points}:
         mine = [k for k, p in enumerate(points) if p[0] == geometry]
-        alone.update(zip(mine, stress_grid([points[k] for k in mine], 0.0, t)))
+        alone.update(zip(mine, _cells([points[k] for k in mine], 0.0, t)))
     for k, (geometry, r, theta, betas) in enumerate(points):
         for b, beta in enumerate(betas):
             want = TestStressGrid.per_point(geometry, r, theta, beta, t)
@@ -732,14 +773,14 @@ def _check_merged_pass(points, t):
                 assert _same(cells[1][b], want[1]), (geometry, r, theta, beta)
 
 
-def _per_point(source, renorm, r, theta, t, beta):
+def _per_point(source, renorm, r, theta, z, t, beta):
     """What the public per-point call returns at one point and beta, or raises."""
     try:
         if t is None:
-            return stress_t0(source, r, theta, beta=beta).stress
+            return stress_t0(source, r, theta, z, beta=beta).stress
         if callable(source):
-            return stress_from_kernel(source, r, theta, beta=beta, t=t, renorm_mode=renorm)
-        return stress_at(source, r, theta, beta=beta, t=t, renorm=renorm)
+            return stress_from_kernel(source, r, theta, z, beta=beta, t=t, renorm_mode=renorm)
+        return stress_at(source, r, theta, z, beta=beta, t=t, renorm=renorm)
     except (ValueError, ConvergenceError) as exc:
         return exc
 
@@ -752,28 +793,33 @@ class TestStressPoints:
     """`_stress_points` is bit for bit the per-point calls, in one pass per kind and mode."""
 
     POINTS = [
-        (Cone(2.2), KERNEL, 1.0, 0.0, 0.5, (0.0, 1.0, 0.3)),
-        (Cone(0.9 * math.pi), COMPONENT, 1.5, 0.2, 0.4, (0.0, -0.2)),
-        (Dowker(), RAW, 0.8, 0.0, 0.3, (0.1,)),
-        (Wedge(math.pi / 2), KERNEL, 2.0, 0.7, 0.5, (0.0, 1.0)),
-        (Wedge(math.pi / 2), RAW, 2.0, 0.7, 0.5, (0.0,)),
-        (Minkowski(), COMPONENT, 1.3, 0.0, 0.6, (0.5,)),
-        (minkowski_expr, RAW, 1.0, 0.3, 0.5, (0.2,)),
-        (Cone(2.2), KERNEL, 3.0, 0.0, 1e-3, (0.0,)),
-        (Wedge(2.0 * math.pi / 3, BoundaryCondition.NEUMANN), KERNEL, 3.0, 0.4, None,
+        (Cone(2.2), KERNEL, 1.0, 0.0, 0.0, 0.5, (0.0, 1.0, 0.3)),
+        (Cone(0.9 * math.pi), COMPONENT, 1.5, 0.2, 0.0, 0.4, (0.0, -0.2)),
+        (Dowker(), RAW, 0.8, 0.0, 0.0, 0.3, (0.1,)),
+        (Wedge(math.pi / 2), KERNEL, 2.0, 0.7, 0.0, 0.5, (0.0, 1.0)),
+        (Wedge(math.pi / 2), RAW, 2.0, 0.7, 0.0, 0.5, (0.0,)),
+        (Minkowski(), COMPONENT, 1.3, 0.0, 0.0, 0.6, (0.5,)),
+        (minkowski_expr, RAW, 1.0, 0.3, 0.0, 0.5, (0.2,)),
+        (Cone(2.2), KERNEL, 3.0, 0.0, 0.0, 1e-3, (0.0,)),
+        (Wedge(2.0 * math.pi / 3, BoundaryCondition.NEUMANN), KERNEL, 3.0, 0.4, 0.0, None,
          (0.0, CONFORMAL_BETA)),
-        (Cone(math.pi), KERNEL, 1.0, 0.0, None, (0.0, CONFORMAL_BETA)),
-        (Cone(4.0 * math.pi), KERNEL, 1.0, 0.0, None, (CONFORMAL_BETA,)),
-        (Dowker(), KERNEL, 2.0, 0.0, None, (0.0,)),
+        (Cone(math.pi), KERNEL, 1.0, 0.0, 0.0, None, (0.0, CONFORMAL_BETA)),
+        (Cone(4.0 * math.pi), KERNEL, 1.0, 0.0, 0.0, None, (CONFORMAL_BETA,)),
+        (Dowker(), KERNEL, 2.0, 0.0, 0.0, None, (0.0,)),
+        # z is a batch column like r and theta, and a second cutoff shares the pass
+        (Cone(2.2), KERNEL, 1.0, 0.0, 0.7, 0.5, (0.0, 1.0, 0.3)),
+        (Wedge(math.pi / 2), KERNEL, 2.0, 0.7, 0.7, None, (0.0, CONFORMAL_BETA)),
+        (Dowker(), RAW, 0.8, 0.0, 0.0, 0.45, (0.1,)),
+        (minkowski_expr, RAW, 1.0, 0.3, 0.7, 0.35, (0.2,)),
     ]
 
     def test_points_equal_per_point_calls(self, monkeypatch):
         passes, limits = [], []
         real_ladders, real_limits = stress._ladders, stress._limits
 
-        def counting_ladders(kernel_for, z, ladders):
+        def counting_ladders(renorm, ladders):
             passes.append(len(ladders))
-            return real_ladders(kernel_for, z, ladders)
+            return real_ladders(renorm, ladders)
 
         def counting_limits(ladders):
             limits.append(len(ladders))
@@ -785,22 +831,22 @@ class TestStressPoints:
         monkeypatch.undo()
         # cones kernel / component, sheet raw / kernel, Dirichlet wedge
         # kernel / raw, Neumann wedge, flat component, one expression
-        assert sorted(passes) == [1] * 8 + [4]
-        assert limits == [6]
+        assert sorted(passes) == [1] * 5 + [2] * 3 + [5]
+        assert limits == [8]
         for point, cells in zip(self.POINTS, got):
-            source, renorm, r, theta, t, betas = point
+            source, renorm, r, theta, z, t, betas = point
             assert len(cells) == len(betas)
             for cell, beta in zip(cells, betas):
                 assert type(cell) is tuple and all(type(v) is float for v in cell)
-                assert _hexes(cell) == _hexes(_per_point(source, renorm, r, theta, t, beta))
+                assert _hexes(cell) == _hexes(_per_point(source, renorm, r, theta, z, t, beta))
 
     FAILING = [
-        (Cone(2.0 * math.pi), KERNEL, 0.707, 0.0, None, (0.0,)),  # ConvergenceError
-        (Cone(2.0), KERNEL, 4.6e77 * 1.01, 0.0, None, (0.0,)),  # t**4 overflows
-        (Cone(2.0), KERNEL, -1.0, 0.0, None, (0.0,)),  # not a valid radius
-        (Wedge(math.pi / 2), KERNEL, 1.0, 0.0, 0.5, (0.0,)),  # on the wall
-        (Wedge(math.pi / 2), COMPONENT, 1.0, 0.7, 0.5, (0.0,)),  # no component mode
-        (Cone(2.0), KERNEL, 1.0, math.nan, 0.5, (0.0,)),  # not a valid angle
+        (Cone(2.0 * math.pi), KERNEL, 0.707, 0.0, 0.0, None, (0.0,)),  # ConvergenceError
+        (Cone(2.0), KERNEL, 4.6e77 * 1.01, 0.0, 0.0, None, (0.0,)),  # t**4 overflows
+        (Cone(2.0), KERNEL, -1.0, 0.0, 0.0, None, (0.0,)),  # not a valid radius
+        (Wedge(math.pi / 2), KERNEL, 1.0, 0.0, 0.0, 0.5, (0.0,)),  # on the wall
+        (Wedge(math.pi / 2), COMPONENT, 1.0, 0.7, 0.0, 0.5, (0.0,)),  # no component mode
+        (Cone(2.0), KERNEL, 1.0, math.nan, 0.0, 0.5, (0.0,)),  # not a valid angle
     ]
 
     @pytest.mark.parametrize("order", [(0, 1, 2, 3, 4, 5), (1, 0, 2, 3, 5, 4),
@@ -809,8 +855,9 @@ class TestStressPoints:
     # numpy warns about the infinities on the way to the overflow
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_first_error_in_call_order_is_raised(self, order):
-        points = [(Cone(2.2), KERNEL, 1.0, 0.0, 0.5, (0.0,))] + [self.FAILING[k] for k in order]
-        want = _per_point(*self.FAILING[order[0]][:5], 0.0)
+        points = ([(Cone(2.2), KERNEL, 1.0, 0.0, 0.0, 0.5, (0.0,))]
+                  + [self.FAILING[k] for k in order])
+        want = _per_point(*self.FAILING[order[0]][:6], 0.0)
         assert isinstance(want, Exception)
         with pytest.raises(type(want)) as info:
             _stress_points(points)
@@ -819,7 +866,7 @@ class TestStressPoints:
     @pytest.mark.parametrize("renorm", [COMPONENT, RAW])
     def test_t0_points_take_kernel_subtraction_only(self, renorm):
         # stress_t0 has no renorm mode: another one is refused, in call order
-        point = (Cone(2.2), renorm, 1.0, 0.0, None, (0.0,))
+        point = (Cone(2.2), renorm, 1.0, 0.0, 0.0, None, (0.0,))
         with pytest.raises(ValueError, match="kernel-subtracted") as info:
             _stress_points([point])
         assert type(info.value) is ValueError
@@ -831,10 +878,50 @@ class TestStressPoints:
         # one meets the ladder's own underflow
         wedge, r, theta = Wedge(math.pi / 2), 1e-300, 5e-4
         for betas in [(0.0, CONFORMAL_BETA), (CONFORMAL_BETA, 0.0)]:
-            want = _per_point(wedge, KERNEL, r, theta, None, betas[0])
+            want = _per_point(wedge, KERNEL, r, theta, 0.0, None, betas[0])
             with pytest.raises(DomainError) as info:
-                _stress_points([(wedge, KERNEL, r, theta, None, betas)])
+                _stress_points([(wedge, KERNEL, r, theta, 0.0, None, betas)])
             assert str(info.value) == str(want)
+
+    def test_z_is_checked_per_entry(self):
+        # a z that is not finite fails its own entries only, as per point
+        entries = [(Cone(2.2), KERNEL, 1.0, 0.0, z, t, (0.0,))
+                   for z in (0.7, math.inf, -3.0, math.nan) for t in (0.5, None)]
+        for entry, (cell,) in zip(entries, _stress_cells(entries)):
+            source, renorm, r, theta, z, t, (beta,) = entry
+            want = _per_point(source, renorm, r, theta, z, t, beta)
+            if t is None and not isinstance(cell, Exception):
+                cell = cell[0]
+            assert _same(cell, want)
+            assert (type(want) is ValueError and "z must be finite" in str(want)) is (
+                not math.isfinite(z))
+
+    @pytest.mark.parametrize("call, entry", [
+        (lambda: stress_at(Cone(2.2), 1.0, 0.0, 0.7, beta=0.3, t=0.5, renorm=COMPONENT),
+         (Cone(2.2), COMPONENT, 1.0, 0.0, 0.7, 0.5, (0.3,))),
+        (lambda: stress_from_kernel(minkowski_expr, 1.0, 0.3, t=0.5, renorm_mode=RAW),
+         (minkowski_expr, RAW, 1.0, 0.3, 0.0, 0.5, (0.0,))),
+        (lambda: stress_t0(Wedge(math.pi / 2), 2.0, 0.7, 0.7, beta=CONFORMAL_BETA),
+         (Wedge(math.pi / 2), KERNEL, 2.0, 0.7, 0.7, None, (CONFORMAL_BETA,))),
+        (lambda: stress_at(Wedge(math.pi / 2), 1.0, 0.0, t=0.5),
+         (Wedge(math.pi / 2), KERNEL, 1.0, 0.0, 0.0, 0.5, (0.0,))),
+    ], ids=["stress_at", "stress_from_kernel", "stress_t0", "error"])
+    def test_public_functions_are_one_entry_calls(self, monkeypatch, call, entry):
+        calls = []
+        real = stress._stress_cells
+
+        def recorded(entries):
+            calls.append(entries)
+            return real(entries)
+
+        monkeypatch.setattr(stress, "_stress_cells", recorded)
+        try:
+            result = call()
+        except DomainError as exc:
+            result = exc
+        assert calls == [[entry]]
+        ((cell,),) = real([entry])
+        assert _same(cell, result)
 
 
 class TestMergedPasses:
@@ -859,9 +946,15 @@ class TestMergedPasses:
         _check_merged_pass(points, 0.5)
 
     def test_a_pass_holds_one_kernel_kind(self):
+        ladders = [(Wedge(1.0), 2.0, 0.5, 0.0, [1.0], (0.0,)),
+                   (Wedge(2.0, BoundaryCondition.NEUMANN), 2.0, 0.5, 0.0, [1.0], (0.0,))]
         with pytest.raises(ValueError, match="one kernel kind"):
-            stress_grid([(Wedge(1.0), 2.0, 0.5, (0.0,)),
-                         (Wedge(2.0, BoundaryCondition.NEUMANN), 2.0, 0.5, (0.0,))], 0.0, 1.0)
+            _ladders(KERNEL, ladders)
+        # the planner gives each kind its own pass
+        points = [(g, r, theta, betas) for g, r, theta, _, _, betas in ladders]
+        for (geometry, r, theta, betas), (finite, limit) in zip(points, _cells(points, 0.0, 1.0)):
+            want = TestStressGrid.per_point(geometry, r, theta, betas[0], 1.0)
+            assert _same(finite[0], want[0]) and _same(limit[0], want[1])
 
 
 def _richardson_even(values, noise):
