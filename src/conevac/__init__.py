@@ -5,6 +5,8 @@ for flat space, cones of arbitrary total angle, wedges with reflecting
 walls, the infinite-sheeted covering of the punctured plane, and a
 periodically identified line, with independent cross checks (image
 sums, mode sums, dimensional reduction) wired into an oracle suite.
+The production tier (`geometry`, `jets`, `kernels`, `stress`) computes;
+the check tier (`checks`, the independent numerics, and `oracles`) checks.
 """
 
 from .errors import (
@@ -26,21 +28,21 @@ from .geometry import (
     Wedge,
     u_of_pair,
 )
-from .kernels import (
+from .checks import (
     CartesianSeparation,
     ImageSum,
-    QuadratureControls,
-    kernel_expr,
-    mode_integral,
     tbar_3d,
     tbar_3d_theta_average,
-    tbar_cone,
     tbar_cone_via_images,
-    tbar_dowker,
-    tbar_minkowski,
     tbar_modesum_4d,
     tbar_periodic_line,
     tbar_periodic_line_closed,
+)
+from .kernels import (
+    kernel_expr,
+    tbar_cone,
+    tbar_dowker,
+    tbar_minkowski,
     tbar_wedge_renormalized,
 )
 from .oracles import OracleReport, run_oracle_suite
@@ -74,7 +76,6 @@ __all__ = [
     "OracleReport",
     "PeriodicLine",
     "PointPair",
-    "QuadratureControls",
     "RenormMode",
     "SingularPointError",
     "StressTensor",
@@ -83,7 +84,6 @@ __all__ = [
     "__version__",
     "conservation_residual",
     "kernel_expr",
-    "mode_integral",
     "run_oracle_suite",
     "stress_at",
     "stress_from_kernel",

@@ -547,8 +547,8 @@ def _add_geometry_args(sub):
                      help="total cone angle (cone only)")
     sub.add_argument("--theta0", type=float, default=None,
                      help="wedge opening angle (wedge only)")
-    sub.add_argument("--bc", choices=["dirichlet", "neumann"],
-                     default="dirichlet", help="wedge wall condition")
+    sub.add_argument("--bc", choices=["dirichlet", "neumann"], default=None,
+                     help="wedge wall condition (wedge only; default dirichlet)")
 
 
 def _add_coupling_args(sub):
@@ -560,6 +560,14 @@ def _add_coupling_args(sub):
 
 
 def _geometry_from_args(args):
+    """The geometry the flags name; None for a theta1 sweep, whose grid sets the cones."""
+    for name, geometry in (("theta1", "cone"), ("theta0", "wedge"), ("bc", "wedge")):
+        if getattr(args, name) is not None and args.geometry != geometry:
+            raise ValueError(f"--{name} applies to --geometry {geometry} only")
+    if getattr(args, "sweep", None) == "theta1":  # eval has no --sweep
+        if args.geometry != "cone":
+            raise ValueError("a theta1 sweep needs --geometry cone")
+        return None
     if args.geometry == "minkowski":
         return Minkowski()
     if args.geometry == "cone":
@@ -570,7 +578,7 @@ def _geometry_from_args(args):
         return Dowker()
     if args.theta0 is None:
         raise ValueError("--theta0 is required for --geometry wedge")
-    return Wedge(args.theta0, BoundaryCondition(args.bc))
+    return Wedge(args.theta0, BoundaryCondition(args.bc or "dirichlet"))
 
 
 def _beta_from_args(args) -> float:
@@ -641,7 +649,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    geometry = None if args.sweep == "theta1" else _geometry_from_args(args)
+    geometry = _geometry_from_args(args)
     beta = _beta_from_args(args)
     if args.sweep != "r" and args.r is None:
         raise ValueError(f"--r is required for a {args.sweep} sweep")

@@ -8,12 +8,15 @@ invariances (scaling, coupling affinity, conservation, tracelessness)
 for the assembled stress.  Each check draws its own deterministic
 random points and reports the worst relative error it saw.
 
+With `checks`, whose independent numerics it uses, this is the check
+tier; the production tier (`kernels`, `jets`, `stress`) never imports it.
+
 An oracle evaluates its points in one batch wherever that keeps every
 bit of the per-point calls: all its draws come first, in the order
 the per-point loop made them, then the stresses go through
 `stress._stress_points` (one jet pass per kernel kind and renorm
 mode, one t -> 0 tableau), the 3D average's offsets through one
-quadrature (`kernels._tbar_3d_many`), and each image sum is one numpy
+quadrature (`checks._tbar_3d_many`), and each image sum is one numpy
 expression.  The mode sum stays point by point: its Bessel recurrence
 starts at an order set by the largest argument in the call, so a
 batch would move its bits.
@@ -31,6 +34,17 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import jets, kernels
+from .checks import (
+    CartesianSeparation,
+    _tbar_3d_many,
+    integrate_gk21,
+    tbar_3d,
+    tbar_3d_theta_average,
+    tbar_cone_via_images,
+    tbar_modesum_4d,
+    tbar_periodic_line,
+    tbar_periodic_line_closed,
+)
 from .geometry import (
     BoundaryCondition,
     Cone,
@@ -42,17 +56,11 @@ from .geometry import (
     u_of_pair,
 )
 from .kernels import (
-    CartesianSeparation,
     _mink_term,
-    tbar_3d,
-    tbar_3d_theta_average,
+    kernel_expr,
     tbar_cone,
-    tbar_cone_via_images,
     tbar_dowker,
     tbar_minkowski,
-    tbar_modesum_4d,
-    tbar_periodic_line,
-    tbar_periodic_line_closed,
     tbar_wedge_renormalized,
 )
 from .stress import (
@@ -193,11 +201,11 @@ def _oracle_jet_fd(rng) -> OracleReport:
     tol = 1e-6
     cases = [
         kernels.minkowski_expr,
-        kernels.cone_expr(1.8 * math.pi),
-        kernels.cone_expr(0.6 * math.pi),
+        kernel_expr(Cone(1.8 * math.pi)),
+        kernel_expr(Cone(0.6 * math.pi)),
         kernels.dowker_expr,
-        kernels.wedge_renormalized_expr(0.5 * math.pi, -1),
-        kernels.wedge_renormalized_expr(0.7 * math.pi, +1),
+        kernel_expr(Wedge(0.5 * math.pi, BoundaryCondition.DIRICHLET)),
+        kernel_expr(Wedge(0.7 * math.pi, BoundaryCondition.NEUMANN)),
     ]
     worst = 0.0
     count = 0
@@ -411,14 +419,14 @@ def _oracle_threedim_reduction(rng) -> OracleReport:
         reduced = tbar_3d(t, r, rp, dth, theta1)
 
         # `tbar_cone`'s expression, called on floats without its validation
-        expr = kernels.cone_expr(theta1)
+        expr = kernel_expr(Cone(theta1))
 
         def f(dz, k, _t=t, _r=r, _rp=rp, _dth=dth, _expr=expr):
             return np.array([_expr(_t, _r, _rp, _dth, 0.0, z, 0.0)
                              for z in dz.ravel().tolist()]).reshape(dz.shape)
 
-        (z_integral,) = kernels.integrate_gk21(f, -np.inf, np.inf, epsabs=1e-12,
-                                               epsrel=1e-10, limit=400).tolist()
+        (z_integral,) = integrate_gk21(f, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-10,
+                                       limit=400).tolist()
         worst = max(worst, _rel(z_integral, reduced))
     return OracleReport("threedim_reduction", len(angles), worst, tol, worst <= tol)
 
@@ -433,7 +441,7 @@ def _oracle_threedim_average(rng) -> OracleReport:
         r = float(rng.uniform(0.9, 1.5))
         rp = float(rng.uniform(0.7, 1.2))
         nodes = [theta1 * (j + 0.5) / n_nodes for j in range(n_nodes)]
-        mean = math.fsum(kernels._tbar_3d_many(t, r, rp, nodes, theta1)) / n_nodes
+        mean = math.fsum(_tbar_3d_many(t, r, rp, nodes, theta1)) / n_nodes
         closed = tbar_3d_theta_average(t, r, rp, theta1)
         worst = max(worst, _rel(mean, closed))
     return OracleReport("threedim_average", len(cases), worst, tol, worst <= tol)

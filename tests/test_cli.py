@@ -320,6 +320,50 @@ class TestScan:
                        "leaves the range of double precision (t**4 overflows)\n")
 
 
+class TestGeometryFlags:
+    """A geometry flag of another geometry is a usage error, raised before any output."""
+
+    SCAN = ("scan", "--lo", "1", "--hi", "2", "--r", "1", "--points", "2")
+    EVAL = ("eval", "--r", "1")
+    CASES = {
+        "wedge-theta1-sweep": (SCAN + ("--geometry", "wedge", "--theta0", "1",
+                                       "--sweep", "theta1"),
+                               "a theta1 sweep needs --geometry cone"),
+        "minkowski-theta1-sweep": (SCAN + ("--geometry", "minkowski", "--sweep", "theta1"),
+                                   "a theta1 sweep needs --geometry cone"),
+        "eval-minkowski-theta1": (EVAL + ("--geometry", "minkowski", "--theta1", "3"),
+                                  "--theta1 applies to --geometry cone only"),
+        "scan-dowker-theta1": (SCAN + ("--geometry", "dowker", "--sweep", "r", "--theta1", "3"),
+                               "--theta1 applies to --geometry cone only"),
+        "eval-cone-theta0": (EVAL + ("--geometry", "cone", "--theta1", "2", "--theta0", "1"),
+                             "--theta0 applies to --geometry wedge only"),
+        "cone-theta1-sweep-theta0": (SCAN + ("--geometry", "cone", "--sweep", "theta1",
+                                             "--theta0", "1"),
+                                     "--theta0 applies to --geometry wedge only"),
+        "eval-cone-bc": (EVAL + ("--geometry", "cone", "--theta1", "2", "--bc", "neumann"),
+                         "--bc applies to --geometry wedge only"),
+        "scan-minkowski-bc": (SCAN + ("--geometry", "minkowski", "--sweep", "r",
+                                      "--bc", "dirichlet"),
+                              "--bc applies to --geometry wedge only"),
+    }
+
+    @pytest.mark.parametrize("argv, message", CASES.values(), ids=CASES.keys())
+    def test_exits_two_and_writes_nothing(self, capsys, tmp_path, argv, message):
+        if argv[0] == "scan":
+            argv += ("--out", str(tmp_path / "scan.csv"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_wedge_reads_no_bc_as_dirichlet(self, capsys):
+        argv = ("eval", "--geometry", "wedge", "--theta0", "1.5", "--r", "1", "--theta", "0.5")
+        outs = [run(capsys, *argv, *bc)[:2] for bc in ((), ("--bc", "dirichlet"))]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert json.loads(outs[0][1])["geometry"]["bc"] == "dirichlet"
+
+
 class TestParserCache:
     ARGVS = [
         ["eval", "--geometry", "cone", "--theta1", "3.0", "--r", "1.0",

@@ -39,8 +39,8 @@ def test_same_seed_is_deterministic():
 
 
 # cone_mode_sum's worst relative error per oracle seed.  The Bessel
-# functions are numpy (kernels._bessel_j, kernels._bessel_k) and the
-# panels are integrated by kernels.integrate_gk21, so the report keeps its
+# functions are numpy (checks._bessel_j, checks._bessel_k) and the
+# panels are integrated by checks.integrate_gk21, so the report keeps its
 # bits only while those do.
 CONE_MODE_SUM_MAX_REL = {
     0: 3.954434087409706e-11,
