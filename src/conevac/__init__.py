@@ -43,7 +43,7 @@ from .kernels import (
     tbar_cone,
     tbar_dowker,
     tbar_minkowski,
-    tbar_wedge_renormalized,
+    tbar_wedge,
 )
 from .oracles import OracleReport, run_oracle_suite
 from .stress import (
@@ -97,7 +97,7 @@ __all__ = [
     "tbar_modesum_4d",
     "tbar_periodic_line",
     "tbar_periodic_line_closed",
-    "tbar_wedge_renormalized",
+    "tbar_wedge",
     "trace",
     "u_of_pair",
     "zero_point_stress",

@@ -61,7 +61,7 @@ from .kernels import (
     tbar_cone,
     tbar_dowker,
     tbar_minkowski,
-    tbar_wedge_renormalized,
+    tbar_wedge,
 )
 from .oracles import (SUITE_VERSION, check_oracle_names, format_reports, oracle_names,
                       reports_to_json, run_oracle_suite)
@@ -633,7 +633,7 @@ def _cmd_eval(args) -> int:
             case Dowker():
                 result["tbar"] = tbar_dowker(pair)
             case Wedge(theta0=theta0, bc=bc):
-                result["tbar"] = tbar_wedge_renormalized(pair, theta0, bc)
+                result["tbar"] = tbar_wedge(pair, theta0, bc)
     elif what == "stress":
         s = stress_at(geometry, args.r, args.theta, args.z, beta=beta,
                       t=args.t, renorm=RenormMode(args.renorm))

@@ -57,15 +57,6 @@ class PointPair:
     def dtheta(self) -> float:
         return self.theta - self.thetap
 
-    def swapped(self) -> "PointPair":
-        """The same pair with primed and unprimed points exchanged."""
-        return replace(
-            self,
-            r=self.rp, rp=self.r,
-            theta=self.thetap, thetap=self.theta,
-            z=self.zp, zp=self.z,
-        )
-
     def scaled(self, factor: float) -> "PointPair":
         """Dilate every length by ``factor`` (angles are untouched)."""
         if factor <= 0:

@@ -206,9 +206,8 @@ def _dowker_term(t, r, rp, dth, z, zp):
 def _wedge_term(t, r, rp, theta, thetap, z, zp, theta0, sign):
     # The doubled cone's direct term and its reflected image share one
     # separation; the image sign leaves the direct term unmultiplied.
-    dth = theta - thetap
-    direct, image = _cone_terms(t, r, rp, z, zp, 2.0 * theta0, dth, theta + thetap)
-    return direct + sign * image - _mink_term(t, r, rp, dth, z, zp)
+    direct, image = _cone_terms(t, r, rp, z, zp, 2.0 * theta0, theta - thetap, theta + thetap)
+    return direct + sign * image
 
 
 def minkowski_expr(t, r, rp, theta, thetap, z, zp):
@@ -246,10 +245,10 @@ def kernel_kind(geometry):
 def kernel_expr(geometry):
     """Kernel expression f(t, r, rp, theta, thetap, z, zp) for a geometry.
 
-    For the wedge this is the renormalized kernel (reflection series
-    minus the flat part); for the other cylindrical geometries it is
-    the full kernel.  The periodically identified line is not a
-    cylindrical geometry and has no expression in these coordinates.
+    This is the full kernel, flat part included, for every cylindrical
+    geometry; renormalization subtracts `minkowski_expr` from it.  The
+    periodically identified line is not a cylindrical geometry and has
+    no expression in these coordinates.
 
     ``geometry`` may also be a list, the geometry of each element of a
     batch, all of one `kernel_kind`.  When they differ, the cone angle or
@@ -322,16 +321,15 @@ def tbar_dowker(pair: PointPair) -> float:
     return _evaluate(dowker_expr, pair, "coincident points with t = 0")
 
 
-def tbar_wedge_renormalized(
+def tbar_wedge(
     pair: PointPair,
     theta0: float,
     bc: BoundaryCondition = BoundaryCondition.DIRICHLET,
 ) -> float:
-    """Wedge kernel with the flat part removed.
+    """Cylinder kernel in the wedge of opening ``theta0``: the doubled cone plus its image.
 
     Both angles must lie in the closed interval [0, theta0]; boundary
-    values are allowed (for Dirichlet walls the full kernel, this plus
-    the flat kernel, vanishes there).
+    values are allowed (for Dirichlet walls the kernel vanishes there).
     """
     wedge = Wedge(theta0, bc)  # validate
     for name, ang in (("theta", pair.theta), ("thetap", pair.thetap)):

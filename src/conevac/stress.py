@@ -13,8 +13,7 @@ Renormalization is a choice of what to subtract:
 
   * KERNEL_SUBTRACTION removes the flat-space kernel from the
     expression before differentiating, so the divergent parts never
-    meet the assembly.  This is the default and the only mode defined
-    for the wedge, whose kernel is stored flat-part-free already.
+    meet the assembly.  This is the default.
   * COMPONENT_SUBTRACTION assembles the full kernel and subtracts the
     flat-space stress of the same cutoff componentwise.
   * RAW subtracts nothing.
@@ -186,10 +185,11 @@ def _rungs(kernel_fn, pairs, renorm_mode):
     ``pairs`` is a batch as `jets.lift` takes it: a list of point pairs,
     or a dict of coordinate columns.  The kernel expression is
     evaluated once, on the whole batch; the caller assembles each row at
-    the couplings it needs.  Every element is bit for bit what a batch
-    of one would give (see `jets`).  Near the axis the arrays meet
-    infinities on the way to the error `_ladders` reports; numpy is kept
-    quiet about them.
+    the couplings it needs.  Under KERNEL_SUBTRACTION the flat kernel is
+    taken off the full kernel here, for every geometry alike.  Every
+    element is bit for bit what a batch of one would give (see `jets`).
+    Near the axis the arrays meet infinities on the way to the error
+    `_ladders` reports; numpy is kept quiet about them.
     """
     coords = jets.lift(pairs)
     with np.errstate(all="ignore"):
@@ -213,13 +213,12 @@ def _ladders(renorm, ladders):
 
     The ladders' sources are one kernel expression, or geometries of one
     kernel kind whose angles become a batch column, as r, theta and z
-    are; `_kernel_for` gives the expression and subtraction mode of
-    ``renorm`` stress.  Returns, per ladder, one entry per beta of its
-    own: the component tuple of each of its cutoffs, or the ladder's own
-    error, without its traceback: a DomainError (a cutoff that is not
-    positive, or one `_pass` reports), or the ValueError a `PointPair`
-    raises for a point that is not valid.  The valid ladders go to
-    `_pass` together.
+    are.  Returns, per ladder, one entry per beta of its own: the
+    component tuple of each of its cutoffs, or the ladder's own error,
+    without its traceback: a DomainError (a cutoff that is not positive,
+    or one `_pass` reports), or the ValueError a `PointPair` raises for
+    a point that is not valid.  The valid ladders go to `_pass`
+    together.
     """
     out, live = [], []
     for k, (_, r, theta, z, ts, betas) in enumerate(ladders):
@@ -262,9 +261,9 @@ def _pass(renorm, ladders):
         source_col += [source] * n
     columns = {"t": ts_col, "r": r_col, "rp": r_col, "theta": theta_col,
                "thetap": theta_col, "z": z_col, "zp": z_col}
-    expr, mode = _kernel_for(source_col, renorm)
+    expr = source_col[0] if callable(source_col[0]) else kernel_expr(source_col)
     try:
-        rows = _rungs(expr, columns, mode)
+        rows = _rungs(expr, columns, renorm)
     except (DomainError, ArithmeticError) as exc:
         if len(ladders) > 1:
             half = len(ladders) // 2
@@ -280,7 +279,7 @@ def _pass(renorm, ladders):
         start += len(ts)
         try:
             # r * r or a cutoff's t**4 fails alike at every beta
-            per_beta = [_assemble(span, beta, mode) for beta in betas]
+            per_beta = [_assemble(span, beta, renorm) for beta in betas]
         except ArithmeticError as exc:
             out.append([DomainError(_OUT_OF_RANGE.format(r, type(exc).__name__))]
                        * len(betas))
@@ -331,34 +330,6 @@ def _check_interior(geometry: Geometry, theta: float) -> None:
         )
 
 
-def _kernel_for(sources, renorm: RenormMode):
-    """The kernel expression and subtraction mode that give ``renorm`` stress on a batch.
-
-    ``sources`` holds the source of each batch element: one kernel
-    expression throughout, taken as it is, or geometries of one kernel
-    kind (see `kernel_expr`).  The stored wedge kernel is flat-part-free:
-    kernel subtraction is the identity there, and RAW adds the flat
-    kernel back.
-    """
-    first = sources[0]
-    if callable(first):
-        return first, renorm
-    expr = kernel_expr(sources)
-    if not isinstance(first, Wedge):
-        return expr, renorm
-    if renorm is RenormMode.RAW:
-        return (lambda **coords: expr(**coords) + minkowski_expr(**coords)), RenormMode.RAW
-    return expr, RenormMode.RAW
-
-
-def _check_renorm(geometry: Geometry, renorm: RenormMode) -> None:
-    if isinstance(geometry, Wedge) and renorm is RenormMode.COMPONENT_SUBTRACTION:
-        raise DomainError(
-            "component subtraction is not defined for the wedge; "
-            "its kernel is stored with the flat part already removed"
-        )
-
-
 def stress_at(
     geometry: Geometry,
     r: float,
@@ -371,10 +342,7 @@ def stress_at(
 ) -> StressTensor:
     """Stress tensor at one point for a geometry, at finite cutoff t.
 
-    For the wedge the point must lie strictly between the walls, and
-    only KERNEL_SUBTRACTION and RAW are defined:
-    the stored wedge kernel is flat-part-free, so kernel subtraction
-    is the identity and RAW adds the flat kernel back.
+    For the wedge the point must lie strictly between the walls.
     """
     math.isfinite(t)  # a cutoff that is not a number (None marks t -> 0) raises here
     return StressTensor(*_one_cell(geometry, renorm, r, theta, z, t, beta),
@@ -635,7 +603,6 @@ def _stress_cells(entries):
             else:
                 if not expression:
                     _check_interior(source, theta)
-                    _check_renorm(source, renorm)
                 cell = [[t]] * len(betas)
         except ValueError as exc:
             cell = [exc.with_traceback(None)] * len(betas)

@@ -75,6 +75,41 @@ class TestEval:
         assert set(payload["error_estimate"]) == set(payload["stress"])
         assert all(e >= 0.0 for e in payload["error_estimate"].values())
 
+    def test_wedge_component_mode_matches_kernel_mode(self, capsys):
+        stresses = {}
+        for renorm in ("kernel", "component"):
+            code, out, _ = run(capsys, "eval", "--geometry", "wedge", "--theta0", str(PI / 2),
+                               "--r", "1", "--theta", "0.5", "--t", "0.4", "--renorm", renorm)
+            assert code == 0
+            stresses[renorm] = json.loads(out)["stress"]
+        for name, value in stresses["kernel"].items():
+            assert stresses["component"][name] == pytest.approx(value, rel=1e-10)
+
+    @staticmethod
+    def _right_wedge_kernel(capsys, theta, thetaprime):
+        code, out, _ = run(capsys, "eval", "--geometry", "wedge", "--theta0", str(PI / 2),
+                           "--what", "kernel", "--t", "0.3", "--r", "1", "--rprime", "1.4",
+                           "--theta", repr(theta), "--thetaprime", repr(thetaprime))
+        assert code == 0
+        return json.loads(out)["tbar"]
+
+    def test_dirichlet_wedge_kernel_vanishes_on_the_walls(self, capsys):
+        interior = abs(self._right_wedge_kernel(capsys, 0.5, 1.2))
+        for wall in (0.0, PI / 2):
+            assert abs(self._right_wedge_kernel(capsys, wall, 1.2)) <= 1e-12 * interior
+
+    def test_right_wedge_kernel_is_four_cartesian_images(self, capsys):
+        # the full kernel: direct source, two mirror images, one double mirror
+        t, th, thp = 0.3, 0.5, 1.2
+        x, y = math.cos(th), math.sin(th)
+        xp, yp = 1.4 * math.cos(thp), 1.4 * math.sin(thp)
+
+        def flat(xs, ys):
+            return -1.0 / (2.0 * PI ** 2 * (t * t + (x - xs) ** 2 + (y - ys) ** 2))
+
+        images = flat(xp, yp) - flat(xp, -yp) - flat(-xp, yp) + flat(-xp, -yp)
+        assert self._right_wedge_kernel(capsys, th, thp) == pytest.approx(images, rel=1e-12)
+
     def test_cone_needs_its_angle(self, capsys):
         code, _, err = run(capsys, "eval", "--geometry", "cone",
                            "--r", "1", "--t", "0.5")

@@ -32,7 +32,7 @@ from conevac import (
     tbar_modesum_4d,
     tbar_periodic_line,
     tbar_periodic_line_closed,
-    tbar_wedge_renormalized,
+    tbar_wedge,
     u_of_pair,
 )
 from conevac import checks, jets, kernels
@@ -142,17 +142,14 @@ class TestWedge:
     def test_dirichlet_full_kernel_vanishes_on_walls(self):
         for wall in (0.0, self.THETA0):
             pair = PointPair(t=0.3, r=1.0, rp=1.1, theta=wall, thetap=0.9)
-            full = tbar_wedge_renormalized(pair, self.THETA0) + tbar_minkowski(pair)
+            full = tbar_wedge(pair, self.THETA0)
             interior = PointPair(t=0.3, r=1.0, rp=1.1, theta=0.4, thetap=0.9)
-            scale = abs(tbar_wedge_renormalized(interior, self.THETA0)
-                        + tbar_minkowski(interior))
+            scale = abs(tbar_wedge(interior, self.THETA0))
             assert abs(full) <= 1e-12 * scale
 
     def test_neumann_full_kernel_does_not_vanish_on_walls(self):
         pair = PointPair(t=0.3, r=1.0, rp=1.1, theta=0.0, thetap=0.9)
-        full = (tbar_wedge_renormalized(pair, self.THETA0,
-                                        bc=BoundaryCondition.NEUMANN)
-                + tbar_minkowski(pair))
+        full = tbar_wedge(pair, self.THETA0, bc=BoundaryCondition.NEUMANN)
         assert abs(full) > 1e-3
 
     def test_right_wedge_equals_four_cartesian_images(self):
@@ -169,16 +166,16 @@ class TestWedge:
         images = (flat(xp, yp, +1) + flat(xp, -yp, -1)
                   + flat(-xp, yp, -1) + flat(-xp, -yp, +1))
         pair = PointPair(t=t, r=r, rp=rp, theta=th, thetap=thp)
-        got = tbar_wedge_renormalized(pair, theta0) + tbar_minkowski(pair)
+        got = tbar_wedge(pair, theta0)
         assert got == pytest.approx(images, rel=1e-12)
 
     def test_rejects_angles_outside_the_wedge(self):
         with pytest.raises(DomainError):
-            tbar_wedge_renormalized(
+            tbar_wedge(
                 PointPair(t=0.3, r=1.0, rp=1.0, theta=2.0, thetap=0.5),
                 self.THETA0)
         with pytest.raises(DomainError):
-            tbar_wedge_renormalized(
+            tbar_wedge(
                 PointPair(t=0.3, r=1.0, rp=1.0, theta=-0.1), self.THETA0)
 
 
@@ -213,12 +210,11 @@ def _two_term_cone(t, r, rp, dth, z, zp, theta1):
 
 
 def _two_term_wedge(theta0, sign):
-    """The wedge kernel as two independent cone evaluations minus the flat kernel."""
+    """The wedge kernel as two independent cone evaluations."""
     def expr(t, r, rp, theta, thetap, z, zp):
         doubled = 2.0 * theta0
         return (_two_term_cone(t, r, rp, theta - thetap, z, zp, doubled)
-                + sign * _two_term_cone(t, r, rp, theta + thetap, z, zp, doubled)
-                - kernels._mink_term(t, r, rp, theta - thetap, z, zp))
+                + sign * _two_term_cone(t, r, rp, theta + thetap, z, zp, doubled))
     return expr
 
 
@@ -677,20 +673,17 @@ def _eval_expr(expr, pair):
 class TestKernelExpr:
     def test_dispatch_matches_direct_functions(self):
         pair = PointPair(t=0.4, r=1.3, rp=0.9, theta=0.7, z=0.25)
+        # off the Dirichlet walls, where the wedge kernel vanishes
+        inside = PointPair(t=0.3, r=1.0, rp=1.4, theta=0.5, thetap=1.2)
         cases = [
-            (Minkowski(), tbar_minkowski(pair)),
-            (Cone(2.2), tbar_cone(pair, 2.2)),
-            (Dowker(), tbar_dowker(pair)),
+            (Minkowski(), pair, tbar_minkowski(pair)),
+            (Cone(2.2), pair, tbar_cone(pair, 2.2)),
+            (Dowker(), pair, tbar_dowker(pair)),
+            (Wedge(math.pi / 2), inside, tbar_wedge(inside, math.pi / 2)),
         ]
-        for geometry, want in cases:
-            got = _eval_expr(kernel_expr(geometry), pair)
+        for geometry, at, want in cases:
+            got = _eval_expr(kernel_expr(geometry), at)
             assert got == pytest.approx(want, rel=1e-13)
-
-    def test_wedge_dispatch_is_renormalized(self):
-        pair = PointPair(t=0.3, r=1.0, rp=1.4, theta=0.5, thetap=1.2)
-        want = tbar_wedge_renormalized(pair, math.pi / 2)
-        got = _eval_expr(kernel_expr(Wedge(math.pi / 2)), pair)
-        assert got == pytest.approx(want, rel=1e-12)
 
     def test_periodic_line_has_no_polar_kernel(self):
         with pytest.raises(DomainError):

@@ -182,11 +182,15 @@ class TestFrozenReferences:
 
 
 class TestRenormModes:
+    # (geometry, theta): the wedges at a point inside both
+    WEDGES = ((Wedge(math.pi / 2), 0.6),
+              (Wedge(2.0 * math.pi / 3, BoundaryCondition.NEUMANN), 0.6))
+
     def test_kernel_and_component_paths_agree(self):
-        for geometry in (Cone(2.2), Dowker()):
-            a = stress_at(geometry, 1.3, beta=0.3, t=0.5,
+        for geometry, theta in ((Cone(2.2), 0.0), (Dowker(), 0.0), *self.WEDGES):
+            a = stress_at(geometry, 1.3, theta, beta=0.3, t=0.5,
                           renorm=RenormMode.KERNEL_SUBTRACTION)
-            b = stress_at(geometry, 1.3, beta=0.3, t=0.5,
+            b = stress_at(geometry, 1.3, theta, beta=0.3, t=0.5,
                           renorm=RenormMode.COMPONENT_SUBTRACTION)
             for name in COMPONENT_NAMES:
                 assert a.components()[name] == pytest.approx(
@@ -202,18 +206,12 @@ class TestRenormModes:
                 assert raw.components()[name] == pytest.approx(
                     ren.components()[name] + zp.components()[name], rel=1e-12)
 
-    def test_wedge_rejects_componentwise_subtraction(self):
-        # the wedge kernel is already renormalized, so only the flat-kernel
-        # subtraction path is defined
-        with pytest.raises(DomainError):
-            stress_at(Wedge(math.pi / 2), 1.0, 0.5, t=0.4,
-                      renorm=RenormMode.COMPONENT_SUBTRACTION)
-
     def test_custom_kernel_matches_dispatch(self):
-        got = stress_from_kernel(kernel_expr(Cone(2.2)), 1.3, t=0.4, beta=0.3)
-        want = stress_at(Cone(2.2), 1.3, t=0.4, beta=0.3)
-        for name in COMPONENT_NAMES:
-            assert got.components()[name] == want.components()[name]
+        for geometry, theta in ((Cone(2.2), 0.0), *self.WEDGES):
+            got = stress_from_kernel(kernel_expr(geometry), 1.3, theta, t=0.4, beta=0.3)
+            want = stress_at(geometry, 1.3, theta, t=0.4, beta=0.3)
+            for name in COMPONENT_NAMES:
+                assert got.components()[name] == want.components()[name], geometry
 
 
 class TestTrace:
@@ -401,14 +399,10 @@ def _scalar_rung(geometry, r, theta, beta, t):
     """Kernel-subtracted stress at one cutoff through scalar jets.
 
     The per-rung path that the batched ladder replaces, kept as its
-    reference: the wedge kernel is stored flat-part-free and takes the
-    general tangential form.
+    reference.
     """
     coords = jets.lift(PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta))
-    k = kernel_expr(geometry)(**coords)
-    wedge = isinstance(geometry, Wedge)
-    if not wedge:
-        k = k - minkowski_expr(**coords)
+    k = kernel_expr(geometry)(**coords) - minkowski_expr(**coords)
     (rung,) = _assemble([(r, t, *map(float, _derivatives(k)))], beta,
                         RenormMode.KERNEL_SUBTRACTION)
     return rung
@@ -499,8 +493,7 @@ class TestBatchedLadder:
     def test_mixed_batch_equals_scalar_jet_stress(self, name):
         geometry, points = self.MIXED[name]
         pairs = [PointPair(t=t, r=r, rp=r, theta=th, thetap=th) for r, th, t in points]
-        mode = (RenormMode.RAW if isinstance(geometry, Wedge)
-                else RenormMode.KERNEL_SUBTRACTION)
+        mode = RenormMode.KERNEL_SUBTRACTION
         betas = (CONFORMAL_BETA, -0.25, 0.7)
         rows = _rungs(kernel_expr(geometry), pairs, mode)
         batch = [_assemble(rows, beta, mode) for beta in betas]
@@ -774,8 +767,15 @@ def _check_merged_pass(points, t):
 
 
 def _per_point(source, renorm, r, theta, z, t, beta):
-    """What the public per-point call returns at one point and beta, or raises."""
+    """What the public per-point call returns at one point and beta, or raises.
+
+    `stress_t0` takes no renorm mode; a t -> 0 entry in another mode
+    gets what a batch of that entry alone gives, its refusal.
+    """
     try:
+        if t is None and renorm is not KERNEL:
+            ((cell,),) = _stress_cells([(source, renorm, r, theta, z, t, (beta,))])
+            return cell
         if t is None:
             return stress_t0(source, r, theta, z, beta=beta).stress
         if callable(source):
@@ -845,7 +845,7 @@ class TestStressPoints:
         (Cone(2.0), KERNEL, 4.6e77 * 1.01, 0.0, 0.0, None, (0.0,)),  # t**4 overflows
         (Cone(2.0), KERNEL, -1.0, 0.0, 0.0, None, (0.0,)),  # not a valid radius
         (Wedge(math.pi / 2), KERNEL, 1.0, 0.0, 0.0, 0.5, (0.0,)),  # on the wall
-        (Wedge(math.pi / 2), COMPONENT, 1.0, 0.7, 0.0, 0.5, (0.0,)),  # no component mode
+        (Wedge(math.pi / 2), COMPONENT, 1.0, 0.7, 0.0, None, (0.0,)),  # t -> 0 of no such mode
         (Cone(2.0), KERNEL, 1.0, math.nan, 0.0, 0.5, (0.0,)),  # not a valid angle
     ]
 
