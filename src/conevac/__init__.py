@@ -2,12 +2,20 @@
 
 Closed-form cylinder kernels and the renormalized vacuum stress tensor
 for flat space, cones of arbitrary total angle, wedges with reflecting
-walls, the infinite-sheeted covering of the punctured plane, and a
-periodically identified line, with independent cross checks (image
-sums, mode sums, dimensional reduction) wired into an oracle suite.
+walls, and the infinite-sheeted covering of the punctured plane, with
+independent cross checks (image sums, mode sums, a periodically
+identified line, dimensional reduction) wired into an oracle suite.
 The production tier (`geometry`, `jets`, `kernels`, `stress`) computes;
 the check tier (`checks`, the independent numerics, and `oracles`) checks.
+
+`import conevac` loads the production tier only.  The check tier's
+names (`PeriodicLine`, `u_of_pair`, `tbar_cone_via_images`,
+`run_oracle_suite`, ...) and the modules `conevac.checks` and
+`conevac.oracles` resolve through the module `__getattr__`, which
+imports the check tier on first use.
 """
+
+import importlib
 
 from .errors import (
     ConeVacError,
@@ -22,21 +30,8 @@ from .geometry import (
     Dowker,
     Geometry,
     Minkowski,
-    PeriodicLine,
     PointPair,
-    UVariable,
     Wedge,
-    u_of_pair,
-)
-from .checks import (
-    CartesianSeparation,
-    ImageSum,
-    tbar_3d,
-    tbar_3d_theta_average,
-    tbar_cone_via_images,
-    tbar_modesum_4d,
-    tbar_periodic_line,
-    tbar_periodic_line_closed,
 )
 from .kernels import (
     kernel_expr,
@@ -45,7 +40,6 @@ from .kernels import (
     tbar_minkowski,
     tbar_wedge,
 )
-from .oracles import OracleReport, run_oracle_suite
 from .stress import (
     ExtrapolatedStress,
     RenormMode,
@@ -59,6 +53,22 @@ from .stress import (
 )
 
 __version__ = "0.1.0"
+SUITE_VERSION = 1  # the oracle suite's; figure sidecars record it
+
+_CHECK_TIER = ("checks", "oracles")
+
+
+def __getattr__(name):
+    """A check-tier module, or a name of `__all__` that one defines, imported on first use."""
+    if name in _CHECK_TIER:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in __all__:
+        for module in _CHECK_TIER:
+            tier = importlib.import_module(f"{__name__}.{module}")
+            if hasattr(tier, name):
+                return getattr(tier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundaryCondition",

@@ -12,6 +12,11 @@ quadrature on QUADPACK's dqk21 rule that adds node pairs elementwise,
 with no matrix product, so BLAS cannot change a bit.  J_nu comes from
 Miller's backward recurrence (`_bessel_j`), K_0 and K_1 from the
 trapezoid rule (`_bessel_k`); nothing here imports scipy.
+
+The float separation `u_of_pair` (the kernels compute their own in
+`kernels._separation`) and `PeriodicLine`, a geometry no production
+function accepts, live here too.  `conevac` re-exports every public
+name of this module, but imports it only on first use of one.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularPointError
-from .geometry import Cone, PeriodicLine, PointPair, UVariable, _require_finite, u_of_pair
+from .geometry import Cone, PointPair, _require_finite
 from .jets import _power
 from .kernels import _SMALL_U, _TWO_PI_SQ, _angular_factors
 
@@ -94,6 +99,38 @@ def _lattice_sum(
     return ImageSum(value=total + tail, tail_correction=tail)
 
 
+@dataclass(frozen=True)
+class UVariable:
+    """The hyperbolic separation u together with its cosh and sinh.
+
+    cosh u and sinh u are computed from the same intermediate as u
+    itself, so the three fields are mutually consistent to roundoff
+    even when u is tiny.
+    """
+
+    u: float
+    cosh_u: float
+    sinh_u: float
+
+
+def u_of_pair(pair: PointPair) -> UVariable:
+    """Hyperbolic separation of a point pair, as a float.
+
+    cosh u = (r^2 + r'^2 + t^2 + (z - z')^2) / (2 r r'), computed in the
+    half-angle form u = 2 asinh(sqrt(q)) with
+    q = ((r - r')^2 + (z - z')^2 + t^2) / (4 r r'), which stays accurate
+    for nearly coincident points where cosh u - 1 underflows.
+    """
+    q = ((pair.r - pair.rp) ** 2 + (pair.z - pair.zp) ** 2 + pair.t**2) / (
+        4.0 * pair.r * pair.rp
+    )
+    return UVariable(
+        u=2.0 * math.asinh(math.sqrt(q)),
+        cosh_u=1.0 + 2.0 * q,
+        sinh_u=2.0 * math.sqrt(q * (1.0 + q)),
+    )
+
+
 # `kernels._u_over_sinh` of floats, kept apart: that one multiplies u by the
 # reciprocal `_inv_sinh_u` (exponential above _LARGE_U) where this divides
 # by sinh u, so folding them would move the bits of `tbar_cone_via_images`
@@ -140,6 +177,18 @@ class CartesianSeparation:
             _require_finite(name, getattr(self, name))
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t!r}")
+
+
+@dataclass(frozen=True)
+class PeriodicLine:
+    """Flat space with one Cartesian direction compactified to a circle."""
+
+    period: float
+
+    def __post_init__(self) -> None:
+        _require_finite("period", self.period)
+        if self.period <= 0:
+            raise ValueError(f"period must be positive, got {self.period!r}")
 
 
 def _transverse_distance(sep: CartesianSeparation) -> float:

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import SUITE_VERSION, __version__
 from .errors import ConeVacError
 from .geometry import (
     BoundaryCondition,
@@ -63,8 +63,6 @@ from .kernels import (
     tbar_minkowski,
     tbar_wedge,
 )
-from .oracles import (SUITE_VERSION, check_oracle_names, format_reports, oracle_names,
-                      reports_to_json, run_oracle_suite)
 from .stress import COMPONENT_NAMES, RenormMode, _stress_cells, stress_at, stress_t0
 
 _XI_TAGS = {"xi14": 0.25, "xi16": 1.0 / 6.0}
@@ -604,6 +602,11 @@ def _cmd_eval(args) -> int:
             "primed coordinates apply to kernel evaluation only; "
             "stress is taken at spatially coincident points"
         )
+    if what != "stress" and args.renorm is not None:
+        raise ValueError(f"--renorm applies to --what stress only, not {what}")
+    if what == "stress-t0" and args.t is not None:
+        raise ValueError("--t does not apply to --what stress-t0, the t -> 0 limit")
+    t = 1.0 if args.t is None else args.t
     result = {
         "geometry": _geometry_dict(geometry),
         "r": args.r,
@@ -614,14 +617,14 @@ def _cmd_eval(args) -> int:
     }
     if what == "kernel":
         pair = PointPair(
-            t=args.t, r=args.r,
+            t=t, r=args.r,
             rp=args.r if args.rprime is None else args.rprime,
             theta=args.theta,
             thetap=args.theta if args.thetaprime is None else args.thetaprime,
             z=args.z,
             zp=args.z if args.zprime is None else args.zprime,
         )
-        result["t"] = args.t
+        result["t"] = t
         for name, value in (("rprime", pair.rp), ("thetaprime", pair.thetap),
                             ("zprime", pair.zp)):
             result[name] = value
@@ -635,10 +638,11 @@ def _cmd_eval(args) -> int:
             case Wedge(theta0=theta0, bc=bc):
                 result["tbar"] = tbar_wedge(pair, theta0, bc)
     elif what == "stress":
+        renorm = args.renorm or "kernel"
         s = stress_at(geometry, args.r, args.theta, args.z, beta=beta,
-                      t=args.t, renorm=RenormMode(args.renorm))
-        result["t"] = args.t
-        result["renorm"] = args.renorm
+                      t=t, renorm=RenormMode(renorm))
+        result["t"] = t
+        result["renorm"] = renorm
         result["stress"] = s.components()
     else:
         ext = stress_t0(geometry, args.r, args.theta, args.z, beta=beta)
@@ -706,6 +710,10 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the check tier loads here only: eval, scan and figure never need it
+    from .oracles import (check_oracle_names, format_reports, oracle_names,
+                          reports_to_json, run_oracle_suite)
+
     # one run per oracle, timed: a subset run reproduces the full run's reports
     names = args.only.split(",") if args.only else oracle_names()
     check_oracle_names(names)
@@ -740,14 +748,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="primed angle (kernel only; defaults to --theta)")
     p_eval.add_argument("--zprime", type=float, default=None,
                         help="primed height (kernel only; defaults to --z)")
-    p_eval.add_argument("--t", type=float, default=1.0,
-                        help="Euclidean time offset; 0 needs separated points")
+    p_eval.add_argument("--t", type=float, default=None,
+                        help="Euclidean time offset (default 1; not with "
+                             "stress-t0); 0 needs separated points")
     p_eval.add_argument("--what", choices=["kernel", "stress", "stress-t0"],
                         default="stress")
     p_eval.add_argument("--kernel-only", action="store_true",
                         help="shorthand for --what kernel")
     p_eval.add_argument("--renorm", choices=[m.value for m in RenormMode],
-                        default="kernel")
+                        default=None, help="stress only (default kernel)")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_scan = sub.add_parser("scan", help="sweep one coordinate to CSV")

@@ -1,17 +1,10 @@
-"""Geometries, point pairs, and the hyperbolic separation variable.
+"""Geometries, point pairs, and the curvature coupling.
 
 Every kernel in this package is a two-point function on a static
 spacetime whose spatial section is flat space, a cone, a wedge bounded
 by reflecting walls, or the infinite-sheeted covering of the punctured
 plane.  Points are given in cylindrical coordinates (r, theta, z), and
 the Euclidean time offset t > 0 doubles as the ultraviolet cutoff.
-
-The separation of two points enters every formula through a single
-hyperbolic variable u >= 0 defined by
-
-    cosh u = (r^2 + r'^2 + t^2 + (z - z')^2) / (2 r r')
-
-which is computed here in a cancellation-free half-angle form.
 """
 
 from __future__ import annotations
@@ -139,19 +132,7 @@ class Wedge:
             raise TypeError(f"bc must be a BoundaryCondition, got {self.bc!r}")
 
 
-@dataclass(frozen=True)
-class PeriodicLine:
-    """Flat space with one Cartesian direction compactified to a circle."""
-
-    period: float
-
-    def __post_init__(self) -> None:
-        _require_finite("period", self.period)
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period!r}")
-
-
-Geometry = Minkowski | Cone | Dowker | Wedge | PeriodicLine
+Geometry = Minkowski | Cone | Dowker | Wedge
 
 
 @dataclass(frozen=True)
@@ -204,35 +185,3 @@ class Coupling:
                 f"unknown coupling name {name!r}; "
                 "expected minimal, conformal, or quarter"
             ) from None
-
-
-@dataclass(frozen=True)
-class UVariable:
-    """The hyperbolic separation u together with its cosh and sinh.
-
-    cosh u and sinh u are computed from the same intermediate as u
-    itself, so the three fields are mutually consistent to roundoff
-    even when u is tiny.
-    """
-
-    u: float
-    cosh_u: float
-    sinh_u: float
-
-
-def u_of_pair(pair: PointPair) -> UVariable:
-    """Hyperbolic separation of a point pair.
-
-    Uses the half-angle form u = 2 asinh(sqrt(q)) with
-    q = ((r - r')^2 + (z - z')^2 + t^2) / (4 r r'), which stays accurate
-    for nearly coincident points where cosh u - 1 underflows.
-    """
-    q = ((pair.r - pair.rp) ** 2 + (pair.z - pair.zp) ** 2 + pair.t**2) / (
-        4.0 * pair.r * pair.rp
-    )
-    return UVariable(
-        u=2.0 * math.asinh(math.sqrt(q)),
-        cosh_u=1.0 + 2.0 * q,
-        sinh_u=2.0 * math.sqrt(q * (1.0 + q)),
-    )
-

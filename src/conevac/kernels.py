@@ -8,7 +8,7 @@ is the universal flat-space one, so differences of kernels have smooth
 coincidence limits.
 
 All closed forms depend on the spatial points through the hyperbolic
-separation u of `geometry.u_of_pair` and on the angular offset.  The
+separation u, computed in `_separation`, and on the angular offset.  The
 kernel expressions are written against the dispatch functions in
 `jets`, so the same code evaluates plain floats and second-order jets.
 Branches are chosen by magnitude (through `jets.value_of`) to keep
@@ -60,7 +60,6 @@ from .geometry import (
     Cone,
     Dowker,
     Minkowski,
-    PeriodicLine,
     PointPair,
     Wedge,
 )
@@ -246,9 +245,7 @@ def kernel_expr(geometry):
     """Kernel expression f(t, r, rp, theta, thetap, z, zp) for a geometry.
 
     This is the full kernel, flat part included, for every cylindrical
-    geometry; renormalization subtracts `minkowski_expr` from it.  The
-    periodically identified line is not a cylindrical geometry and has
-    no expression in these coordinates.
+    geometry; renormalization subtracts `minkowski_expr` from it.
 
     ``geometry`` may also be a list, the geometry of each element of a
     batch, all of one `kernel_kind`.  When they differ, the cone angle or
@@ -267,11 +264,6 @@ def kernel_expr(geometry):
             return dowker_expr
         case Wedge(theta0=theta0, bc=bc):
             return _wedge_expr(theta0, bc.image_sign)
-        case PeriodicLine():
-            raise DomainError(
-                "the periodic line has no kernel expression in cylindrical "
-                "coordinates; use tbar_periodic_line"
-            )
         case _:
             raise TypeError(f"not a geometry: {geometry!r}")
 

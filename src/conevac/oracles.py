@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import jets, kernels
+from . import SUITE_VERSION, jets, kernels  # SUITE_VERSION: the suite's, importable here too
 from .checks import (
     CartesianSeparation,
     _tbar_3d_many,
@@ -44,6 +44,7 @@ from .checks import (
     tbar_modesum_4d,
     tbar_periodic_line,
     tbar_periodic_line_closed,
+    u_of_pair,
 )
 from .geometry import (
     BoundaryCondition,
@@ -53,7 +54,6 @@ from .geometry import (
     Minkowski,
     PointPair,
     Wedge,
-    u_of_pair,
 )
 from .kernels import (
     _mink_term,
@@ -70,8 +70,6 @@ from .stress import (
     conservation_residual,
     zero_point_stress,
 )
-
-SUITE_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,28 @@ class TestEval:
                          "--r", "1", "--rprime", "2", "--t", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("what, flag, err", [
+        ("kernel", ("--renorm", "raw"), "--renorm applies to --what stress only, not kernel"),
+        ("stress-t0", ("--renorm", "raw"),
+         "--renorm applies to --what stress only, not stress-t0"),
+        ("stress-t0", ("--t", "0.3"),
+         "--t does not apply to --what stress-t0, the t -> 0 limit"),
+    ])
+    def test_flag_its_what_does_not_read_is_a_usage_error(self, capsys, what, flag, err):
+        code, out, stderr = run(capsys, "eval", "--geometry", "cone", "--theta1", "3",
+                                "--r", "1", "--what", what, *flag)
+        assert code == 2
+        assert out == ""
+        assert stderr == f"error: {err}\n"
+
+    @pytest.mark.parametrize("what, defaults", [
+        ("kernel", ("--t", "1")), ("stress", ("--t", "1", "--renorm", "kernel"))])
+    def test_omitted_flags_read_as_their_defaults(self, capsys, what, defaults):
+        outs = [run(capsys, "eval", "--geometry", "cone", "--theta1", "3", "--r", "1.2",
+                    "--theta", "0.4", "--what", what, *flags)[1]
+                for flags in ((), defaults)]
+        assert outs[0] == outs[1] != ""
+
     def test_wall_point_is_a_usage_error(self, capsys):
         code, _, _ = run(capsys, "eval", "--geometry", "wedge",
                          "--theta0", str(PI / 2), "--r", "1",
@@ -966,7 +988,8 @@ class TestVerify:
 
     def test_unknown_oracle_runs_nothing(self, capsys, monkeypatch):
         ran = []
-        monkeypatch.setattr(cli, "run_oracle_suite", lambda names, seed: ran.append(names))
+        monkeypatch.setattr(conevac.oracles, "run_oracle_suite",
+                            lambda names, seed: ran.append(names))
         code, _, err = run(capsys, "verify", "--only", "flat_zero,no_such_oracle")
         assert code == 2
         assert "no_such_oracle" in err and ran == []

@@ -136,6 +136,21 @@ class TestDowker:
             tbar_cone(pair, 1e5 * math.pi), rel=1e-8)
 
 
+class TestSeriesBranch:
+    def test_u_over_sinh_jet_matches_mpmath(self):
+        # the u < _SMALL_U series of u/sinh(u): its 7/360 u^4 term shows only in
+        # the derivatives, where 7.1/360 is off by ~2e-11 relative
+        mp = pytest.importorskip("mpmath")
+        us = np.geomspace(1e-6, kernels._SMALL_U, 16, endpoint=False)
+        u = jets.Jet2.variable(us, 0, 1, jets.Pairs([(0, 0)]))
+        got = kernels._u_over_sinh(jets.sinh(0.5 * u) ** 2, u)
+        with mp.workdps(50):
+            want = [[float(mp.diff(lambda x: x / mp.sinh(x), mp.mpf(x), n)) for x in us]
+                    for n in range(3)]
+        for n, column in enumerate((got.value, got.grad[0], got.hess[0])):
+            np.testing.assert_allclose(column, want[n], rtol=1e-14, atol=0, err_msg=f"order {n}")
+
+
 class TestWedge:
     THETA0 = 1.5
 
@@ -685,10 +700,8 @@ class TestKernelExpr:
             got = _eval_expr(kernel_expr(geometry), at)
             assert got == pytest.approx(want, rel=1e-13)
 
-    def test_periodic_line_has_no_polar_kernel(self):
-        with pytest.raises(DomainError):
-            kernel_expr(PeriodicLine(1.0))
-
-    def test_rejects_unknown_geometry(self):
-        with pytest.raises(TypeError):
-            kernel_expr("cone")
+    # the periodic line is a check-tier geometry with no cylindrical kernel
+    @pytest.mark.parametrize("geometry", ["cone", PeriodicLine(1.0)])
+    def test_rejects_unknown_geometry(self, geometry):
+        with pytest.raises(TypeError, match="not a geometry"):
+            kernel_expr(geometry)

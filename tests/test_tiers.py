@@ -2,11 +2,16 @@
 
 `geometry`, `jets`, `kernels` and `stress` compute the stress; `checks`
 holds the independent numerics that check it and `oracles` the suite
-built on them.  These tests read the sources, so they hold whatever a
-test run happens to import.
+built on them.  Most of these tests read the sources, so they hold
+whatever a test run happens to import; the one about what `import
+conevac` and the CLI load runs in a fresh interpreter.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,12 +20,15 @@ import conevac
 
 SRC = Path(conevac.__file__).parent
 
-# The independent numerics that moved to `checks`, and deleted names that stay
-# gone: check- and test-only helpers, and the wedge's own renormalization path.
+# The independent numerics and check-only types that moved to `checks`, and
+# deleted names that stay gone: check- and test-only helpers, and the wedge's
+# own renormalization path.
 MOVED = ("ImageSum", "CartesianSeparation", "_lattice_sum", "tbar_cone_via_images",
          "tbar_periodic_line", "tbar_periodic_line_closed", "integrate_gk21", "_dqk21",
          "_bessel_j", "_bessel_k", "_msta2", "_mode_integrals", "tbar_modesum_4d",
-         "tbar_3d", "_tbar_3d_many", "tbar_3d_theta_average")
+         "tbar_3d", "_tbar_3d_many", "tbar_3d_theta_average", "PeriodicLine", "u_of_pair",
+         "UVariable")
+PRODUCTION = ("geometry", "jets", "kernels", "stress")
 DELETED = ("mode_integral", "QuadratureControls", "cone_expr", "wedge_renormalized_expr",
            "tbar_wedge_renormalized", "_kernel_for", "_check_renorm", "swapped")
 
@@ -59,7 +67,7 @@ def _defined(module: str) -> set[str]:
     return out
 
 
-@pytest.mark.parametrize("module", ["geometry", "jets", "kernels", "stress"])
+@pytest.mark.parametrize("module", PRODUCTION)
 def test_production_imports_no_check_tier(module):
     assert _imported_modules(module) & {"checks", "oracles", "cli"} == set()
 
@@ -69,10 +77,11 @@ def test_checks_import_only_production_numerics():
     assert "checks" in _imported_modules("oracles")
 
 
-def test_kernels_define_none_of_the_check_numerics():
+def test_production_defines_none_of_the_check_numerics():
     checks = _defined("checks")
     assert set(MOVED) <= checks
-    assert _defined("kernels") & checks == set()
+    for module in PRODUCTION:
+        assert _defined(module) & checks == set(), module
 
 
 def test_check_only_wrappers_are_gone():
@@ -82,3 +91,48 @@ def test_check_only_wrappers_are_gone():
                      if isinstance(node, ast.FunctionDef)}
         assert (_defined(path.stem) | functions) & set(DELETED) == set(), path.name
     assert set(DELETED) & set(conevac.__all__) == set()
+
+
+# Run in a fresh interpreter: which check-tier modules each step has loaded,
+# then the package names that do not resolve once the check tier is asked for.
+_LOAD_PROBE = """
+import json, sys
+
+def tier():
+    return sorted({"conevac.checks", "conevac.oracles"} & set(sys.modules))
+
+out, loaded = sys.argv[1], {}
+import conevac
+loaded["import conevac"] = tier()
+from conevac import cli
+loaded["import conevac.cli"] = tier()
+for argv in json.loads(sys.argv[2]):
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = tier()
+missing = [name for name in [*conevac.__all__, "checks", "oracles"]
+           if not hasattr(conevac, name)]
+with open(out, "w") as f:
+    json.dump({"loaded": loaded, "missing": missing,
+               "oracles": len(conevac.oracles.oracle_names())}, f)
+"""
+
+
+def test_production_commands_load_no_check_tier(tmp_path):
+    commands = [
+        ["figure", "fig1", "fig5", "--points", "4", "--outdir", str(tmp_path)],
+        ["scan", "--geometry", "wedge", "--theta0", "1.5", "--sweep", "r", "--lo", "1",
+         "--hi", "2", "--theta", "0.4", "--points", "3"],
+        ["eval", "--geometry", "cone", "--theta1", "3", "--r", "1", "--what", "stress-t0"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), env.get("PYTHONPATH"))))
+    report = tmp_path / "report.json"
+    done = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(report), json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(report.read_text())
+    steps = ["import conevac", "import conevac.cli", "figure", "scan", "eval"]
+    assert got["loaded"] == {step: [] for step in steps}
+    # every public name still resolves, the check tier's on first use
+    assert got["missing"] == []
+    assert got["oracles"] > 0
