@@ -523,25 +523,31 @@ def _bessel_j(nu0, ks, x):
         stores.setdefault(s, []).append(i)
     family = np.arange(families * members) // members
     two_over_x = 2.0 / x
+    orders = col + np.arange(start + 1.0)  # the (nu0 + s) of each step
     cur = np.ones(np.broadcast_shapes((families, 1), x.shape))
     above = np.zeros_like(cur)
+    step = np.empty_like(cur)
     exponent = np.zeros(cur.shape, dtype=int)
     norm = np.zeros_like(cur)
     out = np.empty((families * members, cur.shape[1]))
     out_exponent = np.empty(out.shape, dtype=int)
     for s in range(start, -1, -1):  # cur holds f_{nu0+s}, above f_{nu0+s+1}
         if s % 2 == 0:
-            norm += c[:, s // 2, None] * cur
+            norm += np.multiply(c[:, s // 2, None], cur, out=step)
         if s in stores:
             i = np.array(stores[s])
             out[i] = cur[family[i]]
             out_exponent[i] = exponent[family[i]]
         if s == 0:
             break
-        cur, above = (col + s) * two_over_x * cur - above, cur
+        # cur, above = (nu0 + s) * (2 / x) * cur - above, cur, in place
+        np.multiply(orders[:, s, None], two_over_x, out=step)
+        np.subtract(np.multiply(step, cur, out=step), above, out=above)
+        cur, above = above, cur
         if s % every == 0:
             _, e = np.frexp(np.fmax(np.abs(cur), np.abs(above)))
-            cur, above, norm = np.ldexp(cur, -e), np.ldexp(above, -e), np.ldexp(norm, -e)
+            for v in (cur, above, norm):
+                np.ldexp(v, -e, out=v)
             exponent += e
     mantissa, e = np.frexp(norm)
     exponent += e
@@ -616,11 +622,32 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
     One `_bessel_j` table covers every order on every node of every
     panel; the intervals of one `integrate_gk21` call are the (mode,
     panel) pairs, each its own integral, so each panel has the tolerance
-    it would have alone.  A panel that fails its first pass is refined
-    at its own order only.  Each mode's panels are summed in order.
+    epsabs = abs_tol / 100 it would have alone.  A panel that fails its
+    first pass is refined at its own order only.  Each mode's panels are
+    summed in order.
+
+    An interval whose integral cannot reach epsabs is not integrated and
+    counts as 0.  Since |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) (DLMF
+    10.14.4) and integral_0^inf w K_0(w zeta) dw = 1/zeta^2, the panel
+    ending at b has |integral| <= B = (r rp b^2 / 4)^nu /
+    (Gamma(nu + 1)^2 zeta^2), and those with B < epsabs are dropped: the
+    high orders on the first panels, where the integrand is far below
+    the tolerance and only roundoff in dqagse's error estimate would
+    refine it.  B grows with b, so the dropped panels of a mode start at
+    0 and together add at most one epsabs.  The bound is closed form,
+    so the sum stays independent of the closed value it checks.
     """
     a, b, w, k0 = _panel_plan(r, rp, zeta, abs_tol, max_panels)
     panels, families, half = len(a), len(nu0), w.size
+    epsabs = 0.01 * abs_tol
+    nu = (nu0[:, None] + ks).T.ravel()[:count]
+    # log B of every (mode, panel) interval, B its bound; B < epsabs counts as 0
+    log_b = (nu[:, None] * np.log(0.25 * r * rp * b * b)
+             - 2.0 * np.array([math.lgamma(v + 1.0) for v in nu.tolist()])[:, None]
+             - 2.0 * math.log(zeta))
+    live = np.flatnonzero(log_b.ravel() >= math.log(epsabs))
+    if not len(live):
+        return np.zeros(count)
     j = _bessel_j(nu0, ks, np.concatenate([(w * r).ravel(), (w * rp).ravel()]))
     j = j.transpose(1, 0, 2).reshape(-1, 2 * half)[:count]
     fv = w.ravel() * j[:, :half] * j[:, half:] * k0.ravel()
@@ -632,7 +659,7 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
         # family, for just the orders its rows need.
         pieces, piece = np.unique(x, axis=0, return_inverse=True)
         piece = piece.reshape(-1)  # numpy 2.0.0 gave it a trailing axis
-        mode = k // panels
+        mode = live[k] // panels
         groups, group = np.unique(piece * families + mode % families, return_inverse=True)
         by_group = np.argsort(group, kind="stable")
         slot = np.empty_like(group)
@@ -644,8 +671,9 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
                        np.concatenate([gx * r, gx * rp], axis=1))[group, slot]
         return x * jx[:, :21] * jx[:, 21:] * _bessel_k(0, pieces * zeta)[piece]
 
-    values = integrate_gk21(f, np.tile(a, count), np.tile(b, count),
-                            epsabs=0.01 * abs_tol, fv=fv.reshape(-1, 21))
+    values = np.zeros(count * panels)
+    values[live] = integrate_gk21(f, a[live % panels], b[live % panels], epsabs=epsabs,
+                                  fv=fv.reshape(-1, 21)[live])
     return np.add.accumulate(values.reshape(count, panels), axis=1)[:, -1]
 
 
@@ -677,10 +705,12 @@ def tbar_modesum_4d(pair: PointPair, theta1: float) -> float:
     theta1/u).  Terms decay like exp(-2 pi n u / theta1).
 
     Every mode n <= n_terms, of order a n with a = 2 pi / theta1, is
-    integrated in one `_mode_integrals` call; orders a apart by whole
-    numbers share one Bessel recurrence (`_mode_orders`).  The modes
-    are summed in order until the geometric bound on the rest falls
-    below 1e-10 of the leading mode.
+    integrated in one `_mode_integrals` call, over every panel that can
+    reach its tolerance: a panel ending at b whose bound (r rp b^2 /
+    4)^(a n) / (Gamma(a n + 1)^2 zeta^2) is below it counts as 0.  Orders
+    a apart by whole numbers share one Bessel recurrence
+    (`_mode_orders`).  The modes are summed in order until the geometric
+    bound on the rest falls below 1e-10 of the leading mode.
     """
     Cone(theta1)  # validate
     zeta = math.hypot(pair.t, pair.z - pair.zp)

@@ -595,7 +595,9 @@ def _beta_from_args(args) -> float:
 def _cmd_eval(args) -> int:
     geometry = _geometry_from_args(args)
     beta = _beta_from_args(args)
-    what = "kernel" if args.kernel_only else args.what
+    if args.kernel_only and args.what not in (None, "kernel"):
+        raise ValueError(f"--kernel-only means --what kernel, not --what {args.what}")
+    what = "kernel" if args.kernel_only else args.what or "stress"
     primes = (args.rprime, args.thetaprime, args.zprime)
     if what != "kernel" and any(v is not None for v in primes):
         raise ValueError(
@@ -752,7 +754,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Euclidean time offset (default 1; not with "
                              "stress-t0); 0 needs separated points")
     p_eval.add_argument("--what", choices=["kernel", "stress", "stress-t0"],
-                        default="stress")
+                        default=None, help="default stress")
     p_eval.add_argument("--kernel-only", action="store_true",
                         help="shorthand for --what kernel")
     p_eval.add_argument("--renorm", choices=[m.value for m in RenormMode],

@@ -9,8 +9,8 @@ class DomainError(ConeVacError, ValueError):
     """A quantity was requested outside the region where it is defined.
 
     Examples: a field point behind a wedge boundary, a kernel evaluated
-    at coincident points with no cutoff, a renormalization mode that does
-    not apply to the chosen geometry.
+    at coincident points with no cutoff, the conservation residual of a
+    geometry that is not azimuthally symmetric (a wedge).
     """
 
 

@@ -8,10 +8,14 @@ proves it by leaving this file alone and by passing ``--check``, which
 reruns every frozen seed, writes nothing, and exits nonzero on any
 mismatch; it also prints each seed's wall time and the process's peak
 resident memory.  The tests check seeds 0 and 1.  Regenerate the file only in
-a change that means to alter the numbers, and say so in that change.
+a change that means to alter the numbers, and say so in that change.  A
+change that means to alter some oracles' numbers only re-freezes those
+with ``--refreeze NAME...``: it rewrites the named oracles' entries at
+every frozen seed, printing each old and new hex, and writes nothing,
+exiting nonzero, if any other oracle's bits differ.
 Run from the repository root:
 
-    python3 tests/data/make_oracle_digest.py [--check]
+    python3 tests/data/make_oracle_digest.py [--check | --refreeze NAME...]
 """
 
 import argparse
@@ -56,12 +60,52 @@ def check(seeds=None) -> int:
     return status
 
 
+def refreeze(names) -> int:
+    """Rewrite the entries of the oracles ``names`` at every frozen seed.
+
+    Returns 0 once written.  Returns 1 and writes nothing if a name is
+    not an oracle of the file or any other oracle's bits differ.
+    """
+    frozen = json.loads(OUT.read_text())
+    if frozen["oracles"] != oracles.oracle_names():
+        print("mismatch: the oracle names differ from oracles.oracle_names()")
+        return 1
+    unknown = sorted(set(names) - set(frozen["oracles"]))
+    if unknown:
+        print(f"not an oracle: {', '.join(unknown)}")
+        return 1
+    status = 0
+    for seed, want in frozen["seeds"].items():
+        got = seed_digest(int(seed))
+        for name in want:
+            if name in names:
+                if got[name] != want[name]:
+                    print(f"seed {seed}: {name} {want[name]} -> {got[name]}")
+                want[name] = got[name]
+            elif got.get(name) != want[name]:
+                print(f"seed {seed}: {name} differs: frozen {want[name]}, "
+                      f"computed {got.get(name)}")
+                status = 1
+    if status:
+        print(f"wrote nothing: oracles other than {', '.join(names)} differ")
+        return 1
+    OUT.write_text(json.dumps(frozen, indent=2) + "\n")
+    print(f"re-froze {', '.join(names)} in {OUT}")
+    return 0
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="rerun every frozen seed and compare; write nothing")
-    if parser.parse_args().check:
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="rerun every frozen seed and compare; write nothing")
+    mode.add_argument("--refreeze", nargs="+", metavar="NAME",
+                      help="rewrite only these oracles' entries, if no other's bits differ")
+    args = parser.parse_args()
+    if args.check:
         raise SystemExit(check())
+    if args.refreeze:
+        raise SystemExit(refreeze(args.refreeze))
     OUT.write_text(json.dumps({"oracles": oracles.oracle_names(),
                                "seeds": {str(s): seed_digest(s) for s in SEEDS}},
                               indent=2) + "\n")

@@ -135,6 +135,23 @@ class TestEval:
         assert out == ""
         assert stderr == f"error: {err}\n"
 
+    @pytest.mark.parametrize("what", ["stress", "stress-t0"])
+    def test_kernel_only_with_another_what_is_a_usage_error(self, capsys, what):
+        code, out, stderr = run(capsys, "eval", "--geometry", "cone", "--theta1", "3",
+                                "--r", "1", "--what", what, "--kernel-only")
+        assert code == 2
+        assert out == ""
+        assert stderr == f"error: --kernel-only means --what kernel, not --what {what}\n"
+
+    def test_kernel_only_is_what_kernel(self, capsys):
+        outs = [run(capsys, "eval", "--geometry", "cone", "--theta1", "3", "--r", "1.2",
+                    "--theta", "0.4", *flags)
+                for flags in (("--kernel-only",), ("--kernel-only", "--what", "kernel"),
+                              ("--what", "kernel"))]
+        assert outs[0] == outs[1] == outs[2]
+        code, out, err = outs[0]
+        assert code == 0 and err == "" and json.loads(out)["what"] == "kernel"
+
     @pytest.mark.parametrize("what, defaults", [
         ("kernel", ("--t", "1")), ("stress", ("--t", "1", "--renorm", "kernel"))])
     def test_omitted_flags_read_as_their_defaults(self, capsys, what, defaults):

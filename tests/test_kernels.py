@@ -461,6 +461,86 @@ class TestModeIntegralClosedForm:
                              float(10.0 ** rng.uniform(-14.0, -7.0))) for _ in range(50)])
 
 
+def log_panel_bound(nu, r, rp, zeta, b):
+    """log B, B = (r rp b^2 / 4)^nu / (Gamma(nu + 1)^2 zeta^2): by
+    |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) and int_0^inf w K_0(w zeta) dw =
+    1/zeta^2, a bound on the mode integral over any panel ending at b."""
+    return (nu * math.log(0.25 * r * rp * b * b) - 2.0 * math.lgamma(nu + 1.0)
+            - 2.0 * math.log(zeta))
+
+
+def unpruned_panels(nu, r, rp, zeta, abs_tol=1e-12):
+    """The ends of `checks._panel_plan`'s panels and the mode integral at the
+    order nu over each, every panel integrated by `integrate_gk21` to the
+    tolerance `checks._mode_integrals` gives it."""
+    a, b, _, _ = checks._panel_plan(r, rp, zeta, abs_tol, 8000)
+    k = math.floor(nu)
+
+    def f(x, _):
+        flat = x.ravel()
+        j = checks._bessel_j(np.array([nu - k]), np.array([[k]]),
+                             np.concatenate([flat * r, flat * rp]))[0, 0]
+        return x * (j[:flat.size] * j[flat.size:]).reshape(x.shape) * checks._bessel_k(0, x * zeta)
+
+    return b, checks.integrate_gk21(f, a, b, epsabs=0.01 * abs_tol)
+
+
+def seeded_orders_and_radii(n, seed=20261020):
+    """n cases (nu, r, rp, zeta): nu in [0, 120], the others in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    return [(float(rng.uniform(0.0, 120.0)), *(float(10.0 ** rng.uniform(-1.0, 1.0))
+                                              for _ in range(3))) for _ in range(n)]
+
+
+class TestModeIntegralPruning:
+    # the intervals whose bound is below the panel tolerance count as 0
+    CASES = seeded_orders_and_radii(12)
+
+    @pytest.mark.parametrize("nu, r, rp, zeta", CASES)
+    def test_every_panel_is_within_its_bound(self, nu, r, rp, zeta):
+        b, values = unpruned_panels(nu, r, rp, zeta)
+        for end, value in zip(b.tolist(), values.tolist()):
+            assert value == 0.0 or math.log(abs(value)) <= log_panel_bound(nu, r, rp, zeta, end)
+
+    @pytest.mark.parametrize("nu, r, rp, zeta", CASES)
+    def test_pruned_sum_is_the_unpruned_sum(self, nu, r, rp, zeta):
+        b, values = unpruned_panels(nu, r, rp, zeta)
+        epsabs = 0.01 * 1e-12
+        assert abs(mode_integral(nu, r, rp, zeta) - math.fsum(values)) <= len(b) * epsabs
+
+    def test_high_orders_pass_fewer_intervals(self, monkeypatch):
+        # theta1 = pi/4: the orders 8 n, n < 40, one family
+        r, rp, zeta, count = 1.0, 0.8, 0.45, 40
+        nu0, ks = checks._mode_orders(8.0, count)
+        passed = []
+        integrate = checks.integrate_gk21
+
+        def counted(f, a, b, **controls):
+            passed.append(len(a))
+            return integrate(f, a, b, **controls)
+
+        monkeypatch.setattr(checks, "integrate_gk21", counted)
+        got = checks._mode_integrals(nu0, ks, count, r, rp, zeta)
+        ends = checks._panel_plan(r, rp, zeta, 1e-12, 8000)[1].tolist()
+        live = sum(log_panel_bound(8.0 * n, r, rp, zeta, b) >= math.log(0.01 * 1e-12)
+                   for n in range(count) for b in ends)
+        assert passed == [live] and live < count * len(ends)
+        uv = u_of_pair(PointPair(t=zeta, r=r, rp=rp))
+        closed = np.exp(-8.0 * np.arange(count) * uv.u) / (2.0 * r * rp * uv.sinh_u)
+        assert (np.abs(got - closed) <= np.fmax(1e-10 * closed, 1e-12)).all()
+
+    def test_all_pruned_returns_float_zeros(self, monkeypatch):
+        def never(*args, **controls):
+            raise AssertionError("integrate_gk21 called with no live interval")
+
+        monkeypatch.setattr(checks, "integrate_gk21", never)
+        nu, r, rp, zeta, abs_tol = TestModeIntegralClosedForm.RESASC_CASE
+        k = math.floor(nu)
+        got = checks._mode_integrals(np.array([nu - k]), np.array([[k]]), 1, r, rp, zeta,
+                                     abs_tol=abs_tol)
+        assert got.dtype == np.float64 and got.tolist() == [0.0]
+
+
 class TestBesselFunctions:
     def test_j_matches_frozen_values(self, reference):
         # relative to |J| where x <= nu, to the modulus sqrt(J^2 + Y^2) beyond

@@ -41,18 +41,20 @@ def test_same_seed_is_deterministic():
 # cone_mode_sum's worst relative error per oracle seed.  The Bessel
 # functions are numpy (checks._bessel_j, checks._bessel_k) and the
 # panels are integrated by checks.integrate_gk21, so the report keeps its
-# bits only while those do.
+# bits only while those do, and while the same (mode, panel) intervals
+# pass the bound |J_nu(w r) J_nu(w rp)| <= (w^2 r rp / 4)^nu / Gamma(nu + 1)^2
+# that checks._mode_integrals prunes by.
 CONE_MODE_SUM_MAX_REL = {
     0: 3.954434087409706e-11,
-    1: 7.745955535003853e-11,
+    1: 7.745978797493803e-11,
     2: 3.873767975457325e-11,
     3: 3.70155031501808e-11,
-    4: 7.174994651326586e-11,
-    5: 5.1051676952729077e-11,
-    6: 5.376539520102478e-11,
-    7: 5.162044631552714e-11,
-    8: 5.036251857125838e-11,
-    9: 7.4680291126487e-11,
+    4: 7.174969660966947e-11,
+    5: 5.1053162183636426e-11,
+    6: 5.3765166507479106e-11,
+    7: 5.1622268133258075e-11,
+    8: 5.036281386859944e-11,
+    9: 7.467900553384007e-11,
     42: 7.218318102770056e-11,
 }
 
@@ -135,3 +137,41 @@ def test_reports_round_trip_as_json(oracle_reports):
 def test_suite_version_is_frozen():
     assert isinstance(SUITE_VERSION, int)
     assert SUITE_VERSION >= 1
+
+
+def _frozen_copy(maker, tmp_path, monkeypatch):
+    """A copy of the oracle digest that ``maker`` reads and writes, and its text."""
+    path = tmp_path / "oracle_digest.json"
+    path.write_text(maker.OUT.read_text())
+    monkeypatch.setattr(maker, "OUT", path)
+    return path, path.read_text()
+
+
+def test_refreeze_rewrites_only_the_named_oracles(tmp_path, capsys, monkeypatch):
+    maker = _digest_maker()
+    path, text = _frozen_copy(maker, tmp_path, monkeypatch)
+    frozen = json.loads(text)
+    moved = {seed: (2.0 * float.fromhex(d["jet_fd"])).hex() for seed, d in frozen["seeds"].items()}
+    monkeypatch.setattr(maker, "seed_digest",
+                        lambda seed: {**frozen["seeds"][str(seed)], "jet_fd": moved[str(seed)]})
+    assert maker.refreeze(["jet_fd"]) == 0
+    want = json.loads(text)
+    for seed, digest in want["seeds"].items():
+        digest["jet_fd"] = moved[seed]
+    assert path.read_text() == json.dumps(want, indent=2) + "\n"
+    line = f"seed 3: jet_fd {frozen['seeds']['3']['jet_fd']} -> {moved['3']}"
+    assert line in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("names, message", [
+    (["scaling"], "seed 0: jet_fd differs"), (["not_an_oracle"], "not an oracle: not_an_oracle")])
+def test_refreeze_writes_nothing_if_another_oracle_moved(tmp_path, capsys, monkeypatch,
+                                                         names, message):
+    maker = _digest_maker()
+    path, text = _frozen_copy(maker, tmp_path, monkeypatch)
+    frozen = json.loads(text)
+    monkeypatch.setattr(maker, "seed_digest", lambda seed: {
+        **frozen["seeds"][str(seed)], "jet_fd": "0x1.0p-40", "scaling": "0x1.0p-41"})
+    assert maker.refreeze(names) == 1
+    assert path.read_text() == text
+    assert message in capsys.readouterr().out
