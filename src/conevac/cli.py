@@ -109,10 +109,6 @@ _PASS_POINTS = 64
 
 def _curve_points(spec: _FileSpec, series: _Series, xs: list[float]):
     """(geometry, r, theta) of one curve at each grid point in ``xs``."""
-    if spec.sweep not in ("r", "theta", "theta1"):
-        raise ValueError(f"unknown sweep coordinate {spec.sweep!r}")
-    if spec.sweep != "r" and series.fixed_r is None:
-        raise ValueError("no radius: series needs fixed_r or an r sweep")
     if spec.sweep == "theta1":
         return [(Cone(x), series.fixed_r, series.fixed_theta) for x in xs]
     if spec.sweep == "r":
@@ -657,6 +653,9 @@ def _cmd_eval(args) -> int:
 def _cmd_scan(args) -> int:
     geometry = _geometry_from_args(args)
     beta = _beta_from_args(args)
+    if args.correction and any(v is not None for v in (args.beta, args.xi, args.coupling)):
+        # the stress is affine in beta: the correction is the same at every coupling
+        raise ValueError("--correction reads no coupling; drop --beta, --xi and --coupling")
     if args.sweep != "r" and args.r is None:
         raise ValueError(f"--r is required for a {args.sweep} sweep")
     components = tuple(args.components.split(","))
@@ -779,7 +778,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="finite cutoff for the first column group")
     p_scan.add_argument("--components", default=",".join(COMPONENT_NAMES))
     p_scan.add_argument("--correction", action="store_true",
-                        help="emit the per-unit-beta correction instead")
+                        help="emit the per-unit-beta correction instead "
+                             "(takes no coupling flag)")
     p_scan.add_argument("--out", default=None,
                         help="CSV path (stdout when omitted)")
     p_scan.add_argument("--workers", type=_worker_count, default=1)

@@ -24,7 +24,12 @@ call, because the float path runs inside quadratures:
     derivative accuracy near coincidence;
   * a*u above _EXP_FORM_MIN_X: exponential form of the angular factor,
     which would otherwise overflow;
-  * u above _LARGE_U: exponential form of 1/sinh(u).
+  * u above _LARGE_U: exponential form of 1/sinh(u);
+  * a cone order a = 2 pi / theta1 below _SHEET_A: the a -> 0 limit,
+    where the cone's form loses its bits as (a u)^2 and (a dth)^2 leave
+    the normal doubles; an offset with a * dth below _SHEET_Y takes the
+    sheet's own form (`_dowker_term`), a farther one the cone's form at
+    a u -> 0 (`_sheet_term`).
 
 Angular denominators are always the half-angle form
 2 sinh^2(x/2) + 2 sin^2(y/2), which cannot cancel.
@@ -71,6 +76,13 @@ _SMALL_U = 1e-4
 _SMALL_AU = 0.05
 _EXP_FORM_MIN_X = 30.0
 _LARGE_U = 350.0
+# Below this order a = 2 pi / theta1 the cone takes its a -> 0 limit
+# (`_sheet_term`).  The cone's own form agrees with the sheet to its
+# roundoff from theta1 = 1e10 to 1e152 and breaks from about 1e155, where
+# (a u)^2 and (a dth)^2 leave the normal doubles.
+_SHEET_A = 1e-99
+# Below this a * dth an offset's term is the sheet's, to a relative (a dth)^2 / 12.
+_SHEET_Y = 1e-9
 
 _TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -170,9 +182,19 @@ def _cone_terms(t, r, rp, z, zp, theta1, *dths):
     for all offsets.  Each term keeps the operations of the kernel at
     its offset alone, so its bits do not depend on the other offsets.
     The offsets share u and so every branch.
+
+    For an order a below _SHEET_A each term is its `_sheet_term`.
     """
     a = 2.0 * math.pi / theta1
     q, u = _separation(t, r, rp, z, zp)
+    sheet = a < _SHEET_A
+    if sheet is not False:  # the float path pays one test for this branch
+        side = sheet if sheet is True else jets.agree(sheet)
+        if side is None:
+            return jets.split(sheet, _cone_terms, t, r, rp, z, zp, theta1, *dths)
+        if side:
+            num, den, u2 = -_u_over_sinh(q, u), _TWO_PI_SQ * r * rp, u * u
+            return [_sheet_term(num, den, u2, a, dth) for dth in dths]
     uval = value_of(u)
     series = (uval < _SMALL_U) & (a * uval < _SMALL_AU)
     side = series if isinstance(series, bool) else jets.agree(series)
@@ -195,6 +217,27 @@ def _cone_terms(t, r, rp, z, zp, theta1, *dths):
     for f in _angular_factors(x, *ys):
         out.append(scale * f)
     return out
+
+
+def _sheet_term(num, den, u2, a, dth):
+    """A cone term at order a below _SHEET_A, from the sheet's -u/sinh(u), 2 pi^2 r rp and u^2.
+
+    With x = a u below ~1e-96, sinh(x) = x and 2 sinh^2(x/2) = x^2/2 to a
+    relative x^2/12, and the cone's term is the sheet's with
+    (2 sin(a dth / 2) / a)^2 in place of dth^2.  Below a * dth = _SHEET_Y
+    that is dth^2 to roundoff, and the term is bit for bit `_dowker_term`;
+    above it, numerator and denominator are taken times a^2, which stays
+    finite where 1/a^2 would overflow (a^2 underflows to 0 there, with the
+    term).
+    """
+    far = a * abs(value_of(dth)) >= _SHEET_Y
+    side = far if isinstance(far, bool) else jets.agree(far)
+    if side is None:
+        return jets.split(far, _sheet_term, num, den, u2, a, dth)
+    if side:
+        a2 = a * a
+        return a2 * num / (den * (a2 * u2 + 4.0 * jets.sin(0.5 * a * dth) ** 2))
+    return num / (den * (u2 + dth * dth))
 
 
 def _dowker_term(t, r, rp, dth, z, zp):

@@ -20,29 +20,32 @@ Renormalization is a choice of what to subtract:
 
 The renormalized components have finite t -> 0 limits, reached by
 `stress_t0` through even-power Richardson extrapolation over a fixed
-halving ladder of six cutoffs (`_t0_cutoffs`).
+halving ladder of six cutoffs (`_t0_ladder`).
 
-There is one engine, `_ladders`: it takes any list of (source, r,
-theta, z, cutoffs, couplings) ladders whose sources are one kernel
+There is one planner, `_stress_cells`: an entry is one `stress_at`,
+`stress_from_kernel` or `stress_t0` call, at one or more couplings.
+The three public functions are one-entry calls to it, `_stress_points`
+(the oracles, and the three radii of `conservation_residual`) a call
+that raises the first error, and the CLI's scans and figures calls of
+up to `cli._PASS_POINTS` points, each contributing its finite cutoff
+and its six-cutoff ladder.  There is one intake, `_cutoffs`: every
+check of an entry runs there, once, and gives per coupling the cutoffs
+the entry is evaluated at or the first error it meets.  There is one
+engine, `_pass`: it takes any list of (source, r, theta, z, cutoffs,
+couplings) ladders that passed the intake, whose sources are one kernel
 expression or geometries of one kernel kind (`kernels.kernel_kind`),
 evaluates the kernel expression once on batched jets (see `jets`), one
 element per cutoff, with r, theta, z and the cone angle or wedge
-opening batch columns, and assembles each ladder elementwise at its
-own couplings.  There is one planner, `_stress_cells`: over a list of
-`stress_at`, `stress_from_kernel` and `stress_t0` calls it runs one
-pass per kernel kind (or expression) and renorm mode and one `_limits`
-call.  The three public functions are one-entry calls to it,
-`_stress_points` (the oracles, and the three radii of
-`conservation_residual`) a call that raises the first error, and the
-CLI's scans and figures calls of up to `cli._PASS_POINTS` points, each
-contributing its finite cutoff and its six-cutoff ladder.  Batching
-changes no bits: each element equals a batch of one.  Inside the engine
-a stress is the plain component tuple (t00, t_rr, t_perp, t_zz); the
-public functions wrap it in a `StressTensor` once per call.  A batch whose
-elements fall on different sides of a kernel branch is split there and
-each part rerun (`jets.split`); a pass over several ladders whose
-kernel evaluation fails is rerun in halves, down to single ladders, so
-each ladder meets its own outcome.
+opening batch columns, and assembles each ladder elementwise at its own
+couplings.  The planner runs one pass per kernel kind (or expression)
+and renorm mode, and one `_limits` call.  Batching changes no bits:
+each element equals a batch of one.  Inside the engine a stress is the
+plain component tuple (t00, t_rr, t_perp, t_zz); the public functions
+wrap it in a `StressTensor` once per call.  A batch whose elements fall
+on different sides of a kernel branch is split there and each part
+rerun (`jets.split`); a pass over several ladders whose kernel
+evaluation fails is rerun in halves, down to single ladders, so each
+ladder meets its own outcome.
 """
 
 from __future__ import annotations
@@ -189,7 +192,7 @@ def _rungs(kernel_fn, pairs, renorm_mode):
     taken off the full kernel here, for every geometry alike.  Every
     element is bit for bit what a batch of one would give (see `jets`).
     Near the axis the arrays meet infinities on the way to the error
-    `_ladders` reports; numpy is kept quiet about them.
+    `_pass` reports; numpy is kept quiet about them.
     """
     coords = jets.lift(pairs)
     with np.errstate(all="ignore"):
@@ -208,48 +211,20 @@ def _check_point(r, theta, z, t) -> None:
         PointPair(t=t, r=r, rp=r, theta=theta, thetap=theta, z=z, zp=z)
 
 
-def _ladders(renorm, ladders):
-    """Stress components on (source, r, theta, z, cutoffs, betas) ladders, on batched jets.
-
-    The ladders' sources are one kernel expression, or geometries of one
-    kernel kind whose angles become a batch column, as r, theta and z
-    are.  Returns, per ladder, one entry per beta of its own: the
-    component tuple of each of its cutoffs, or the ladder's own error,
-    without its traceback: a DomainError (a cutoff that is not positive,
-    or one `_pass` reports), or the ValueError a `PointPair` raises for
-    a point that is not valid.  The valid ladders go to `_pass`
-    together.
-    """
-    out, live = [], []
-    for k, (_, r, theta, z, ts, betas) in enumerate(ladders):
-        bad = [t for t in ts if not (math.isfinite(t) and t > 0)]
-        try:
-            if bad:
-                raise DomainError(f"stress needs a cutoff t > 0, got {bad[0]!r}")
-            _check_point(r, theta, z, ts[0])
-        except ValueError as exc:  # a DomainError is a ValueError too
-            out.append([exc.with_traceback(None)] * len(betas))
-            continue
-        out.append(None)
-        live.append(k)
-    if live:
-        for k, entry in zip(live, _pass(renorm, [ladders[k] for k in live])):
-            out[k] = entry
-    return out
-
-
 def _pass(renorm, ladders):
-    """`_ladders` on valid ladders: one kernel evaluation, then each ladder's assembly.
+    """Stress components on ladders that passed `_cutoffs`, from one kernel evaluation.
 
-    A ladder is assembled at its own betas only, and one whose assembly
-    fails (``r * r`` underflows) meets its own error there.  When the
-    kernel evaluation fails (the squared t-slope of the kernels' ``q``
-    underflows, a derivative factor overflows), each half of the
-    ladders is run on its own, and so on down to single ladders, so each
-    meets its own outcome and a grid with one failing point costs about
-    two passes, not one per ladder.  A component that comes out NaN is
-    out of range too.  Errors are returned without their tracebacks,
-    which would keep the batch alive.
+    Returns, per (source, r, theta, z, cutoffs, betas) ladder, one entry
+    per beta of its own: the component tuple of each of its cutoffs, or
+    the ladder's own DomainError.  A ladder is assembled at its own betas
+    only, and one whose assembly fails (``r * r`` underflows) meets its
+    own error there.  When the kernel evaluation fails (the squared
+    t-slope of the kernels' ``q`` underflows, a derivative factor
+    overflows), each half of the ladders is run on its own, and so on
+    down to single ladders, so each meets its own outcome and a grid with
+    one failing point costs about two passes, not one per ladder.  A
+    component that comes out NaN is out of range too.  Errors are
+    returned without their tracebacks, which would keep the batch alive.
     """
     ts_col, r_col, theta_col, z_col, source_col = [], [], [], [], []
     for source, r, theta, z, ts, _ in ladders:
@@ -473,30 +448,40 @@ def _t0_ladder(geometry: Geometry, r, theta) -> list[float]:
     return ts
 
 
-def _t0_cutoffs(geometry: Geometry, r, theta, betas) -> list:
-    """The ladder of `stress_t0` at each beta in ``betas``, or the error it meets.
+def _cutoffs(source, renorm, r, theta, z, t, betas) -> list:
+    """The cutoffs of one `_stress_cells` entry at each beta in ``betas``, or its error.
 
-    `_t0_ladder` runs once; only the nonconformal near-wall check runs
-    per beta, and it comes before every check of the ladder but the
-    walls themselves.  The error is a DomainError, or the ValueError a
-    `PointPair` raises for a point that is not valid; it comes without
-    its traceback.
+    Every check of an entry runs here, once.  A finite cutoff is checked
+    after the wedge interior and before the point.  A t -> 0 entry checks
+    its renorm mode, then its `_t0_ladder`, then the point's angle and
+    height; a nonconformal coupling within 1e-3 of a wedge wall meets its
+    own error before all but the renorm mode and the walls, so only the
+    other betas see the ladder's or the point's.  An error is a
+    DomainError, or the ValueError a `PointPair` raises for a point that
+    is not valid, without its traceback.
     """
+    gap = math.inf  # to the nearer wall, which only a t -> 0 wedge entry checks
     try:
-        ts = _t0_ladder(geometry, r, theta)
+        if t is not None:
+            _check_interior(source, theta)
+            if not (math.isfinite(t) and t > 0):
+                raise DomainError(f"stress needs a cutoff t > 0, got {t!r}")
+            ts = [t]
+        elif renorm is not RenormMode.KERNEL_SUBTRACTION:
+            raise ValueError("the t -> 0 limit is of the kernel-subtracted "
+                             f"stress, not {renorm}")
+        else:
+            if isinstance(source, Wedge):
+                gap = min(theta, source.theta0 - theta)
+            ts = _t0_ladder(source, r, theta)
+        _check_point(r, theta, z, ts[0])
     except ValueError as exc:  # a DomainError is a ValueError too
         ts = exc.with_traceback(None)
-    gap = min(theta, geometry.theta0 - theta) if isinstance(geometry, Wedge) else math.inf
-    out = []
-    for beta in betas:
-        if 0.0 < gap < 1e-3 and abs(beta - _CONFORMAL_BETA) > 1e-12:
-            out.append(DomainError(
-                "nonconformal wedge stress diverges at the walls; "
-                f"theta={theta!r} is too close (gap {gap!r} < 1e-3)"
-            ))
-        else:
-            out.append(ts)
-    return out
+    if not 0.0 < gap < 1e-3:
+        return [ts] * len(betas)
+    wall = DomainError("nonconformal wedge stress diverges at the walls; "
+                       f"theta={theta!r} is too close (gap {gap!r} < 1e-3)")
+    return [wall if abs(beta - _CONFORMAL_BETA) > 1e-12 else ts for beta in betas]
 
 
 def _extrapolate(best, err, spread):
@@ -583,33 +568,21 @@ def _stress_cells(entries):
     geometry, or a kernel expression as `stress_from_kernel` takes it,
     and ``t`` a cutoff, or None for the t -> 0 limit of `stress_t0` (a
     geometry, with ``renorm`` KERNEL_SUBTRACTION, the only mode
-    `stress_t0` has).  The entries of one kernel kind (or one
-    expression) and renorm mode share one `_ladders` pass, whatever
-    their r, theta, z, cutoffs and angles, and every t -> 0 ladder one
-    `_limits` call.  Returns per entry one cell per beta: the component
-    tuple of a cutoff, or the (components, errors) tuples of a limit,
-    bit for bit what the per-entry call returns, or the error it raises,
-    without its traceback.
+    `stress_t0` has).  Each entry is checked once, by `_cutoffs`; the
+    entries of one kernel kind (or one expression) and renorm mode share
+    one `_pass`, whatever their r, theta, z, cutoffs and angles, and
+    every t -> 0 ladder one `_limits` call.  Returns per entry one cell
+    per beta: the component tuple of a cutoff, or the (components,
+    errors) tuples of a limit, bit for bit what the per-entry call
+    returns, or the error it raises, without its traceback.
     """
     cells, groups, targets, limits = [], {}, [], []
     for k, (source, renorm, r, theta, z, t, betas) in enumerate(entries):
-        expression = callable(source)
-        try:
-            if t is None:
-                if renorm is not RenormMode.KERNEL_SUBTRACTION:
-                    raise ValueError("the t -> 0 limit is of the kernel-subtracted "
-                                     f"stress, not {renorm}")
-                cell = _t0_cutoffs(source, r, theta, betas)
-            else:
-                if not expression:
-                    _check_interior(source, theta)
-                cell = [[t]] * len(betas)
-        except ValueError as exc:
-            cell = [exc.with_traceback(None)] * len(betas)
+        cell = _cutoffs(source, renorm, r, theta, z, t, betas)
         cells.append(cell)  # per beta its error, or its cutoffs until the pass
         js = [j for j, ts in enumerate(cell) if type(ts) is list]
         if js:
-            key = (source if expression else kernel_kind(source), renorm)
+            key = (source if callable(source) else kernel_kind(source), renorm)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = ([], [])
@@ -617,7 +590,7 @@ def _stress_cells(entries):
                              betas if len(js) == len(betas) else [betas[j] for j in js]))
             group[1].append((k, js))
     for (_, renorm), (ladders, members) in groups.items():
-        for (k, js), ladder, entry in zip(members, ladders, _ladders(renorm, ladders)):
+        for (k, js), ladder, entry in zip(members, ladders, _pass(renorm, ladders)):
             if entries[k][5] is None:  # `_limits` keeps a ladder's error
                 targets += [(k, j) for j in js]
                 limits += [(ladder[4], rungs) for rungs in entry]

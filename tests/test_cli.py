@@ -116,6 +116,25 @@ class TestEval:
         assert code == 2
         assert err
 
+    def test_wedge_needs_its_opening(self, capsys):
+        code, out, err = run(capsys, "eval", "--geometry", "wedge", "--r", "1", "--theta", "0.3")
+        assert (code, out, err) == (2, "", "error: --theta0 is required for --geometry wedge\n")
+
+    @pytest.mark.parametrize("flags", [("--beta", "0", "--xi", "0.3"),
+                                       ("--xi", "0.3", "--coupling", "conformal")])
+    def test_one_coupling_flag_at_most(self, capsys, flags):
+        code, out, err = run(capsys, "eval", "--geometry", "cone", "--theta1", "3",
+                             "--r", "1", *flags)
+        assert (code, out, err) == (2, "", "error: give at most one of --beta, --xi, --coupling\n")
+
+    def test_flat_kernel(self, capsys):
+        code, out, _ = run(capsys, "eval", "--geometry", "minkowski", "--r", "1.2",
+                           "--rprime", "0.7", "--theta", "0.4", "--t", "0.5", "--what", "kernel")
+        assert code == 0
+        pair = conevac.PointPair(t=0.5, r=1.2, rp=0.7, theta=0.4, thetap=0.4)
+        assert json.loads(out)["tbar"] == conevac.tbar_minkowski(pair)
+        assert json.loads(out)["tbar"] == pytest.approx(-1.0 / (2.0 * PI**2 * (0.25 + 0.25)))
+
     def test_primed_coordinates_are_kernel_only(self, capsys):
         code, _, _ = run(capsys, "eval", "--geometry", "minkowski",
                          "--r", "1", "--rprime", "2", "--t", "0.5")
@@ -274,6 +293,29 @@ class TestScan:
         assert code == 2
         assert err.startswith("error: ") and named in err
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_linear_grid_through_the_axis_is_a_usage_error(self, capsys, tmp_path, workers):
+        # the grid is valid, its point at r = -1 is not: nothing is written
+        out_csv = tmp_path / "scan.csv"
+        for out in ((), ("--out", str(out_csv))):
+            code, stdout, err = run(capsys, "scan", "--geometry", "cone", "--theta1", "2",
+                                    "--sweep", "r", "--lo", "-1", "--hi", "1", "--points", "3",
+                                    "--workers", workers, *out)
+            assert (code, stdout) == (2, "")
+            assert err == "error: radii must be positive, got r=-1.0, rp=-1.0\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", [("--beta", "1e17"), ("--xi", "0.3"),
+                                      ("--coupling", "conformal")])
+    def test_correction_takes_no_coupling(self, capsys, flag):
+        # the correction is per unit beta at every coupling; a huge beta once
+        # merged beta and beta + 1 and printed the stress itself
+        code, out, err = run(capsys, "scan", "--geometry", "cone", "--theta1", "2",
+                             "--sweep", "r", "--lo", "1", "--hi", "2", "--points", "2",
+                             *flag, "--correction", "--components", "t00")
+        assert (code, out) == (2, "")
+        assert err == "error: --correction reads no coupling; drop --beta, --xi and --coupling\n"
 
     def test_angle_sweep_needs_a_radius(self, capsys):
         code, _, _ = run(capsys, "scan", "--geometry", "cone", "--theta1", "3",
@@ -741,10 +783,10 @@ class TestBatchedGrid:
         # the grid touches both walls, and its neighbours graze them
         "theta_walls": ("--geometry", "wedge", "--theta0", str(PI / 2), "--sweep",
                         "theta", "--lo", "0", "--hi", str(PI / 2), "--r", "8"),
+        # a correction reads no coupling: its couplings are beta = 0 and 1
         "theta_walls_conformal_correction": (
             "--geometry", "wedge", "--theta0", str(PI / 3), "--sweep", "theta",
-            "--lo", "0", "--hi", str(PI / 3), "--r", "8", "--coupling",
-            "conformal", "--correction"),
+            "--lo", "0", "--hi", str(PI / 3), "--r", "8", "--correction"),
         "theta1": ("--geometry", "cone", "--sweep", "theta1", "--lo", str(PI / 8),
                    "--hi", str(4 * PI), "--r", "1", "--xi", "0.3"),
         "theta1_correction": ("--geometry", "cone", "--sweep", "theta1",
@@ -984,6 +1026,29 @@ class TestConfig:
         code, _, _ = run(capsys, "scan", "--config",
                          str(tmp_path / "absent.cfg"))
         assert code == 2
+
+    def test_switch_lines_set_or_drop_flags(self, capsys, tmp_path):
+        base = ("geometry = cone\ntheta1 = 3.0\nsweep = r\nlo = 1\nhi = 4\n"
+                "points = 3\ncomponents = t00\n")
+        outs = []
+        for name, switches in (("on", "log = yes\ncorrection = off\n"),
+                               ("off", "log = false\ncorrection = TRUE\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(base + switches)
+            outs.append(run(capsys, "scan", "--config", str(cfg)))
+        flags = ("scan", "--geometry", "cone", "--theta1", "3.0", "--sweep", "r", "--lo", "1",
+                 "--hi", "4", "--points", "3", "--components", "t00")
+        assert outs == [run(capsys, *flags, "--log"), run(capsys, *flags, "--correction")]
+        assert outs[0][0] == 0 and outs[0] != outs[1]
+
+    @pytest.mark.parametrize("argv, err", [
+        (["scan", "--config"], "--config needs a file path"),
+        (["--config", "scan.cfg"], "--config needs a subcommand"),
+    ], ids=["no_path", "no_subcommand"])
+    def test_config_needs_a_path_and_a_subcommand(self, capsys, tmp_path, argv, err):
+        (tmp_path / "scan.cfg").write_text("geometry = cone\n")
+        argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 class TestVerify:

@@ -125,6 +125,11 @@ class TestGeometries:
         with pytest.raises(ValueError):
             Cone(0.0)
 
+    @pytest.mark.parametrize("theta0", [0.0, -1.0])
+    def test_wedge_rejects_nonpositive_opening(self, theta0):
+        with pytest.raises(ValueError, match=f"^theta0 must be positive, got {theta0!r}$"):
+            Wedge(theta0)
+
     def test_wedge_defaults_to_dirichlet(self):
         assert Wedge(1.0).bc is BoundaryCondition.DIRICHLET
 

@@ -102,6 +102,12 @@ class TestCone:
         # the tail is what closes the gap left by truncation
         assert abs(with_tail.value - closed) < abs(without.value - closed)
 
+    def test_image_sum_refuses_coincidence_and_bad_angles(self):
+        with pytest.raises(SingularPointError, match="^coincident points with t = 0$"):
+            tbar_cone_via_images(PointPair(t=0.0, r=1.0, rp=1.0, theta=0.4, thetap=0.4), 3.0)
+        with pytest.raises(ValueError, match="^theta1 must be positive, got 0.0$"):
+            tbar_cone_via_images(PointPair(t=0.3, r=1.0, rp=1.0), 0.0)
+
     def test_small_separation_branch_agrees_with_images(self):
         # u about 5e-5 exercises the series branch; the image sum stays
         # regular because the angular offset keeps every image separated
@@ -744,6 +750,21 @@ class TestThreeDim:
         got = checks._tbar_3d_many(t, r, rp, dthetas, theta1)
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert calls == [5 * len(dthetas)]
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((0.3, -1.0, 1.0, 3.0), DomainError, "radii must be positive"),
+        ((0.3, 1.0, 0.0, 3.0), DomainError, "radii must be positive"),
+        ((-0.3, 1.0, 1.0, 3.0), DomainError, "t must be >= 0"),
+        ((0.0, 1.2, 1.2, 3.0), SingularPointError, "coincident points with t = 0"),
+        ((0.3, 1.0, 1.0, -3.0), ValueError, "theta1 must be positive, got -3.0"),
+    ], ids=["r", "rp", "t", "coincident", "theta1"])
+    def test_arguments_are_checked(self, args, error, message):
+        t, r, rp, theta1 = args
+        for call in (lambda: tbar_3d(t, r, rp, 0.0, theta1),
+                     lambda: tbar_3d_theta_average(t, r, rp, theta1)):
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == message
 
     def test_theta_average_is_legendre_q(self, reference):
         # the angular average collapses to Q_{-1/2}(cosh u0)

@@ -32,6 +32,9 @@ from conevac import (
     stress_at,
     stress_from_kernel,
     stress_t0,
+    tbar_cone,
+    tbar_dowker,
+    tbar_wedge,
     trace,
     zero_point_stress,
 )
@@ -41,8 +44,8 @@ from conevac.stress import (
     COMPONENT_NAMES,
     _assemble,
     _derivatives,
-    _ladders,
     _noise,
+    _pass,
     _richardson,
     _rungs,
     _stress_cells,
@@ -335,6 +338,15 @@ class TestValidation:
         assert ("must be positive" if r == r and abs(r) < math.inf
                 else "must be finite") in messages.pop()
 
+    @pytest.mark.parametrize("geometry, r, theta", [
+        (Cone(2.0), 5e-324, 0.0),
+        (Wedge(math.pi / 2), 1e-5, 5e-324),
+    ], ids=["radius", "wall_gap"])
+    def test_underflowing_ladder_top_is_out_of_range(self, geometry, r, theta):
+        # a quarter of the least radius, or of r times the least wall gap, is 0
+        with pytest.raises(DomainError, match=r"^t0 must be positive, got 0\.0$"):
+            stress_t0(geometry, r, theta, beta=CONFORMAL_BETA)
+
     @pytest.mark.parametrize("geometry", [Dowker(), Cone(2.0), Wedge(1.0)],
                              ids=["sheet", "cone", "wedge"])
     def test_huge_radii_are_finite_or_out_of_range(self, geometry):
@@ -428,8 +440,7 @@ LADDERS = {
 
 def _ladder(geometry, r, theta, beta, ts):
     """Kernel-subtracted stress tensors on one cutoff ladder, from one engine pass."""
-    ((rungs,),) = _ladders(RenormMode.KERNEL_SUBTRACTION,
-                           [(geometry, r, theta, 0.0, ts, (beta,))])
+    ((rungs,),) = _pass(RenormMode.KERNEL_SUBTRACTION, [(geometry, r, theta, 0.0, ts, (beta,))])
     return [StressTensor(*comps, renorm_mode=RenormMode.KERNEL_SUBTRACTION, cutoff_t=t)
             for t, comps in zip(ts, rungs)]
 
@@ -815,17 +826,17 @@ class TestStressPoints:
 
     def test_points_equal_per_point_calls(self, monkeypatch):
         passes, limits = [], []
-        real_ladders, real_limits = stress._ladders, stress._limits
+        real_pass, real_limits = stress._pass, stress._limits
 
-        def counting_ladders(renorm, ladders):
+        def counting_pass(renorm, ladders):
             passes.append(len(ladders))
-            return real_ladders(renorm, ladders)
+            return real_pass(renorm, ladders)
 
         def counting_limits(ladders):
             limits.append(len(ladders))
             return real_limits(ladders)
 
-        monkeypatch.setattr(stress, "_ladders", counting_ladders)
+        monkeypatch.setattr(stress, "_pass", counting_pass)
         monkeypatch.setattr(stress, "_limits", counting_limits)
         got = _stress_points(self.POINTS)
         monkeypatch.undo()
@@ -883,6 +894,25 @@ class TestStressPoints:
                 _stress_points([(wedge, KERNEL, r, theta, 0.0, None, betas)])
             assert str(info.value) == str(want)
 
+    @pytest.mark.parametrize("r, theta, z, error, message", [
+        (1.0, 5e-4, math.inf, ValueError, "z must be finite, got inf"),
+        (-1.0, 5e-4, 0.0, ValueError, "radii must be positive, got r=-1.0, rp=-1.0"),
+        (1e-5, 5e-324, 0.0, DomainError, "t0 must be positive, got 0.0"),
+    ], ids=["height", "radius", "ladder"])
+    def test_near_wall_coupling_meets_its_own_error_first(self, r, theta, z, error, message):
+        # a nonconformal coupling this close to a wall is refused before the
+        # ladder and the point are checked; only the conformal one meets those
+        wedge = Wedge(math.pi / 2)
+        for betas in [(0.0, CONFORMAL_BETA), (CONFORMAL_BETA, 0.0)]:
+            (cells,) = _stress_cells([(wedge, KERNEL, r, theta, z, None, betas)])
+            for cell, beta in zip(cells, betas):
+                if beta == CONFORMAL_BETA:
+                    assert type(cell) is error and str(cell) == message
+                else:
+                    assert type(cell) is DomainError
+                    assert str(cell).startswith("nonconformal wedge stress diverges")
+                assert _same(cell, _per_point(wedge, KERNEL, r, theta, z, None, beta))
+
     def test_z_is_checked_per_entry(self):
         # a z that is not finite fails its own entries only, as per point
         entries = [(Cone(2.2), KERNEL, 1.0, 0.0, z, t, (0.0,))
@@ -924,6 +954,85 @@ class TestStressPoints:
         assert _same(cell, result)
 
 
+class TestHugeAngles:
+    """Cones of order a = 2 pi / theta1 below `kernels._SHEET_A` are the sheet, bit for bit.
+
+    The cone's own form breaks from theta1 ~ 1e155, where (a u)^2 leaves
+    the normal doubles: at 1e160 t00 read -106 where the sheet has
+    7.7e-4, and from 1e200 on it raised.  An offset with a * dth above
+    `kernels._SHEET_Y` keeps the cone's value.
+    """
+
+    ANGLES = [1e100, 1e155, 1e160, 1e200, 1e300]
+
+    @pytest.mark.parametrize("theta1", ANGLES)
+    def test_cone_is_the_sheet(self, theta1):
+        cone, sheet = Cone(theta1), Dowker()
+        for beta in (0.0, CONFORMAL_BETA, 0.7):
+            for renorm in RenormMode:
+                assert _hexes(stress_at(cone, 1.0, 0.3, 0.2, beta=beta, t=0.05, renorm=renorm)) \
+                    == _hexes(stress_at(sheet, 1.0, 0.3, 0.2, beta=beta, t=0.05, renorm=renorm))
+            assert _hexes(stress_t0(cone, 1.3, beta=beta)) \
+                == _hexes(stress_t0(sheet, 1.3, beta=beta))
+        for pair in (PointPair(t=0.3, r=1.0, rp=1.2, theta=0.4),
+                     PointPair(t=1e-5, r=1.0, rp=1.0, theta=2e-5),
+                     PointPair(t=0.0, r=2.0, rp=1.0, theta=-3.0, z=0.5)):
+            assert tbar_cone(pair, theta1).hex() == tbar_dowker(pair).hex()
+
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("theta0", ANGLES)
+    def test_wedge_is_the_sheet_and_its_signed_image(self, theta0, bc):
+        sign = bc.image_sign
+
+        def images(t, r, rp, theta, thetap, z, zp):
+            return (kernels._dowker_term(t, r, rp, theta - thetap, z, zp)
+                    + sign * kernels._dowker_term(t, r, rp, theta + thetap, z, zp))
+
+        wedge = Wedge(theta0, bc)
+        for theta in (0.5, 2.0, 40.0):
+            for beta in (0.0, CONFORMAL_BETA):
+                assert _hexes(stress_at(wedge, 1.0, theta, beta=beta, t=0.05)) \
+                    == _hexes(stress_from_kernel(images, 1.0, theta, beta=beta, t=0.05))
+        # far from both walls the image is below the sheet's last bit; it
+        # once read t00 = 3376 at theta0 = 1e160
+        assert _hexes(stress_at(wedge, 1.0, 0.2 * theta0, t=0.05)) \
+            == _hexes(stress_at(Dowker(), 1.0, t=0.05))
+        pair = PointPair(t=0.3, r=1.0, rp=1.2, theta=0.4, thetap=1.1)
+        assert tbar_wedge(pair, theta0, bc).hex() == images(
+            pair.t, pair.r, pair.rp, pair.theta, pair.thetap, pair.z, pair.zp).hex()
+
+    def test_angle_columns_split_at_the_sheet(self):
+        # one pass per kind over angles on both sides of the threshold
+        geometries = [(Cone(2.2), 0.0), (Cone(1e160), 0.0), (Cone(1e4 * math.pi), 0.0),
+                      (Cone(1e300), 0.0), (Wedge(1.0), 0.5), (Wedge(1e160), 0.5),
+                      (Wedge(1e10), 0.5), (Wedge(1e200), 2.0), (Wedge(1e160), 2e159),
+                      (Wedge(1e120), 3e119)]
+        orders = [2.0 * math.pi / (g.theta1 if isinstance(g, Cone) else 2.0 * g.theta0)
+                  for g, _ in geometries]
+        assert min(orders) < kernels._SHEET_A < max(orders)
+        entries = [(g, KERNEL, r, theta, 0.0, t, (0.0, 0.7)) for g, theta in geometries
+                   for r in (0.7, 2.0) for t in (0.5, None)]
+        for entry, cells in zip(entries, _stress_cells(entries)):
+            for cell, beta in zip(cells, entry[6]):
+                if entry[5] is None and not isinstance(cell, Exception):
+                    cell = cell[0]
+                assert _same(cell, _per_point(*entry[:6], beta))
+
+    def test_far_offsets_keep_the_cone_value(self):
+        # at a * dth ~ pi / 2 the sheet's form is 23% off
+        mp = pytest.importorskip("mpmath")
+        theta1, pair = 1e100, PointPair(t=0.3, r=1.0, rp=1.2, theta=2.5e99)
+        with mp.workdps(40):
+            a, rp, t = 2 * mp.pi / theta1, mp.mpf(pair.rp), mp.mpf(pair.t)
+            u = 2 * mp.asinh(mp.sqrt(((1 - rp) ** 2 + t * t) / (4 * rp)))
+            x, y = a * u, a * mp.mpf(pair.theta)
+            want = (-1 / (2 * mp.pi * theta1 * rp) / mp.sinh(u) * mp.sinh(x)
+                    / (2 * mp.sinh(x / 2) ** 2 + 2 * mp.sin(y / 2) ** 2))
+        got = tbar_cone(pair, theta1)
+        assert got == pytest.approx(float(want), rel=1e-14)
+        assert abs(tbar_dowker(pair) / got - 1) > 0.1
+
+
 class TestMergedPasses:
     """A pass over many angles gives each point the bits of its own geometry."""
 
@@ -949,7 +1058,7 @@ class TestMergedPasses:
         ladders = [(Wedge(1.0), 2.0, 0.5, 0.0, [1.0], (0.0,)),
                    (Wedge(2.0, BoundaryCondition.NEUMANN), 2.0, 0.5, 0.0, [1.0], (0.0,))]
         with pytest.raises(ValueError, match="one kernel kind"):
-            _ladders(KERNEL, ladders)
+            _pass(KERNEL, ladders)
         # the planner gives each kind its own pass
         points = [(g, r, theta, betas) for g, r, theta, _, _, betas in ladders]
         for (geometry, r, theta, betas), (finite, limit) in zip(points, _cells(points, 0.0, 1.0)):
