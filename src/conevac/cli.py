@@ -652,6 +652,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_scan(args) -> int:
     geometry = _geometry_from_args(args)
+    if {"r": args.r, "theta": args.theta, "theta1": args.theta1}[args.sweep] is not None:
+        raise ValueError(f"--{args.sweep} does not apply to --sweep {args.sweep}, which varies it")
     beta = _beta_from_args(args)
     if args.correction and any(v is not None for v in (args.beta, args.xi, args.coupling)):
         # the stress is affine in beta: the correction is the same at every coupling
@@ -670,7 +672,8 @@ def _cmd_scan(args) -> int:
     spec = _FileSpec(
         name, args.sweep, args.lo, args.hi, args.log,
         series=(_Series("", geometry, beta, correction=args.correction,
-                        fixed_r=args.r, fixed_theta=args.theta,
+                        fixed_r=args.r,
+                        fixed_theta=0.0 if args.theta is None else args.theta,
                         fixed_z=args.z),),
         components=components, points=args.points, cutoff_t=args.t,
     )
@@ -772,7 +775,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="geometric instead of linear grid")
     p_scan.add_argument("--r", type=float, default=None,
                         help="fixed radius for theta/theta1 sweeps")
-    p_scan.add_argument("--theta", type=float, default=0.0)
+    p_scan.add_argument("--theta", type=float, default=None,
+                        help="fixed angle for r/theta1 sweeps (default 0)")
     p_scan.add_argument("--z", type=float, default=0.0)
     p_scan.add_argument("--t", type=_positive_cutoff, default=1.0,
                         help="finite cutoff for the first column group")

@@ -3,10 +3,11 @@
 The stress tensor needs values, gradients, and a few Hessian entries
 of the two-point kernels with respect to the seven coordinates of a
 point pair.  A `Jet2` carries (value, gradient, Hessian entries)
-through arithmetic and the handful of elementary functions the
-kernels use.  Kernel expressions are written once against the dispatch
-functions below, which pass plain floats through to `math`, so the
-same code path produces values and derivatives.
+through arithmetic, the square and the six elementary functions the
+kernels use: exp, sqrt, sinh, asinh, sin and cos.  Kernel expressions
+are written once against the dispatch functions below, which pass
+plain floats through to `math`, so the same code path produces values
+and derivatives.
 
 A jet carries the full gradient but only the Hessian entries (i, j)
 listed in its `Pairs`, one row each.  Under every rule the entry
@@ -27,14 +28,14 @@ batch).  Every operation broadcasts over that axis with the same code
 as for a scalar jet, in the scalar rule's operand order and with
 elementwise IEEE arithmetic, so each element of a batched result is
 bit for bit the scalar jet of its own pair.  Only libm needs care:
-numpy's exp, sinh, arcsinh, log and powers can round differently from
-the C library in the last bit, so the rules call `math` through `_libm`
-and ``**`` through `_power`, one element at a time, and write the rest
-as + - * / that act alike on floats and arrays.  A batch that fails a rule (a
-domain check, a zero divisor, an overflow) is rerun element by
-element, so it raises what its first failing element raises alone.
-An (n,) array operand of a batched jet is a batch constant, element k
-acting as the float at k would, in either operand order.
+numpy's exp, sinh, arcsinh and powers can round differently from the C
+library in the last bit, so the rules call `math` through `_libm` and
+``**`` through `_power`, one element at a time, and write the rest as
++ - * / that act alike on floats and arrays.  A batch that fails a
+rule raises once, with a float's message; a domain check names the
+first element that is not positive.  An (n,) array operand of a
+batched jet is a batch constant, element k acting as the float at k
+would, in either operand order.
 
 Branching on the magnitude of a jet must go through `value_of`; jets
 deliberately do not define ordering.  A batch takes a branch whole
@@ -91,18 +92,14 @@ class Jet2:
 
     ``d`` holds the m gradient rows, then the Hessian entries (row k of
     ``hess`` is ``pairs.pairs[k]``), with a trailing batch axis when
-    ``value`` is not a float.  Operations build jets with `_jet`, which
-    skips ``__init__``; none writes into an operand's ``d``.
+    ``value`` is not a float.  `lift` and the operations build jets with
+    `_jet`; none writes into an operand's ``d``.
     """
 
     __slots__ = ("value", "d", "m", "pairs")
     # numpy defers every operator to the jet, so ``array * jet`` reaches
     # `__rmul__` instead of making an object array of jets
     __array_ufunc__ = None
-
-    def __init__(self, value, grad, hess, pairs: Pairs):
-        self.value, self.m, self.pairs = value, len(grad), pairs
-        self.d = np.concatenate((grad, hess))
 
     @property
     def grad(self) -> np.ndarray:
@@ -111,19 +108,6 @@ class Jet2:
     @property
     def hess(self) -> np.ndarray:
         return self.d[self.m:]
-
-    @classmethod
-    def constant(cls, value, m: int, pairs: Pairs = ASSEMBLY_PAIRS) -> "Jet2":
-        if isinstance(value, (list, tuple, np.ndarray)):
-            value = np.array(value, dtype=float)
-            return _jet(value, np.zeros((m + pairs.n, *value.shape)), m, pairs)
-        return _jet(float(value), np.zeros(m + pairs.n), m, pairs)
-
-    @classmethod
-    def variable(cls, value, index: int, m: int, pairs: Pairs = ASSEMBLY_PAIRS) -> "Jet2":
-        jet = cls.constant(value, m, pairs)
-        jet.d[index] = 1.0
-        return jet
 
     def hess_entry(self, i: int, j: int):
         """Hessian entry (i, j): a float, or (n,) for a batch."""
@@ -212,29 +196,15 @@ class Jet2:
         return o / self
 
     def __pow__(self, n) -> "Jet2":
-        v = self.value
+        # the square, the only power a kernel takes; any other is a TypeError
         if n == 2 and isinstance(n, int):
-            # The integer rule below gives (v ** 2, 2 * v, 2.0) exactly here,
-            # since v ** 1 is v and v ** 0 is 1: only the value needs libm.
+            v = self.value
             return self._compose(_power(v, 2), 2 * v, 2.0)
-
-        # Integer powers are valid at v = 0 for n >= 2 and keep int
-        # arithmetic on n (0 * (0 - 1) is an unsigned 0); other powers need
-        # a positive base.
-        integer = isinstance(n, int)
-        one = 1 if integer else 1.0
-
-        def rule(v):
-            if not integer:
-                _require_positive(f"jet ** {n!r} requires a positive base", v)
-            return (_power(v, n), n * _power(v, n - one),
-                    n * (n - one) * _power(v, n - 2 * one))
-
-        return self._compose(*_factors(rule, v))
+        return NotImplemented
 
 
 def _jet(value, d, m: int, pairs: Pairs) -> Jet2:
-    """The jet with value ``value`` and derivative rows ``d``, without ``__init__``."""
+    """The jet with value ``value`` and derivative rows ``d``."""
     jet = object.__new__(Jet2)
     jet.value, jet.d, jet.m, jet.pairs = value, d, m, pairs
     return jet
@@ -260,26 +230,10 @@ def _nonzero(x):
 
 
 def _require_positive(what: str, v) -> None:
-    """Raise DomainError unless ``v``, or every element of a batch, is positive."""
-    if np.count_nonzero(v <= 0.0):
-        raise DomainError(f"{what}, got {v!r}")
-
-
-def _factors(rule, v):
-    """``rule(v) -> (f, f', f'')`` for a float or a batch value.
-
-    A batch on which the rule fails is rerun element by element, so it
-    raises what its first failing element raises alone, message included.
-    """
-    try:
-        return rule(v)
-    except (DomainError, ArithmeticError) as exc:
-        if isinstance(v, float):
-            raise
-        failure = exc
-    for e in v.tolist():
-        rule(e)
-    raise failure
+    """Raise DomainError unless ``v`` is positive; a batch names its first bad element."""
+    bad = v <= 0.0
+    if np.count_nonzero(bad):
+        raise DomainError(f"{what}, got {v if isinstance(v, float) else v[bad][0].item()!r}")
 
 
 def _elementary(f):
@@ -288,7 +242,7 @@ def _elementary(f):
     def wrap(rule):
         def dispatch(x):
             if isinstance(x, Jet2):
-                return x._compose(*_factors(rule, x.value))
+                return x._compose(*rule(x.value))
             return f(x)
         return functools.update_wrapper(dispatch, rule)
     return wrap
@@ -362,12 +316,6 @@ def exp(v):
     return e, e, e
 
 
-@_elementary(math.log)
-def log(v):
-    _require_positive("log of a jet requires a positive value", v)
-    return _libm(math.log, v), 1.0 / v, -1.0 / _nonzero(v * v)
-
-
 @_elementary(math.sqrt)
 def sqrt(v):
     _require_positive("sqrt of a jet requires a positive value", v)
@@ -379,12 +327,6 @@ def sqrt(v):
 def sinh(v):
     s, c = _libm(math.sinh, v), _libm(math.cosh, v)
     return s, c, s
-
-
-@_elementary(math.cosh)
-def cosh(v):
-    s, c = _libm(math.sinh, v), _libm(math.cosh, v)
-    return c, s, c
 
 
 @_elementary(math.asinh)
@@ -403,12 +345,6 @@ def sin(v):
 def cos(v):
     s, c = _libm(math.sin, v), _libm(math.cos, v)
     return c, -s, -c
-
-
-@_elementary(math.atan)
-def atan(v):
-    d = 1.0 + v * v
-    return _libm(math.atan, v), 1.0 / d, -2.0 * v / (d * d)
 
 
 def lift(pair, pairs: Pairs = ASSEMBLY_PAIRS) -> dict:

@@ -219,12 +219,13 @@ def _pass(renorm, ladders):
     the ladder's own DomainError.  A ladder is assembled at its own betas
     only, and one whose assembly fails (``r * r`` underflows) meets its
     own error there.  When the kernel evaluation fails (the squared
-    t-slope of the kernels' ``q`` underflows, a derivative factor
-    overflows), each half of the ladders is run on its own, and so on
-    down to single ladders, so each meets its own outcome and a grid with
-    one failing point costs about two passes, not one per ladder.  A
-    component that comes out NaN is out of range too.  Errors are
-    returned without their tracebacks, which would keep the batch alive.
+    t-slope of the kernels' ``q`` underflows, ``sqrt(q)`` meets q = 0, a
+    derivative factor overflows), each half of the ladders is run on its
+    own, and so on down to single ladders, so each meets its own outcome
+    and a grid with one failing point costs about two passes, not one
+    per ladder.  A component that comes out NaN is out of range too.
+    Errors are returned without their tracebacks, which would keep the
+    batch alive.
     """
     ts_col, r_col, theta_col, z_col, source_col = [], [], [], [], []
     for source, r, theta, z, ts, _ in ladders:
@@ -286,8 +287,9 @@ def stress_from_kernel(
     """Differentiate an arbitrary kernel expression and assemble the stress.
 
     ``kernel_fn`` takes the seven pair coordinates by keyword and must
-    be built from the `jets` dispatch functions, branching through
-    `jets.agree` and `jets.split`.  It takes the path of `stress_at`, a
+    be built from + - * /, ``** 2`` and the `jets` rules exp, sqrt, sinh,
+    asinh, sin and cos, branching through `jets.value_of`, `jets.agree`
+    and `jets.split`.  It takes the path of `stress_at`, a
     one-entry `_stress_cells` call, with the expression as the source;
     it is exposed so independently constructed kernels (image sums,
     cross checks) can be pushed through the same assembly.

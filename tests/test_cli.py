@@ -437,7 +437,8 @@ class TestScan:
 
 
 class TestGeometryFlags:
-    """A geometry flag of another geometry is a usage error, raised before any output."""
+    """A geometry flag of another geometry, or the flag of the swept coordinate, is a
+    usage error, raised before any output."""
 
     SCAN = ("scan", "--lo", "1", "--hi", "2", "--r", "1", "--points", "2")
     EVAL = ("eval", "--r", "1")
@@ -461,6 +462,15 @@ class TestGeometryFlags:
         "scan-minkowski-bc": (SCAN + ("--geometry", "minkowski", "--sweep", "r",
                                       "--bc", "dirichlet"),
                               "--bc applies to --geometry wedge only"),
+        # the grid sets the swept coordinate: its flag was once ignored
+        "r-sweep-r": (SCAN + ("--geometry", "cone", "--theta1", "3", "--sweep", "r"),
+                      "--r does not apply to --sweep r, which varies it"),
+        "theta-sweep-theta": (SCAN + ("--geometry", "cone", "--theta1", "3", "--sweep",
+                                      "theta", "--theta", "0.9"),
+                              "--theta does not apply to --sweep theta, which varies it"),
+        "theta1-sweep-theta1": (SCAN + ("--geometry", "cone", "--sweep", "theta1",
+                                        "--theta1", "3"),
+                                "--theta1 does not apply to --sweep theta1, which varies it"),
     }
 
     @pytest.mark.parametrize("argv, message", CASES.values(), ids=CASES.keys())
@@ -805,7 +815,8 @@ class TestBatchedGrid:
             "scan.csv", args.sweep, args.lo, args.hi, args.log,
             series=(cli._Series("", geometry, cli._beta_from_args(args),
                                 correction=args.correction, fixed_r=args.r,
-                                fixed_theta=args.theta, fixed_z=args.z),),
+                                fixed_theta=0.0 if args.theta is None else args.theta,
+                                fixed_z=args.z),),
             components=tuple(args.components.split(",")), points=args.points,
             cutoff_t=args.t,
         )

@@ -148,7 +148,7 @@ class TestSeriesBranch:
         # the derivatives, where 7.1/360 is off by ~2e-11 relative
         mp = pytest.importorskip("mpmath")
         us = np.geomspace(1e-6, kernels._SMALL_U, 16, endpoint=False)
-        u = jets.Jet2.variable(us, 0, 1, jets.Pairs([(0, 0)]))
+        u = lift({name: us for name in COORDS}, jets.Pairs([(0, 0)]))["t"]
         got = kernels._u_over_sinh(jets.sinh(0.5 * u) ** 2, u)
         with mp.workdps(50):
             want = [[float(mp.diff(lambda x: x / mp.sinh(x), mp.mpf(x), n)) for x in us]

@@ -406,6 +406,44 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"t / \(2 r\*\*2\) squared underflows"):
             stress_at(Dowker(), 1e100, t=1.0)
 
+    # (geometry, r, theta, t) where the kernel pass fails: in the jets sqrt
+    # rule at q = 0 (t * t underflows against r * r), in a rule whose
+    # derivative factor overflows, or with a component that comes out NaN
+    KERNEL_PASS_FAILURES = {
+        "cone_sqrt": ((Cone(2.0), 1e-100, 0.0, 1e-170),
+                      "sqrt of a jet requires a positive value, got 0.0"),
+        "wedge_sqrt": ((Wedge(1.0), 1e-100, 0.5, 1e-170),
+                       "sqrt of a jet requires a positive value, got 0.0"),
+        "cone_overflow": ((Cone(2.0), 1.0, 0.0, 1e150), "the stress at r=1.0 leaves the "
+                          "range of double precision (OverflowError)"),
+        "sheet_overflow": ((Dowker(), 1.0, 0.0, 1e150), "the stress at r=1.0 leaves the "
+                           "range of double precision (OverflowError)"),
+        "flat_nan": ((Minkowski(), 1e-100, 0.0, 1e-170), "the stress at r=1e-100 leaves "
+                     "the range of double precision (NaN)"),
+    }
+
+    @pytest.mark.parametrize("name", list(KERNEL_PASS_FAILURES))
+    def test_kernel_pass_failures_are_pinned(self, name):
+        (geometry, r, theta, t), message = self.KERNEL_PASS_FAILURES[name]
+        with pytest.raises(DomainError) as info:
+            stress_at(geometry, r, theta, t=t)
+        assert type(info.value) is DomainError and str(info.value) == message
+
+    def test_kernel_pass_failures_keep_their_cells_among_good_entries(self):
+        # each failing entry shares its pass with good ones of its kernel
+        # kind, finite and t -> 0, and meets exactly the cell it has alone
+        entries = []
+        for (geometry, r, theta, t), _ in self.KERNEL_PASS_FAILURES.values():
+            entries += [(geometry, RenormMode.KERNEL_SUBTRACTION, rg, theta, 0.0, tg,
+                         (0.0, CONFORMAL_BETA))
+                        for rg, tg in ((1.5, 0.5), (r, t), (2.0, None), (3.0, 0.25))]
+        mixed = _stress_cells(entries)
+        for k, entry in enumerate(entries):
+            (alone,) = _stress_cells([entry])
+            assert all(map(_same, mixed[k], alone)), entry
+        messages = [message for _, message in self.KERNEL_PASS_FAILURES.values()]
+        assert [str(cells[0]) for cells in mixed[1::4]] == messages
+
 
 def _scalar_rung(geometry, r, theta, beta, t):
     """Kernel-subtracted stress at one cutoff through scalar jets.

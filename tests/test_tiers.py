@@ -93,6 +93,17 @@ def test_check_only_wrappers_are_gone():
     assert set(DELETED) & set(conevac.__all__) == set()
 
 
+def test_every_jet_rule_is_called_by_a_kernel():
+    # the jets carry the rules the kernels differentiate, and no others
+    rules = {node.name for node in _tree("jets").body if isinstance(node, ast.FunctionDef)
+             and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_elementary"
+                     for d in node.decorator_list)}
+    called = {node.func.attr for node in ast.walk(_tree("kernels"))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "id", None) == "jets"}
+    assert rules and rules - called == set()
+
+
 # Run in a fresh interpreter: which check-tier modules each step has loaded,
 # then the package names that do not resolve once the check tier is asked for.
 _LOAD_PROBE = """
