@@ -10,9 +10,9 @@ the check tier (`checks`, the independent numerics, and `oracles`) checks.
 
 `import conevac` loads the production tier only.  The check tier's
 names (`PeriodicLine`, `u_of_pair`, `tbar_cone_via_images`,
-`run_oracle_suite`, ...) and the modules `conevac.checks` and
-`conevac.oracles` resolve through the module `__getattr__`, which
-imports the check tier on first use.
+`conservation_residual`, `run_oracle_suite`, ...) and the modules
+`conevac.checks` and `conevac.oracles` resolve through the module
+`__getattr__`, which imports the check tier on first use.
 """
 
 import importlib
@@ -44,7 +44,6 @@ from .stress import (
     ExtrapolatedStress,
     RenormMode,
     StressTensor,
-    conservation_residual,
     stress_at,
     stress_from_kernel,
     stress_t0,

@@ -13,10 +13,11 @@ with no matrix product, so BLAS cannot change a bit.  J_nu comes from
 Miller's backward recurrence (`_bessel_j`), K_0 and K_1 from the
 trapezoid rule (`_bessel_k`); nothing here imports scipy.
 
-The float separation `u_of_pair` (the kernels compute their own in
-`kernels._separation`) and `PeriodicLine`, a geometry no production
-function accepts, live here too.  `conevac` re-exports every public
-name of this module, but imports it only on first use of one.
+The float separation `u_of_pair`, with cosh u and sinh u (the kernels
+and the image sum take theirs from `kernels._separation`), and
+`PeriodicLine`, a geometry no production function accepts, live here
+too.  `conevac` re-exports every public name of this module, but imports
+it only on first use of one.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SingularPointError
 from .geometry import Cone, PointPair, _require_finite
 from .jets import _power
-from .kernels import _SMALL_U, _TWO_PI_SQ, _angular_factors
+from .kernels import _TWO_PI_SQ, _angular_factors, _separation, _u_over_sinh
 
 # ---------------------------------------------------------------------------
 # Image sums with Euler-Maclaurin tails.
@@ -131,17 +132,6 @@ def u_of_pair(pair: PointPair) -> UVariable:
     )
 
 
-# `kernels._u_over_sinh` of floats, kept apart: that one multiplies u by the
-# reciprocal `_inv_sinh_u` (exponential above _LARGE_U) where this divides
-# by sinh u, so folding them would move the bits of `tbar_cone_via_images`
-# and of the `cone_image_sum` oracle.
-def _u_over_sinh_float(uv: UVariable) -> float:
-    if uv.u < _SMALL_U:
-        u2 = uv.u * uv.u
-        return 1.0 - u2 / 6.0 + 7.0 / 360.0 * (u2 * u2)
-    return uv.u / uv.sinh_u
-
-
 def tbar_cone_via_images(
     pair: PointPair,
     theta1: float,
@@ -154,13 +144,15 @@ def tbar_cone_via_images(
     angular offsets dtheta + n*theta1 for |n| <= n_images, plus an
     Euler-Maclaurin estimate of the discarded tail.  Agrees with
     `tbar_cone` to the tail accuracy; used as an independent check.
+    Each sheet's kernel is `tbar_dowker`'s, on the kernels' own q, u and
+    u / sinh(u).
     """
     Cone(theta1)  # validate
-    uv = u_of_pair(pair)
-    if uv.u == 0.0:
+    q, u = _separation(pair.t, pair.r, pair.rp, pair.z, pair.zp)
+    if u == 0.0:
         raise SingularPointError("coincident points with t = 0")
-    amp = _u_over_sinh_float(uv) / (_TWO_PI_SQ * pair.r * pair.rp)
-    return _lattice_sum(amp, uv.u, pair.dtheta, theta1, n_images, include_tail)
+    amp = _u_over_sinh(q, u) / (_TWO_PI_SQ * pair.r * pair.rp)
+    return _lattice_sum(amp, u, pair.dtheta, theta1, n_images, include_tail)
 
 
 @dataclass(frozen=True)

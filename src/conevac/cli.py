@@ -57,12 +57,7 @@ from .geometry import (
     PointPair,
     Wedge,
 )
-from .kernels import (
-    tbar_cone,
-    tbar_dowker,
-    tbar_minkowski,
-    tbar_wedge,
-)
+from .kernels import _tbar
 from .stress import COMPONENT_NAMES, RenormMode, _stress_cells, stress_at, stress_t0
 
 _XI_TAGS = {"xi14": 0.25, "xi16": 1.0 / 6.0}
@@ -626,15 +621,7 @@ def _cmd_eval(args) -> int:
         for name, value in (("rprime", pair.rp), ("thetaprime", pair.thetap),
                             ("zprime", pair.zp)):
             result[name] = value
-        match geometry:
-            case Minkowski():
-                result["tbar"] = tbar_minkowski(pair)
-            case Cone(theta1=theta1):
-                result["tbar"] = tbar_cone(pair, theta1)
-            case Dowker():
-                result["tbar"] = tbar_dowker(pair)
-            case Wedge(theta0=theta0, bc=bc):
-                result["tbar"] = tbar_wedge(pair, theta0, bc)
+        result["tbar"] = _tbar(geometry, pair)
     elif what == "stress":
         renorm = args.renorm or "kernel"
         s = stress_at(geometry, args.r, args.theta, args.z, beta=beta,

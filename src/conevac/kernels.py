@@ -28,8 +28,12 @@ call, because the float path runs inside quadratures:
   * a cone order a = 2 pi / theta1 below _SHEET_A: the a -> 0 limit,
     where the cone's form loses its bits as (a u)^2 and (a dth)^2 leave
     the normal doubles; an offset with a * dth below _SHEET_Y takes the
-    sheet's own form (`_dowker_term`), a farther one the cone's form at
-    a u -> 0 (`_sheet_term`).
+    sheet's own form, a farther one the cone's form at a u -> 0
+    (`_sheet_term`).
+
+The infinite sheet (Dowker space) is the cone of order a = 0:
+`dowker_expr` is `_cone_expr(math.inf)`, so every cylindrical kernel but
+flat space's is one `_cone_terms` family.
 
 Angular denominators are always the half-angle form
 2 sinh^2(x/2) + 2 sin^2(y/2), which cannot cancel.
@@ -225,10 +229,9 @@ def _sheet_term(num, den, u2, a, dth):
     With x = a u below ~1e-96, sinh(x) = x and 2 sinh^2(x/2) = x^2/2 to a
     relative x^2/12, and the cone's term is the sheet's with
     (2 sin(a dth / 2) / a)^2 in place of dth^2.  Below a * dth = _SHEET_Y
-    that is dth^2 to roundoff, and the term is bit for bit `_dowker_term`;
-    above it, numerator and denominator are taken times a^2, which stays
-    finite where 1/a^2 would overflow (a^2 underflows to 0 there, with the
-    term).
+    that is dth^2 to roundoff, and the term is the sheet's own form; above
+    it, numerator and denominator are taken times a^2, which stays finite
+    where 1/a^2 would overflow (a^2 underflows to 0 there, with the term).
     """
     far = a * abs(value_of(dth)) >= _SHEET_Y
     side = far if isinstance(far, bool) else jets.agree(far)
@@ -238,11 +241,6 @@ def _sheet_term(num, den, u2, a, dth):
         a2 = a * a
         return a2 * num / (den * (a2 * u2 + 4.0 * jets.sin(0.5 * a * dth) ** 2))
     return num / (den * (u2 + dth * dth))
-
-
-def _dowker_term(t, r, rp, dth, z, zp):
-    q, u = _separation(t, r, rp, z, zp)
-    return -_u_over_sinh(q, u) / (_TWO_PI_SQ * r * rp * (u * u + dth * dth))
 
 
 def _wedge_term(t, r, rp, theta, thetap, z, zp, theta0, sign):
@@ -269,9 +267,8 @@ def _wedge_expr(theta0, sign):
     return expr
 
 
-def dowker_expr(t, r, rp, theta, thetap, z, zp):
-    """Kernel expression on the infinite-sheeted covering."""
-    return _dowker_term(t, r, rp, theta - thetap, z, zp)
+# The infinite-sheeted covering: the cone of order 0.
+dowker_expr = _cone_expr(math.inf)
 
 
 def kernel_kind(geometry):
@@ -327,24 +324,32 @@ def _column_expr(geometries):
     return kernel_expr(first)  # raises: not a geometry with a kernel expression
 
 
-def _evaluate(expr, pair: PointPair, message: str) -> float:
-    """Float kernel value at ``pair``; a zero division marks a singular point."""
+_SINGULAR = {Cone: "pair sits on a singularity of the cone kernel",
+             Wedge: "pair sits on a singularity of the wedge kernel"}
+
+
+def _tbar(geometry, pair: PointPair) -> float:
+    """Float kernel of ``geometry`` at ``pair``; a zero division marks a singular point."""
+    if isinstance(geometry, Wedge):
+        for name, ang in (("theta", pair.theta), ("thetap", pair.thetap)):
+            if not 0.0 <= ang <= geometry.theta0:
+                raise DomainError(f"{name}={ang!r} outside the wedge [0, {geometry.theta0!r}]")
+    expr = kernel_expr(geometry)
     try:
-        return expr(t=pair.t, r=pair.r, rp=pair.rp, theta=pair.theta,
-                    thetap=pair.thetap, z=pair.z, zp=pair.zp)
+        return expr(pair.t, pair.r, pair.rp, pair.theta, pair.thetap, pair.z, pair.zp)
     except ZeroDivisionError:
+        message = _SINGULAR.get(type(geometry), "coincident points with t = 0")
         raise SingularPointError(message) from None
 
 
 def tbar_minkowski(pair: PointPair) -> float:
     """Flat-space cylinder kernel, -1/(2 pi^2 d^2) at squared distance d^2."""
-    return _evaluate(minkowski_expr, pair, "coincident points with t = 0")
+    return _tbar(Minkowski(), pair)
 
 
 def tbar_cone(pair: PointPair, theta1: float) -> float:
     """Cylinder kernel on the cone of total angle ``theta1``."""
-    return _evaluate(kernel_expr(Cone(theta1)), pair,
-                     "pair sits on a singularity of the cone kernel")
+    return _tbar(Cone(theta1), pair)
 
 
 def tbar_dowker(pair: PointPair) -> float:
@@ -353,7 +358,7 @@ def tbar_dowker(pair: PointPair) -> float:
     The angular offset is not reduced modulo anything; sheets are
     distinguished by the full difference theta - thetap.
     """
-    return _evaluate(dowker_expr, pair, "coincident points with t = 0")
+    return _tbar(Dowker(), pair)
 
 
 def tbar_wedge(
@@ -366,11 +371,4 @@ def tbar_wedge(
     Both angles must lie in the closed interval [0, theta0]; boundary
     values are allowed (for Dirichlet walls the kernel vanishes there).
     """
-    wedge = Wedge(theta0, bc)  # validate
-    for name, ang in (("theta", pair.theta), ("thetap", pair.thetap)):
-        if not 0.0 <= ang <= theta0:
-            raise DomainError(
-                f"{name}={ang!r} outside the wedge [0, {theta0!r}]"
-            )
-    return _evaluate(kernel_expr(wedge), pair,
-                     "pair sits on a singularity of the wedge kernel")
+    return _tbar(Wedge(theta0, bc), pair)

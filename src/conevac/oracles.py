@@ -14,12 +14,17 @@ tier; the production tier (`kernels`, `jets`, `stress`) never imports it.
 An oracle evaluates its points in one batch wherever that keeps every
 bit of the per-point calls: all its draws come first, in the order
 the per-point loop made them, then the stresses go through
-`stress._stress_points` (one jet pass per kernel kind and renorm
-mode, one t -> 0 tableau), the 3D average's offsets through one
+`_stress_points` (one `stress._stress_cells` call: one jet pass per
+kernel kind and renorm mode, one t -> 0 tableau), the 3D average's
+offsets through one
 quadrature (`checks._tbar_3d_many`), and each image sum is one numpy
 expression.  The mode sum stays point by point: its Bessel recurrence
 starts at an order set by the largest argument in the call, so a
 batch would move its bits.
+
+The stress instruments that only the oracles and the tests use,
+`_stress_points` and `conservation_residual`, live here, out of the
+production tier.
 
 Run everything with `run_oracle_suite`; the CLI exposes the same suite
 as the `verify` subcommand.
@@ -30,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -46,30 +52,19 @@ from .checks import (
     tbar_periodic_line_closed,
     u_of_pair,
 )
+from .errors import DomainError
 from .geometry import (
     BoundaryCondition,
     Cone,
     Coupling,
     Dowker,
+    Geometry,
     Minkowski,
     PointPair,
     Wedge,
 )
-from .kernels import (
-    _mink_term,
-    kernel_expr,
-    tbar_cone,
-    tbar_dowker,
-    tbar_minkowski,
-    tbar_wedge,
-)
-from .stress import (
-    RenormMode,
-    _stress_points,
-    _trace,
-    conservation_residual,
-    zero_point_stress,
-)
+from .kernels import _mink_term, _tbar, kernel_expr, tbar_cone, tbar_dowker, tbar_wedge
+from .stress import RenormMode, _stress_cells, _trace, zero_point_stress
 
 
 @dataclass(frozen=True)
@@ -100,6 +95,55 @@ def _stress_rel(s1, s2) -> float:
     if scale == 0.0:
         return 0.0
     return max(abs(a - b) for a, b in zip(s1, s2)) / scale
+
+
+def _stress_points(points):
+    """`_stress_cells`, raising the first error, in point and then beta order.
+
+    The per-point calls would meet that error first, so an oracle that
+    batches its points fails as its point-by-point loop would.  A t -> 0
+    cell gives its components only.
+    """
+    out = _stress_cells(points)
+    for cell in chain.from_iterable(out):
+        if isinstance(cell, Exception):
+            raise cell
+    return [cells if point[5] is not None else [limit[0] for limit in cells]
+            for point, cells in zip(points, out)]
+
+
+def conservation_residual(geometry: Geometry, r: float, beta: float = 0.0) -> float:
+    """Relative residual of radial stress conservation at t -> 0.
+
+    For the static, z-independent, azimuthally symmetric geometries the
+    only nontrivial conservation law is
+
+        d(t_rr)/dr + (t_rr - t_perp) / r = 0.
+
+    The derivative is a central difference with step 0.01 r of the
+    extrapolated stress, so the residual mostly measures the finite
+    difference truncation, about 5e-4 for the r^-4 profiles here.
+    Normalized by the largest component magnitude over r: individual
+    pressures can vanish identically at special couplings (both
+    t_rr and t_perp do on the half-turn cone at beta = 0), so the
+    tensor's own scale is the only safe yardstick.  Zero when
+    everything vanishes.
+    """
+    if not isinstance(geometry, (Minkowski, Cone, Dowker)):
+        raise DomainError(
+            "conservation_residual applies to the azimuthally symmetric "
+            f"geometries only, not {type(geometry).__name__}"
+        )
+    h = 0.01 * r
+    (mid,), (hi,), (lo,) = _stress_points(
+        [(geometry, RenormMode.KERNEL_SUBTRACTION, x, 0.0, 0.0, None, (beta,))
+         for x in (r, r + h, r - h)])
+    d_trr = (hi[1] - lo[1]) / (2.0 * h)
+    resid = d_trr + (mid[1] - mid[2]) / r
+    scale = max(abs(v) for v in mid) / r
+    if scale < 1e-280:
+        return 0.0 if abs(resid) < 1e-280 else math.inf
+    return abs(resid) / scale
 
 
 def _sample_pair(
@@ -511,13 +555,8 @@ def _oracle_scaling(rng) -> OracleReport:
     for geometry in (Minkowski(), Cone(0.77 * math.pi), Dowker()):
         for _ in range(4):
             pair = _sample_pair(rng, 0.1, 2.0, dtheta=float(rng.uniform(-1.0, 1.0)))
-            kern = {
-                Minkowski: lambda p: tbar_minkowski(p),
-                Cone: lambda p: tbar_cone(p, 0.77 * math.pi),
-                Dowker: lambda p: tbar_dowker(p),
-            }[type(geometry)]
             worst = max(
-                worst, _rel(kern(pair.scaled(lam)) * lam**2, kern(pair))
+                worst, _rel(_tbar(geometry, pair.scaled(lam)) * lam**2, _tbar(geometry, pair))
             )
             count += 1
         points = []

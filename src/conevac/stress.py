@@ -24,13 +24,13 @@ halving ladder of six cutoffs (`_t0_ladder`).
 
 There is one planner, `_stress_cells`: an entry is one `stress_at`,
 `stress_from_kernel` or `stress_t0` call, at one or more couplings.
-The three public functions are one-entry calls to it, `_stress_points`
-(the oracles, and the three radii of `conservation_residual`) a call
-that raises the first error, and the CLI's scans and figures calls of
-up to `cli._PASS_POINTS` points, each contributing its finite cutoff
-and its six-cutoff ladder.  There is one intake, `_cutoffs`: every
-check of an entry runs there, once, and gives per coupling the cutoffs
-the entry is evaluated at or the first error it meets.  There is one
+The three public functions are one-entry calls to it, the check tier's
+`oracles._stress_points` a call that raises the first error, and the
+CLI's scans and figures calls of up to `cli._PASS_POINTS` points, each
+contributing its finite cutoff and its six-cutoff ladder.  There is one
+intake, `_cutoffs`: every check of an entry runs there, once, and gives
+per coupling the cutoffs the entry is evaluated at or the first error
+it meets.  There is one
 engine, `_pass`: it takes any list of (source, r, theta, z, cutoffs,
 couplings) ladders that passed the intake, whose sources are one kernel
 expression or geometries of one kernel kind (`kernels.kernel_kind`),
@@ -60,7 +60,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConvergenceError, DomainError
-from .geometry import Cone, Coupling, Dowker, Geometry, Minkowski, PointPair, Wedge
+from .geometry import Coupling, Geometry, PointPair, Wedge
 from .jets import IR, IRP, IT, ITHETA, ITHETAP, IZ, IZP
 from .kernels import kernel_expr, kernel_kind, minkowski_expr
 
@@ -223,9 +223,12 @@ def _pass(renorm, ladders):
     derivative factor overflows), each half of the ladders is run on its
     own, and so on down to single ladders, so each meets its own outcome
     and a grid with one failing point costs about two passes, not one
-    per ladder.  A component that comes out NaN is out of range too.
-    Errors are returned without their tracebacks, which would keep the
-    batch alive.
+    per ladder.  A geometry's ladder whose kernel pass fails is out of
+    range, with the failure's text (or Python error's type) as the
+    reason; a kernel expression's keeps the DomainError of its jets
+    rule.  A component that comes out NaN is out of range too.  Errors
+    are returned without their tracebacks, which would keep the batch
+    alive.
     """
     ts_col, r_col, theta_col, z_col, source_col = [], [], [], [], []
     for source, r, theta, z, ts, _ in ladders:
@@ -244,9 +247,10 @@ def _pass(renorm, ladders):
         if len(ladders) > 1:
             half = len(ladders) // 2
             return _pass(renorm, ladders[:half]) + _pass(renorm, ladders[half:])
-        if isinstance(exc, ArithmeticError):
-            # the kernels' own FloatingPointError says why; Python's name their type
-            why = str(exc) if type(exc) is FloatingPointError else type(exc).__name__
+        if isinstance(exc, ArithmeticError) or not callable(ladders[0][0]):
+            # the kernels' FloatingPointError and a jets rule say why; Python's name their type
+            why = (str(exc) if type(exc) in (FloatingPointError, DomainError)
+                   else type(exc).__name__)
             exc = DomainError(_OUT_OF_RANGE.format(ladders[0][1], why))
         return [[exc.with_traceback(None)] * len(ladders[0][5])]
     out, start = [], 0
@@ -602,52 +606,3 @@ def _stress_cells(entries):
     for (k, j), limit in zip(targets, _limits(limits)):
         cells[k][j] = limit
     return cells
-
-
-def _stress_points(points):
-    """`_stress_cells`, raising the first error, in point and then beta order.
-
-    The per-point calls would meet that error first, so an oracle that
-    batches its points fails as its point-by-point loop would.  A t -> 0
-    cell gives its components only.
-    """
-    out = _stress_cells(points)
-    for cell in chain.from_iterable(out):
-        if isinstance(cell, Exception):
-            raise cell
-    return [cells if point[5] is not None else [limit[0] for limit in cells]
-            for point, cells in zip(points, out)]
-
-
-def conservation_residual(geometry: Geometry, r: float, beta: float = 0.0) -> float:
-    """Relative residual of radial stress conservation at t -> 0.
-
-    For the static, z-independent, azimuthally symmetric geometries the
-    only nontrivial conservation law is
-
-        d(t_rr)/dr + (t_rr - t_perp) / r = 0.
-
-    The derivative is a central difference with step 0.01 r of the
-    extrapolated stress, so the residual mostly measures the finite
-    difference truncation, about 5e-4 for the r^-4 profiles here.
-    Normalized by the largest component magnitude over r: individual
-    pressures can vanish identically at special couplings (both
-    t_rr and t_perp do on the half-turn cone at beta = 0), so the
-    tensor's own scale is the only safe yardstick.  Zero when
-    everything vanishes.
-    """
-    if not isinstance(geometry, (Minkowski, Cone, Dowker)):
-        raise DomainError(
-            "conservation_residual applies to the azimuthally symmetric "
-            f"geometries only, not {type(geometry).__name__}"
-        )
-    h = 0.01 * r
-    (mid,), (hi,), (lo,) = _stress_points(
-        [(geometry, RenormMode.KERNEL_SUBTRACTION, x, 0.0, 0.0, None, (beta,))
-         for x in (r, r + h, r - h)])
-    d_trr = (hi[1] - lo[1]) / (2.0 * h)
-    resid = d_trr + (mid[1] - mid[2]) / r
-    scale = max(abs(v) for v in mid) / r
-    if scale < 1e-280:
-        return 0.0 if abs(resid) < 1e-280 else math.inf
-    return abs(resid) / scale

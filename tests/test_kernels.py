@@ -787,6 +787,36 @@ def _eval_expr(expr, pair):
 
 
 class TestKernelExpr:
+    COINCIDENT = PointPair(t=0.0, r=1.2, rp=1.2, theta=0.5, thetap=0.5, z=0.3, zp=0.3)
+    SEPARATED = PointPair(t=0.3, r=1.0, rp=1.0, theta=2.0, thetap=0.5)
+
+    # every float kernel's refusals, each in its own words
+    REFUSALS = [
+        (tbar_minkowski, COINCIDENT, SingularPointError,
+         "coincident points with t = 0"),
+        (tbar_dowker, COINCIDENT, SingularPointError,
+         "coincident points with t = 0"),
+        (lambda p: tbar_cone(p, 2.2), COINCIDENT, SingularPointError,
+         "pair sits on a singularity of the cone kernel"),
+        (lambda p: tbar_cone(p, 0.0), SEPARATED, ValueError, "theta1 must be positive, got 0.0"),
+        (lambda p: tbar_wedge(p, 1.0), COINCIDENT, SingularPointError,
+         "pair sits on a singularity of the wedge kernel"),
+        (lambda p: tbar_wedge(p, 1.5), SEPARATED, DomainError,
+         "theta=2.0 outside the wedge [0, 1.5]"),
+        (lambda p: tbar_wedge(p, 2.5, BoundaryCondition.NEUMANN),
+         PointPair(t=0.3, r=1.0, rp=1.0, theta=0.5, thetap=-0.1), DomainError,
+         "thetap=-0.1 outside the wedge [0, 2.5]"),
+        (lambda p: tbar_wedge(p, -1.0), SEPARATED, ValueError,
+         "theta0 must be positive, got -1.0"),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(REFUSALS)))
+    def test_refusals_keep_their_messages(self, case):
+        call, pair, error, message = self.REFUSALS[case]
+        with pytest.raises(error) as info:
+            call(pair)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_dispatch_matches_direct_functions(self):
         pair = PointPair(t=0.4, r=1.3, rp=0.9, theta=0.7, z=0.25)
         # off the Dirichlet walls, where the wedge kernel vanishes

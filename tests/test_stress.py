@@ -25,6 +25,7 @@ from conevac import (
     Minkowski,
     PointPair,
     RenormMode,
+    SingularPointError,
     StressTensor,
     Wedge,
     conservation_residual,
@@ -49,8 +50,8 @@ from conevac.stress import (
     _richardson,
     _rungs,
     _stress_cells,
-    _stress_points,
 )
+from conevac.oracles import _stress_points
 
 CONFORMAL_BETA = Coupling.conformal().beta
 
@@ -266,6 +267,33 @@ class TestScalingAndAffinity:
                 base.stress.components()[name] / 16.0, rel=1e-6)
 
 
+class TestWedgeImages:
+    """Sommerfeld's images: a Dirichlet and a Neumann wedge sum to twice the doubled cone.
+
+    The wedge kernel is `Cone(2 theta0)` at theta - thetap plus or minus
+    its reflected image, so the two walls' images cancel in the sum, and
+    so does each wall's kernel subtraction against the cone's.
+    """
+
+    @pytest.mark.parametrize("theta0", [math.pi / 8, math.pi / 3, math.pi / 2,
+                                        2.0 * math.pi / 3, 1.5 * math.pi],
+                             ids=["pi/8", "pi/3", "pi/2", "2pi/3", "3pi/2"])
+    def test_dirichlet_plus_neumann_is_twice_the_cone(self, theta0):
+        cone = Cone(2.0 * theta0)
+        dirichlet = Wedge(theta0, BoundaryCondition.DIRICHLET)
+        neumann = Wedge(theta0, BoundaryCondition.NEUMANN)
+        for frac in (0.1, 0.37, 0.5):
+            for t in (0.05, 0.3, 1.0):
+                for beta in (-0.25, -1.0 / 12.0, 0.7):
+                    at = [stress_at(g, 1.3, frac * theta0, beta=beta, t=t).components()
+                          for g in (dirichlet, neumann, cone)]
+                    scale = max(abs(v) for comps in at for v in comps.values())
+                    for name in COMPONENT_NAMES:
+                        got = at[0][name] + at[1][name]
+                        assert abs(got - 2.0 * at[2][name]) <= 1e-12 * scale, \
+                            (frac, t, beta, name)
+
+
 class TestConservation:
     @pytest.mark.parametrize("geometry", [Cone(math.pi), Cone(4.0 * math.pi),
                                           Dowker()],
@@ -410,10 +438,12 @@ class TestValidation:
     # rule at q = 0 (t * t underflows against r * r), in a rule whose
     # derivative factor overflows, or with a component that comes out NaN
     KERNEL_PASS_FAILURES = {
-        "cone_sqrt": ((Cone(2.0), 1e-100, 0.0, 1e-170),
-                      "sqrt of a jet requires a positive value, got 0.0"),
-        "wedge_sqrt": ((Wedge(1.0), 1e-100, 0.5, 1e-170),
-                       "sqrt of a jet requires a positive value, got 0.0"),
+        "cone_sqrt": ((Cone(2.0), 1e-100, 0.0, 1e-170), "the stress at r=1e-100 leaves the "
+                      "range of double precision (sqrt of a jet requires a positive value, "
+                      "got 0.0)"),
+        "wedge_sqrt": ((Wedge(1.0), 1e-100, 0.5, 1e-170), "the stress at r=1e-100 leaves the "
+                       "range of double precision (sqrt of a jet requires a positive value, "
+                       "got 0.0)"),
         "cone_overflow": ((Cone(2.0), 1.0, 0.0, 1e150), "the stress at r=1.0 leaves the "
                           "range of double precision (OverflowError)"),
         "sheet_overflow": ((Dowker(), 1.0, 0.0, 1e150), "the stress at r=1.0 leaves the "
@@ -428,6 +458,12 @@ class TestValidation:
         with pytest.raises(DomainError) as info:
             stress_at(geometry, r, theta, t=t)
         assert type(info.value) is DomainError and str(info.value) == message
+
+    def test_a_kernel_expression_keeps_its_rule_error(self):
+        # a user kernel's failing jets rule is its own error, not the range's
+        with pytest.raises(DomainError) as info:
+            stress_from_kernel(kernel_expr(Cone(2.0)), 1e-100, t=1e-170)
+        assert str(info.value) == "sqrt of a jet requires a positive value, got 0.0"
 
     def test_kernel_pass_failures_keep_their_cells_among_good_entries(self):
         # each failing entry shares its pass with good ones of its kernel
@@ -992,6 +1028,12 @@ class TestStressPoints:
         assert _same(cell, result)
 
 
+def _dowker_term(t, r, rp, dth, z, zp):
+    """The sheet's kernel in its own closed form, -u / (2 pi^2 r rp sinh(u) (u^2 + dth^2))."""
+    q, u = kernels._separation(t, r, rp, z, zp)
+    return -kernels._u_over_sinh(q, u) / (kernels._TWO_PI_SQ * r * rp * (u * u + dth * dth))
+
+
 class TestHugeAngles:
     """Cones of order a = 2 pi / theta1 below `kernels._SHEET_A` are the sheet, bit for bit.
 
@@ -1017,14 +1059,33 @@ class TestHugeAngles:
                      PointPair(t=0.0, r=2.0, rp=1.0, theta=-3.0, z=0.5)):
             assert tbar_cone(pair, theta1).hex() == tbar_dowker(pair).hex()
 
+    def test_float_pairs_are_the_sheet(self):
+        # the sheet is the cone of order 0: on floats too, its kernel is the
+        # huge cone's and the sheet's own closed form, bit for bit
+        rng = np.random.default_rng(26)
+        for k in range(2000):
+            r = float(10.0 ** rng.uniform(-5, 5))
+            pair = PointPair(t=float(10.0 ** rng.uniform(-9, 1)) if k % 5 else 0.0, r=r,
+                             rp=r if k % 3 == 0 else float(r * 10.0 ** rng.uniform(-2, 2)),
+                             theta=float(rng.uniform(-40, 40)),
+                             thetap=float(rng.uniform(-40, 40)) if k % 4 else 0.0,
+                             z=float(rng.uniform(-2, 2)) if k % 2 else 0.0)
+            want = tbar_dowker(pair).hex()
+            assert tbar_cone(pair, 1e150).hex() == want, pair
+            assert _dowker_term(pair.t, pair.r, pair.rp, pair.dtheta,
+                                pair.z, pair.zp).hex() == want, pair
+        coincident = PointPair(t=0.0, r=1.3, rp=1.3, theta=0.4, thetap=0.4, z=0.2, zp=0.2)
+        with pytest.raises(SingularPointError, match="^coincident points with t = 0$"):
+            tbar_dowker(coincident)
+
     @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
     @pytest.mark.parametrize("theta0", ANGLES)
     def test_wedge_is_the_sheet_and_its_signed_image(self, theta0, bc):
         sign = bc.image_sign
 
         def images(t, r, rp, theta, thetap, z, zp):
-            return (kernels._dowker_term(t, r, rp, theta - thetap, z, zp)
-                    + sign * kernels._dowker_term(t, r, rp, theta + thetap, z, zp))
+            return (_dowker_term(t, r, rp, theta - thetap, z, zp)
+                    + sign * _dowker_term(t, r, rp, theta + thetap, z, zp))
 
         wedge = Wedge(theta0, bc)
         for theta in (0.5, 2.0, 40.0):

@@ -28,9 +28,13 @@ MOVED = ("ImageSum", "CartesianSeparation", "_lattice_sum", "tbar_cone_via_image
          "_bessel_j", "_bessel_k", "_msta2", "_mode_integrals", "tbar_modesum_4d",
          "tbar_3d", "_tbar_3d_many", "tbar_3d_theta_average", "PeriodicLine", "u_of_pair",
          "UVariable")
+# Stress instruments that only the oracles and the tests use, which moved
+# out of `stress` into the check tier.
+ORACLE_HELPERS = ("_stress_points", "conservation_residual")
 PRODUCTION = ("geometry", "jets", "kernels", "stress")
 DELETED = ("mode_integral", "QuadratureControls", "cone_expr", "wedge_renormalized_expr",
-           "tbar_wedge_renormalized", "_kernel_for", "_check_renorm", "swapped")
+           "tbar_wedge_renormalized", "_kernel_for", "_check_renorm", "swapped",
+           "_dowker_term", "_u_over_sinh_float", "_evaluate")
 
 
 def _tree(module: str) -> ast.Module:
@@ -82,6 +86,13 @@ def test_production_defines_none_of_the_check_numerics():
     assert set(MOVED) <= checks
     for module in PRODUCTION:
         assert _defined(module) & checks == set(), module
+
+
+def test_oracle_helpers_live_in_the_check_tier():
+    assert set(ORACLE_HELPERS) <= _defined("oracles")
+    assert _defined("stress") & set(ORACLE_HELPERS) == set()
+    for module in (*PRODUCTION, "cli", "__init__"):
+        assert _defined(module) & set(ORACLE_HELPERS) == set(), module
 
 
 def test_check_only_wrappers_are_gone():
@@ -147,3 +158,31 @@ def test_production_commands_load_no_check_tier(tmp_path):
     # every public name still resolves, the check tier's on first use
     assert got["missing"] == []
     assert got["oracles"] > 0
+
+
+# Which check-tier modules are loaded after each step, in a fresh interpreter.
+_LAZY_PROBE = """
+import json, sys
+
+def tier():
+    return sorted({"conevac.checks", "conevac.oracles"} & set(sys.modules))
+
+steps = []
+import conevac
+import conevac.cli
+steps.append(tier())
+residual = conevac.conservation_residual
+steps.append(tier())
+print(json.dumps({"steps": steps, "module": residual.__module__}))
+"""
+
+
+def test_conservation_residual_loads_the_check_tier_on_first_use():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", _LAZY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["steps"] == [[], ["conevac.checks", "conevac.oracles"]]
+    assert got["module"] == "conevac.oracles"
