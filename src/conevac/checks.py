@@ -10,7 +10,8 @@ and the tests call them; no production module imports this one.  The
 quadratures go through `integrate_gk21`, a numpy adaptive Gauss-Kronrod
 quadrature on QUADPACK's dqk21 rule that adds node pairs elementwise,
 with no matrix product, so BLAS cannot change a bit.  J_nu comes from
-Miller's backward recurrence (`_bessel_j`), K_0 and K_1 from the
+Miller's backward recurrence or, far beyond its orders, Hankel's
+expansion and the forward recurrence (`_bessel_j`), K_0 and K_1 from the
 trapezoid rule (`_bessel_k`); nothing here imports scipy.
 
 The float separation `u_of_pair`, with cosh u and sinh u (the kernels
@@ -352,7 +353,7 @@ def _finite_map(a, half):
 
 def _infinite_map(s, k):
     """x = tan(pi w(s) / 2) and dx/ds: (-inf, inf) onto [-1, 1] (``k``,
-    the interval of each row, is unused: there is only one)."""
+    the interval of each row, is unused: every one is the whole line)."""
     w, dw = _flat_ends(s)
     y = 0.5 * math.pi * w
     cos_y = np.cos(y)
@@ -381,9 +382,10 @@ def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
     it, bit for bit (``fv``, if given, is ``f`` on their `_gk21_nodes`).
     An interval that fails is integrated anew from the quarters of s in
     [-1, 1], x = a + (b - a) (1 + w(s)) / 2 (`_flat_ends`), and failing
-    pieces are bisected from then on, all at once.  A call with one
-    interval may be the whole line (-inf, inf): it starts at the quarters,
-    through `_infinite_map`; one infinite endpoint is a ValueError.
+    pieces are bisected from then on, all at once.  The intervals of a
+    call may all be the whole line (-inf, inf), each its own integral:
+    they start at the quarters, through `_infinite_map`; any other
+    infinite endpoint is a ValueError.
 
     Raises ConvergenceError where the integrand is not finite (NaN or
     infinity at a node) and where the pieces would exceed ``limit`` per
@@ -401,12 +403,13 @@ def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
         weight = half / np.bincount(group, half, m)[group]
         lo, hi, start, span, x_of = a, b, np.arange(n), half, None
     else:
-        whole_line = n == 1 and a[0] == -np.inf and b[0] == np.inf
+        whole_line = (a == -np.inf).all() and (b == np.inf).all()
         if not whole_line or groups is not None or fv is not None:
-            raise ValueError("an infinite endpoint needs the single interval "
+            raise ValueError("an infinite endpoint needs every interval to be "
                              "(-inf, inf), without groups or fv")
-        weight = np.ones(1)
-        lo, hi, start, span = _QUARTERS[:-1], _QUARTERS[1:], np.zeros(4, int), np.ones(1)
+        weight, span = np.ones(n), np.ones(n)
+        lo, hi = np.tile(_QUARTERS[:-1], n), np.tile(_QUARTERS[1:], n)
+        start = np.repeat(np.arange(n), 4)
         x_of = _infinite_map
     pieces = len(lo)
     while True:
@@ -479,13 +482,128 @@ def _msta2(x, n, digits):
     return nn + 10
 
 
+# Hankel's expansion reaches 2^-56 within 20 terms from this argument on,
+# for the orders below 2 it is taken at (k = 0..20 in _HANKEL_K).
+_HANKEL_MIN_X = 25.0
+_HANKEL_K = np.arange(21.0)
+
+
 def _bessel_j(nu0, ks, x):
     """J_{nu0[f] + ks[f, i]}(x) as an (F, m, X) array.
 
     ``nu0`` is an (F,) array of orders in [0, 1), one per family, ``ks``
     an (F, m) array of integers >= 0, and ``x`` > 0 an (X,) array shared
-    by the families or an (F, X) array, a row each.  Miller's backward
-    recurrence J_{v-1} = (2v/x) J_v - J_{v+1} (Gautschi 1967) runs down
+    by the families or an (F, X) array, a row each.
+
+    The crossover is the larger of _HANKEL_MIN_X and the call's top order.
+    An argument beyond it takes `_bessel_j_hankel`, whose forward
+    recurrence is stable there, since every order is below x; the rest
+    take Miller's recurrence, `_bessel_j_miller`, which then starts no
+    higher than the crossover asks.  The Hankel path costs about a
+    forward step per order up to the top one, plus its terms: about the
+    Miller steps of arguments from the crossover to twice it.  So a call
+    whose largest argument is below twice the crossover is
+    `_bessel_j_miller` alone, and keeps its bits.
+    """
+    nu0 = np.asarray(nu0, dtype=float)
+    ks = np.asarray(ks)
+    x = np.asarray(x, dtype=float)
+    crossover = max(_HANKEL_MIN_X, float((nu0[:, None] + ks).max()))
+    if not float(x.max()) > 2.0 * crossover:
+        return _bessel_j_miller(nu0, ks, x)
+    far = x > crossover
+    out = np.empty((*ks.shape, x.shape[-1]))
+    if x.ndim == 1:  # arguments shared by the families: a column takes one path
+        if not far.all():
+            out[..., ~far] = _bessel_j_miller(nu0, ks, x[~far])
+        out[..., far] = _bessel_j_hankel(nu0, ks, x[far])
+        return out
+    # a row of arguments per family: a row with a near argument takes
+    # Miller's path, one with a far argument Hankel's (each clipped to the
+    # crossover), and each element keeps its own path's value
+    near_rows, far_rows = ~far.all(axis=1), far.any(axis=1)
+    if near_rows.any():
+        out[near_rows] = _bessel_j_miller(nu0[near_rows], ks[near_rows],
+                                          np.fmin(x[near_rows], crossover))
+    hankel = _bessel_j_hankel(nu0[far_rows], ks[far_rows], np.fmax(x[far_rows], crossover))
+    out[far_rows] = np.where(far[far_rows, None, :], hankel, out[far_rows])
+    return out
+
+
+def _bessel_j_hankel(nu0, ks, x):
+    """`_bessel_j` where every order nu0 + k is below x and x >= _HANKEL_MIN_X.
+
+    J_nu0 and J_{nu0+1} from Hankel's expansion (DLMF 10.17.3),
+    J_nu(x) = sqrt(2 / (pi x)) (P cos w - Q sin w), w = x - (nu/2 + 1/4) pi,
+    with P and Q summed by Horner's rule in 1/x^2 out to the term that the
+    least x makes negligible, and cos w and sin w by angle addition on
+    libm's cos x and sin x, so no rounding of x - (nu/2 + 1/4) pi enters.
+    The forward recurrence J_{v+1} = (2v/x) J_v - J_{v-1} then carries
+    every family up to its orders; below x it is stable.  Each value is
+    accurate relative to the modulus |H_v(x)|.
+    """
+    families, members = ks.shape
+    lowest = np.concatenate([nu0, nu0 + 1.0])  # rows 0..F-1: nu0, rows F..2F-1: nu0 + 1
+    mu = 4.0 * lowest * lowest
+    # a_k(nu) = a_{k-1}(nu) (4 nu^2 - (2k - 1)^2) / (8k), k <= 20, kept while
+    # a term a_k(nu) / x^k at the least x can exceed 2^-56
+    k = _HANKEL_K[1:, None]
+    a = np.concatenate([np.ones((1, len(lowest))),
+                        np.cumprod((mu - (2.0 * k - 1.0) ** 2) / (8.0 * k), axis=0)])
+    small = (np.abs(a) * (1.0 / float(x.min())) ** _HANKEL_K[:, None]).max(axis=1) <= 2.0**-56
+    a = a[:int(small.argmax()) + 1]
+    a[2::4] *= -1.0  # (-1)^j a_2j: P's coefficients at 2j, Q's at 2j + 1
+    a[3::4] *= -1.0
+    xs = np.concatenate([x, x]) if x.ndim == 2 else x
+    y2 = 1.0 / (xs * xs)
+    even, odd = a[0::2], a[1::2]
+    p = np.broadcast_to(even[-1][:, None], (2 * families, xs.shape[-1])).copy()
+    for c in even[-2::-1]:
+        p *= y2
+        p += c[:, None]
+    q = np.broadcast_to(odd[-1][:, None], p.shape).copy()
+    for c in odd[-2::-1]:
+        q *= y2
+        q += c[:, None]
+    q /= xs
+    phase = np.pi * (0.5 * lowest + 0.25)
+    cos_p, sin_p = np.cos(phase)[:, None], np.sin(phase)[:, None]
+    cos_x, sin_x = np.cos(xs), np.sin(xs)
+    j = np.sqrt(2.0 / (np.pi * xs)) * (p * (cos_x * cos_p + sin_x * sin_p)
+                                       - q * (sin_x * cos_p - cos_x * sin_p))
+    below, cur = j[:families], j[families:]
+    stores, family = _store_rows(ks)
+    top = int(ks.max())
+    orders = nu0[:, None] + np.arange(1.0, top + 1)  # the (nu0 + s + 1) of each step
+    two_over_x = 2.0 / x
+    step = np.empty_like(cur)
+    out = np.empty((families * members, x.shape[-1]))
+    for s in range(top + 1):  # below holds J_{nu0+s}, cur J_{nu0+s+1}
+        if s in stores:
+            out[stores[s]] = below[family[stores[s]]]
+        if s == top:
+            break
+        # below, cur = cur, (nu0 + s + 1) * (2 / x) * cur - below, in place
+        np.multiply(orders[:, s, None], two_over_x, out=step)
+        np.subtract(np.multiply(step, cur, out=step), below, out=below)
+        below, cur = cur, below
+    return out.reshape(families, members, -1)
+
+
+def _store_rows(ks):
+    """The rows of a flat (F m, X) table that each order step fills, as
+    {k: row indices}, and each row's family."""
+    stores = {}
+    for i, k in enumerate(ks.ravel().tolist()):
+        stores.setdefault(k, []).append(i)
+    return ({k: np.array(rows) for k, rows in stores.items()},
+            np.arange(ks.size) // ks.shape[1])
+
+
+def _bessel_j_miller(nu0, ks, x):
+    """`_bessel_j` by Miller's backward recurrence.
+
+    The recurrence J_{v-1} = (2v/x) J_v - J_{v+1} (Gautschi 1967) runs down
     every family at once, as the rows of an (F, X) array, from an order
     that Zhang and Jin's MSTA2 picks for the largest x and the top
     order; Neumann's sum
@@ -497,9 +615,6 @@ def _bessel_j(nu0, ks, x):
     as 0.  Each value is relatively accurate where J_v(x) cannot vanish
     (x <= v) and accurate relative to the modulus |H_v(x)| beyond.
     """
-    nu0 = np.asarray(nu0, dtype=float)
-    ks = np.asarray(ks)
-    x = np.asarray(x, dtype=float)
     families, members = ks.shape
     col = nu0[:, None]
     start = max(int(ks.max()), _msta2(float(x.max()), max(float((col + ks).max()), 1.0), 17))
@@ -510,10 +625,7 @@ def _bessel_j(nu0, ks, x):
     gammas = np.cumprod(np.concatenate([np.ones((families, 1)), (col + k[:-1]) / k[:-1]], axis=1),
                         axis=1)  # Gamma(nu0 + k) / (Gamma(nu0 + 1) (k - 1)!)
     c = np.concatenate([np.ones((families, 1)), (col + 2.0 * k) / k * gammas], axis=1)
-    stores = {}
-    for i, s in enumerate(ks.ravel().tolist()):
-        stores.setdefault(s, []).append(i)
-    family = np.arange(families * members) // members
+    stores, family = _store_rows(ks)
     two_over_x = 2.0 / x
     orders = col + np.arange(start + 1.0)  # the (nu0 + s) of each step
     cur = np.ones(np.broadcast_shapes((families, 1), x.shape))
@@ -527,7 +639,7 @@ def _bessel_j(nu0, ks, x):
         if s % 2 == 0:
             norm += np.multiply(c[:, s // 2, None], cur, out=step)
         if s in stores:
-            i = np.array(stores[s])
+            i = stores[s]
             out[i] = cur[family[i]]
             out_exponent[i] = exponent[family[i]]
         if s == 0:
@@ -549,8 +661,11 @@ def _bessel_j(nu0, ks, x):
     return j.reshape(families, members, -1)
 
 
-_K_NODES = 160
-_K_STEPS = np.arange(1.0, _K_NODES + 1)
+# The trapezoid nodes of `_bessel_k` by argument: x >= 1, 1e-2 <= x < 1,
+# 1e-5 <= x < 1e-2 and the rest.  Each count stays within ~1e-15 down to a
+# third of its tier's least argument or below (160 down to x = 1e-14).
+_K_EDGES = np.array([1e-5, 1e-2, 1.0])
+_K_STEPS = [np.arange(1.0, n + 1) for n in (160, 72, 40, 24)]
 
 
 def _bessel_k(order, x):
@@ -558,17 +673,25 @@ def _bessel_k(order, x):
 
     K_v(x) = e^-x int_0^inf exp(-2x sinh^2(s/2)) cosh(v s) ds by the
     trapezoid rule, which converges double-exponentially on it
-    (Trefethen and Weideman 2014): _K_NODES steps out to where the
-    exponent reaches -40, a step size per element.  Relative error
-    ~1e-15 for x in [1e-14, 250].
+    (Trefethen and Weideman 2014): out to where the exponent reaches
+    -40, in a step size per element and a node count set by the
+    element's own argument (`_K_EDGES`), so a value does not depend on
+    the others in the call.  Relative error ~1e-15 for x in [1e-14, 250].
     """
-    x = np.asarray(x, dtype=float)[..., None]
-    h = 2.0 * np.arcsinh(np.sqrt(40.0 / x)) / _K_NODES
-    s = h * _K_STEPS
-    terms = np.exp(-2.0 * x * np.sinh(0.5 * s) ** 2)
-    if order:
-        terms *= np.cosh(s)
-    return (np.exp(-x) * h)[..., 0] * (0.5 + terms.sum(axis=-1))
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    tier = np.digitize(x, _K_EDGES)
+    for k in np.unique(tier).tolist():
+        steps = _K_STEPS[k]
+        at = tier == k
+        xs = x[at][:, None]
+        h = 2.0 * np.arcsinh(np.sqrt(40.0 / xs)) / len(steps)
+        s = h * steps
+        terms = np.exp(-2.0 * xs * np.sinh(0.5 * s) ** 2)
+        if order:
+            terms *= np.cosh(s)
+        out[at] = (np.exp(-xs) * h)[:, 0] * (0.5 + terms.sum(axis=-1))
+    return out
 
 
 def _panel_plan(r, rp, zeta, abs_tol, max_panels):
@@ -648,9 +771,10 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
     def f(x, k):
         # Rows of one piece share their nodes (the same panel of several
         # modes): K_0 once per piece, and one recurrence per piece and
-        # family, for just the orders its rows need.
-        pieces, piece = np.unique(x, axis=0, return_inverse=True)
-        piece = piece.reshape(-1)  # numpy 2.0.0 gave it a trailing axis
+        # family, for just the orders its rows need.  The pieces of a
+        # level have one depth, so each is told by its centre node alone.
+        _, first, piece = np.unique(x[:, 10], return_index=True, return_inverse=True)
+        pieces = x[first]
         mode = live[k] // panels
         groups, group = np.unique(piece * families + mode % families, return_inverse=True)
         by_group = np.argsort(group, kind="stable")

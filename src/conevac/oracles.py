@@ -18,9 +18,11 @@ the per-point loop made them, then the stresses go through
 kernel kind and renorm mode, one t -> 0 tableau), the 3D average's
 offsets through one
 quadrature (`checks._tbar_3d_many`), and each image sum is one numpy
-expression.  The mode sum stays point by point: its Bessel recurrence
-starts at an order set by the largest argument in the call, so a
-batch would move its bits.
+expression.  Float kernel values at many points (the finite-difference
+stencils of `jet_fd`, the z-integrand of `threedim_reduction`) come from
+one value-only batched jet pass (`_kernel_values`).  The mode sum stays
+point by point: its Bessel recurrence starts at an order set by the
+largest argument in the call, so a batch would move its bits.
 
 The stress instruments that only the oracles and the tests use,
 `_stress_points` and `conservation_residual`, live here, out of the
@@ -180,8 +182,10 @@ def _sample_pair(
 # Finite difference machinery (three-level Richardson on even error powers).
 
 
-def _fd3(d) -> float:
-    a, b, c = d(1.0), d(0.5), d(0.25)
+def _fd3(d):
+    """Richardson's extrapolation of the differences ``d`` at the steps h, h/2
+    and h/4 (rows 0-2; elementwise on arrays)."""
+    a, b, c = d
     ab = (4.0 * b - a) / 3.0
     bc = (4.0 * c - b) / 3.0
     return (16.0 * bc - ab) / 15.0
@@ -241,91 +245,121 @@ def _oracle_u_consistency(rng) -> OracleReport:
 
 def _minus_flat(expr):
     """The kernel-subtracted expression, whose jet `stress._rungs` differentiates."""
-    # positional, not **kwargs: the finite differences call it thousands of times
     def minus_flat(t, r, rp, theta, thetap, z, zp):
         return (expr(t, r, rp, theta, thetap, z, zp)
                 - kernels.minkowski_expr(t, r, rp, theta, thetap, z, zp))
     return minus_flat
 
 
+# The expressions `jet_fd` differentiates: flat space, two cones, the
+# sheet and the kernel-subtracted wedges, both walls.
+_JET_FD_CASES = (
+    kernels.minkowski_expr,
+    kernel_expr(Cone(1.8 * math.pi)),
+    kernel_expr(Cone(0.6 * math.pi)),
+    kernels.dowker_expr,
+    _minus_flat(kernel_expr(Wedge(0.5 * math.pi, BoundaryCondition.DIRICHLET))),
+    _minus_flat(kernel_expr(Wedge(0.7 * math.pi, BoundaryCondition.NEUMANN))),
+)
+
+
+_FD_S = np.array([1.0, 0.5, 0.25])  # the step multiples of `_fd3`'s rows
+_DIAG = np.arange(len(jets.COORDS))
+_UPPER_I, _UPPER_J = np.triu_indices(len(jets.COORDS), 1)  # the pairs i < j
+# the (i, j) entries of jets.ALL_PAIRS, in its order
+_ALL_I, _ALL_J = np.array(jets.ALL_PAIRS.pairs).T
+
+
+def _fd_steps(pair: PointPair) -> np.ndarray:
+    """The finite-difference step of each coordinate at ``pair``, in
+    `jets.COORDS` order (t, r, rp, theta, thetap, z, zp)."""
+    ell = math.sqrt((pair.r - pair.rp) ** 2 + (pair.z - pair.zp) ** 2 + pair.t**2)
+    step = ell / 32.0
+    return np.array([min(step, 0.45 * pair.t), step, step, 0.02, 0.02, step, step])
+
+
+def _fd_points(pair: PointPair) -> np.ndarray:
+    """Every point the central differences at ``pair`` read, once each: (295, 7).
+
+    Row 0 is the pair; then, for each step multiple s, coordinate i and
+    sign, the pair with coordinate i moved by s h_i (42 rows, which the
+    gradient and the Hessian's diagonal share); then, for each s, pair
+    i < j and signs (+ +, + -, - +, - -), the pair with both moved (252
+    rows).  A moved coordinate is base + s h or base - s h, as a float
+    call would compute it.
+    """
+    base = np.array([getattr(pair, name) for name in jets.COORDS])
+    sh = _FD_S[:, None] * _fd_steps(pair)  # (3, 7)
+    moved = np.stack([base + sh, base - sh], axis=2)  # [s, i, sign]
+    single = np.broadcast_to(base, (3, 7, 2, 7)).copy()
+    single[:, _DIAG, :, _DIAG] = moved.transpose(1, 0, 2)
+    corner = np.broadcast_to(base, (3, 21, 2, 2, 7)).copy()
+    corner[:, np.arange(21), :, :, _UPPER_I] = moved[:, _UPPER_I, :, None].transpose(1, 0, 2, 3)
+    corner[:, np.arange(21), :, :, _UPPER_J] = moved[:, _UPPER_J, None, :].transpose(1, 0, 2, 3)
+    return np.concatenate([base[None], single.reshape(-1, 7), corner.reshape(-1, 7)])
+
+
+def _fd_derivatives(values, pair: PointPair):
+    """The gradient and the Hessian's upper triangle, in `jets.ALL_PAIRS`
+    order, from the function's ``values`` on `_fd_points` (pair).
+
+    Each entry is `_fd3` of the central differences, with the operations
+    of their float forms: (f(+) - f(-)) / (2 s h), (f(+) - 2 f(0) + f(-))
+    / (s h)^2 and (f(++) - f(+-) - f(-+) + f(--)) / (4 s s h_i h_j).
+    """
+    h = _fd_steps(pair)
+    sh = _FD_S[:, None] * h
+    f0 = values[0]
+    single = values[1:43].reshape(3, 7, 2)
+    corner = values[43:].reshape(3, 21, 4)
+    up, down = single[..., 0], single[..., 1]
+    grad = _fd3((up - down) / ((2.0 * _FD_S)[:, None] * h))
+    hess = np.empty((7, 7))
+    hess[_DIAG, _DIAG] = _fd3((up - 2.0 * f0 + down) / jets._power(sh.ravel(), 2).reshape(3, 7))
+    hess[_UPPER_I, _UPPER_J] = _fd3(
+        (corner[..., 0] - corner[..., 1] - corner[..., 2] + corner[..., 3])
+        / ((4.0 * _FD_S * _FD_S)[:, None] * h[_UPPER_I] * h[_UPPER_J]))
+    return grad, hess[_ALL_I, _ALL_J]
+
+
+_NO_ENTRIES = jets.Pairs(())
+
+
+def _kernel_values(expr, rows) -> np.ndarray:
+    """``expr`` at every row of ``rows`` ((n, 7), in `jets.COORDS` order).
+
+    One value-only batched jet pass (`jets.Pairs` of no entries): each
+    element is the float call's value, bit for bit.
+    """
+    return expr(**jets.lift(dict(zip(jets.COORDS, rows.T)), _NO_ENTRIES)).value
+
+
 def _oracle_jet_fd(rng) -> OracleReport:
+    """Each expression's jet against finite differences at two pairs.
+
+    The stencils of both pairs are one value-only batched jet pass
+    (`jets.Pairs` of no entries), whose elements are the float kernel's
+    values bit for bit, and each difference has the operations of its
+    float form.
+    """
     tol = 1e-6
-    cases = [
-        kernels.minkowski_expr,
-        kernel_expr(Cone(1.8 * math.pi)),
-        kernel_expr(Cone(0.6 * math.pi)),
-        kernels.dowker_expr,
-        _minus_flat(kernel_expr(Wedge(0.5 * math.pi, BoundaryCondition.DIRICHLET))),
-        _minus_flat(kernel_expr(Wedge(0.7 * math.pi, BoundaryCondition.NEUMANN))),
-    ]
     worst = 0.0
     count = 0
-    for expr in cases:
-        for _ in range(2):
-            pair = _sample_pair(
-                rng, 0.5, 1.2,
-                theta=float(rng.uniform(0.35, 1.05)),
-                thetap=float(rng.uniform(0.25, 1.15)),
-                t_lo=0.3, t_hi=0.9,
-            )
-            base = {name: getattr(pair, name) for name in jets.COORDS}
-
-            def fval(over, _base=base, _expr=expr):
-                c = dict(_base)
-                c.update(over)
-                return _expr(**c)
-
-            ell = math.sqrt(
-                (pair.r - pair.rp) ** 2 + (pair.z - pair.zp) ** 2 + pair.t**2
-            )
-            steps = {}
-            for name in jets.COORDS:
-                if name in ("theta", "thetap"):
-                    steps[name] = 0.02
-                elif name == "t":
-                    steps[name] = min(ell / 32.0, 0.45 * pair.t)
-                else:
-                    steps[name] = ell / 32.0
-
-            jet = expr(**jets.lift(pair, jets.ALL_PAIRS))
-            gmax = max(abs(float(v)) for v in jet.grad)
-            hmax = max(abs(float(v)) for v in jet.hess)
-
-            for i, ni in enumerate(jets.COORDS):
-                hi = steps[ni]
-                fd = _fd3(
-                    lambda s, _n=ni, _h=hi: (
-                        fval({_n: base[_n] + s * _h}) - fval({_n: base[_n] - s * _h})
-                    ) / (2.0 * s * _h)
-                )
-                worst = max(
-                    worst,
-                    abs(jet.grad[i] - fd) / max(abs(jet.grad[i]), 0.01 * gmax),
-                )
-                count += 1
-                for j in range(i, len(jets.COORDS)):
-                    nj = jets.COORDS[j]
-                    hj = steps[nj]
-                    if i == j:
-                        fd = _fd3(
-                            lambda s, _n=ni, _h=hi: (
-                                fval({_n: base[_n] + s * _h})
-                                - 2.0 * fval({})
-                                + fval({_n: base[_n] - s * _h})
-                            ) / (s * _h) ** 2
-                        )
-                    else:
-                        fd = _fd3(
-                            lambda s, _a=ni, _b=nj, _ha=hi, _hb=hj: (
-                                fval({_a: base[_a] + s * _ha, _b: base[_b] + s * _hb})
-                                - fval({_a: base[_a] + s * _ha, _b: base[_b] - s * _hb})
-                                - fval({_a: base[_a] - s * _ha, _b: base[_b] + s * _hb})
-                                + fval({_a: base[_a] - s * _ha, _b: base[_b] - s * _hb})
-                            ) / (4.0 * s * s * _ha * _hb)
-                        )
-                    h = jet.hess_entry(i, j)
-                    worst = max(worst, abs(h - fd) / max(abs(h), 0.01 * hmax))
-                    count += 1
+    for expr in _JET_FD_CASES:
+        pairs = [_sample_pair(
+            rng, 0.5, 1.2,
+            theta=float(rng.uniform(0.35, 1.05)),
+            thetap=float(rng.uniform(0.25, 1.15)),
+            t_lo=0.3, t_hi=0.9,
+        ) for _ in range(2)]
+        values = _kernel_values(expr, np.concatenate([_fd_points(pair) for pair in pairs]))
+        jet = expr(**jets.lift(pairs, jets.ALL_PAIRS))
+        for k, pair in enumerate(pairs):
+            grad, hess = _fd_derivatives(values.reshape(len(pairs), -1)[k], pair)
+            for exact, fd in ((jet.grad[:, k], grad), (jet.hess[:, k], hess)):
+                scale = 0.01 * np.abs(exact).max()
+                worst = max(worst, float((np.abs(exact - fd) / np.fmax(np.abs(exact), scale)).max()))
+                count += len(fd)
     return OracleReport("jet_fd", count, float(worst), tol, bool(worst <= tol))
 
 
@@ -458,27 +492,40 @@ def _oracle_periodic_line(rng) -> OracleReport:
 
 
 def _oracle_threedim_reduction(rng) -> OracleReport:
+    """`tbar_3d` against the z' integral of the cone kernel, at five angles.
+
+    The five integrals are one `integrate_gk21` call, each its own
+    interval, so each level of the quadrature is one value-only batched
+    pass of `tbar_cone`'s expression (`_kernel_values`, the angle a
+    column) over the nodes of every angle.
+    """
     tol = 1e-6
     worst = 0.0
     angles = [0.7 * math.pi, 1.25 * math.pi, 1.6 * math.pi, 2.0 * math.pi,
               3.1 * math.pi]
+    pairs, reduced = [], []
     for theta1 in angles:
         t = float(rng.uniform(0.4, 1.0))
         r = float(rng.uniform(0.7, 1.8))
         rp = float(rng.uniform(0.7, 1.8))
         dth = float(rng.uniform(0.2, 0.9))
-        reduced = tbar_3d(t, r, rp, dth, theta1)
+        pairs.append([t, r, rp, dth, 0.0, 0.0, 0.0])
+        reduced.append(tbar_3d(t, r, rp, dth, theta1))
+    pairs = np.array(pairs)
+    cones = [Cone(theta1) for theta1 in angles]
 
-        # `tbar_cone`'s expression, called on floats without its validation
-        expr = kernel_expr(Cone(theta1))
+    def f(dz, k):
+        # row k of dz lies in the integral of angle k, on that angle's pair
+        at = np.repeat(k, dz.shape[1])
+        rows = pairs[at]
+        rows[:, jets.IZ] = dz.ravel()
+        expr = kernel_expr([cones[i] for i in at.tolist()])
+        return _kernel_values(expr, rows).reshape(dz.shape)
 
-        def f(dz, k, _t=t, _r=r, _rp=rp, _dth=dth, _expr=expr):
-            return np.array([_expr(_t, _r, _rp, _dth, 0.0, z, 0.0)
-                             for z in dz.ravel().tolist()]).reshape(dz.shape)
-
-        (z_integral,) = integrate_gk21(f, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-10,
-                                       limit=400).tolist()
-        worst = max(worst, _rel(z_integral, reduced))
+    z_integrals = integrate_gk21(f, [-np.inf] * len(angles), [np.inf] * len(angles),
+                                 epsabs=1e-12, epsrel=1e-10, limit=400)
+    for z_integral, ref in zip(z_integrals.tolist(), reduced):
+        worst = max(worst, _rel(z_integral, ref))
     return OracleReport("threedim_reduction", len(angles), worst, tol, worst <= tol)
 
 

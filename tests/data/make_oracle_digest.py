@@ -6,8 +6,8 @@ its whole pipeline (kernels, jets, stress assembly, quadrature), so a
 change that is meant to keep the numbers (a refactor, a speed-up)
 proves it by leaving this file alone and by passing ``--check``, which
 reruns every frozen seed, writes nothing, and exits nonzero on any
-mismatch; it also prints each seed's wall time and the process's peak
-resident memory.  The tests check seeds 0 and 1.  Regenerate the file only in
+mismatch; it also prints each seed's wall time, each oracle's wall time
+summed over the seeds, and the process's peak resident memory.  The tests check seeds 0 and 1.  Regenerate the file only in
 a change that means to alter the numbers, and say so in that change.  A
 change that means to alter some oracles' numbers only re-freezes those
 with ``--refreeze NAME...``: it rewrites the named oracles' entries at
@@ -33,9 +33,20 @@ OUT = Path(__file__).with_name("oracle_digest.json")
 SEEDS = range(8)
 
 
-def seed_digest(seed: int) -> dict:
-    """``max_rel_err.hex()`` of every oracle at one seed, by oracle name."""
-    return {r.name: r.max_rel_err.hex() for r in oracles.run_oracle_suite(seed=seed)}
+def seed_digest(seed: int, wall=None) -> dict:
+    """``max_rel_err.hex()`` of every oracle at one seed, by oracle name.
+
+    Each oracle runs on its own (its draws do not depend on the others);
+    with a dict ``wall``, each one's wall time is added to ``wall[name]``.
+    """
+    digest = {}
+    for name in oracles.oracle_names():
+        start = time.perf_counter()
+        (report,) = oracles.run_oracle_suite([name], seed=seed)
+        if wall is not None:
+            wall[name] = wall.get(name, 0.0) + time.perf_counter() - start
+        digest[name] = report.max_rel_err.hex()
+    return digest
 
 
 def check(seeds=None) -> int:
@@ -45,16 +56,21 @@ def check(seeds=None) -> int:
         print("mismatch: the oracle names differ from oracles.oracle_names()")
         return 1
     status = 0
-    for seed in (frozen["seeds"] if seeds is None else [str(s) for s in seeds]):
+    walls = {}
+    checked = frozen["seeds"] if seeds is None else [str(s) for s in seeds]
+    for seed in checked:
         want = frozen["seeds"][seed]
         start = time.perf_counter()
-        got = seed_digest(int(seed))
+        got = seed_digest(int(seed), walls)
         wall = time.perf_counter() - start
         print(f"seed {seed}: {'ok' if got == want else 'MISMATCH'} ({wall:.2f} s)")
         for name in want:
             if got.get(name) != want[name]:
                 print(f"  {name}: frozen {want[name]}, computed {got.get(name)}")
                 status = 1
+    print(f"wall time per oracle over seeds {', '.join(checked)}:")
+    for name, wall in walls.items():
+        print(f"  {name:<22} {wall:7.3f} s")
     # ru_maxrss is in KiB on Linux
     print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return status

@@ -190,20 +190,57 @@ BESSEL_J_X = [1e-12, 1e-6, 0.01, 0.5, 2.0, 8.0, 25.0, 60.0, 100.0, 170.0, 250.0]
 BESSEL_K_X = [float(mp.mpf(10) ** (-13 + i * (mp.log10(200) + 13) / 29)) for i in range(30)]
 
 
-def bessel_j_reference(a):
-    """J_{nu0 + k}(x) on BESSEL_J_X for the orders a n <= 100, with its
+# Appended: J out to x = 1e4, where `_bessel_j` takes Hankel's expansion
+# and the forward recurrence, at irrational a and around its crossover,
+# the larger of 25 and the call's top order, taken once the largest x
+# exceeds twice it.  Each entry is one call of the test: the orders
+# a n <= top on BESSEL_J_FAR_X plus x at the top order and twice it, a
+# tenth of a percent either side.  2 pi / 3 is the cone theta1 = 3, whose
+# mode sum reaches x ~ 6e3; e / 2 tops out below 25, so its crossover is 25.
+BESSEL_J_FAR = [
+    ("2pi/3", 2 * mp.pi / 3, 40),
+    ("sqrt(3)", mp.sqrt(3), 60),
+    ("e/2", mp.e / 2, 20),
+]
+BESSEL_J_FAR_X = [1e-3, 0.5, 5.0, 24.0, 25.0, 26.0, 49.0, 51.0, 101.0, 300.0, 1000.0,
+                  2345.6, 6000.0, 9999.7, 1e4]
+# Appended: K_0 and K_1 on both sides of each edge of `_bessel_k`'s node
+# tiers (1e-5, 1e-2 and 1), and across the mode sum's arguments w zeta,
+# 1e-4 to 250.
+BESSEL_K_EDGES = [1e-5, 1e-2, 1.0]
+BESSEL_K_MODE_X = [float(mp.mpf(10) ** (-4 + i * (mp.log10(250) + 4) / 24)) for i in range(25)]
+
+
+def bessel_k_far_x():
+    """BESSEL_K_MODE_X and, at each tier edge e, e, the double below it and
+    e (1 +- 1e-3)."""
+    xs = []
+    for e in BESSEL_K_EDGES:
+        xs += [e * (1 - 1e-3), float(mp.mpf(e) - mp.mpf(e) * mp.mpf(2) ** -53), e, e * (1 + 1e-3)]
+    return xs + BESSEL_K_MODE_X
+
+
+def bessel_j_far_x(a, top):
+    """BESSEL_J_FAR_X and x at a's top order a n <= top, and twice it,
+    times 1 - 1e-3 and 1 + 1e-3, in increasing order."""
+    high = float(a * mp.floor(top / a))
+    return sorted(BESSEL_J_FAR_X + [c * high * (1 + d) for c in (1, 2) for d in (-1e-3, 1e-3)])
+
+
+def bessel_j_reference(a, xs=BESSEL_J_X, top=100):
+    """J_{nu0 + k}(x) on ``xs`` for the orders a n <= ``top``, with its
     scale: |J| where x <= nu (J has no zero there), and the modulus
     sqrt(J^2 + Y^2) beyond, where J oscillates and its zeros make a
     relative error meaningless."""
     orders = []
     n = 0
     with mp.workdps(40):
-        while a * n <= 100:
+        while a * n <= top:
             k = int(mp.floor(a * n))
             nu0 = float(a * n - k)
             nu = mp.mpf(nu0) + k
             values, scales = [], []
-            for x in map(mp.mpf, BESSEL_J_X):
+            for x in map(mp.mpf, xs):
                 j = mp.besselj(nu, x)
                 values.append(float(j))
                 scales.append(float(abs(j) if x <= nu else mp.sqrt(j**2 + mp.bessely(nu, x) ** 2)))
@@ -298,6 +335,16 @@ def main():
             data["bessel_k"].append({"x": x, "k0": float(mp.besselk(0, mp.mpf(x))),
                                      "k1": float(mp.besselk(1, mp.mpf(x)))})
     print("K_0 and K_1 done")
+
+    for label, a, top in BESSEL_J_FAR:
+        xs = bessel_j_far_x(a, top)
+        data["bessel_j"].append({"a": label, "x": xs, "orders": bessel_j_reference(a, xs, top)})
+        print("J_nu to x = 1e4, a =", label, "done")
+    with mp.workdps(30):
+        for x in bessel_k_far_x():
+            data["bessel_k"].append({"x": x, "k0": float(mp.besselk(0, mp.mpf(x))),
+                                     "k1": float(mp.besselk(1, mp.mpf(x)))})
+    print("K_0 and K_1 at the tier edges done")
 
     OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print("wrote", OUT)

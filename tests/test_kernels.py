@@ -573,6 +573,31 @@ class TestBesselFunctions:
             want = np.array([c[key] for c in reference["bessel_k"]])
             np.testing.assert_allclose(checks._bessel_k(order, x), want, rtol=1e-14, atol=0)
 
+    def test_k_does_not_depend_on_the_batch(self):
+        # each element's node count is set by its own argument
+        x = np.array([3e-6, 1e-5, 0.004, 0.0099, 0.01, 0.3, 1.0, 7.0, 240.0])
+        for order in (0, 1):
+            alone = [checks._bessel_k(order, np.array([v]))[0].hex() for v in x.tolist()]
+            assert [v.hex() for v in checks._bessel_k(order, x).tolist()] == alone
+            assert [v.hex() for v in checks._bessel_k(order, x[::-1]).tolist()] == alone[::-1]
+
+    def test_j_splits_at_the_crossover(self):
+        # the crossover is max(25, top order) = 40.5; up to twice it the call
+        # is Miller's alone, and beyond, each argument past it is Hankel's
+        nu0, ks = np.array([0.25, 0.5]), np.array([[0, 3, 30], [1, 2, 40]])
+        x = np.linspace(0.1, 2.0 * 40.5, 50)
+        assert (checks._bessel_j(nu0, ks, x) == checks._bessel_j_miller(nu0, ks, x)).all()
+        x = np.append(x, 81.1)
+        far = x > 40.5
+        split = checks._bessel_j(nu0, ks, x)
+        assert (split[..., far] == checks._bessel_j_hankel(nu0, ks, x[far])).all()
+        assert (split[..., ~far] == checks._bessel_j_miller(nu0, ks, x[~far])).all()
+        # a row of arguments per family: each element from its own path
+        # (Miller's start and Hankel's term count now follow the clipped rows)
+        per_row = checks._bessel_j(nu0, ks, np.stack([x, x[::-1]]))
+        np.testing.assert_allclose(per_row[0], split[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(per_row[1], split[1, :, ::-1], rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("theta1, families", [
         (math.pi / 4, 1), (math.pi / 2, 1), (1.3 * math.pi, 13), (2 * math.pi, 1),
         (3 * math.pi, 3), (5.0, 40)])
@@ -659,6 +684,16 @@ class TestIntegrateGK21:
         gauss = checks.integrate_gk21(lambda x, k: np.exp(-x * x), -np.inf, np.inf)[0]
         assert gauss == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
+    def test_whole_line_intervals_are_each_their_own(self):
+        # several (-inf, inf) intervals in one call: each has the bits it has alone
+        def f(x, k):
+            return np.where((k == 0)[:, None], 1.0 / (1.0 + x * x), np.exp(-x * x))
+
+        alone = [checks.integrate_gk21(lambda x, _, i=i: f(x, np.full(len(x), i)),
+                                       -np.inf, np.inf)[0].hex() for i in (0, 1)]
+        together = checks.integrate_gk21(f, [-np.inf] * 2, [np.inf] * 2)
+        assert [v.hex() for v in together.tolist()] == alone
+
     def test_bessel_j0_panels(self):
         # int_0^x J_0 = x J_0(x) + (pi x / 2) (J_1(x) H_0(x) - J_0(x) H_1(x))
         mp = pytest.importorskip("mpmath")
@@ -717,6 +752,14 @@ class TestModeSum:
         pair = PointPair(t=0.45, r=1.0, rp=0.8, theta=0.6)
         got = tbar_modesum_4d(pair, 3.0)
         assert got == pytest.approx(tbar_cone(pair, 3.0), rel=1e-8)
+
+    def test_irrational_angle_at_small_separation(self):
+        # a = 2 pi / 3 is irrational, so every order is a family of its own,
+        # and zeta = 0.01 takes the panels out to w ~ 3e3: the Bessel
+        # arguments reach ~6e3, where J is Hankel's expansion carried up by
+        # the forward recurrence (Miller's recurrence alone took ~30 s)
+        pair = PointPair(t=0.01, r=1.0, rp=2.0, theta=0.3)
+        assert tbar_modesum_4d(pair, 3.0) == pytest.approx(tbar_cone(pair, 3.0), rel=1e-9, abs=0)
 
     def test_requires_axial_separation(self):
         with pytest.raises(DomainError):

@@ -4,9 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conevac import run_oracle_suite
+from conevac import jets, oracles, run_oracle_suite
 from conevac.oracles import (
     SUITE_VERSION,
     format_reports,
@@ -41,20 +42,23 @@ def test_same_seed_is_deterministic():
 # cone_mode_sum's worst relative error per oracle seed.  The Bessel
 # functions are numpy (checks._bessel_j, checks._bessel_k) and the
 # panels are integrated by checks.integrate_gk21, so the report keeps its
-# bits only while those do, and while the same (mode, panel) intervals
-# pass the bound |J_nu(w r) J_nu(w rp)| <= (w^2 r rp / 4)^nu / Gamma(nu + 1)^2
+# bits only while those do: K_0's trapezoid node count per argument tier,
+# J's crossover from Miller's recurrence to Hankel's expansion (max(25,
+# top order), taken once a call's largest argument exceeds twice it), and
+# the same (mode, panel) intervals passing the bound
+# |J_nu(w r) J_nu(w rp)| <= (w^2 r rp / 4)^nu / Gamma(nu + 1)^2
 # that checks._mode_integrals prunes by.
 CONE_MODE_SUM_MAX_REL = {
-    0: 3.954434087409706e-11,
+    0: 3.9543963068540715e-11,
     1: 7.745978797493803e-11,
     2: 3.873767975457325e-11,
     3: 3.70155031501808e-11,
     4: 7.174969660966947e-11,
-    5: 5.1053162183636426e-11,
+    5: 5.105266710666731e-11,
     6: 5.3765166507479106e-11,
-    7: 5.1622268133258075e-11,
+    7: 5.162181267882534e-11,
     8: 5.036281386859944e-11,
-    9: 7.467900553384007e-11,
+    9: 7.467943406472238e-11,
     42: 7.218318102770056e-11,
 }
 
@@ -68,6 +72,34 @@ def test_cone_mode_sum_bits_are_frozen(seed):
 def test_other_seeds_still_pass():
     for report in run_oracle_suite(["flat_zero", "beta_affinity"], seed=7):
         assert report.passed
+
+
+def _seeded_stencils():
+    """`jet_fd`'s stencils at two seeded pairs, (590, 7)."""
+    rng = np.random.default_rng(20261021)
+    pairs = [oracles._sample_pair(rng, 0.5, 1.2, theta=float(rng.uniform(0.35, 1.05)),
+                                  thetap=float(rng.uniform(0.25, 1.15)), t_lo=0.3, t_hi=0.9)
+             for _ in range(2)]
+    return np.concatenate([oracles._fd_points(pair) for pair in pairs])
+
+
+@pytest.mark.parametrize("case", range(len(oracles._JET_FD_CASES)))
+def test_value_only_batch_has_the_float_kernels_bits(case):
+    # jet_fd takes its stencil values from one batched jet pass that carries
+    # no Hessian entry; each element must be the float call's value
+    expr = oracles._JET_FD_CASES[case]
+    rows = _seeded_stencils()
+    batch = expr(**jets.lift(dict(zip(jets.COORDS, rows.T)), jets.Pairs(())))
+    assert batch.hess.shape == (0, len(rows))
+    assert [v.hex() for v in batch.value.tolist()] == [expr(*row).hex() for row in rows.tolist()]
+
+
+def test_jet_fd_stencil_reads_each_point_once():
+    # the gradient's points are the diagonal Hessian's, and the pair itself is one point
+    rows = _seeded_stencils()
+    assert len(rows) == 2 * 295
+    for stencil in (rows[:295], rows[295:]):
+        assert len(np.unique(stencil, axis=0)) == 295
 
 
 def test_jet_fd_passes_across_seeds():
@@ -103,7 +135,7 @@ def test_oracle_digest_check_reports_a_mismatch(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(frozen))
     monkeypatch.setattr(maker, "OUT", path)
     digest = dict(frozen["seeds"]["3"])
-    monkeypatch.setattr(maker, "seed_digest", lambda seed: dict(digest))
+    monkeypatch.setattr(maker, "seed_digest", lambda seed, wall=None: dict(digest))
     assert maker.check(seeds=(3,)) == 0
     digest["jet_fd"] = (2.0 * float.fromhex(digest["jet_fd"])).hex()
     assert maker.check(seeds=(3,)) == 1
