@@ -225,6 +225,13 @@ def tbar_periodic_line_closed(sep: CartesianSeparation, period: float) -> float:
 
 _QUAD_EPSREL = 1e-11
 
+# Float elements in one block of the mode sum's working arrays: a block of
+# panels' Bessel table and recurrences (`_panel_blocks`), and a block of
+# refinement rows' (`_mode_integrals`); quadrature rows go `_BLOCK` // 512
+# at a time (`_row_blocks`), and K's trapezoid terms `_BLOCK` / 8 at a time
+# (`_bessel_k`).
+_BLOCK = 1 << 18
+
 # QUADPACK's 21-point Gauss-Kronrod rule (dqk21, Piessens et al. 1983):
 # the Kronrod abscissae in (0, 1) (positions 1, 3, ..., 9 are the
 # 10-point Gauss ones), the Kronrod weights of these and of the centre,
@@ -296,15 +303,33 @@ def _gk21_nodes(a, b):
 
 
 def _dqk21(fv, hlgth):
-    """dqk21 on every row of ``fv`` (the integrand on `_gk21_nodes`) at once.
+    """dqk21 on every row of ``fv`` (the integrand on `_gk21_nodes`).
 
-    Returns the Kronrod result, the error estimate, resabs and resasc in
-    QUADPACK's operation order: each weight times its node pair's sum
-    (gathered rows added elementwise, no matrix product, so no BLAS),
-    the terms summed one after another in dqk21's order (`_in_order`),
-    and the (200 err / resasc)^1.5 scaling through libm's pow, as
-    QUADPACK does, not numpy's, on the rows where both are nonzero.
+    Returns a (4, n) array: the Kronrod result, the error estimate, resabs
+    and resasc, in QUADPACK's operation order: each weight times its node
+    pair's sum (gathered rows added elementwise, no matrix product, so no
+    BLAS), the terms summed one after another in dqk21's order
+    (`_in_order`), and the (200 err / resasc)^1.5 scaling through libm's
+    pow, as QUADPACK does, not numpy's, on the rows where both are nonzero.
+    Each row is its own, so the rows go a block at a time (`_row_blocks`)
+    with the bits they have alone.
     """
+    out = np.empty((4, len(fv)))
+    for block in _row_blocks(len(fv)):
+        out[:, block] = _dqk21_rows(fv[block], hlgth[block])
+    return out
+
+
+def _row_blocks(n):
+    """Slices of n rows of quadrature work (dqk21's rows, a level's
+    abscissae, a block of the mode sum's first level), `_BLOCK` // 512 at
+    a time (a row holds ~190 elements at once in `_dqk21_rows`)."""
+    rows = max(1, _BLOCK // 512)
+    return [slice(first, first + rows) for first in range(0, n, rows)]
+
+
+def _dqk21_rows(fv, hlgth):
+    """`_dqk21` on one block of rows."""
     n = len(fv)
     rows = np.zeros((43, n))  # fv and |fv| node-major, then the zero row
     rows[:21] = fv.T
@@ -364,7 +389,7 @@ _QUARTERS = np.linspace(-1.0, 1.0, 5)
 
 
 def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
-                   groups=None, fv=None):
+                   groups=None, fv_blocks=None):
     """Integrals of ``f`` over the intervals [a_k, b_k], one per group.
 
     An adaptive 21-point Gauss-Kronrod quadrature, numpy only.
@@ -379,13 +404,17 @@ def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
 
     The first level is the intervals themselves, so an interval that is
     its own group and passes there has the value QUADPACK's dqagse gives
-    it, bit for bit (``fv``, if given, is ``f`` on their `_gk21_nodes`).
-    An interval that fails is integrated anew from the quarters of s in
-    [-1, 1], x = a + (b - a) (1 + w(s)) / 2 (`_flat_ends`), and failing
-    pieces are bisected from then on, all at once.  The intervals of a
-    call may all be the whole line (-inf, inf), each its own integral:
-    they start at the quarters, through `_infinite_map`; any other
-    infinite endpoint is a ValueError.
+    it, bit for bit.  ``fv_blocks``, if given, stands in for ``f`` there:
+    an iterable of (rows, fv), fv being ``f`` on the `_gk21_nodes` of the
+    intervals ``rows`` (an index array), the blocks covering every
+    interval once, in any order, so the first level need not be held at
+    once.  An interval that fails is integrated anew from the quarters of
+    s in [-1, 1], x = a + (b - a) (1 + w(s)) / 2 (`_flat_ends`), and
+    failing pieces are bisected from then on, all at once: every failing
+    interval of the call, in the order of the intervals.  The intervals
+    of a call may all be the whole line (-inf, inf), each its own
+    integral: they start at the quarters, through `_infinite_map`; any
+    other infinite endpoint is a ValueError.
 
     Raises ConvergenceError where the integrand is not finite (NaN or
     infinity at a node) and where the pieces would exceed ``limit`` per
@@ -404,9 +433,9 @@ def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
         lo, hi, start, span, x_of = a, b, np.arange(n), half, None
     else:
         whole_line = (a == -np.inf).all() and (b == np.inf).all()
-        if not whole_line or groups is not None or fv is not None:
+        if not whole_line or groups is not None or fv_blocks is not None:
             raise ValueError("an infinite endpoint needs every interval to be "
-                             "(-inf, inf), without groups or fv")
+                             "(-inf, inf), without groups or fv_blocks")
         weight, span = np.ones(n), np.ones(n)
         lo, hi = np.tile(_QUARTERS[:-1], n), np.tile(_QUARTERS[1:], n)
         start = np.repeat(np.arange(n), 4)
@@ -414,17 +443,16 @@ def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
     pieces = len(lo)
     while True:
         hlgth = 0.5 * (hi - lo)
-        if fv is None:
-            nodes = _gk21_nodes(lo, hi)
-            if x_of is None:
-                fv = f(nodes, start)
-            else:
-                x, dx = x_of(nodes, start)
-                fv = f(x, start) * dx
-        if not np.isfinite(fv).all():
-            k = start[np.flatnonzero(~np.isfinite(fv).all(axis=1))[0]]
-            raise ConvergenceError(f"integrand not finite on [{a[k]!r}, {b[k]!r}]")
-        result, abserr, resabs, resasc = _dqk21(fv, hlgth)
+        if fv_blocks is None:
+            fv_blocks = [(slice(None), _level_values(f, x_of, lo, hi, start))]
+        estimates = np.empty((4, len(lo)))
+        for rows, fv in fv_blocks:
+            if not np.isfinite(fv).all():
+                k = start[np.arange(len(lo))[rows][np.isfinite(fv).all(axis=1).argmin()]]
+                raise ConvergenceError(f"integrand not finite on [{a[k]!r}, {b[k]!r}]")
+            estimates[:, rows] = _dqk21(fv, hlgth[rows])
+        fv_blocks = fv = None  # the next level needs the room
+        result, abserr, resabs, resasc = estimates
         owner = group[start]
         estimate = values + np.bincount(owner, result, m)
         share = np.fmax(epsabs, epsrel * np.abs(estimate))[owner] * (
@@ -454,7 +482,20 @@ def integrate_gk21(f, a, b, *, epsabs=1e-13, epsrel=_QUAD_EPSREL, limit=300,
             raise ConvergenceError(
                 f"adaptive quadrature needs more than {limit} pieces per interval"
             )
-        fv = None
+
+
+def _level_values(f, x_of, lo, hi, start):
+    """``f`` on the `_gk21_nodes` of the pieces [lo, hi] of the intervals
+    ``start``, times dx/ds through ``x_of`` if given: one call of ``f``,
+    on abscissae mapped a block of pieces at a time (`_row_blocks`)."""
+    x = np.empty((len(lo), 21))
+    dx = None if x_of is None else np.empty_like(x)
+    for block in _row_blocks(len(lo)):
+        x[block] = _gk21_nodes(lo[block], hi[block])
+        if x_of is not None:
+            x[block], dx[block] = x_of(x[block], start[block])
+    fv = f(x, start)
+    return fv if dx is None else np.multiply(fv, dx, out=dx)
 
 
 def _envj(n, x):
@@ -488,7 +529,7 @@ _HANKEL_MIN_X = 25.0
 _HANKEL_K = np.arange(21.0)
 
 
-def _bessel_j(nu0, ks, x):
+def _bessel_j(nu0, ks, x, plan=None):
     """J_{nu0[f] + ks[f, i]}(x) as an (F, m, X) array.
 
     ``nu0`` is an (F,) array of orders in [0, 1), one per family, ``ks``
@@ -504,19 +545,25 @@ def _bessel_j(nu0, ks, x):
     Miller steps of arguments from the crossover to twice it.  So a call
     whose largest argument is below twice the crossover is
     `_bessel_j_miller` alone, and keeps its bits.
+
+    ``plan``, `_bessel_plan` of a larger call whose table holds this
+    one's (its families, orders and arguments among that call's), makes
+    each value the one that call gives it, bit for bit, so a table can be
+    computed a block at a time.
     """
     nu0 = np.asarray(nu0, dtype=float)
     ks = np.asarray(ks)
     x = np.asarray(x, dtype=float)
-    crossover = max(_HANKEL_MIN_X, float((nu0[:, None] + ks).max()))
-    if not float(x.max()) > 2.0 * crossover:
-        return _bessel_j_miller(nu0, ks, x)
+    crossover, start, terms = plan or _bessel_plan(nu0, ks, x)
+    if crossover is None:
+        return _bessel_j_miller(nu0, ks, x, start)
     far = x > crossover
     out = np.empty((*ks.shape, x.shape[-1]))
     if x.ndim == 1:  # arguments shared by the families: a column takes one path
         if not far.all():
-            out[..., ~far] = _bessel_j_miller(nu0, ks, x[~far])
-        out[..., far] = _bessel_j_hankel(nu0, ks, x[far])
+            out[..., ~far] = _bessel_j_miller(nu0, ks, x[~far], start)
+        if far.any():
+            out[..., far] = _bessel_j_hankel(nu0, ks, x[far], terms)
         return out
     # a row of arguments per family: a row with a near argument takes
     # Miller's path, one with a far argument Hankel's (each clipped to the
@@ -524,34 +571,73 @@ def _bessel_j(nu0, ks, x):
     near_rows, far_rows = ~far.all(axis=1), far.any(axis=1)
     if near_rows.any():
         out[near_rows] = _bessel_j_miller(nu0[near_rows], ks[near_rows],
-                                          np.fmin(x[near_rows], crossover))
-    hankel = _bessel_j_hankel(nu0[far_rows], ks[far_rows], np.fmax(x[far_rows], crossover))
-    out[far_rows] = np.where(far[far_rows, None, :], hankel, out[far_rows])
+                                          np.fmin(x[near_rows], crossover), start)
+    if far_rows.any():
+        hankel = _bessel_j_hankel(nu0[far_rows], ks[far_rows],
+                                  np.fmax(x[far_rows], crossover), terms)
+        out[far_rows] = np.where(far[far_rows, None, :], hankel, out[far_rows])
     return out
 
 
-def _bessel_j_hankel(nu0, ks, x):
+def _bessel_plan(nu0, ks, x):
+    """How `_bessel_j` takes the call (nu0, ks, x): the crossover (None for
+    Miller's recurrence alone), Miller's start order and Hankel's term
+    count (each None where its path has no argument).
+
+    With a row of arguments per family the plan reads only each row's
+    least and largest argument, so an (F, 2) array of those stands in for x.
+    """
+    top = float((nu0[:, None] + ks).max())
+    crossover = max(_HANKEL_MIN_X, top)
+    if not float(x.max()) > 2.0 * crossover:
+        return None, _miller_start(nu0, ks, float(x.max())), None
+    far = x > crossover
+    if x.ndim == 1:  # Miller's path takes every family at the near columns
+        near = far_rows = slice(None)
+        near_x, far_x = x[~far], x[far]
+    else:  # and each row's arguments clipped to the crossover
+        near, far_rows = ~far.all(axis=1), far.any(axis=1)
+        near_x, far_x = np.fmin(x[near], crossover), np.fmax(x[far_rows], crossover)
+    start = _miller_start(nu0[near], ks[near], float(near_x.max())) if near_x.size else None
+    # the term count is the largest any family needs: its distinct orders tell it
+    return crossover, start, _hankel_terms(_hankel_coefficients(np.unique(nu0[far_rows])),
+                                           float(far_x.min()))
+
+
+def _hankel_coefficients(nu0):
+    """a_k(nu), k = 0..20, of Hankel's expansion at nu = nu0 and nu0 + 1, as
+    a (21, 2F) array: a_k(nu) = a_{k-1}(nu) (4 nu^2 - (2k - 1)^2) / (8k)."""
+    lowest = np.concatenate([nu0, nu0 + 1.0])  # columns 0..F-1: nu0, F..2F-1: nu0 + 1
+    mu = 4.0 * lowest * lowest
+    k = _HANKEL_K[1:, None]
+    return np.concatenate([np.ones((1, len(lowest))),
+                           np.cumprod((mu - (2.0 * k - 1.0) ** 2) / (8.0 * k), axis=0)])
+
+
+def _hankel_terms(a, x_min):
+    """The terms of Hankel's expansion kept at arguments >= x_min: up to the
+    last whose a_k(nu) / x^k at x_min can exceed 2^-56 for some column of
+    ``a`` (`_hankel_coefficients`)."""
+    small = (np.abs(a) * (1.0 / x_min) ** _HANKEL_K[:, None]).max(axis=1) <= 2.0**-56
+    return int(small.argmax()) + 1
+
+
+def _bessel_j_hankel(nu0, ks, x, terms=None):
     """`_bessel_j` where every order nu0 + k is below x and x >= _HANKEL_MIN_X.
 
     J_nu0 and J_{nu0+1} from Hankel's expansion (DLMF 10.17.3),
     J_nu(x) = sqrt(2 / (pi x)) (P cos w - Q sin w), w = x - (nu/2 + 1/4) pi,
     with P and Q summed by Horner's rule in 1/x^2 out to the term that the
-    least x makes negligible, and cos w and sin w by angle addition on
-    libm's cos x and sin x, so no rounding of x - (nu/2 + 1/4) pi enters.
-    The forward recurrence J_{v+1} = (2v/x) J_v - J_{v-1} then carries
-    every family up to its orders; below x it is stable.  Each value is
-    accurate relative to the modulus |H_v(x)|.
+    least x makes negligible (`_hankel_terms`, or the first ``terms``), and
+    cos w and sin w by angle addition on libm's cos x and sin x, so no
+    rounding of x - (nu/2 + 1/4) pi enters.  The forward recurrence
+    J_{v+1} = (2v/x) J_v - J_{v-1} then carries every family up to its
+    orders; below x it is stable.  Each value is accurate relative to the
+    modulus |H_v(x)|.
     """
     families, members = ks.shape
-    lowest = np.concatenate([nu0, nu0 + 1.0])  # rows 0..F-1: nu0, rows F..2F-1: nu0 + 1
-    mu = 4.0 * lowest * lowest
-    # a_k(nu) = a_{k-1}(nu) (4 nu^2 - (2k - 1)^2) / (8k), k <= 20, kept while
-    # a term a_k(nu) / x^k at the least x can exceed 2^-56
-    k = _HANKEL_K[1:, None]
-    a = np.concatenate([np.ones((1, len(lowest))),
-                        np.cumprod((mu - (2.0 * k - 1.0) ** 2) / (8.0 * k), axis=0)])
-    small = (np.abs(a) * (1.0 / float(x.min())) ** _HANKEL_K[:, None]).max(axis=1) <= 2.0**-56
-    a = a[:int(small.argmax()) + 1]
+    a = _hankel_coefficients(nu0)
+    a = a[:terms or _hankel_terms(a, float(x.min()))]
     a[2::4] *= -1.0  # (-1)^j a_2j: P's coefficients at 2j, Q's at 2j + 1
     a[3::4] *= -1.0
     xs = np.concatenate([x, x]) if x.ndim == 2 else x
@@ -566,7 +652,7 @@ def _bessel_j_hankel(nu0, ks, x):
         q *= y2
         q += c[:, None]
     q /= xs
-    phase = np.pi * (0.5 * lowest + 0.25)
+    phase = np.pi * (0.5 * np.concatenate([nu0, nu0 + 1.0]) + 0.25)
     cos_p, sin_p = np.cos(phase)[:, None], np.sin(phase)[:, None]
     cos_x, sin_x = np.cos(xs), np.sin(xs)
     j = np.sqrt(2.0 / (np.pi * xs)) * (p * (cos_x * cos_p + sin_x * sin_p)
@@ -600,41 +686,63 @@ def _store_rows(ks):
             np.arange(ks.size) // ks.shape[1])
 
 
-def _bessel_j_miller(nu0, ks, x):
+def _miller_start(nu0, ks, x_max):
+    """The order `_bessel_j_miller` starts from: Zhang and Jin's MSTA2 for
+    the largest argument and the top order, and at least the top k."""
+    top = max(float((nu0[:, None] + ks).max()), 1.0)
+    return max(int(ks.max()), _msta2(x_max, top, 17))
+
+
+def _bessel_j_miller(nu0, ks, x, start=None):
     """`_bessel_j` by Miller's backward recurrence.
 
     The recurrence J_{v-1} = (2v/x) J_v - J_{v+1} (Gautschi 1967) runs down
-    every family at once, as the rows of an (F, X) array, from an order
-    that Zhang and Jin's MSTA2 picks for the largest x and the top
-    order; Neumann's sum
+    every family at once, as the rows of an (F, X) array, from ``start``
+    or the order that Zhang and Jin's MSTA2 picks for the largest x and
+    the top order (`_miller_start`); Neumann's sum
     (x/2)^nu0 / Gamma(nu0 + 1) = sum_k c_k J_{nu0+2k}(x), with c_0 = 1 and
     c_k = (nu0 + 2k) Gamma(nu0 + k) / (Gamma(nu0 + 1) k!), normalizes it.
     Every few orders each element is rescaled by a power of 2 (exactly),
-    and keeps the exponent, so nothing overflows however fast J grows
-    toward low orders at small x; values below the double range come out
-    as 0.  Each value is relatively accurate where J_v(x) cannot vanish
-    (x <= v) and accurate relative to the modulus |H_v(x)| beyond.
+    and keeps the exponent (int32), so nothing overflows however fast J
+    grows toward low orders at small x; values below the double range
+    come out as 0.  Each element's value depends only on its argument, its
+    order and the start, not on the other arguments: the rescaling is
+    exact, so it does not matter which steps it falls on.  The table is
+    normalized in place and holds 12 bytes a value at its peak, beside
+    ~50 bytes an argument per family for the recurrence; `_mode_integrals`
+    sizes its blocks by these, so a mode sum's traced peak is 11-14 MB
+    where one table of every order on every panel took up to 342 MB.
+    Each value is relatively accurate where J_v(x) cannot vanish (x <= v)
+    and accurate relative to the modulus |H_v(x)| beyond.
     """
     families, members = ks.shape
     col = nu0[:, None]
-    start = max(int(ks.max()), _msta2(float(x.max()), max(float((col + ks).max()), 1.0), 17))
+    if start is None:
+        start = _miller_start(nu0, ks, float(x.max()))
     # |f_{s-1}| <= (2 (nu0 + s) / x + 1) max(|f_s|, |f_{s+1}|): rescale well
     # before 2^1023
     every = max(1, int(900.0 // math.log2(2.0 * (start + 1) / float(x.min()) + 1.0)))
+    # c_k = (nu0 + 2k) / k * Gamma(nu0 + k) / (Gamma(nu0 + 1) (k - 1)!), in
+    # place: the Gamma ratios, a cumulative product, fill c[:, 1:], and then
+    # take their other factor 64 k at a time
     k = np.arange(1.0, start // 2 + 1)
-    gammas = np.cumprod(np.concatenate([np.ones((families, 1)), (col + k[:-1]) / k[:-1]], axis=1),
-                        axis=1)  # Gamma(nu0 + k) / (Gamma(nu0 + 1) (k - 1)!)
-    c = np.concatenate([np.ones((families, 1)), (col + 2.0 * k) / k * gammas], axis=1)
+    c = np.ones((families, len(k) + 1))
+    gammas = c[:, 1:]
+    np.divide(np.add(col, k[:-1], out=gammas[:, 1:]), k[:-1], out=gammas[:, 1:])
+    np.cumprod(gammas, axis=1, out=gammas)
+    for first in range(0, len(k), 64):
+        part = slice(first, first + 64)
+        gammas[:, part] *= (col + 2.0 * k[part]) / k[part]
     stores, family = _store_rows(ks)
     two_over_x = 2.0 / x
-    orders = col + np.arange(start + 1.0)  # the (nu0 + s) of each step
     cur = np.ones(np.broadcast_shapes((families, 1), x.shape))
     above = np.zeros_like(cur)
     step = np.empty_like(cur)
-    exponent = np.zeros(cur.shape, dtype=int)
+    exponent = np.zeros(cur.shape, dtype=np.int32)
+    e = np.empty_like(exponent)
     norm = np.zeros_like(cur)
     out = np.empty((families * members, cur.shape[1]))
-    out_exponent = np.empty(out.shape, dtype=int)
+    out_exponent = np.empty(out.shape, dtype=np.int32)
     for s in range(start, -1, -1):  # cur holds f_{nu0+s}, above f_{nu0+s+1}
         if s % 2 == 0:
             norm += np.multiply(c[:, s // 2, None], cur, out=step)
@@ -645,20 +753,34 @@ def _bessel_j_miller(nu0, ks, x):
         if s == 0:
             break
         # cur, above = (nu0 + s) * (2 / x) * cur - above, cur, in place
-        np.multiply(orders[:, s, None], two_over_x, out=step)
+        if (start - s) % 64 == 0:  # the (nu0 + s) of the next 64 steps
+            orders = col + np.arange(s, s - 64.0, -1.0)
+        np.multiply(orders[:, (start - s) % 64, None], two_over_x, out=step)
         np.subtract(np.multiply(step, cur, out=step), above, out=above)
         cur, above = above, cur
         if s % every == 0:
-            _, e = np.frexp(np.fmax(np.abs(cur), np.abs(above)))
+            np.frexp(np.fmax(np.abs(cur, out=step), np.abs(above), out=step), out=(step, e))
             for v in (cur, above, norm):
                 np.ldexp(v, -e, out=v)
             exponent += e
+    del cur, above, step
     mantissa, e = np.frexp(norm)
     exponent += e
-    lhs = np.power(0.5 * x, col) / np.array([math.gamma(v + 1.0) for v in nu0.tolist()])[:, None]
+    # (x/2)^nu0 / Gamma(nu0 + 1), a power call per run of families of one
+    # order: numpy's power with an array of exponents can round by the
+    # shape of the call
+    half_x = np.broadcast_to(0.5 * x, norm.shape)
+    lhs = np.empty_like(norm)
+    edges = [0, *(np.flatnonzero(np.diff(nu0)) + 1).tolist(), families]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.power(half_x[lo:hi], float(nu0[lo]), out=lhs[lo:hi])
+    lhs /= np.array([math.gamma(v + 1.0) for v in nu0.tolist()])[:, None]
     scale = lhs / mantissa
-    j = np.ldexp(out * scale[family], out_exponent - exponent[family])
-    return j.reshape(families, members, -1)
+    out = out.reshape(families, members, -1)
+    out *= scale[:, None, :]
+    out_exponent = out_exponent.reshape(out.shape)
+    out_exponent -= exponent[:, None, :]
+    return np.ldexp(out, out_exponent, out=out)
 
 
 # The trapezoid nodes of `_bessel_k` by argument: x >= 1, 1e-2 <= x < 1,
@@ -676,7 +798,8 @@ def _bessel_k(order, x):
     (Trefethen and Weideman 2014): out to where the exponent reaches
     -40, in a step size per element and a node count set by the
     element's own argument (`_K_EDGES`), so a value does not depend on
-    the others in the call.  Relative error ~1e-15 for x in [1e-14, 250].
+    the others in the call, whose trapezoid terms go `_BLOCK` / 8 at a
+    time.  Relative error ~1e-15 for x in [1e-14, 250].
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -684,23 +807,25 @@ def _bessel_k(order, x):
     for k in np.unique(tier).tolist():
         steps = _K_STEPS[k]
         at = tier == k
-        xs = x[at][:, None]
-        h = 2.0 * np.arcsinh(np.sqrt(40.0 / xs)) / len(steps)
-        s = h * steps
-        terms = np.exp(-2.0 * xs * np.sinh(0.5 * s) ** 2)
-        if order:
-            terms *= np.cosh(s)
-        out[at] = (np.exp(-xs) * h)[:, 0] * (0.5 + terms.sum(axis=-1))
+        xs, values = x[at], np.empty(np.count_nonzero(at))
+        rows = max(1, _BLOCK // (8 * len(steps)))
+        for i in range(0, len(xs), rows):
+            v = xs[i:i + rows, None]
+            h = 2.0 * np.arcsinh(np.sqrt(40.0 / v)) / len(steps)
+            s = h * steps
+            terms = np.exp(-2.0 * v * np.sinh(0.5 * s) ** 2)
+            if order:
+                terms *= np.cosh(s)
+            values[i:i + rows] = (np.exp(-v) * h)[:, 0] * (0.5 + terms.sum(axis=-1))
+        out[at] = values
     return out
 
 
 def _panel_plan(r, rp, zeta, abs_tol, max_panels):
-    """The panels of the mode integrals and what on them does not depend on nu.
+    """The panels of the mode integrals: their starts and ends.
 
-    Returns the panel starts and ends, the (panels, 21) dqk21 nodes w
-    (`_gk21_nodes`) and K_0(w zeta) on them.  The panels are as many as
-    it takes the tail bound (W/zeta) K_1(W zeta) at the last end W to
-    drop below ``abs_tol``.
+    The panels are as many as it takes the tail bound (W/zeta) K_1(W zeta)
+    at the last end W to drop below ``abs_tol``.
     """
     width = 4.0 * math.pi / (r + rp + zeta)
     count = 64
@@ -717,9 +842,29 @@ def _panel_plan(r, rp, zeta, abs_tol, max_panels):
             )
         count *= 8
     b = ends[:int(done.argmax()) + 1]
-    a = np.concatenate([[0.0], b[:-1]])
-    w = _gk21_nodes(a, b)
-    return a, b, w, _bessel_k(0, w * zeta)
+    return np.concatenate([[0.0], b[:-1]]), b
+
+
+def _panel_blocks(reach, families, arguments, per_family):
+    """Runs [p0, p1) of consecutive panels whose Bessel work stays within
+    `_BLOCK` elements (or is a single panel).
+
+    The live modes of panel p are below ``reach[p]``, so a run's table
+    holds the modes below its panels' largest reach, n = f + F i: the
+    first min(F, reach) of F ``families``, each with ceil(reach / F)
+    members.  Its work is, at each of its panels' ``arguments``, a table
+    row for each of these and six more rows per family for the
+    recurrences, plus ``per_family`` elements for each family.
+    """
+    blocks, first = [], 0
+    while first < len(reach):
+        top = np.maximum.accumulate(reach[first:])
+        work = np.minimum(top, families) * (
+            (-(-top // families) + 6) * arguments * np.arange(1, len(top) + 1) + per_family)
+        last = first + max(1, int(np.searchsorted(work, _BLOCK, side="right")))
+        blocks.append((first, last))
+        first = last
+    return blocks
 
 
 def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=8000):
@@ -734,12 +879,24 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
     couple of Bessel oscillations, and end once the analytic bound
     (W/zeta) K_1(W zeta) on the remaining tail (using |J_nu| <= 1) drops
     below ``abs_tol``; more than ``max_panels`` is a ConvergenceError.
-    One `_bessel_j` table covers every order on every node of every
-    panel; the intervals of one `integrate_gk21` call are the (mode,
-    panel) pairs, each its own integral, so each panel has the tolerance
-    epsabs = abs_tol / 100 it would have alone.  A panel that fails its
-    first pass is refined at its own order only.  Each mode's panels are
-    summed in order.
+    The intervals of one `integrate_gk21` call are the (mode, panel)
+    pairs, each its own integral, so each panel has the tolerance
+    epsabs = abs_tol / 100 it would have alone.  Its first level goes a
+    block of panels at a time (`_panel_blocks`): K_0 on the block's nodes,
+    one `_bessel_j` table of the modes up to the highest live on its
+    panels (at the one argument w r where r' = r), and the integrand on
+    its live intervals only, as many at a time as `_dqk21` takes.  The
+    panels that fail their first pass, of every block, go on in the
+    order of the intervals to one refinement, at their own orders only,
+    a block of (piece, family) rows at a time.  Every block takes the `_bessel_plan`
+    of one call over all of its level (every order on every panel, or
+    every row of a refinement level), so each value has the bits that
+    one call gives it, whatever the blocks.  Blocks of `_BLOCK` elements
+    bound the working set by a constant, not by modes times panels: the
+    traced peak of `tbar_modesum_4d` is 12.1 MB at theta1 = 10, 11.3 MB at
+    theta1 = 3 pi (t = 0.06, r = r' = 1, theta' = 0.2) and 13.5 MB at
+    theta1 = 3 (t = 0.01, r = 1, r' = 2, theta = 0.3), where one table
+    took 342, 110 and 153 MB.  Each mode's panels are summed in order.
 
     An interval whose integral cannot reach epsabs is not integrated and
     counts as 0.  Since |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) (DLMF
@@ -752,8 +909,8 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
     0 and together add at most one epsabs.  The bound is closed form,
     so the sum stays independent of the closed value it checks.
     """
-    a, b, w, k0 = _panel_plan(r, rp, zeta, abs_tol, max_panels)
-    panels, families, half = len(a), len(nu0), w.size
+    a, b = _panel_plan(r, rp, zeta, abs_tol, max_panels)
+    panels, families = len(a), len(nu0)
     epsabs = 0.01 * abs_tol
     nu = (nu0[:, None] + ks).T.ravel()[:count]
     # log B of every (mode, panel) interval, B its bound; B < epsabs counts as 0
@@ -761,11 +918,34 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
              - 2.0 * np.array([math.lgamma(v + 1.0) for v in nu.tolist()])[:, None]
              - 2.0 * math.log(zeta))
     live = np.flatnonzero(log_b.ravel() >= math.log(epsabs))
+    del log_b
     if not len(live):
         return np.zeros(count)
-    j = _bessel_j(nu0, ks, np.concatenate([(w * r).ravel(), (w * rp).ravel()]))
-    j = j.transpose(1, 0, 2).reshape(-1, 2 * half)[:count]
-    fv = w.ravel() * j[:, :half] * j[:, half:] * k0.ravel()
+    w = _gk21_nodes(a, b)
+    # the arguments w r, then w r' unless they are w r
+    args = np.stack([w * v for v in ([r] if r == rp else [r, rp])])
+    whole = _bessel_plan(nu0, ks, args.ravel())
+    mode, panel = np.divmod(live, panels)
+    reach = np.zeros(panels, dtype=int)
+    np.maximum.at(reach, panel, mode + 1)
+
+    def first_level():
+        # Miller's coefficients: half its start a family
+        for p0, p1 in _panel_blocks(reach, families, 21 * len(args), (whole[1] or 0) // 2):
+            top = int(reach[p0:p1].max())
+            if not top:
+                continue
+            fams, mems = min(families, top), -(-top // families)
+            j = _bessel_j(nu0[:fams], ks[:fams, :mems], args[:, p0:p1].ravel(), plan=whole)
+            j = j.reshape(fams * mems, len(args), p1 - p0, 21)
+            at = np.flatnonzero((panel >= p0) & (panel < p1))
+            row, local = mode[at] % families * mems + mode[at] // families, panel[at] - p0
+            wb = w[p0:p1]
+            k0 = _bessel_k(0, wb * zeta)
+            for part in _row_blocks(len(at)):  # as many intervals as dqk21 takes at once
+                i, p = row[part], local[part]
+                yield at[part], wb[p] * j[i, 0, p] * j[i, -1, p] * k0[p]
+
     mode_k = ks.T.ravel()
 
     def f(x, k):
@@ -774,23 +954,36 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
         # family, for just the orders its rows need.  The pieces of a
         # level have one depth, so each is told by its centre node alone.
         _, first, piece = np.unique(x[:, 10], return_index=True, return_inverse=True)
-        pieces = x[first]
-        mode = live[k] // panels
-        groups, group = np.unique(piece * families + mode % families, return_inverse=True)
+        pieces, modes = x[first], mode[k]
+        # family-major, so the families' orders come in runs (`_bessel_j_miller`)
+        groups, group = np.unique(modes % families * len(pieces) + piece, return_inverse=True)
         by_group = np.argsort(group, kind="stable")
+        in_order = group[by_group]
         slot = np.empty_like(group)
-        slot[by_group] = np.arange(len(group)) - np.searchsorted(group[by_group], group[by_group])
+        slot[by_group] = np.arange(len(group)) - np.searchsorted(in_order, in_order)
         gks = np.zeros((len(groups), slot.max() + 1), dtype=int)
-        gks[group, slot] = mode_k[mode]
-        gx = pieces[groups // families]
-        jx = _bessel_j(nu0[groups % families], gks,
-                       np.concatenate([gx * r, gx * rp], axis=1))[group, slot]
-        return x * jx[:, :21] * jx[:, 21:] * _bessel_k(0, pieces * zeta)[piece]
+        gks[group, slot] = mode_k[modes]
+        gnu0, gpiece = nu0[groups // len(pieces)], groups % len(pieces)
+        k0 = _bessel_k(0, pieces * zeta)
+        # a block of groups at a time, with the plan of the whole level, which
+        # reads only each group's least and largest argument; a group holds
+        # 42 arguments of three tables (each path's and the joined one) and
+        # of sixteen rows of recurrences
+        level = _bessel_plan(gnu0, gks, np.stack([pieces.min(axis=1)[gpiece] * min(r, rp),
+                                                  pieces.max(axis=1)[gpiece] * max(r, rp)], axis=1))
+        step = max(1, _BLOCK // (42 * (3 * gks.shape[1] + 16)))
+        for g0 in range(0, len(groups), step):
+            g = slice(g0, g0 + step)
+            rows = by_group[np.searchsorted(in_order, g0):np.searchsorted(in_order, g0 + step)]
+            gx = pieces[gpiece[g]]
+            jx = _bessel_j(gnu0[g], gks[g], np.concatenate([gx * r, gx * rp], axis=1),
+                           plan=level)[group[rows] - g0, slot[rows]]
+            x[rows] = x[rows] * jx[:, :21] * jx[:, 21:] * k0[piece[rows]]
+        return x  # each row of x, read once, holds its values
 
-    values = np.zeros(count * panels)
-    values[live] = integrate_gk21(f, a[live % panels], b[live % panels], epsabs=epsabs,
-                                  fv=fv.reshape(-1, 21)[live])
-    return np.add.accumulate(values.reshape(count, panels), axis=1)[:, -1]
+    # each mode's panels summed in order
+    return np.bincount(mode, integrate_gk21(f, a[panel], b[panel], epsabs=epsabs,
+                                            fv_blocks=first_level()), count)
 
 
 def _mode_orders(a, count):

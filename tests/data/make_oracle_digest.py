@@ -7,7 +7,10 @@ change that is meant to keep the numbers (a refactor, a speed-up)
 proves it by leaving this file alone and by passing ``--check``, which
 reruns every frozen seed, writes nothing, and exits nonzero on any
 mismatch; it also prints each seed's wall time, each oracle's wall time
-summed over the seeds, and the process's peak resident memory.  The tests check seeds 0 and 1.  Regenerate the file only in
+summed over the seeds beside its traced memory peak (the ``tracemalloc``
+peak of one oracle call, the largest over the seeds, from a second pass
+so that the wall times are untraced), and the process's peak resident
+memory before that pass.  The tests check seeds 0 and 1.  Regenerate the file only in
 a change that means to alter the numbers, and say so in that change.  A
 change that means to alter some oracles' numbers only re-freezes those
 with ``--refreeze NAME...``: it rewrites the named oracles' entries at
@@ -23,6 +26,7 @@ import json
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
@@ -49,6 +53,19 @@ def seed_digest(seed: int, wall=None) -> dict:
     return digest
 
 
+def seed_peaks(seed: int, peaks: dict) -> None:
+    """Run every oracle at one seed under ``tracemalloc``, each on its own,
+    keeping in ``peaks[name]`` the largest traced peak, in bytes."""
+    for name in oracles.oracle_names():
+        tracemalloc.start()
+        try:
+            oracles.run_oracle_suite([name], seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks[name] = max(peaks.get(name, 0), peak)
+
+
 def check(seeds=None) -> int:
     """Rerun the frozen seeds (or ``seeds``); 0 if all match, else 1."""
     frozen = json.loads(OUT.read_text())
@@ -68,11 +85,15 @@ def check(seeds=None) -> int:
             if got.get(name) != want[name]:
                 print(f"  {name}: frozen {want[name]}, computed {got.get(name)}")
                 status = 1
-    print(f"wall time per oracle over seeds {', '.join(checked)}:")
+    # ru_maxrss is in KiB on Linux; read before the traced pass adds its own
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peaks = {}
+    for seed in checked:
+        seed_peaks(int(seed), peaks)
+    print(f"wall time and traced peak per oracle over seeds {', '.join(checked)}:")
     for name, wall in walls.items():
-        print(f"  {name:<22} {wall:7.3f} s")
-    # ru_maxrss is in KiB on Linux
-    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
+        print(f"  {name:<22} {wall:7.3f} s {peaks[name] / 1e6:7.2f} MB")
+    print(f"peak RSS of the untraced pass: {rss:.1f} MB")
     return status
 
 

@@ -5,6 +5,7 @@ or from values small enough to derive by hand in a docstring.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,6 +437,39 @@ class TestModeIntegral:
         assert mode_integral(1.0, 1.0, 0.8, 0.45) == before
 
 
+class TestModeIntegralBlocks:
+    # (pair, theta1, modes, block): theta1 = 3 pi at r = r' is Miller's
+    # recurrence alone on one argument per node; item 7's point splits at
+    # the crossover into Hankel's expansion, and its refinement takes many
+    # (piece, family) rows; theta1 = 8 pi has the orders 0, 1/4, 1/2 and
+    # 3/4 mod 1 (numpy's power with an array of such orders can round
+    # x^(1/2) by the shape of the call)
+    CASES = [(PointPair(t=0.06, r=1.0, rp=1.0, thetap=0.2), 3.0 * math.pi, 60, 1 << 16),
+             (PointPair(t=0.01, r=1.0, rp=2.0, theta=0.3), 3.0, 19, 1 << 16),
+             (PointPair(t=0.4, r=0.7, rp=1.2, theta=0.3, z=0.2), 1.3 * math.pi, 30, 1 << 11),
+             (PointPair(t=0.3, r=0.6, rp=1.1, theta=0.2), 8.0 * math.pi, 40, 1 << 12)]
+
+    @pytest.mark.parametrize("pair, theta1, count, block", CASES)
+    def test_blocks_keep_the_bits(self, pair, theta1, count, block, monkeypatch):
+        zeta = math.hypot(pair.t, pair.z - pair.zp)
+        nu0, ks = checks._mode_orders(2.0 * math.pi / theta1, count)
+        calls = []
+        bessel_j = checks._bessel_j
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("plan") is not None)
+            return bessel_j(*args, **kwargs)
+
+        monkeypatch.setattr(checks, "_bessel_j", counted)
+        monkeypatch.setattr(checks, "_BLOCK", 1 << 40)
+        whole = checks._mode_integrals(nu0, ks, count, pair.r, pair.rp, zeta)
+        tables = len(calls)
+        monkeypatch.setattr(checks, "_BLOCK", block)
+        blocked = checks._mode_integrals(nu0, ks, count, pair.r, pair.rp, zeta)
+        assert len(calls) - tables > 2 * tables  # many blocks
+        assert [v.hex() for v in blocked.tolist()] == [v.hex() for v in whole.tolist()]
+
+
 class TestModeIntegralClosedForm:
     # A panel whose dqk21 abserr equals its resasc under scipy's Bessel
     # functions: dqagse's first-pass test (abserr != resasc) sends it on.
@@ -479,7 +513,7 @@ def unpruned_panels(nu, r, rp, zeta, abs_tol=1e-12):
     """The ends of `checks._panel_plan`'s panels and the mode integral at the
     order nu over each, every panel integrated by `integrate_gk21` to the
     tolerance `checks._mode_integrals` gives it."""
-    a, b, _, _ = checks._panel_plan(r, rp, zeta, abs_tol, 8000)
+    a, b = checks._panel_plan(r, rp, zeta, abs_tol, 8000)
     k = math.floor(nu)
 
     def f(x, _):
@@ -598,6 +632,32 @@ class TestBesselFunctions:
         np.testing.assert_allclose(per_row[0], split[0], rtol=0, atol=1e-14)
         np.testing.assert_allclose(per_row[1], split[1, :, ::-1], rtol=0, atol=1e-14)
 
+    def test_a_plan_gives_a_part_of_a_table_its_bits(self):
+        # with the whole call's plan, any families, orders and arguments of
+        # it come out as that call gives them, on either side of the crossover
+        nu0, ks = np.array([0.25, 0.5, 0.0]), np.array([[0, 3, 30], [1, 2, 40], [5, 9, 12]])
+        for x in (np.linspace(0.1, 80.0, 300), np.linspace(0.1, 400.0, 300)):
+            whole = checks._bessel_j(nu0, ks, x)
+            plan = checks._bessel_plan(nu0, ks, x)
+            for families, members, columns in (([1, 2], [0, 2], slice(0, 120)),
+                                              ([0], [1], slice(150, 300)),
+                                              ([0, 1, 2], [2], slice(280, 300))):
+                part = checks._bessel_j(nu0[families], ks[np.ix_(families, members)], x[columns],
+                                        plan=plan)
+                want = whole[np.ix_(families, members)][..., columns]
+                assert [v.hex() for v in part.ravel().tolist()] == [
+                    v.hex() for v in want.ravel().tolist()]
+
+    def test_a_plan_reads_each_rows_extremes(self):
+        # with a row of arguments per family, each row's least and largest
+        # argument give the call's plan
+        rng = np.random.default_rng(7)
+        nu0, ks = np.array([0.25, 0.5, 0.0]), np.array([[0, 3], [1, 2], [5, 9]])
+        for scale in (10.0, 60.0, 200.0):
+            x = rng.uniform(0.1, 1.0, (3, 42)) * scale
+            summary = np.stack([x.min(axis=1), x.max(axis=1)], axis=1)
+            assert checks._bessel_plan(nu0, ks, x) == checks._bessel_plan(nu0, ks, summary)
+
     @pytest.mark.parametrize("theta1, families", [
         (math.pi / 4, 1), (math.pi / 2, 1), (1.3 * math.pi, 13), (2 * math.pi, 1),
         (3 * math.pi, 3), (5.0, 40)])
@@ -676,6 +736,20 @@ class TestIntegrateGK21:
         for k in range(64):
             want = _dqk21_loop(fv[k].tolist(), float(hlgth[k]))
             assert [v.hex() for v in want] == [a[k].hex() for a in got], k
+
+    def test_dqk21_row_blocks_keep_each_rows_bits(self):
+        # the rows go a block at a time; a row's values are the ones it has alone
+        block = checks._row_blocks(10**6)[0].stop
+        rng = np.random.default_rng(29)
+        n = 3 * block + 5
+        fv = rng.standard_normal((n, 21)) * np.exp(rng.uniform(-30.0, 30.0, (n, 1)))
+        fv[::7] = 0.0
+        hlgth = rng.uniform(-2.0, 2.0, n)
+        alone = [[v.hex() for v in checks._dqk21(fv[k:k + 1], hlgth[k:k + 1])[:, 0].tolist()]
+                 for k in range(n)]
+        for rows in (1, block - 1, block, block + 1, n):
+            got = checks._dqk21(fv[:rows], hlgth[:rows])
+            assert [[v.hex() for v in got[:, k].tolist()] for k in range(rows)] == alone[:rows]
 
     def test_lorentzian_and_gaussian_over_the_line(self):
         def f(x, k):
@@ -760,6 +834,21 @@ class TestModeSum:
         # the forward recurrence (Miller's recurrence alone took ~30 s)
         pair = PointPair(t=0.01, r=1.0, rp=2.0, theta=0.3)
         assert tbar_modesum_4d(pair, 3.0) == pytest.approx(tbar_cone(pair, 3.0), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("pair, theta1", [
+        (PointPair(t=0.01, r=1.0, rp=2.0, theta=0.3), 3.0),
+        (PointPair(t=0.06, r=1.0, rp=1.0, thetap=0.2), 3.0 * math.pi)])
+    def test_traced_peak_is_bounded(self, pair, theta1):
+        # a block of panels at a time: 153 MB and 110 MB in one table of
+        # every order on every panel
+        tracemalloc.start()
+        try:
+            got = tbar_modesum_4d(pair, theta1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        assert got == pytest.approx(tbar_cone(pair, theta1), rel=1e-9, abs=0)
 
     def test_requires_axial_separation(self):
         with pytest.raises(DomainError):

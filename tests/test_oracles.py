@@ -136,6 +136,7 @@ def test_oracle_digest_check_reports_a_mismatch(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(maker, "OUT", path)
     digest = dict(frozen["seeds"]["3"])
     monkeypatch.setattr(maker, "seed_digest", lambda seed, wall=None: dict(digest))
+    monkeypatch.setattr(maker, "seed_peaks", lambda seed, peaks: None)
     assert maker.check(seeds=(3,)) == 0
     digest["jet_fd"] = (2.0 * float.fromhex(digest["jet_fd"])).hex()
     assert maker.check(seeds=(3,)) == 1
