@@ -226,9 +226,9 @@ def tbar_periodic_line_closed(sep: CartesianSeparation, period: float) -> float:
 _QUAD_EPSREL = 1e-11
 
 # Float elements in one block of the mode sum's working arrays: a block of
-# panels' Bessel table and recurrences (`_panel_blocks`), and a block of
-# refinement rows' (`_mode_integrals`); quadrature rows go `_BLOCK` // 512
-# at a time (`_row_blocks`), and K's trapezoid terms `_BLOCK` / 8 at a time
+# pieces' Bessel table and recurrences, on every quadrature level
+# (`_panel_blocks`); quadrature rows go `_BLOCK` // 512 at a time
+# (`_row_blocks`), and K's trapezoid terms `_BLOCK` / 8 at a time
 # (`_bessel_k`).
 _BLOCK = 1 << 18
 
@@ -322,7 +322,7 @@ def _dqk21(fv, hlgth):
 
 def _row_blocks(n):
     """Slices of n rows of quadrature work (dqk21's rows, a level's
-    abscissae, a block of the mode sum's first level), `_BLOCK` // 512 at
+    abscissae, a block of a mode-sum level's rows), `_BLOCK` // 512 at
     a time (a row holds ~190 elements at once in `_dqk21_rows`)."""
     rows = max(1, _BLOCK // 512)
     return [slice(first, first + rows) for first in range(0, n, rows)]
@@ -533,8 +533,8 @@ def _bessel_j(nu0, ks, x, plan=None):
     """J_{nu0[f] + ks[f, i]}(x) as an (F, m, X) array.
 
     ``nu0`` is an (F,) array of orders in [0, 1), one per family, ``ks``
-    an (F, m) array of integers >= 0, and ``x`` > 0 an (X,) array shared
-    by the families or an (F, X) array, a row each.
+    an (F, m) array of integers >= 0, and ``x`` > 0 an (X,) array of
+    arguments shared by the families.
 
     The crossover is the larger of _HANKEL_MIN_X and the call's top order.
     An argument beyond it takes `_bessel_j_hankel`, whose forward
@@ -549,7 +549,7 @@ def _bessel_j(nu0, ks, x, plan=None):
     ``plan``, `_bessel_plan` of a larger call whose table holds this
     one's (its families, orders and arguments among that call's), makes
     each value the one that call gives it, bit for bit, so a table can be
-    computed a block at a time.
+    computed a block of arguments at a time (`_mode_integrals`).
     """
     nu0 = np.asarray(nu0, dtype=float)
     ks = np.asarray(ks)
@@ -557,51 +557,28 @@ def _bessel_j(nu0, ks, x, plan=None):
     crossover, start, terms = plan or _bessel_plan(nu0, ks, x)
     if crossover is None:
         return _bessel_j_miller(nu0, ks, x, start)
-    far = x > crossover
-    out = np.empty((*ks.shape, x.shape[-1]))
-    if x.ndim == 1:  # arguments shared by the families: a column takes one path
-        if not far.all():
-            out[..., ~far] = _bessel_j_miller(nu0, ks, x[~far], start)
-        if far.any():
-            out[..., far] = _bessel_j_hankel(nu0, ks, x[far], terms)
-        return out
-    # a row of arguments per family: a row with a near argument takes
-    # Miller's path, one with a far argument Hankel's (each clipped to the
-    # crossover), and each element keeps its own path's value
-    near_rows, far_rows = ~far.all(axis=1), far.any(axis=1)
-    if near_rows.any():
-        out[near_rows] = _bessel_j_miller(nu0[near_rows], ks[near_rows],
-                                          np.fmin(x[near_rows], crossover), start)
-    if far_rows.any():
-        hankel = _bessel_j_hankel(nu0[far_rows], ks[far_rows],
-                                  np.fmax(x[far_rows], crossover), terms)
-        out[far_rows] = np.where(far[far_rows, None, :], hankel, out[far_rows])
+    far = x > crossover  # a column takes one path
+    out = np.empty((*ks.shape, len(x)))
+    if not far.all():
+        out[..., ~far] = _bessel_j_miller(nu0, ks, x[~far], start)
+    if far.any():
+        out[..., far] = _bessel_j_hankel(nu0, ks, x[far], terms)
     return out
 
 
 def _bessel_plan(nu0, ks, x):
     """How `_bessel_j` takes the call (nu0, ks, x): the crossover (None for
     Miller's recurrence alone), Miller's start order and Hankel's term
-    count (each None where its path has no argument).
-
-    With a row of arguments per family the plan reads only each row's
-    least and largest argument, so an (F, 2) array of those stands in for x.
-    """
+    count (each None where its path has no argument)."""
     top = float((nu0[:, None] + ks).max())
     crossover = max(_HANKEL_MIN_X, top)
     if not float(x.max()) > 2.0 * crossover:
         return None, _miller_start(nu0, ks, float(x.max())), None
-    far = x > crossover
-    if x.ndim == 1:  # Miller's path takes every family at the near columns
-        near = far_rows = slice(None)
-        near_x, far_x = x[~far], x[far]
-    else:  # and each row's arguments clipped to the crossover
-        near, far_rows = ~far.all(axis=1), far.any(axis=1)
-        near_x, far_x = np.fmin(x[near], crossover), np.fmax(x[far_rows], crossover)
-    start = _miller_start(nu0[near], ks[near], float(near_x.max())) if near_x.size else None
+    far = x > crossover  # Miller's path takes every family at the near columns
+    start = _miller_start(nu0, ks, float(x[~far].max())) if not far.all() else None
     # the term count is the largest any family needs: its distinct orders tell it
-    return crossover, start, _hankel_terms(_hankel_coefficients(np.unique(nu0[far_rows])),
-                                           float(far_x.min()))
+    return crossover, start, _hankel_terms(_hankel_coefficients(np.unique(nu0)),
+                                           float(x[far].min()))
 
 
 def _hankel_coefficients(nu0):
@@ -640,10 +617,9 @@ def _bessel_j_hankel(nu0, ks, x, terms=None):
     a = a[:terms or _hankel_terms(a, float(x.min()))]
     a[2::4] *= -1.0  # (-1)^j a_2j: P's coefficients at 2j, Q's at 2j + 1
     a[3::4] *= -1.0
-    xs = np.concatenate([x, x]) if x.ndim == 2 else x
-    y2 = 1.0 / (xs * xs)
+    y2 = 1.0 / (x * x)
     even, odd = a[0::2], a[1::2]
-    p = np.broadcast_to(even[-1][:, None], (2 * families, xs.shape[-1])).copy()
+    p = np.broadcast_to(even[-1][:, None], (2 * families, len(x))).copy()
     for c in even[-2::-1]:
         p *= y2
         p += c[:, None]
@@ -651,11 +627,11 @@ def _bessel_j_hankel(nu0, ks, x, terms=None):
     for c in odd[-2::-1]:
         q *= y2
         q += c[:, None]
-    q /= xs
+    q /= x
     phase = np.pi * (0.5 * np.concatenate([nu0, nu0 + 1.0]) + 0.25)
     cos_p, sin_p = np.cos(phase)[:, None], np.sin(phase)[:, None]
-    cos_x, sin_x = np.cos(xs), np.sin(xs)
-    j = np.sqrt(2.0 / (np.pi * xs)) * (p * (cos_x * cos_p + sin_x * sin_p)
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    j = np.sqrt(2.0 / (np.pi * x)) * (p * (cos_x * cos_p + sin_x * sin_p)
                                        - q * (sin_x * cos_p - cos_x * sin_p))
     below, cur = j[:families], j[families:]
     stores, family = _store_rows(ks)
@@ -663,7 +639,7 @@ def _bessel_j_hankel(nu0, ks, x, terms=None):
     orders = nu0[:, None] + np.arange(1.0, top + 1)  # the (nu0 + s + 1) of each step
     two_over_x = 2.0 / x
     step = np.empty_like(cur)
-    out = np.empty((families * members, x.shape[-1]))
+    out = np.empty((families * members, len(x)))
     for s in range(top + 1):  # below holds J_{nu0+s}, cur J_{nu0+s+1}
         if s in stores:
             out[stores[s]] = below[family[stores[s]]]
@@ -709,9 +685,8 @@ def _bessel_j_miller(nu0, ks, x, start=None):
     order and the start, not on the other arguments: the rescaling is
     exact, so it does not matter which steps it falls on.  The table is
     normalized in place and holds 12 bytes a value at its peak, beside
-    ~50 bytes an argument per family for the recurrence; `_mode_integrals`
-    sizes its blocks by these, so a mode sum's traced peak is 11-14 MB
-    where one table of every order on every panel took up to 342 MB.
+    ~50 bytes an argument per family for the recurrence; `_panel_blocks`
+    sizes the mode sum's tables by these.
     Each value is relatively accurate where J_v(x) cannot vanish (x <= v)
     and accurate relative to the modulus |H_v(x)| beyond.
     """
@@ -735,7 +710,7 @@ def _bessel_j_miller(nu0, ks, x, start=None):
         gammas[:, part] *= (col + 2.0 * k[part]) / k[part]
     stores, family = _store_rows(ks)
     two_over_x = 2.0 / x
-    cur = np.ones(np.broadcast_shapes((families, 1), x.shape))
+    cur = np.ones((families, len(x)))
     above = np.zeros_like(cur)
     step = np.empty_like(cur)
     exponent = np.zeros(cur.shape, dtype=np.int32)
@@ -846,15 +821,18 @@ def _panel_plan(r, rp, zeta, abs_tol, max_panels):
 
 
 def _panel_blocks(reach, families, arguments, per_family):
-    """Runs [p0, p1) of consecutive panels whose Bessel work stays within
-    `_BLOCK` elements (or is a single panel).
+    """Runs [p0, p1) of consecutive pieces of a quadrature level (the
+    panels, or the pieces of a refinement) whose Bessel work stays within
+    `_BLOCK` elements, or a single piece, whatever its work.
 
-    The live modes of panel p are below ``reach[p]``, so a run's table
-    holds the modes below its panels' largest reach, n = f + F i: the
+    The live modes of piece p are below ``reach[p]``, so a run's table
+    holds the modes below its pieces' largest reach, n = f + F i: the
     first min(F, reach) of F ``families``, each with ceil(reach / F)
-    members.  Its work is, at each of its panels' ``arguments``, a table
+    members.  Its work is, at each of its pieces' ``arguments``, a table
     row for each of these and six more rows per family for the
-    recurrences, plus ``per_family`` elements for each family.
+    recurrences, plus ``per_family`` elements for each family.  So one
+    piece's work grows with the families: an irrational angle has about
+    as many as modes, which `tbar_modesum_4d` caps at `_MAX_MODES`.
     """
     blocks, first = [], 0
     while first < len(reach):
@@ -881,22 +859,31 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
     below ``abs_tol``; more than ``max_panels`` is a ConvergenceError.
     The intervals of one `integrate_gk21` call are the (mode, panel)
     pairs, each its own integral, so each panel has the tolerance
-    epsabs = abs_tol / 100 it would have alone.  Its first level goes a
-    block of panels at a time (`_panel_blocks`): K_0 on the block's nodes,
-    one `_bessel_j` table of the modes up to the highest live on its
-    panels (at the one argument w r where r' = r), and the integrand on
-    its live intervals only, as many at a time as `_dqk21` takes.  The
-    panels that fail their first pass, of every block, go on in the
-    order of the intervals to one refinement, at their own orders only,
-    a block of (piece, family) rows at a time.  Every block takes the `_bessel_plan`
-    of one call over all of its level (every order on every panel, or
-    every row of a refinement level), so each value has the bits that
-    one call gives it, whatever the blocks.  Blocks of `_BLOCK` elements
-    bound the working set by a constant, not by modes times panels: the
-    traced peak of `tbar_modesum_4d` is 12.1 MB at theta1 = 10, 11.3 MB at
-    theta1 = 3 pi (t = 0.06, r = r' = 1, theta' = 0.2) and 13.5 MB at
-    theta1 = 3 (t = 0.01, r = 1, r' = 2, theta = 0.3), where one table
-    took 342, 110 and 153 MB.  Each mode's panels are summed in order.
+    epsabs = abs_tol / 100 it would have alone.  Every level of the
+    quadrature takes one path, on its pieces: the panels at the first
+    level, and at each refinement the pieces of the intervals that failed,
+    in the order of the intervals.  The pieces go a block at a time
+    (`_panel_blocks`): K_0 on the block's nodes, one `_bessel_j` table of
+    the modes up to the highest live on its pieces (at the one argument
+    w r where r' = r), and the integrand on the level's rows there, as
+    many at a time as `_dqk21` takes.  Each block takes the `_bessel_plan`
+    of its level's table (the modes up to the level's highest, on all of
+    its pieces), so each value has the bits that one call gives it,
+    whatever the blocks.
+
+    `_BLOCK` bounds the Bessel tables and the dqk21 rows.  What still
+    grows is the bookkeeping of the intervals, a few numbers for each
+    (mode, panel) pair and each live piece, the abscissae and dx/ds of a
+    refinement's pieces (42 floats a piece, `_level_values`), and the
+    table of a single piece, which holds every family below its reach.
+    The traced peak of `tbar_modesum_4d`, repeated in one process, is
+    12.5 MB at theta1 = 10 (51,000 live intervals) and 11.3 MB at
+    theta1 = 3 pi (t = 0.06, r = r' = 1, theta' = 0.2), and 12.9 MB at
+    theta1 = 3 (t = 0.01, r = 1, r' = 2, theta = 0.3), where one table of
+    every mode on every panel took 342, 110 and 153 MB; a process's first
+    call reads ~1 MB more.  At theta1 = 20 (t = 0.02, r = 1, r' = 1.25),
+    123,000 live intervals and 92,000 refinement pieces trace 56 MB.
+    Each mode's panels are summed in order.
 
     An interval whose integral cannot reach epsabs is not integrated and
     counts as 0.  Since |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1) (DLMF
@@ -921,69 +908,50 @@ def _mode_integrals(nu0, ks, count, r, rp, zeta, *, abs_tol=1e-12, max_panels=80
     del log_b
     if not len(live):
         return np.zeros(count)
-    w = _gk21_nodes(a, b)
-    # the arguments w r, then w r' unless they are w r
-    args = np.stack([w * v for v in ([r] if r == rp else [r, rp])])
-    whole = _bessel_plan(nu0, ks, args.ravel())
     mode, panel = np.divmod(live, panels)
-    reach = np.zeros(panels, dtype=int)
-    np.maximum.at(reach, panel, mode + 1)
 
-    def first_level():
+    def level(nodes, mode, piece):
+        # the integrand of the rows (mode, piece) on the (P, 21) nodes of a
+        # level's pieces, a block of pieces at a time
+        reach = np.zeros(len(nodes), dtype=int)
+        np.maximum.at(reach, piece, mode + 1)
+        # the arguments w r, then w r' unless they are w r
+        args = np.stack([nodes * v for v in ([r] if r == rp else [r, rp])])
+        top = int(reach.max())
+        plan = _bessel_plan(nu0[:top], ks[:top, :-(-top // families)], args.ravel())
         # Miller's coefficients: half its start a family
-        for p0, p1 in _panel_blocks(reach, families, 21 * len(args), (whole[1] or 0) // 2):
+        for p0, p1 in _panel_blocks(reach, families, 21 * len(args), (plan[1] or 0) // 2):
             top = int(reach[p0:p1].max())
             if not top:
                 continue
-            fams, mems = min(families, top), -(-top // families)
-            j = _bessel_j(nu0[:fams], ks[:fams, :mems], args[:, p0:p1].ravel(), plan=whole)
-            j = j.reshape(fams * mems, len(args), p1 - p0, 21)
-            at = np.flatnonzero((panel >= p0) & (panel < p1))
-            row, local = mode[at] % families * mems + mode[at] // families, panel[at] - p0
-            wb = w[p0:p1]
-            k0 = _bessel_k(0, wb * zeta)
-            for part in _row_blocks(len(at)):  # as many intervals as dqk21 takes at once
+            mems = -(-top // families)  # of each of the first min(F, top) families
+            j = _bessel_j(nu0[:top], ks[:top, :mems], args[:, p0:p1].ravel(), plan=plan)
+            j = j.reshape(-1, len(args), p1 - p0, 21)
+            at = np.flatnonzero((piece >= p0) & (piece < p1))
+            row, local = mode[at] % families * mems + mode[at] // families, piece[at] - p0
+            w = nodes[p0:p1]
+            k0 = _bessel_k(0, w * zeta)
+            for part in _row_blocks(len(at)):  # as many rows as dqk21 takes at once
                 i, p = row[part], local[part]
-                yield at[part], wb[p] * j[i, 0, p] * j[i, -1, p] * k0[p]
-
-    mode_k = ks.T.ravel()
+                yield at[part], w[p] * j[i, 0, p] * j[i, -1, p] * k0[p]
 
     def f(x, k):
-        # Rows of one piece share their nodes (the same panel of several
-        # modes): K_0 once per piece, and one recurrence per piece and
-        # family, for just the orders its rows need.  The pieces of a
-        # level have one depth, so each is told by its centre node alone.
+        # the pieces of a level have one depth, so each is told by its centre node
         _, first, piece = np.unique(x[:, 10], return_index=True, return_inverse=True)
-        pieces, modes = x[first], mode[k]
-        # family-major, so the families' orders come in runs (`_bessel_j_miller`)
-        groups, group = np.unique(modes % families * len(pieces) + piece, return_inverse=True)
-        by_group = np.argsort(group, kind="stable")
-        in_order = group[by_group]
-        slot = np.empty_like(group)
-        slot[by_group] = np.arange(len(group)) - np.searchsorted(in_order, in_order)
-        gks = np.zeros((len(groups), slot.max() + 1), dtype=int)
-        gks[group, slot] = mode_k[modes]
-        gnu0, gpiece = nu0[groups // len(pieces)], groups % len(pieces)
-        k0 = _bessel_k(0, pieces * zeta)
-        # a block of groups at a time, with the plan of the whole level, which
-        # reads only each group's least and largest argument; a group holds
-        # 42 arguments of three tables (each path's and the joined one) and
-        # of sixteen rows of recurrences
-        level = _bessel_plan(gnu0, gks, np.stack([pieces.min(axis=1)[gpiece] * min(r, rp),
-                                                  pieces.max(axis=1)[gpiece] * max(r, rp)], axis=1))
-        step = max(1, _BLOCK // (42 * (3 * gks.shape[1] + 16)))
-        for g0 in range(0, len(groups), step):
-            g = slice(g0, g0 + step)
-            rows = by_group[np.searchsorted(in_order, g0):np.searchsorted(in_order, g0 + step)]
-            gx = pieces[gpiece[g]]
-            jx = _bessel_j(gnu0[g], gks[g], np.concatenate([gx * r, gx * rp], axis=1),
-                           plan=level)[group[rows] - g0, slot[rows]]
-            x[rows] = x[rows] * jx[:, :21] * jx[:, 21:] * k0[piece[rows]]
+        for rows, fv in level(x[first], mode[k], piece):
+            x[rows] = fv
         return x  # each row of x, read once, holds its values
 
     # each mode's panels summed in order
     return np.bincount(mode, integrate_gk21(f, a[panel], b[panel], epsabs=epsabs,
-                                            fv_blocks=first_level()), count)
+                                            fv_blocks=level(_gk21_nodes(a, b), mode, panel)),
+                       count)
+
+
+# The most modes one `tbar_modesum_4d` takes.  It needs about
+# (23 - log(a u)) / (a u) of them, and a single piece's table holds every
+# family, of which an irrational angle has about as many as modes.
+_MAX_MODES = 4096
 
 
 def _mode_orders(a, count):
@@ -1011,7 +979,8 @@ def tbar_modesum_4d(pair: PointPair, theta1: float) -> float:
     separation zeta = sqrt(t^2 + (z - z')^2) > 0 (the quadratures do
     not converge on the purely radial section) and a hyperbolic
     separation u >= 0.05 (the number of contributing modes grows like
-    theta1/u).  Terms decay like exp(-2 pi n u / theta1).
+    theta1/u), and at most `_MAX_MODES` modes.  Terms decay like
+    exp(-2 pi n u / theta1).
 
     Every mode n <= n_terms, of order a n with a = 2 pi / theta1, is
     integrated in one `_mode_integrals` call, over every panel that can
@@ -1035,6 +1004,11 @@ def tbar_modesum_4d(pair: PointPair, theta1: float) -> float:
     decay = a * uv.u
     # Geometric tail below 1e-10 of the leading mode.
     n_terms = math.ceil((math.log(1e10) - math.log(-math.expm1(-decay))) / decay) + 1
+    if n_terms + 1 > _MAX_MODES:
+        raise DomainError(
+            f"mode sum needs at most {_MAX_MODES} modes, got {n_terms + 1} at "
+            f"theta1={theta1!r}, u={uv.u!r}; use tbar_cone_via_images at large angles"
+        )
     nu0, ks = _mode_orders(a, n_terms + 1)
     modes = _mode_integrals(nu0, ks, n_terms + 1, pair.r, pair.rp, zeta).tolist()
     dth = pair.dtheta

@@ -5,6 +5,7 @@ or from values small enough to derive by hand in a docstring.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -440,33 +441,37 @@ class TestModeIntegral:
 class TestModeIntegralBlocks:
     # (pair, theta1, modes, block): theta1 = 3 pi at r = r' is Miller's
     # recurrence alone on one argument per node; item 7's point splits at
-    # the crossover into Hankel's expansion, and its refinement takes many
-    # (piece, family) rows; theta1 = 8 pi has the orders 0, 1/4, 1/2 and
-    # 3/4 mod 1 (numpy's power with an array of such orders can round
-    # x^(1/2) by the shape of the call)
+    # the crossover into Hankel's expansion on both levels; theta1 = 8 pi
+    # has the orders 0, 1/4, 1/2 and 3/4 mod 1 (numpy's power with an array
+    # of such orders can round x^(1/2) by the shape of the call); at
+    # theta1 = 1.2 pi the refinement's table, of its own modes only, has a
+    # lower crossover than the first level's
     CASES = [(PointPair(t=0.06, r=1.0, rp=1.0, thetap=0.2), 3.0 * math.pi, 60, 1 << 16),
              (PointPair(t=0.01, r=1.0, rp=2.0, theta=0.3), 3.0, 19, 1 << 16),
              (PointPair(t=0.4, r=0.7, rp=1.2, theta=0.3, z=0.2), 1.3 * math.pi, 30, 1 << 11),
-             (PointPair(t=0.3, r=0.6, rp=1.1, theta=0.2), 8.0 * math.pi, 40, 1 << 12)]
+             (PointPair(t=0.3, r=0.6, rp=1.1, theta=0.2), 8.0 * math.pi, 40, 1 << 12),
+             (PointPair(t=0.03, r=0.8, rp=1.3, theta=0.2, z=0.1), 1.2 * math.pi, 30, 1 << 14)]
 
     @pytest.mark.parametrize("pair, theta1, count, block", CASES)
     def test_blocks_keep_the_bits(self, pair, theta1, count, block, monkeypatch):
         zeta = math.hypot(pair.t, pair.z - pair.zp)
         nu0, ks = checks._mode_orders(2.0 * math.pi / theta1, count)
-        calls = []
-        bessel_j = checks._bessel_j
+        blocks = []  # the blocks of each quadrature level
+        panel_blocks = checks._panel_blocks
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("plan") is not None)
-            return bessel_j(*args, **kwargs)
+        def counted(*args):
+            runs = panel_blocks(*args)
+            blocks.append(len(runs))
+            return runs
 
-        monkeypatch.setattr(checks, "_bessel_j", counted)
+        monkeypatch.setattr(checks, "_panel_blocks", counted)
         monkeypatch.setattr(checks, "_BLOCK", 1 << 40)
         whole = checks._mode_integrals(nu0, ks, count, pair.r, pair.rp, zeta)
-        tables = len(calls)
+        assert len(blocks) >= 2 and set(blocks) == {1}  # a refinement, and no split
+        blocks.clear()
         monkeypatch.setattr(checks, "_BLOCK", block)
         blocked = checks._mode_integrals(nu0, ks, count, pair.r, pair.rp, zeta)
-        assert len(calls) - tables > 2 * tables  # many blocks
+        assert blocks[0] > 1 and max(blocks[1:]) > 1  # both levels split
         assert [v.hex() for v in blocked.tolist()] == [v.hex() for v in whole.tolist()]
 
 
@@ -626,11 +631,6 @@ class TestBesselFunctions:
         split = checks._bessel_j(nu0, ks, x)
         assert (split[..., far] == checks._bessel_j_hankel(nu0, ks, x[far])).all()
         assert (split[..., ~far] == checks._bessel_j_miller(nu0, ks, x[~far])).all()
-        # a row of arguments per family: each element from its own path
-        # (Miller's start and Hankel's term count now follow the clipped rows)
-        per_row = checks._bessel_j(nu0, ks, np.stack([x, x[::-1]]))
-        np.testing.assert_allclose(per_row[0], split[0], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(per_row[1], split[1, :, ::-1], rtol=0, atol=1e-14)
 
     def test_a_plan_gives_a_part_of_a_table_its_bits(self):
         # with the whole call's plan, any families, orders and arguments of
@@ -647,16 +647,6 @@ class TestBesselFunctions:
                 want = whole[np.ix_(families, members)][..., columns]
                 assert [v.hex() for v in part.ravel().tolist()] == [
                     v.hex() for v in want.ravel().tolist()]
-
-    def test_a_plan_reads_each_rows_extremes(self):
-        # with a row of arguments per family, each row's least and largest
-        # argument give the call's plan
-        rng = np.random.default_rng(7)
-        nu0, ks = np.array([0.25, 0.5, 0.0]), np.array([[0, 3], [1, 2], [5, 9]])
-        for scale in (10.0, 60.0, 200.0):
-            x = rng.uniform(0.1, 1.0, (3, 42)) * scale
-            summary = np.stack([x.min(axis=1), x.max(axis=1)], axis=1)
-            assert checks._bessel_plan(nu0, ks, x) == checks._bessel_plan(nu0, ks, summary)
 
     @pytest.mark.parametrize("theta1, families", [
         (math.pi / 4, 1), (math.pi / 2, 1), (1.3 * math.pi, 13), (2 * math.pi, 1),
@@ -857,6 +847,15 @@ class TestModeSum:
     def test_requires_moderate_u(self):
         with pytest.raises(DomainError):
             tbar_modesum_4d(PointPair(t=1e-3, r=1.0, rp=1.0, theta=0.7), 3.0)
+
+    def test_refuses_too_many_modes(self):
+        # theta1 = 3000 needs 29,344 modes here, each its own family, and one
+        # panel's table holds them all: summed, they traced 165 MB
+        pair = PointPair(t=0.5, r=1.0, rp=1.2, theta=0.3)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="tbar_cone_via_images"):
+            tbar_modesum_4d(pair, 3000.0)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestThreeDim:
